@@ -50,10 +50,10 @@ from .spectrum import (
     CriticalPoints,
     EigenSystem,
     diagonalize,
+    eigensystem,
     find_crossings,
     gaps,
     gc_analytic,
-    truncation_report,
 )
 from .sweep import (
     AxisSpec,

@@ -25,8 +25,7 @@ from . import __version__
 from .config import RunConfig, load_config
 from .errors import ConfigError, RabiStarkError
 from .heatmap import emit_heatmap
-from .operators import assemble_hamiltonian, parity_operator
-from .spectrum import diagonalize, find_crossings
+from .spectrum import eigensystem, find_crossings
 from .sweep import OBSERVABLE_NAMES, PointResult, SweepResult, evaluate_point, run_sweep
 
 EXIT_OK = 0
@@ -93,12 +92,11 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
     """Scan the coupling axis and tabulate low-lying energies and parities."""
     scan = config.scan
     k = scan.n_levels
-    parity = parity_operator(config.model.n_tr)
     lines = ["g," + ",".join(f"e{i}" for i in range(k)) + ","
              + ",".join(f"p{i}" for i in range(k))]
     for g in np.linspace(scan.g_min, scan.g_max, scan.count):
         model = replace(config.model, g=float(g))
-        eigs = diagonalize(assemble_hamiltonian(model), parity)
+        eigs = eigensystem(model)
         cells = [format_number(float(g))]
         cells += [format_number(float(e)) for e in eigs.energies[:k]]
         cells += [str(int(p)) for p in eigs.parities[:k]]
@@ -125,10 +123,10 @@ def cmd_critical(config: RunConfig, out_dir: Path) -> list[str]:
     return ["critical.csv"]
 
 
-def _point_cells(pt: PointResult, requested) -> list[str]:
-    model, bath = pt.model, pt.bath
-    cells = [format_number(model.g), format_number(model.r), format_number(model.u),
-             format_number(bath.kt_c), str(model.n_tr)]
+def _point_cells(coords: dict, pt: PointResult, requested) -> list[str]:
+    """CSV cells of one point: g, r, u, kt and n_tr from coords, then observables."""
+    cells = [format_number(coords[name]) for name in ("g", "r", "u", "kt")]
+    cells.append(str(coords["n_tr"]))
     filled = set()
     for name in requested:
         filled.update(_COLUMN_SOURCES.get(name, ()))
@@ -140,6 +138,10 @@ def _point_cells(pt: PointResult, requested) -> list[str]:
     return cells
 
 
+def _base_coords(model, bath) -> dict:
+    return {"g": model.g, "r": model.r, "u": model.u, "kt": bath.kt_c, "n_tr": model.n_tr}
+
+
 OBS_HEADER = ("g,r,u,kt,n_tr," + ",".join(OBSERVABLE_COLUMNS) + ",converged,error_code")
 SWEEP_HEADER = ("g,r,u,kt,n_tr," + ",".join(OBSERVABLE_COLUMNS)
                 + ",converged,near_degenerate,error_code")
@@ -149,7 +151,7 @@ def cmd_observables(config: RunConfig, out_dir: Path) -> list[str]:
     """Evaluate the full pipeline at the configured single point."""
     pt = evaluate_point(config.model, config.bath)
     requested = set(OBSERVABLE_NAMES)
-    cells = _point_cells(pt, requested)
+    cells = _point_cells(_base_coords(config.model, config.bath), pt, requested)
     cells.append(str(int(pt.converged)))
     cells.append(str(pt.error_code))
     _write_text(out_dir / "observables.csv", OBS_HEADER + "\n" + ",".join(cells) + "\n")
@@ -157,10 +159,19 @@ def cmd_observables(config: RunConfig, out_dir: Path) -> list[str]:
 
 
 def sweep_csv(result: SweepResult) -> str:
-    requested = set(result.spec.observables)
+    """Sweep table; each row's coordinates are read from the grid, so a
+    point with invalid parameters still reports where it sits."""
+    spec = result.spec
+    requested = set(spec.observables)
     lines = [SWEEP_HEADER]
-    for pt in result.points:
-        cells = _point_cells(pt, requested)
+    cols = spec.shape[1]
+    for flat, pt in enumerate(result.points):
+        i, j = divmod(flat, cols)
+        coords = _base_coords(spec.model, spec.bath)
+        coords[spec.axis1.name] = float(result.axis1_values[i])
+        if result.is_2d:
+            coords[spec.axis2.name] = float(result.axis2_values[j])
+        cells = _point_cells(coords, pt, requested)
         cells.append(str(int(pt.converged)))
         cells.append(str(int(pt.near_degenerate)))
         cells.append(str(pt.error_code))

@@ -14,7 +14,7 @@ from typing import Optional
 
 from .dissipation import DEFAULT_N_LEVELS, BathParams
 from .errors import ConfigError, InvalidParameterError
-from .operators import ModelParams
+from .operators import ModelParams, _is_finite
 from .sweep import OBSERVABLE_NAMES, AxisSpec, SweepSpec
 
 MODEL_DEFAULTS = {"delta": 1.0, "omega0": 1.0, "g": 0.0, "r": 1.0, "u": 0.0, "n_tr": 200}
@@ -81,7 +81,7 @@ def _check_keys(section: str, data: dict, allowed) -> list[str]:
 
 def _number(section: str, data: dict, key: str, default, bad: list) -> float:
     value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_finite(value):
         bad.append(f"{section}.{key}")
         return default
     return value
@@ -105,7 +105,7 @@ def _axis(name: str, data, bad: list) -> Optional[AxisSpec]:
             max=float(data["max"]),
             count=int(data["count"]),
         )
-    except (InvalidParameterError, TypeError, ValueError) as exc:
+    except (InvalidParameterError, TypeError, ValueError, OverflowError) as exc:
         bad.append(f"{name} ({exc})")
         return None
 
@@ -141,7 +141,7 @@ def parse_config(data: dict) -> RunConfig:
         bad.append("model.n_tr (must be an integer)")
     bath_kw = {k: _number("bath", bath_in, k, BATH_DEFAULTS[k], bad) for k in BATH_DEFAULTS}
     if bad:
-        raise ConfigError("config values have wrong types", bad)
+        raise ConfigError("config values have wrong types or are not finite", bad)
 
     try:
         model = ModelParams(**model_kw)

@@ -23,7 +23,7 @@ from .errors import (
     NumericFailureError,
     StepSizeError,
 )
-from .operators import SIGMA_X, ModelParams, field_position, lift_field, lift_qubit
+from .operators import SIGMA_X, ModelParams, _is_finite, composite_position, lift_qubit
 from .spectrum import EigenSystem
 
 GAP_EPSILON_FRACTION = 1e-9   # |gap| below this * omega0 uses the degenerate limit
@@ -47,6 +47,9 @@ class BathParams:
     kt_c: float = 0.07
 
     def __post_init__(self):
+        for name in ("alpha_q", "alpha_c", "omega_cutoff", "kt_q", "kt_c"):
+            if not _is_finite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha_q <= 0 or self.alpha_c <= 0:
             raise InvalidParameterError("bath couplings alpha_q, alpha_c must be > 0")
         if self.omega_cutoff <= 0:
@@ -55,20 +58,24 @@ class BathParams:
             raise InvalidParameterError("bath temperatures must be >= 0")
 
 
-def bose_occupation(gap: float, kt: float) -> float:
-    """Bose-Einstein occupation 1/(exp(gap/kt) - 1) for gap > 0, kt >= 0."""
-    if gap <= 0:
-        raise InvalidInputError(f"gap must be > 0, got {gap}")
+def bose_occupation(gap, kt: float):
+    """Bose-Einstein occupation 1/(exp(gap/kt) - 1) for gap > 0, kt >= 0.
+
+    gap may be a scalar or an array; a scalar gap gives a float.
+    """
+    gap = np.asarray(gap, dtype=float)
+    if np.any(gap <= 0):
+        raise InvalidInputError(f"gap must be > 0, got {gap.min()}")
     if kt < 0:
         raise InvalidInputError(f"kt must be >= 0, got {kt}")
     if kt == 0.0:
-        return 0.0
-    x = gap / kt
-    if x > 30.0:
-        # exp(x) would dominate; e^-x / (1 - e^-x) never overflows
-        ex = math.exp(-x)
-        return ex / (1.0 - ex)
-    return 1.0 / math.expm1(x)
+        n = np.zeros_like(gap)
+    else:
+        x = gap / kt
+        # For x > 30, e^-x / (1 - e^-x) never overflows.
+        ex = np.exp(-x)
+        n = np.where(x > 30.0, ex / (1.0 - ex), 1.0 / np.expm1(np.minimum(x, 30.0)))
+    return float(n) if n.ndim == 0 else n
 
 
 @dataclass
@@ -110,25 +117,22 @@ class TransitionTable:
 
 
 def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
-    """Down/up weights for one bath and one ordered pair with gap >= 0."""
-    cutoff = math.exp(-abs(gap) / omega_cutoff)
-    if gap < eps:
-        if kt == 0.0:
-            return 0.0, 0.0, True
-        w = alpha * (kt / omega_ref) * melem_sq * cutoff
-        return w, w, False
-    gamma = alpha * (gap / omega_ref) * cutoff * melem_sq
-    n = bose_occupation(gap, kt)
-    return gamma * (1.0 + n), gamma * n, False
+    """Down/up weights and frozen flags for one bath over pairs with gap >= 0.
 
-
-def rate_coefficient(alpha: float, gap: float, omega_ref: float,
-                     omega_cutoff: float, melem_sq: float) -> float:
-    """Bare transition rate alpha*(gap/omega_ref)*exp(-|gap|/omega_c)*|M|^2.
-
-    Antisymmetric in the sign of the gap; positive for downward pairs.
+    gap and melem_sq may be scalars or arrays of the same shape.  Pairs with
+    gap < eps take the degenerate limit of both weights, which vanishes and
+    marks the pair frozen at kt = 0.
     """
-    return alpha * (gap / omega_ref) * math.exp(-abs(gap) / omega_cutoff) * melem_sq
+    gap = np.asarray(gap, dtype=float)
+    cutoff = np.exp(-np.abs(gap) / omega_cutoff)
+    degenerate = gap < eps
+    safe = np.where(degenerate, 1.0, gap)     # keeps the Bose factor finite
+    gamma = alpha * (safe / omega_ref) * cutoff * melem_sq
+    n = bose_occupation(safe, kt)
+    w = alpha * (kt / omega_ref) * melem_sq * cutoff
+    down = np.where(degenerate, w, gamma * (1.0 + n))
+    up = np.where(degenerate, w, gamma * n)
+    return down, up, degenerate & (kt == 0.0)
 
 
 def transition_rates(
@@ -144,40 +148,31 @@ def transition_rates(
     states = eigs.states[:, :L]
     energies = eigs.energies[:L]
 
-    sx_full = lift_qubit(SIGMA_X, model.n_tr)
-    x_full = lift_field(field_position(model.n_tr), model.n_tr)
-    m_q = states.conj().T @ (sx_full @ states)
-    m_c = states.conj().T @ (x_full @ states)
+    m_q = states.T @ (lift_qubit(SIGMA_X, model.n_tr) @ states)
+    m_c = states.T @ (composite_position(model.n_tr) @ states)
 
     gap = energies[:, None] - energies[None, :]
     eps = GAP_EPSILON_FRACTION * model.omega0
 
-    shape = (L, L)
-    down_q = np.zeros(shape)
-    up_q = np.zeros(shape)
-    down_c = np.zeros(shape)
-    up_c = np.zeros(shape)
-    frozen = np.zeros(shape, dtype=bool)
+    # Ordered pairs (upper k, lower j), k > j; matrix elements are <j|.|k>.
+    lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
+    d = gap[lower]
+    dq, uq, fq = _pair_weights(
+        bath.alpha_q, d, model.delta, bath.omega_cutoff, m_q.T[lower] ** 2, bath.kt_q, eps
+    )
+    dc, uc, fc = _pair_weights(
+        bath.alpha_c, d, model.omega0, bath.omega_cutoff, m_c.T[lower] ** 2, bath.kt_c, eps
+    )
 
-    for k in range(1, L):
-        for j in range(k):
-            d = gap[k, j]
-            mq2 = abs(m_q[j, k]) ** 2
-            mc2 = abs(m_c[j, k]) ** 2
-            dq, uq, fq = _pair_weights(
-                bath.alpha_q, d, model.delta, bath.omega_cutoff, mq2, bath.kt_q, eps
-            )
-            dc, uc, fc = _pair_weights(
-                bath.alpha_c, d, model.omega0, bath.omega_cutoff, mc2, bath.kt_c, eps
-            )
-            down_q[k, j], up_q[k, j] = dq, uq
-            down_c[k, j], up_c[k, j] = dc, uc
-            frozen[k, j] = fq and fc
+    def table(values):
+        out = np.zeros((L, L), dtype=values.dtype)
+        out[lower] = values
+        return out
 
     return TransitionTable(
         n_levels=L, gap=gap, m_q=m_q, m_c=m_c,
-        down_q=down_q, up_q=up_q, down_c=down_c, up_c=up_c,
-        frozen=frozen, kt_q=bath.kt_q, kt_c=bath.kt_c,
+        down_q=table(dq), up_q=table(uq), down_c=table(dc), up_c=table(uc),
+        frozen=table(fq & fc), kt_q=bath.kt_q, kt_c=bath.kt_c,
     )
 
 

@@ -16,14 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericFailureError, ZeroFluxError
+from .errors import InvalidInputError, ZeroFluxError
 from .spectrum import EigenSystem
 from .dissipation import SteadyState
 
 ZERO_FLUX_THRESHOLD = 1e-30
 P1_FLOOR = 1e-300
-THETA_GRID_POINTS = 720
-THETA_GRID_TOL = 1e-9
 
 
 @dataclass
@@ -59,7 +57,7 @@ def detection_operator(
     """
     L = eigs.dim if n_levels is None else min(int(n_levels), eigs.dim)
     states = eigs.states[:, :L]
-    xmat = states.conj().T @ (field_x @ states)
+    xmat = states.T @ (field_x @ states)
     gap = eigs.energies[:L][None, :] - eigs.energies[:L][:, None]  # gap[j,k] = E_k - E_j
     xplus = -1j * np.triu(gap * xmat, k=1)
     return DetectionOperator(xplus=xplus, xmat=xmat)
@@ -151,9 +149,9 @@ def _moment_diagonals(eigs: EigenSystem, a: np.ndarray, L: int):
     """Diagonal eigenbasis elements of a, a^dag a, and a^2 (lowest L levels)."""
     states = eigs.states[:, :L]
     av = a @ states
-    a_diag = np.einsum("ij,ij->j", states.conj(), av)
+    a_diag = np.einsum("ij,ij->j", states, av)
     n_diag = np.einsum("ij,ij->j", av.conj(), av).real
-    a2_diag = np.einsum("ij,ij->j", states.conj(), a @ av)
+    a2_diag = np.einsum("ij,ij->j", states, a @ av)
     return a_diag, n_diag, a2_diag
 
 
@@ -175,9 +173,11 @@ def squeezing_factor(
 ) -> tuple[float, float, float]:
     """Principal quadrature squeezing of the cavity field.
 
-    Minimizes the variance of the rotated quadrature X_theta analytically,
-    verifies the minimum against a 720-point theta grid, and also evaluates
-    the symmetry-reduced closed form 2*(<a^dag a> - Re<a^2>) + 1.  Returns
+    The variance of the rotated quadrature X_theta is
+    1 + 2*(<a^dag a> - |<a>|^2) + 2*Re(<a^2>_c e^{-2i theta}) with
+    <a^2>_c = <a^2> - <a>^2; its minimum over theta is taken in closed form
+    by dropping the cosine to -1.  Also evaluates the symmetry-reduced
+    closed form 2*(<a^dag a> - Re<a^2>) + 1.  Returns
     (xi_b2, xi_b2_closed, theta_min); squeezing means xi_b2 < 1.
     """
     if moments is None:
@@ -187,15 +187,6 @@ def squeezing_factor(
     centered = a_sq - a_mean**2
     base = 1.0 + 2.0 * (n_photon - abs(a_mean) ** 2)
     xi_b2 = base - 2.0 * abs(centered)
-
-    thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID_POINTS, endpoint=False)
-    grid = base + 2.0 * (centered * np.exp(-2j * thetas)).real
-    xi_grid = float(grid.min())
-    if abs(xi_grid - xi_b2) > THETA_GRID_TOL:
-        raise NumericFailureError(
-            f"theta-grid minimum {xi_grid:.12e} disagrees with analytic "
-            f"minimum {xi_b2:.12e}"
-        )
 
     xi_b2_closed = 1.0 + 2.0 * (n_photon - a_sq.real)
     theta_min = cmath.phase(a_sq) / 2.0 + math.pi / 2.0

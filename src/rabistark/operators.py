@@ -2,8 +2,9 @@
 
 The composite space is qubit (x) field with qubit-major ordering: basis index
 = qubit_index * (n_tr + 1) + photon_index, qubit index 0 = ground.  Operators
-are dense complex numpy arrays; at the default truncation the dense form is
-small and the eigensolver wants it anyway.
+are dense real float64 arrays, since every matrix element of the model is
+real; at the default truncation the dense form is small and the eigensolver
+wants it anyway.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -11,6 +12,7 @@ temperatures are quoted in units of omega0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,10 +22,18 @@ from .errors import InvalidParameterError
 HERMITICITY_TOL = 1e-12
 
 # Qubit matrices in the (ground, excited) basis.
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |e><g|
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
+SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])   # |e><g|
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
+
+
+def _is_finite(value) -> bool:
+    """math.isfinite, reading an int too large for a float as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,9 @@ class ModelParams:
     n_tr: int = 200
 
     def __post_init__(self):
+        for name in ("delta", "omega0", "g", "r", "u"):
+            if not _is_finite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega0 <= 0:
             raise InvalidParameterError(f"omega0 must be > 0, got {self.omega0}")
         if self.delta <= 0:
@@ -74,17 +87,9 @@ def build_field_ops(n_tr: int):
     """Return (annihilation, creation, number) on the (n_tr+1)-dim Fock space."""
     if not isinstance(n_tr, (int, np.integer)) or n_tr < 2:
         raise InvalidParameterError(f"n_tr must be an integer >= 2, got {n_tr}")
-    a = np.diag(np.sqrt(np.arange(1, n_tr + 1, dtype=float)), k=1).astype(complex)
-    adag = a.conj().T
+    a = np.diag(np.sqrt(np.arange(1, n_tr + 1, dtype=float)), k=1)
+    adag = a.T
     return a, adag, adag @ a
-
-
-def qubit_identity(n_tr: int) -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
-def field_identity(n_tr: int) -> np.ndarray:
-    return np.eye(n_tr + 1, dtype=complex)
 
 
 def field_position(n_tr: int) -> np.ndarray:
@@ -95,12 +100,12 @@ def field_position(n_tr: int) -> np.ndarray:
 
 def lift_qubit(op: np.ndarray, n_tr: int) -> np.ndarray:
     """Embed a 2x2 qubit operator into the composite space."""
-    return np.kron(op, np.eye(n_tr + 1, dtype=complex))
+    return np.kron(op, np.eye(n_tr + 1))
 
 
 def lift_field(op: np.ndarray, n_tr: int) -> np.ndarray:
     """Embed a field operator into the composite space."""
-    return np.kron(np.eye(2, dtype=complex), op)
+    return np.kron(np.eye(2), op)
 
 
 def composite_annihilation(n_tr: int) -> np.ndarray:
@@ -121,11 +126,11 @@ def assemble_hamiltonian(p: ModelParams) -> np.ndarray:
         + g [(a sigma_+ + a^dag sigma_-) + r (a sigma_- + a^dag sigma_+)]
     """
     a, adag, num = build_field_ops(p.n_tr)
-    eye_f = np.eye(p.n_tr + 1, dtype=complex)
+    eye_f = np.eye(p.n_tr + 1)
 
     h = 0.5 * p.delta * np.kron(SIGMA_Z, eye_f)
     h += p.u * np.kron(SIGMA_Z, num)
-    h += p.omega0 * np.kron(np.eye(2, dtype=complex), num)
+    h += p.omega0 * np.kron(np.eye(2), num)
     rotating = np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, adag)
     counter = np.kron(SIGMA_MINUS, a) + np.kron(SIGMA_PLUS, adag)
     h += p.g * (rotating + p.r * counter)
@@ -138,7 +143,7 @@ def parity_operator(n_tr: int) -> np.ndarray:
         raise InvalidParameterError(f"n_tr must be an integer >= 2, got {n_tr}")
     photon = np.arange(n_tr + 1)
     diag = np.concatenate([(-1.0) ** photon, (-1.0) ** (photon + 1)])
-    return np.diag(diag).astype(complex)
+    return np.diag(diag)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ class EigenSystem:
     """Sorted eigenvalues, orthonormal eigenvectors, and parity labels.
 
     energies  ascending real eigenvalues
-    states    eigenvector columns, states[:, n] belongs to energies[n]
+    states    real eigenvector columns, states[:, n] belongs to energies[n]
     parities  +1/-1 labels from the parity expectation of each state
     """
 
@@ -48,15 +48,25 @@ class EigenSystem:
         return self.energies.shape[0]
 
 
+def _real_matrix(m, name: str) -> np.ndarray:
+    """m as a float64 array; a complex m must have a zero imaginary part."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        if np.any(m.imag != 0):
+            raise InvalidInputError(f"{name} has nonzero imaginary entries; it must be real")
+        m = m.real
+    return np.asarray(m, dtype=float)
+
+
 def diagonalize(h: np.ndarray, parity: np.ndarray) -> EigenSystem:
-    """Diagonalize a Hermitian matrix and resolve parity labels.
+    """Diagonalize a real symmetric matrix and resolve parity labels.
 
     Within numerically degenerate clusters the eigenvectors are rotated to be
-    simultaneous eigenvectors of the parity operator; every eigenvector phase
-    is fixed so its largest-magnitude component is real positive.
+    simultaneous eigenvectors of the parity operator; every eigenvector sign
+    is fixed so its largest-magnitude component is positive.
     """
-    h = np.asarray(h)
-    parity = np.asarray(parity)
+    h = _real_matrix(h, "h")
+    parity = _real_matrix(parity, "parity")
     if h.shape != parity.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidInputError(f"shape mismatch: h {h.shape}, parity {parity.shape}")
     if hermiticity_defect(h) >= HERMITICITY_TOL:
@@ -64,14 +74,10 @@ def diagonalize(h: np.ndarray, parity: np.ndarray) -> EigenSystem:
             f"matrix is not Hermitian within {HERMITICITY_TOL}: defect {hermiticity_defect(h):.3e}"
         )
 
-    # Real-symmetric fast path: the model Hamiltonian has no complex entries.
-    is_real = np.max(np.abs(h.imag)) < 1e-14 if np.iscomplexobj(h) else True
-    work = h.real.copy() if is_real else h
     try:
-        energies, states = np.linalg.eigh(work)
+        energies, states = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigensolver failed: {exc}") from None
-    states = states.astype(complex)
 
     span = max(float(energies[-1] - energies[0]), 1.0)
     cluster_tol = DEGENERACY_FRACTION * span
@@ -85,26 +91,27 @@ def diagonalize(h: np.ndarray, parity: np.ndarray) -> EigenSystem:
             stop += 1
         if stop - start > 1:
             block = states[:, start:stop]
-            sub = block.conj().T @ (parity @ block)
-            sub = 0.5 * (sub + sub.conj().T)
+            sub = block.T @ (parity @ block)
+            sub = 0.5 * (sub + sub.T)
             _, rot = np.linalg.eigh(sub)
             states[:, start:stop] = block @ rot
         start = stop
 
-    # Fix the global phase of every column.
-    for k in range(n):
-        col = states[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        states[:, k] = col * (pivot.conj() / abs(pivot))
+    # Fix the sign of every column: its largest-magnitude component is positive.
+    states *= np.sign(states[np.argmax(np.abs(states), axis=0), np.arange(n)])
 
-    pvals = np.real(np.einsum("ij,ij->j", states.conj(), parity @ states))
+    pvals = np.einsum("ij,ij->j", states, parity @ states)
     if np.min(np.abs(pvals)) <= 1.0 - PARITY_PURITY_TOL:
         worst = int(np.argmin(np.abs(pvals)))
         raise NumericFailureError(
             f"state {worst} is not a parity eigenstate: <P> = {pvals[worst]:.12f}"
         )
     return EigenSystem(energies=energies, states=states, parities=np.sign(pvals))
+
+
+def eigensystem(p: ModelParams) -> EigenSystem:
+    """Assemble the model Hamiltonian of p and diagonalize it with parity labels."""
+    return diagonalize(assemble_hamiltonian(p), parity_operator(p.n_tr))
 
 
 def gaps(eigs: EigenSystem) -> np.ndarray:
@@ -178,13 +185,12 @@ def find_crossings(
         if hi != lo + 1 or lo < 0:
             raise InvalidParameterError(f"tracked pairs must be adjacent, got ({lo}, {hi})")
 
-    parity = parity_operator(p.n_tr)
     max_level = max(hi for _, hi in levels)
     closure = GAP_CLOSURE_FRACTION * p.omega0
     grid = np.linspace(g_min, g_max, int(steps))
 
     def labels_at(g: float):
-        eigs = diagonalize(assemble_hamiltonian(_with_g(p, g)), parity)
+        eigs = eigensystem(_with_g(p, g))
         return eigs.parities[: max_level + 1], eigs.energies[: max_level + 2]
 
     scan = [labels_at(g) for g in grid]
@@ -225,27 +231,3 @@ def find_crossings(
     return CriticalPoints(
         gc_analytic=gc_analytic(p), gc_numeric=gc_numeric, excited_crossings=excited
     )
-
-
-def truncation_report(
-    p: ModelParams,
-    observable: Callable[[ModelParams], float],
-    delta_ntr: int = 40,
-    tol: float = 1e-6,
-) -> tuple[float, bool]:
-    """Evaluate an observable at n_tr and n_tr + delta_ntr and compare.
-
-    Returns the value at the requested truncation and a convergence flag:
-    relative agreement within tol, or absolute agreement when the values are
-    below 1e-6 in magnitude.
-    """
-    if delta_ntr < 10:
-        raise InvalidParameterError(f"delta_ntr must be >= 10, got {delta_ntr}")
-    v1 = float(observable(p))
-    v2 = float(observable(p.with_n_tr(p.n_tr + delta_ntr)))
-    scale = max(abs(v1), abs(v2))
-    if scale < 1e-6:
-        converged = abs(v2 - v1) < tol
-    else:
-        converged = abs(v2 - v1) / scale < tol
-    return v1, converged

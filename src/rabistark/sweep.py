@@ -39,14 +39,8 @@ from .observables import (
     flux_proxy,
     squeezing_factor,
 )
-from .operators import (
-    ModelParams,
-    assemble_hamiltonian,
-    composite_annihilation,
-    composite_position,
-    parity_operator,
-)
-from .spectrum import diagonalize
+from .operators import ModelParams, _is_finite, composite_annihilation, composite_position
+from .spectrum import eigensystem
 
 AXIS_NAMES = ("g", "r", "u", "kt")
 OBSERVABLE_NAMES = ("g2", "g3", "g2_approx", "g3_approx", "xi_b2", "n_photon", "flux_proxy")
@@ -68,6 +62,16 @@ ERROR_NAMES = {
     ERR_INVALID_PARAMS: "invalid-params",
 }
 
+# Exceptions a point's pipeline may raise, and the error code each maps to.
+_ERROR_CODES = {
+    ZeroFluxError: ERR_ZERO_FLUX,
+    MultipleSteadyStateError: ERR_NO_STEADY_STATE,
+    InvalidParameterError: ERR_INVALID_PARAMS,
+    NumericFailureError: ERR_NUMERIC,
+    InvalidInputError: ERR_NUMERIC,
+    np.linalg.LinAlgError: ERR_NUMERIC,
+}
+
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -85,6 +89,10 @@ class AxisSpec:
             )
         if self.count < 2:
             raise InvalidParameterError(f"axis count must be >= 2, got {self.count}")
+        if not (_is_finite(self.min) and _is_finite(self.max) and _is_finite(self.max - self.min)):
+            raise InvalidParameterError(
+                f"axis bounds and span must be finite, got [{self.min}, {self.max}]"
+            )
         if not self.min < self.max:
             raise InvalidParameterError(
                 f"axis needs min < max, got [{self.min}, {self.max}]"
@@ -135,10 +143,13 @@ class SweepSpec:
 
 @dataclass
 class PointResult:
-    """Outcome of the pipeline at one grid point."""
+    """Outcome of the pipeline at one grid point.
 
-    model: ModelParams
-    bath: BathParams
+    model and bath are None for a grid point whose parameters are invalid.
+    """
+
+    model: Optional[ModelParams]
+    bath: Optional[BathParams]
     report: Optional[ObservableReport]
     converged: bool
     near_degenerate: bool
@@ -173,11 +184,14 @@ class SweepResult:
         return out
 
 
+def _steady(eigs, model: ModelParams, bath: BathParams, n_levels: int):
+    """Rates and steady state over the lowest n_levels eigenstates of eigs."""
+    return steady_populations(transition_rates(eigs, model, bath, n_levels=n_levels))
+
+
 def _n_photon_at(model: ModelParams, bath: BathParams, n_levels: int) -> float:
-    h = assemble_hamiltonian(model)
-    eigs = diagonalize(h, parity_operator(model.n_tr))
-    table = transition_rates(eigs, model, bath, n_levels=n_levels)
-    ss = steady_populations(table)
+    eigs = eigensystem(model)
+    ss = _steady(eigs, model, bath, n_levels)
     _, n_photon, _ = field_moments(ss, eigs, composite_annihilation(model.n_tr))
     return n_photon
 
@@ -193,20 +207,20 @@ def evaluate_point(
 
     Zero-flux and no-steady-state conditions are reported through the error
     code with an empty report, never raised.  The convergence flag compares
-    the photon number against a truncation enlarged by delta_ntr.
+    the photon number against a truncation enlarged by delta_ntr: relative
+    agreement within CONVERGENCE_TOL, or absolute agreement when both values
+    are below 1e-6.
     """
     near_degenerate = False
     try:
-        h = assemble_hamiltonian(model)
-        eigs = diagonalize(h, parity_operator(model.n_tr))
+        eigs = eigensystem(model)
         near_degenerate = (
             eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
         )
-        table = transition_rates(eigs, model, bath, n_levels=n_levels)
-        ss = steady_populations(table)
+        ss = _steady(eigs, model, bath, n_levels)
 
         a = composite_annihilation(model.n_tr)
-        x = detection_operator(eigs, composite_position(model.n_tr), n_levels=table.n_levels)
+        x = detection_operator(eigs, composite_position(model.n_tr), n_levels=ss.n_levels)
         moments = field_moments(ss, eigs, a)
         a_mean, n_photon, a_sq = moments
 
@@ -223,18 +237,9 @@ def evaluate_point(
             n_photon=n_photon, a_mean=a_mean, a_sq=a_sq, flux_proxy=flux,
             eta1=eta1, eta2=eta2, eta3=eta3,
         )
-    except ZeroFluxError as exc:
-        return PointResult(model, bath, None, False, near_degenerate,
-                           ERR_ZERO_FLUX, str(exc))
-    except MultipleSteadyStateError as exc:
-        return PointResult(model, bath, None, False, near_degenerate,
-                           ERR_NO_STEADY_STATE, str(exc))
-    except InvalidParameterError as exc:
-        return PointResult(model, bath, None, False, near_degenerate,
-                           ERR_INVALID_PARAMS, str(exc))
-    except (NumericFailureError, InvalidInputError, np.linalg.LinAlgError) as exc:
-        return PointResult(model, bath, None, False, near_degenerate,
-                           ERR_NUMERIC, str(exc))
+    except tuple(_ERROR_CODES) as exc:
+        code = next(c for kind, c in _ERROR_CODES.items() if isinstance(exc, kind))
+        return PointResult(model, bath, None, False, near_degenerate, code, str(exc))
 
     converged = False
     if check_convergence:
@@ -254,15 +259,12 @@ def _evaluate_slot(args) -> tuple[int, PointResult]:
     spec, i, j, flat = args
     try:
         model, bath = spec.point_params(i, j)
-        result = evaluate_point(
-            model, bath, n_levels=spec.n_levels,
-            check_convergence=spec.check_convergence,
-        )
     except InvalidParameterError as exc:
         # Grid point itself is unphysical (e.g. |u| >= omega0).
-        result = PointResult(spec.model, spec.bath, None, False, False,
-                             ERR_INVALID_PARAMS, str(exc))
-    return flat, result
+        return flat, PointResult(None, None, None, False, False, ERR_INVALID_PARAMS, str(exc))
+    return flat, evaluate_point(
+        model, bath, n_levels=spec.n_levels, check_convergence=spec.check_convergence,
+    )
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:

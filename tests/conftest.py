@@ -5,9 +5,7 @@ import numpy as np
 import rabistark as rs
 
 
-def build_eigs(model):
-    h = rs.assemble_hamiltonian(model)
-    return rs.diagonalize(h, rs.parity_operator(model.n_tr))
+build_eigs = rs.eigensystem
 
 
 def steady_pipeline(model, bath, n_levels=40):

@@ -271,3 +271,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     no_sweep = write_config(tmp_path, {"model": {"delta": 1.0, "n_tr": 20}},
                             name="nosweep.json")
     assert main(["sweep", "--config", no_sweep, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_cli_rejects_non_finite_config(tmp_path, capsys):
+    axis = {"name": "g", "min": 0.1, "max": 0.5, "count": 3}
+    configs = (
+        {"model": {"g": math.nan}},
+        {"model": {"g": 10**400}},
+        {"bath": {"kt_q": math.inf}},
+        {"scan": {"count": math.nan}},
+        {"scan": {"g_max": math.inf}},
+        {"sweep": {"axis1": dict(axis, max=math.inf)}},
+        {"sweep": {"axis1": dict(axis, count=math.inf)}},
+    )
+    for k, data in enumerate(configs):
+        path = write_config(tmp_path, data, name=f"nonfinite{k}.json")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "x")]) == 2, data
+        assert "config error" in capsys.readouterr().err

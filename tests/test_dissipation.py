@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rabistark as rs
-from rabistark.dissipation import _pair_weights, rate_coefficient
+from rabistark.dissipation import _pair_weights
 
 from conftest import build_eigs, random_model, steady_pipeline
 
@@ -21,9 +23,19 @@ def test_bose_occupation_values():
     assert 0.0 < tiny < 1e-300 or tiny == 0.0
 
 
+def test_bose_occupation_array_matches_scalar():
+    gaps = np.array([0.07, 1.0, 2.0, 100.0])
+    got = rs.bose_occupation(gaps, 0.07)
+    assert got.shape == gaps.shape
+    assert list(got) == [rs.bose_occupation(g, 0.07) for g in gaps]
+    assert np.all(rs.bose_occupation(gaps, 0.0) == 0.0)
+
+
 def test_bose_occupation_rejects_bad_input():
     with pytest.raises(rs.InvalidInputError):
         rs.bose_occupation(0.0, 0.1)
+    with pytest.raises(rs.InvalidInputError):
+        rs.bose_occupation(np.array([1.0, 0.0]), 0.1)
     with pytest.raises(rs.InvalidInputError):
         rs.bose_occupation(-1.0, 0.1)
     with pytest.raises(rs.InvalidInputError):
@@ -37,18 +49,6 @@ def test_bath_params_validation():
         rs.BathParams(omega_cutoff=-1.0)
     with pytest.raises(rs.InvalidParameterError):
         rs.BathParams(kt_c=-0.1)
-
-
-def test_rate_antisymmetry_under_index_swap():
-    # Gamma changes sign when the pair ordering (hence the gap sign) flips.
-    p = rs.ModelParams(delta=1.0, g=0.6, r=0.4, u=0.2, n_tr=30)
-    eigs = build_eigs(p)
-    d = eigs.energies[5] - eigs.energies[2]
-    m2 = 0.37
-    forward = rate_coefficient(1e-3, d, 1.0, 10.0, m2)
-    backward = rate_coefficient(1e-3, -d, 1.0, 10.0, m2)
-    assert forward == -backward
-    assert forward > 0
 
 
 def test_parity_selection_rules_zero_weights():
@@ -109,6 +109,75 @@ def test_degenerate_pair_freezes_at_zero_temperature():
     assert down == 0.0 and up == 0.0 and frozen
     down, up, frozen = _pair_weights(1e-3, 1e-12, 1.0, 10.0, 0.8, 0.07, eps)
     assert down > 0.0 and down == up and not frozen
+
+
+def _scalar_pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
+    """Per-pair transcription of the rate formula, the oracle for the vectorized kernel."""
+    cutoff = math.exp(-abs(gap) / omega_cutoff)
+    if gap < eps:
+        if kt == 0.0:
+            return 0.0, 0.0, True
+        w = alpha * (kt / omega_ref) * melem_sq * cutoff
+        return w, w, False
+    gamma = alpha * (gap / omega_ref) * cutoff * melem_sq
+    if kt == 0.0:
+        n = 0.0
+    elif gap / kt > 30.0:
+        ex = math.exp(-gap / kt)
+        n = ex / (1.0 - ex)
+    else:
+        n = 1.0 / math.expm1(gap / kt)
+    return gamma * (1.0 + n), gamma * n, False
+
+
+EPS = 1e-9
+# Gaps at the degenerate switchover, plus ordinary gaps; gaps either side of
+# the x = gap/kT > 30 Bose branch are added per temperature below.
+GAPS = st.one_of(
+    st.sampled_from([0.0, EPS * (1.0 - 1e-3), EPS, EPS * (1.0 + 1e-3)]),
+    st.floats(0.0, 5.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(GAPS, st.floats(0.0, 10.0)), min_size=1, max_size=12),
+    bose_x=st.lists(st.floats(29.0, 31.0), max_size=4),
+    kt=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+    omega_ref=st.floats(0.1, 3.0),
+)
+def test_vectorized_pair_weights_match_scalar_formula(pairs, bose_x, kt, omega_ref):
+    if kt > 0.0:
+        pairs = pairs + [(kt * x, 0.5) for x in bose_x]
+    gaps = np.array([g for g, _ in pairs])
+    melem_sq = np.array([m for _, m in pairs])
+    down, up, frozen = _pair_weights(1e-3, gaps, omega_ref, 10.0, melem_sq, kt, EPS)
+    for idx, (gap, m2) in enumerate(pairs):
+        want = _scalar_pair_weights(1e-3, gap, omega_ref, 10.0, m2, kt, EPS)
+        assert down[idx] == pytest.approx(want[0], rel=1e-14, abs=0.0)
+        assert up[idx] == pytest.approx(want[1], rel=1e-14, abs=0.0)
+        assert frozen[idx] == want[2]
+
+
+def test_transition_tables_match_scalar_formula():
+    rng = np.random.default_rng(53)
+    baths = (BATH, rs.BathParams(kt_q=0.0, kt_c=0.0), rs.BathParams(kt_q=0.02, kt_c=0.3))
+    for bath in baths:
+        p = random_model(rng, n_tr=30)
+        table = rs.transition_rates(build_eigs(p), p, bath, n_levels=16)
+        eps = 1e-9 * p.omega0
+        for k in range(1, table.n_levels):
+            for j in range(k):
+                gap = table.gap[k, j]
+                dq, uq, fq = _scalar_pair_weights(bath.alpha_q, gap, p.delta, bath.omega_cutoff,
+                                                  abs(table.m_q[j, k]) ** 2, bath.kt_q, eps)
+                dc, uc, fc = _scalar_pair_weights(bath.alpha_c, gap, p.omega0, bath.omega_cutoff,
+                                                  abs(table.m_c[j, k]) ** 2, bath.kt_c, eps)
+                got = (table.down_q[k, j], table.up_q[k, j], table.down_c[k, j], table.up_c[k, j])
+                assert got == pytest.approx((dq, uq, dc, uc), rel=1e-14, abs=0.0)
+                assert table.frozen[k, j] == (fq and fc)
+        for arr in (table.down_q, table.up_q, table.down_c, table.up_c, table.frozen):
+            assert not np.any(np.triu(arr))
 
 
 def test_zero_temperature_freeze_and_up_weights():

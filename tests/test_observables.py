@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 import rabistark as rs
 from rabistark.observables import DetectionOperator
@@ -166,6 +169,9 @@ def test_field_moments_thermal_and_symmetry():
     assert abs(a_mean) < 1e-10
     assert abs(a_sq.imag) < 1e-10
     assert n_photon == pytest.approx(N_TH, rel=0.05)
+    # A complex field operator: a rotated by a phase keeps <a^dag a>.
+    _, n_rotated, _ = rs.field_moments(ss, eigs, a * np.exp(0.3j))
+    assert n_rotated == pytest.approx(n_photon, rel=1e-12)
 
     rng = np.random.default_rng(19)
     for _ in range(3):
@@ -216,3 +222,30 @@ def test_squeezed_region_exists_at_strong_coupling():
     eigs, table, ss, x, a = observables_pipeline(model, BATH)
     xi, _, _ = rs.squeezing_factor(ss, eigs, a)
     assert xi < 1.0
+
+
+moment = st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moment, moment, st.floats(0.0, 10.0), moment, moment)
+@example(0.0, 0.0, 0.1, 0.05 * math.cos(0.001), 0.05 * math.sin(0.001))  # off-grid minimum
+def test_squeezing_minimum_matches_theta_minimization(a_re, a_im, n_photon, sq_re, sq_im):
+    a_mean, a_sq = complex(a_re, a_im), complex(sq_re, sq_im)
+    xi, _, _ = rs.squeezing_factor(None, None, None, moments=(a_mean, n_photon, a_sq))
+
+    base = 1.0 + 2.0 * (n_photon - abs(a_mean) ** 2)
+    centered = a_sq - a_mean**2
+
+    def variance(theta):
+        return base + 2.0 * (centered * cmath.exp(-2j * theta)).real
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    grid = base + 2.0 * (centered * np.exp(-2j * thetas)).real
+    # The grid point nearest the true minimum brackets it within one step.
+    best, step = thetas[np.argmin(grid)], thetas[1]
+    found = minimize_scalar(variance, bounds=(best - step, best + step), method="bounded",
+                            options={"xatol": 1e-10})
+    scale = max(1.0, abs(base), abs(centered))
+    assert abs(found.fun - xi) <= 1e-12 * scale
+    assert np.all(xi <= grid + 1e-12 * scale)

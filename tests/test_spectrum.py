@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import rabistark as rs
-from rabistark.sweep import _n_photon_at
 
 from conftest import build_eigs, random_model
 
@@ -70,6 +69,25 @@ def test_diagonalize_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(rs.InvalidInputError):
         rs.diagonalize(m, np.eye(4, dtype=complex))
+
+
+def test_diagonalize_requires_real_input():
+    parity = np.diag([1.0, -1.0])
+    h = np.array([[0.0, 0.1j], [-0.1j, 1.0]])  # Hermitian, not real
+    with pytest.raises(rs.InvalidInputError):
+        rs.diagonalize(h, parity)
+    eigs = rs.diagonalize(np.diag([1.0, 0.0]).astype(complex), parity.astype(complex))
+    assert eigs.states.dtype == np.float64
+    assert np.array_equal(eigs.energies, [0.0, 1.0])
+    assert np.array_equal(eigs.parities, [-1.0, 1.0])
+
+
+def test_pipeline_arrays_are_real():
+    p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=10)
+    arrays = (*rs.build_field_ops(p.n_tr), rs.assemble_hamiltonian(p),
+              rs.parity_operator(p.n_tr), rs.composite_annihilation(p.n_tr),
+              rs.composite_position(p.n_tr), rs.eigensystem(p).states)
+    assert all(arr.dtype == np.float64 for arr in arrays)
 
 
 def test_truncation_convergence_of_low_levels():
@@ -173,25 +191,3 @@ def test_find_crossings_validation():
         rs.find_crossings(p, 0.1, 1.0, steps=4)
     with pytest.raises(rs.InvalidParameterError):
         rs.find_crossings(p, 0.1, 1.0, steps=16, levels=((0, 2),))
-
-
-def test_truncation_report_constant_and_converged():
-    p = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.0, n_tr=60)
-    value, converged = rs.truncation_report(p, lambda q: 42.0, delta_ntr=10, tol=1e-30)
-    assert value == 42.0 and converged
-
-    bath = rs.BathParams()
-    observable = lambda q: _n_photon_at(q, bath, 40)
-    value, converged = rs.truncation_report(p, observable, delta_ntr=20, tol=1e-6)
-    assert converged
-    assert value > 0
-
-
-def test_truncation_report_flags_gross_truncation():
-    bath = rs.BathParams()
-    observable = lambda q: _n_photon_at(q, bath, 6)
-    p = rs.ModelParams(delta=1.0, g=1.5, r=1.0, u=0.0, n_tr=2)
-    value, converged = rs.truncation_report(p, observable, delta_ntr=10, tol=1e-6)
-    assert not converged
-    with pytest.raises(rs.InvalidParameterError):
-        rs.truncation_report(p, observable, delta_ntr=5)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import rabistark as rs
+from rabistark.cli import sweep_csv
 from rabistark.sweep import (
     ERR_INVALID_PARAMS,
     ERR_OK,
@@ -92,6 +95,63 @@ def test_error_isolation_invalid_axis_points():
     assert codes[2] == ERR_INVALID_PARAMS  # u = 1.5
     assert result.points[0].report is not None
     assert result.points[1].report is None
+
+
+def test_invalid_grid_points_report_their_coordinates():
+    spec = SweepSpec(
+        model=BASE_MODEL,
+        bath=BASE_BATH,
+        axis1=AxisSpec("u", -1.2, 0.0, 3),
+        axis2=AxisSpec("kt", 0.05, 0.1, 2),
+        n_levels=12,
+        check_convergence=False,
+    )
+    result = run_sweep(spec, workers=1)
+    codes = [pt.error_code for pt in result.points]
+    assert codes == [ERR_INVALID_PARAMS] * 2 + [ERR_OK] * 4
+    assert result.points[0].model is None and result.points[0].bath is None
+    rows = [line.split(",") for line in sweep_csv(result).strip().split("\n")[1:]]
+    assert [row[2:4] for row in rows] == [
+        ["-1.2", "0.05"], ["-1.2", "0.1"], ["-0.6", "0.05"], ["-0.6", "0.1"],
+        ["0", "0.05"], ["0", "0.1"],
+    ]
+    assert [row[0] for row in rows] == ["0.5"] * 6
+    assert [row[-1] for row in rows] == [str(c) for c in codes]
+
+
+def test_non_finite_parameters_are_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(rs.InvalidParameterError):
+            rs.ModelParams(delta=1.0, g=bad)
+        with pytest.raises(rs.InvalidParameterError):
+            rs.ModelParams(delta=bad)
+        with pytest.raises(rs.InvalidParameterError):
+            rs.BathParams(kt_q=bad)
+        with pytest.raises(rs.InvalidParameterError):
+            rs.BathParams(alpha_c=bad)
+        with pytest.raises(rs.InvalidParameterError):
+            AxisSpec("g", 0.0, bad, 3)
+        with pytest.raises(rs.InvalidParameterError):
+            AxisSpec("g", bad, 1.0, 3)
+    with pytest.raises(rs.InvalidParameterError):
+        AxisSpec("g", -1e308, 1.7e308, 3)  # finite bounds, overflowing span
+    huge = 10**400  # an int no float can hold
+    with pytest.raises(rs.InvalidParameterError):
+        rs.ModelParams(delta=1.0, g=huge)
+    with pytest.raises(rs.InvalidParameterError):
+        rs.BathParams(kt_q=huge)
+    with pytest.raises(rs.InvalidParameterError):
+        AxisSpec("g", 0, huge, 3)
+    with pytest.raises(rs.InvalidParameterError):
+        AxisSpec("g", -(10**308), 10**308, 3)  # finite int bounds, overflowing span
+
+    # A grid point rebuilt from a non-finite value is invalid, not a solver failure.
+    base = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=20)
+    object.__setattr__(base, "g", math.nan)
+    spec = SweepSpec(model=base, bath=BASE_BATH, axis1=AxisSpec("r", 0.2, 0.4, 2),
+                     n_levels=8, check_convergence=False)
+    result = run_sweep(spec, workers=1)
+    assert [pt.error_code for pt in result.points] == [ERR_INVALID_PARAMS] * 2
 
 
 def test_zero_temperature_points_are_zero_flux():
