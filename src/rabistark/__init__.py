@@ -39,17 +39,14 @@ from .observables import (
 )
 from .operators import (
     ModelParams,
-    assemble_hamiltonian,
     build_field_ops,
     composite_annihilation,
     composite_position,
     field_position,
-    parity_operator,
 )
 from .spectrum import (
     CriticalPoints,
     EigenSystem,
-    diagonalize,
     eigensystem,
     find_crossings,
     gaps,

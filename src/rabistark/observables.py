@@ -9,7 +9,6 @@ diagonal steady-state ensemble.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -38,13 +37,6 @@ class DetectionOperator:
     @property
     def n_levels(self) -> int:
         return self.xplus.shape[0]
-
-    @property
-    def xminus(self) -> np.ndarray:
-        return self.xplus.conj().T
-
-    def rescaled(self, factor: complex) -> "DetectionOperator":
-        return DetectionOperator(xplus=self.xplus * factor, xmat=self.xmat.copy())
 
 
 def detection_operator(
@@ -189,7 +181,8 @@ def squeezing_factor(
     xi_b2 = base - 2.0 * abs(centered)
 
     xi_b2_closed = 1.0 + 2.0 * (n_photon - a_sq.real)
-    theta_min = cmath.phase(a_sq) / 2.0 + math.pi / 2.0
+    # math.atan2, not cmath.phase: the latter raises on a subnormal angle.
+    theta_min = math.atan2(a_sq.imag, a_sq.real) / 2.0 + math.pi / 2.0
     return xi_b2, xi_b2_closed, theta_min
 
 

@@ -1,10 +1,10 @@
-"""Truncated Hilbert space, canonical operators, and the model Hamiltonian.
+"""Truncated Hilbert space, model parameters, and canonical operators.
 
 The composite space is qubit (x) field with qubit-major ordering: basis index
 = qubit_index * (n_tr + 1) + photon_index, qubit index 0 = ground.  Operators
 are dense real float64 arrays, since every matrix element of the model is
-real; at the default truncation the dense form is small and the eigensolver
-wants it anyway.
+real.  The Hamiltonian itself is never built densely: spectrum.py solves it
+as two parity chains.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -19,13 +19,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-HERMITICITY_TOL = 1e-12
-
-# Qubit matrices in the (ground, excited) basis.
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]])
+# Qubit sigma_x in the (ground, excited) basis.
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]])   # |e><g|
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e|
 
 
 def _is_finite(value) -> bool:
@@ -38,7 +33,10 @@ def _is_finite(value) -> bool:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters of the anisotropic Rabi-Stark Hamiltonian.
+    """Physical parameters of the anisotropic Rabi-Stark Hamiltonian
+
+    H = (delta/2 + u a^dag a) sigma_z + omega0 a^dag a
+        + g [(a sigma_+ + a^dag sigma_-) + r (a sigma_- + a^dag sigma_+)].
 
     delta   qubit splitting (units of omega0)
     omega0  cavity frequency, the base energy unit (> 0)
@@ -117,35 +115,3 @@ def composite_annihilation(n_tr: int) -> np.ndarray:
 def composite_position(n_tr: int) -> np.ndarray:
     """a + a^dag on the composite space (detection/coupling quadrature)."""
     return lift_field(field_position(n_tr), n_tr)
-
-
-def assemble_hamiltonian(p: ModelParams) -> np.ndarray:
-    """Assemble the anisotropic Rabi-Stark Hamiltonian on the composite space.
-
-    H = (delta/2 + u a^dag a) sigma_z + omega0 a^dag a
-        + g [(a sigma_+ + a^dag sigma_-) + r (a sigma_- + a^dag sigma_+)]
-    """
-    a, adag, num = build_field_ops(p.n_tr)
-    eye_f = np.eye(p.n_tr + 1)
-
-    h = 0.5 * p.delta * np.kron(SIGMA_Z, eye_f)
-    h += p.u * np.kron(SIGMA_Z, num)
-    h += p.omega0 * np.kron(np.eye(2), num)
-    rotating = np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, adag)
-    counter = np.kron(SIGMA_MINUS, a) + np.kron(SIGMA_PLUS, adag)
-    h += p.g * (rotating + p.r * counter)
-    return h
-
-
-def parity_operator(n_tr: int) -> np.ndarray:
-    """Diagonal parity operator exp(i pi N), N = a^dag a + (sigma_z + 1)/2."""
-    if not isinstance(n_tr, (int, np.integer)) or n_tr < 2:
-        raise InvalidParameterError(f"n_tr must be an integer >= 2, got {n_tr}")
-    photon = np.arange(n_tr + 1)
-    diag = np.concatenate([(-1.0) ** photon, (-1.0) ** (photon + 1)])
-    return np.diag(diag)
-
-
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-norm distance from m to its own conjugate transpose."""
-    return float(np.max(np.abs(m - m.conj().T)))

@@ -1,8 +1,8 @@
 """Full-pipeline evaluation over 1-D and 2-D parameter grids.
 
-Each grid point runs assemble -> diagonalize -> rates -> steady state ->
-observables independently; failing points are recorded with an error code
-instead of aborting the sweep.  Results land in preallocated row-major slots,
+Each grid point runs spectrum -> rates -> steady state -> observables
+independently; failing points are recorded with an error code instead of
+aborting the sweep.  Results land in preallocated row-major slots,
 so the output is identical for any worker count.
 """
 

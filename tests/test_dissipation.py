@@ -219,8 +219,9 @@ def test_gibbs_stationarity_residual():
 
 
 def test_gibbs_state_values():
-    energies = np.diag([0.0, 0.07, 0.5, 1.1])
-    eigs = rs.diagonalize(energies.astype(complex), np.eye(4, dtype=complex))
+    eigs = rs.EigenSystem(
+        energies=np.array([0.0, 0.07, 0.5, 1.1]), states=np.eye(4), parities=np.ones(4)
+    )
     cold = rs.gibbs_state(eigs, 0.0)
     assert np.array_equal(cold.populations, [1.0, 0.0, 0.0, 0.0])
     warm = rs.gibbs_state(eigs, 0.07)

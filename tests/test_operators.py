@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 import rabistark as rs
-from rabistark.operators import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    SIGMA_X,
-    SIGMA_Z,
-    hermiticity_defect,
-)
+from rabistark.spectrum import _parity_chain
 
-from conftest import random_model
+from conftest import SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, dense_hamiltonian
+
+
+def chain_matrix(p):
+    """Both parity chains of H scattered into one composite-basis matrix."""
+    h = np.zeros((p.dim, p.dim))
+    for odd in (0, 1):
+        index, diag, off = _parity_chain(p, odd)
+        h[index, index] = diag
+        h[index[:-1], index[1:]] = off
+        h[index[1:], index[:-1]] = off
+    return h
 
 
 def test_ladder_entries_and_vacuum():
@@ -43,10 +48,9 @@ def test_field_ops_rejects_small_truncation():
 
 def test_decoupled_spectrum_multiset():
     p = rs.ModelParams(delta=1.0, omega0=1.0, g=0.0, r=1.0, u=0.0, n_tr=2)
-    h = rs.assemble_hamiltonian(p)
-    assert np.allclose(h, np.diag(np.diag(h)))
-    eigenvalues = np.sort(np.linalg.eigvalsh(h))
-    assert np.allclose(eigenvalues, [-0.5, 0.5, 0.5, 1.5, 1.5, 2.5], atol=1e-12)
+    h = chain_matrix(p)
+    assert np.array_equal(h, np.diag(np.diag(h)))
+    assert np.allclose(rs.eigensystem(p).energies, [-0.5, 0.5, 0.5, 1.5, 1.5, 2.5], atol=1e-12)
 
 
 def test_isotropic_coupling_block_exact():
@@ -54,13 +58,16 @@ def test_isotropic_coupling_block_exact():
     g = 0.37
     p_on = rs.ModelParams(delta=0.9, g=g, r=1.0, u=0.0, n_tr=n_tr)
     p_off = rs.ModelParams(delta=0.9, g=0.0, r=1.0, u=0.0, n_tr=n_tr)
-    coupling = rs.assemble_hamiltonian(p_on) - rs.assemble_hamiltonian(p_off)
+    coupling = chain_matrix(p_on) - chain_matrix(p_off)
     x_field = rs.field_position(n_tr)
     assert np.array_equal(coupling, g * np.kron(SIGMA_X, x_field))
 
 
 def test_model_reductions_match_reference_assembly():
-    # Independent reference matrices: Jaynes-Cummings, Rabi, anisotropic Rabi.
+    # Independent reference matrices: Jaynes-Cummings, Rabi, anisotropic Rabi,
+    # each against the scattered parity chains and the dense test oracle.  The
+    # chains take the photon number n exactly; the references take it from
+    # a^dag a, which is off by an ulp for some n, hence rtol.
     n_tr = 5
     delta, omega0, g, r = 0.8, 1.0, 0.3, 0.6
     a, adag, num = rs.build_field_ops(n_tr)
@@ -69,48 +76,26 @@ def test_model_reductions_match_reference_assembly():
 
     jc = base + g * (np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, adag))
     p_jc = rs.ModelParams(delta=delta, g=g, r=0.0, u=0.0, n_tr=n_tr)
-    assert np.array_equal(rs.assemble_hamiltonian(p_jc), jc)
+    assert np.allclose(chain_matrix(p_jc), jc, rtol=1e-15, atol=0)
+    assert np.array_equal(dense_hamiltonian(p_jc), jc)
 
     rabi = base + g * np.kron(SIGMA_X, a + adag)
     p_rabi = rs.ModelParams(delta=delta, g=g, r=1.0, u=0.0, n_tr=n_tr)
-    assert np.allclose(rs.assemble_hamiltonian(p_rabi), rabi, atol=0)
+    assert np.allclose(chain_matrix(p_rabi), rabi, rtol=1e-15, atol=0)
+    assert np.allclose(dense_hamiltonian(p_rabi), rabi, atol=0)
 
     anis = base + g * (
         np.kron(SIGMA_PLUS, a) + np.kron(SIGMA_MINUS, adag)
         + r * (np.kron(SIGMA_MINUS, a) + np.kron(SIGMA_PLUS, adag))
     )
     p_anis = rs.ModelParams(delta=delta, g=g, r=r, u=0.0, n_tr=n_tr)
-    assert np.array_equal(rs.assemble_hamiltonian(p_anis), anis)
+    assert np.allclose(chain_matrix(p_anis), anis, rtol=1e-15, atol=0)
+    assert np.array_equal(dense_hamiltonian(p_anis), anis)
 
-
-def test_hamiltonian_hermitian_and_real():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        p = random_model(rng, n_tr=12)
-        h = rs.assemble_hamiltonian(p)
-        assert hermiticity_defect(h) < 1e-12
-        assert np.max(np.abs(h.imag)) < 1e-14
-
-
-def test_parity_diagonal_entries_and_involution():
-    n_tr = 4
-    parity = rs.parity_operator(n_tr)
-    diag = np.diag(parity).real
-    for q in (0, 1):
-        for n in range(n_tr + 1):
-            assert diag[q * (n_tr + 1) + n] == (-1.0) ** (n + q)
-    # ground qubit, zero photons: even total excitation
-    assert diag[0] == 1.0
-    assert np.max(np.abs(parity @ parity - np.eye(2 * (n_tr + 1)))) < 1e-14
-
-
-def test_parity_commutes_with_hamiltonian():
-    rng = np.random.default_rng(5)
-    for _ in range(8):
-        p = random_model(rng, n_tr=10)
-        h = rs.assemble_hamiltonian(p)
-        parity = rs.parity_operator(p.n_tr)
-        assert np.max(np.abs(parity @ h - h @ parity)) < 1e-12
+    stark = anis + 0.3 * np.kron(SIGMA_Z, num)
+    p_stark = rs.ModelParams(delta=delta, g=g, r=r, u=0.3, n_tr=n_tr)
+    assert np.allclose(chain_matrix(p_stark), stark, rtol=1e-15, atol=0)
+    assert np.allclose(dense_hamiltonian(p_stark), stark, rtol=1e-15, atol=0)
 
 
 def test_parameter_validation():

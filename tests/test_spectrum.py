@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rabistark as rs
+from rabistark.spectrum import DEGENERACY_FRACTION
 
-from conftest import build_eigs, random_model
+from conftest import build_eigs, dense_hamiltonian, parity_diagonal, random_model
 
 
 def jc_reference_energies(g, n_levels):
@@ -31,8 +34,8 @@ def test_eigensystem_invariants():
     rng = np.random.default_rng(23)
     for _ in range(6):
         p = random_model(rng, n_tr=14)
-        h = rs.assemble_hamiltonian(p)
-        eigs = rs.diagonalize(h, rs.parity_operator(p.n_tr))
+        h = dense_hamiltonian(p)
+        eigs = rs.eigensystem(p)
         assert np.all(np.diff(eigs.energies) >= 0)
         overlap = eigs.states.conj().T @ eigs.states
         assert np.max(np.abs(overlap - np.eye(eigs.dim))) < 1e-10
@@ -40,6 +43,54 @@ def test_eigensystem_invariants():
         scale = np.maximum(1.0, np.abs(eigs.energies))
         assert np.all(np.linalg.norm(residual, axis=0) < 1e-9 * scale)
         assert set(np.unique(eigs.parities)) <= {-1.0, 1.0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    r=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    u=st.one_of(st.sampled_from([-0.9, -0.8999, 0.8999, 0.9]), st.floats(-0.9, 0.9)),
+    n_tr=st.integers(2, 60),
+)
+@example(g=0.0, r=1.0, u=0.0, n_tr=20)   # resonant, diagonal: same-parity degeneracies
+@example(g=0.3, r=0.0, u=0.0, n_tr=20)   # Jaynes-Cummings: 2x2 blocks, tied components
+@example(g=2.5, r=0.9375, u=-0.9, n_tr=48)  # ground doublet split by 9.7e-9 < threshold
+def test_eigensystem_matches_dense_oracle(g, r, u, n_tr):
+    p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    eigs = rs.eigensystem(p)
+    h = dense_hamiltonian(p)
+    reference = np.linalg.eigvalsh(h)
+    scale = max(1.0, reference[-1] - reference[0])
+    assert np.max(np.abs(eigs.energies - reference)) <= 1e-12 * scale
+
+    # Every column is an eigenvector of H.  Under the level-order rule a
+    # column may sit at a neighbour's energy, but no farther away than the
+    # order threshold DEGENERACY_FRACTION * span.
+    own = np.einsum("ij,ij->j", eigs.states, h @ eigs.states)
+    residual = np.linalg.norm(h @ eigs.states - eigs.states * own, axis=0)
+    assert np.all(residual <= 1e-9 * np.maximum(1.0, np.abs(own)))
+    assert np.max(np.abs(own - eigs.energies)) <= (DEGENERACY_FRACTION + 1e-12) * scale
+    assert np.max(np.abs(eigs.states.T @ eigs.states - np.eye(p.dim))) < 1e-12
+
+    # Each column lives in the parity sector of its label, and its largest
+    # component is positive (ties between +/- components of equal size occur
+    # in the resonant Jaynes-Cummings doublets).
+    wrong_sector = parity_diagonal(n_tr)[:, None] != eigs.parities[None, :]
+    assert np.all(eigs.states[wrong_sector] == 0.0)
+    assert np.all(eigs.states.max(axis=0) >= -eigs.states.min(axis=0))
+
+
+def test_level_order_rule_near_ground_crossing():
+    # Levels closer than DEGENERACY_FRACTION * span are ordered odd parity
+    # first, not by energy (the rule the critical-scan references rest on).
+    # At g = 1.5491904, E1 - E0 = 2.45e-8: below the n_tr=200 threshold
+    # (2.57e-8), so odd parity comes first although it lies higher; above the
+    # n_tr=120 threshold (1.59e-8), so the energy order holds.
+    model = rs.ModelParams(delta=1.0, g=1.5491904, r=1.0, u=0.2, n_tr=200)
+    eigs = rs.eigensystem(model)
+    assert eigs.energies[1] - eigs.energies[0] == pytest.approx(2.45e-8, rel=0.01)
+    assert list(eigs.parities[:2]) == [-1.0, 1.0]
+    assert list(rs.eigensystem(model.with_n_tr(120)).parities[:2]) == [1.0, -1.0]
 
 
 def test_decoupled_parity_labels():
@@ -64,28 +115,9 @@ def test_phase_fixing_largest_component_real_positive():
         assert pivot.real > 0
 
 
-def test_diagonalize_rejects_non_hermitian():
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(rs.InvalidInputError):
-        rs.diagonalize(m, np.eye(4, dtype=complex))
-
-
-def test_diagonalize_requires_real_input():
-    parity = np.diag([1.0, -1.0])
-    h = np.array([[0.0, 0.1j], [-0.1j, 1.0]])  # Hermitian, not real
-    with pytest.raises(rs.InvalidInputError):
-        rs.diagonalize(h, parity)
-    eigs = rs.diagonalize(np.diag([1.0, 0.0]).astype(complex), parity.astype(complex))
-    assert eigs.states.dtype == np.float64
-    assert np.array_equal(eigs.energies, [0.0, 1.0])
-    assert np.array_equal(eigs.parities, [-1.0, 1.0])
-
-
 def test_pipeline_arrays_are_real():
     p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=10)
-    arrays = (*rs.build_field_ops(p.n_tr), rs.assemble_hamiltonian(p),
-              rs.parity_operator(p.n_tr), rs.composite_annihilation(p.n_tr),
+    arrays = (*rs.build_field_ops(p.n_tr), rs.composite_annihilation(p.n_tr),
               rs.composite_position(p.n_tr), rs.eigensystem(p).states)
     assert all(arr.dtype == np.float64 for arr in arrays)
 
@@ -171,16 +203,6 @@ def test_crossing_levels_swap_parity():
     assert left.parities[1] == -right.parities[1]
     assert left.parities[0] == -left.parities[1]
     assert right.parities[0] == -right.parities[1]
-
-
-def test_uniform_energy_shift_changes_nothing():
-    p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=12)
-    h = rs.assemble_hamiltonian(p)
-    parity = rs.parity_operator(p.n_tr)
-    base = rs.diagonalize(h, parity)
-    shifted = rs.diagonalize(h + 3.7 * np.eye(h.shape[0]), parity)
-    assert np.array_equal(base.parities, shifted.parities)
-    assert np.allclose(rs.gaps(base), rs.gaps(shifted), atol=1e-10)
 
 
 def test_find_crossings_validation():

@@ -154,6 +154,13 @@ def test_non_finite_parameters_are_rejected():
     assert [pt.error_code for pt in result.points] == [ERR_INVALID_PARAMS] * 2
 
 
+def test_overflowing_hamiltonian_is_invalid_params():
+    # g passes validation, but g*sqrt(n) overflows a double on the chain.
+    pt = evaluate_point(rs.ModelParams(delta=1.0, g=1e308, n_tr=40), BASE_BATH)
+    assert pt.error_code == ERR_INVALID_PARAMS
+    assert pt.report is None
+
+
 def test_zero_temperature_points_are_zero_flux():
     spec = SweepSpec(
         model=BASE_MODEL,
