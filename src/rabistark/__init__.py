@@ -37,16 +37,10 @@ from .observables import (
     flux_proxy,
     squeezing_factor,
 )
-from .operators import (
-    ModelParams,
-    build_field_ops,
-    composite_annihilation,
-    composite_position,
-    field_position,
-)
 from .spectrum import (
     CriticalPoints,
     EigenSystem,
+    ModelParams,
     eigensystem,
     find_crossings,
     gaps,

@@ -2,10 +2,10 @@
 
 Every subcommand reads one strict JSON config, writes CSV (fixed header,
 12 significant digits, LF endings) plus a JSON metadata sidecar into the
-output directory, and exits 0 on success, 2 on config errors, 3 on numeric
-failures, and 4 on I/O failures.  Error-coded sweep cells become empty CSV
-fields with an integer error_code column, so a failing grid point never
-aborts a run.
+output directory, and exits 0 on success, 2 on config or usage errors, 3 on
+numeric failures, and 4 on I/O failures.  Error-coded sweep cells become
+empty CSV fields with an integer error_code column, so a failing grid point
+never aborts a run.
 """
 
 from __future__ import annotations
@@ -124,7 +124,10 @@ def cmd_critical(config: RunConfig, out_dir: Path) -> list[str]:
 
 
 def _point_cells(coords: dict, pt: PointResult, requested) -> list[str]:
-    """CSV cells of one point: g, r, u, kt and n_tr from coords, then observables."""
+    """CSV cells of one point: coordinates from coords, observables, converged.
+
+    converged is empty when the convergence check did not run.
+    """
     cells = [format_number(coords[name]) for name in ("g", "r", "u", "kt")]
     cells.append(str(coords["n_tr"]))
     filled = set()
@@ -135,6 +138,7 @@ def _point_cells(coords: dict, pt: PointResult, requested) -> list[str]:
             cells.append("")
         else:
             cells.append(format_number(getattr(pt.report, col)))
+    cells.append("" if pt.converged is None else str(int(pt.converged)))
     return cells
 
 
@@ -152,7 +156,6 @@ def cmd_observables(config: RunConfig, out_dir: Path) -> list[str]:
     pt = evaluate_point(config.model, config.bath)
     requested = set(OBSERVABLE_NAMES)
     cells = _point_cells(_base_coords(config.model, config.bath), pt, requested)
-    cells.append(str(int(pt.converged)))
     cells.append(str(pt.error_code))
     _write_text(out_dir / "observables.csv", OBS_HEADER + "\n" + ",".join(cells) + "\n")
     return ["observables.csv"]
@@ -172,7 +175,6 @@ def sweep_csv(result: SweepResult) -> str:
         if result.is_2d:
             coords[spec.axis2.name] = float(result.axis2_values[j])
         cells = _point_cells(coords, pt, requested)
-        cells.append(str(int(pt.converged)))
         cells.append(str(int(pt.near_degenerate)))
         cells.append(str(pt.error_code))
         lines.append(",".join(cells))
@@ -185,13 +187,13 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool,
     if config.sweep is None:
         raise ConfigError("sweep subcommand needs a 'sweep' config section",
                           ["sweep"])
+    if plot and config.sweep.axis2 is None:
+        raise ConfigError("--plot needs a 2-D sweep (axis2 missing)", ["sweep.axis2"])
     result = run_sweep(config.sweep, workers=workers)
     outputs = ["sweep.csv"]
     _write_text(out_dir / "sweep.csv", sweep_csv(result))
 
     if plot:
-        if not result.is_2d:
-            raise ConfigError("--plot needs a 2-D sweep (axis2 missing)", ["sweep.axis2"])
         spec = result.spec
         column = config.column
         values = result.column(column).reshape(spec.shape)
@@ -231,6 +233,9 @@ def main(argv=None) -> int:
             cmdp.add_argument("--plot", action="store_true",
                               help="emit an SVG heatmap of the configured column")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print(f"usage error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         config = load_config(args.config)

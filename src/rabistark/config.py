@@ -14,7 +14,7 @@ from typing import Optional
 
 from .dissipation import DEFAULT_N_LEVELS, BathParams
 from .errors import ConfigError, InvalidParameterError
-from .operators import ModelParams, _is_finite
+from .spectrum import ModelParams, _is_finite
 from .sweep import OBSERVABLE_NAMES, AxisSpec, SweepSpec
 
 MODEL_DEFAULTS = {"delta": 1.0, "omega0": 1.0, "g": 0.0, "r": 1.0, "u": 0.0, "n_tr": 200}

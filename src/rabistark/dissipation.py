@@ -23,8 +23,7 @@ from .errors import (
     NumericFailureError,
     StepSizeError,
 )
-from .operators import SIGMA_X, ModelParams, _is_finite, composite_position, lift_qubit
-from .spectrum import EigenSystem
+from .spectrum import EigenSystem, ModelParams, _is_finite, parity_odd_elements
 
 GAP_EPSILON_FRACTION = 1e-9   # |gap| below this * omega0 uses the degenerate limit
 DEFAULT_N_LEVELS = 40
@@ -145,12 +144,8 @@ def transition_rates(
     L = min(int(n_levels), eigs.dim)
     if L < 2:
         raise InvalidParameterError(f"need at least 2 levels, got {n_levels}")
-    states = eigs.states[:, :L]
     energies = eigs.energies[:L]
-
-    m_q = states.T @ (lift_qubit(SIGMA_X, model.n_tr) @ states)
-    m_c = states.T @ (composite_position(model.n_tr) @ states)
-
+    m_q, m_c = parity_odd_elements(eigs, L)
     gap = energies[:, None] - energies[None, :]
     eps = GAP_EPSILON_FRACTION * model.omega0
 

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInputError, ZeroFluxError
-from .spectrum import EigenSystem
 from .dissipation import SteadyState
+from .spectrum import EigenSystem, field_diagonals, parity_odd_elements
 
 ZERO_FLUX_THRESHOLD = 1e-30
 P1_FLOOR = 1e-300
@@ -27,8 +27,10 @@ P1_FLOOR = 1e-300
 class DetectionOperator:
     """Gap-weighted emission operator in the energy eigenbasis.
 
-    xplus[j, k] = -i * (E_k - E_j) * xmat[j, k] for k > j, zero elsewhere;
+    xplus[j, k] = (E_k - E_j) * xmat[j, k] for k > j, zero elsewhere;
     xmat[j, k] = <phi_j| (a + a^dag) |phi_k> restricted to the same levels.
+    The physical operator carries a global factor -i, dropped here: every
+    observable takes |.|^2 of its elements, so xplus stays real.
     """
 
     xplus: np.ndarray
@@ -39,19 +41,16 @@ class DetectionOperator:
         return self.xplus.shape[0]
 
 
-def detection_operator(
-    eigs: EigenSystem, field_x: np.ndarray, n_levels: Optional[int] = None
-) -> DetectionOperator:
+def detection_operator(eigs: EigenSystem, n_levels: Optional[int] = None) -> DetectionOperator:
     """Build the detection operator over the lowest n_levels eigenstates.
 
-    field_x is a + a^dag in the bare basis.  The result is strictly upper
-    triangular in the energy-sorted basis and annihilates the ground state.
+    The result is strictly upper triangular in the energy-sorted basis and
+    annihilates the ground state.
     """
     L = eigs.dim if n_levels is None else min(int(n_levels), eigs.dim)
-    states = eigs.states[:, :L]
-    xmat = states.T @ (field_x @ states)
+    _, xmat = parity_odd_elements(eigs, L)
     gap = eigs.energies[:L][None, :] - eigs.energies[:L][:, None]  # gap[j,k] = E_k - E_j
-    xplus = -1j * np.triu(gap * xmat, k=1)
+    xplus = np.triu(gap * xmat, k=1)
     return DetectionOperator(xplus=xplus, xmat=xmat)
 
 
@@ -137,31 +136,18 @@ def approx_g3(
     return numer / denom, eta3
 
 
-def _moment_diagonals(eigs: EigenSystem, a: np.ndarray, L: int):
-    """Diagonal eigenbasis elements of a, a^dag a, and a^2 (lowest L levels)."""
-    states = eigs.states[:, :L]
-    av = a @ states
-    a_diag = np.einsum("ij,ij->j", states, av)
-    n_diag = np.einsum("ij,ij->j", av.conj(), av).real
-    a2_diag = np.einsum("ij,ij->j", states, a @ av)
-    return a_diag, n_diag, a2_diag
-
-
-def field_moments(
-    ss: SteadyState, eigs: EigenSystem, a: np.ndarray
-) -> tuple[complex, float, complex]:
-    """Steady-state field moments (<a>, <a^dag a>, <a^2>)."""
+def field_moments(ss: SteadyState, eigs: EigenSystem) -> tuple[float, float, float]:
+    """Steady-state field moments (<a>, <a^dag a>, <a^2>); <a> = 0 by parity."""
     L = min(ss.n_levels, eigs.dim)
-    a_diag, n_diag, a2_diag = _moment_diagonals(eigs, a, L)
+    n_diag, a2_diag = field_diagonals(eigs, L)
     p = ss.populations[:L]
-    return complex(p @ a_diag), float(p @ n_diag), complex(p @ a2_diag)
+    return 0.0, float(p @ n_diag), float(p @ a2_diag)
 
 
 def squeezing_factor(
     ss: SteadyState,
     eigs: EigenSystem,
-    a: np.ndarray,
-    moments: Optional[tuple[complex, float, complex]] = None,
+    moments: Optional[tuple] = None,
 ) -> tuple[float, float, float]:
     """Principal quadrature squeezing of the cavity field.
 
@@ -169,11 +155,12 @@ def squeezing_factor(
     1 + 2*(<a^dag a> - |<a>|^2) + 2*Re(<a^2>_c e^{-2i theta}) with
     <a^2>_c = <a^2> - <a>^2; its minimum over theta is taken in closed form
     by dropping the cosine to -1.  Also evaluates the symmetry-reduced
-    closed form 2*(<a^dag a> - Re<a^2>) + 1.  Returns
-    (xi_b2, xi_b2_closed, theta_min); squeezing means xi_b2 < 1.
+    closed form 2*(<a^dag a> - Re<a^2>) + 1.  moments, when given, may be
+    complex.  Returns (xi_b2, xi_b2_closed, theta_min); squeezing means
+    xi_b2 < 1.
     """
     if moments is None:
-        moments = field_moments(ss, eigs, a)
+        moments = field_moments(ss, eigs)
     a_mean, n_photon, a_sq = moments
 
     centered = a_sq - a_mean**2
@@ -201,8 +188,8 @@ class ObservableReport:
     g3_approx: float
     xi_b2: float
     n_photon: float
-    a_mean: complex
-    a_sq: complex
+    a_mean: float
+    a_sq: float
     flux_proxy: float
     eta1: float
     eta2: float

@@ -1,11 +1,15 @@
-"""Parity-resolved spectrum, gaps, and level-crossing detection.
+"""Parity-resolved spectrum, chain-form matrix elements, and level crossings.
 
 The Hamiltonian conserves parity exp(i pi (a^dag a + (sigma_z + 1)/2)), and
 within each parity sector it is a tridiagonal chain (Braak, PRL 107, 100401
 (2011)), so the spectrum is solved chain by chain and every eigenvector
-carries an exact label +/-1.  Crossings of adjacent levels are located by
-tracking the swap of the energy-sorted parity labels along a coupling scan
-and refining with bisection.
+carries an exact label +/-1.  Eigenvectors stay in chain form, and every
+matrix element the pipeline needs is taken on the chains.  Crossings of
+adjacent levels are located by tracking the swap of the energy-sorted
+parity labels along a coupling scan and refining with bisection.
+
+Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
+temperatures are quoted in units of omega0.
 """
 
 from __future__ import annotations
@@ -18,20 +22,79 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidParameterError, NumericFailureError
-from .operators import ModelParams
 
 DEGENERACY_FRACTION = 1e-10    # level-order threshold, fraction of spectral span
 GAP_CLOSURE_FRACTION = 1e-3    # crossing accepted when gap < this * omega0
 BISECTION_DEPTH = 14
 
 
+def _is_finite(value) -> bool:
+    """math.isfinite, reading an int too large for a float as not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Physical parameters of the anisotropic Rabi-Stark Hamiltonian
+
+    H = (delta/2 + u a^dag a) sigma_z + omega0 a^dag a
+        + g [(a sigma_+ + a^dag sigma_-) + r (a sigma_- + a^dag sigma_+)].
+
+    delta   qubit splitting (units of omega0)
+    omega0  cavity frequency, the base energy unit (> 0)
+    g       qubit-cavity coupling (>= 0)
+    r       anisotropy weight of the counter-rotating terms (>= 0)
+    u       nonlinear Stark coupling, |u| < omega0
+    n_tr    photon Fock truncation: photon states 0..n_tr are kept
+    """
+
+    delta: float
+    omega0: float = 1.0
+    g: float = 0.0
+    r: float = 1.0
+    u: float = 0.0
+    n_tr: int = 200
+
+    def __post_init__(self):
+        for name in ("delta", "omega0", "g", "r", "u"):
+            if not _is_finite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.omega0 <= 0:
+            raise InvalidParameterError(f"omega0 must be > 0, got {self.omega0}")
+        if self.delta <= 0:
+            raise InvalidParameterError(f"delta must be > 0, got {self.delta}")
+        if self.g < 0:
+            raise InvalidParameterError(f"g must be >= 0, got {self.g}")
+        if self.r < 0:
+            raise InvalidParameterError(f"r must be >= 0, got {self.r}")
+        if abs(self.u) >= self.omega0:
+            raise InvalidParameterError(
+                f"|u| must be < omega0 (spectral collapse beyond), got u={self.u}"
+            )
+        if not isinstance(self.n_tr, (int, np.integer)) or self.n_tr < 2:
+            raise InvalidParameterError(f"n_tr must be an integer >= 2, got {self.n_tr}")
+
+    @property
+    def dim(self) -> int:
+        """Number of levels: dimension of the qubit (x) field space."""
+        return 2 * (self.n_tr + 1)
+
+    def with_n_tr(self, n_tr: int) -> "ModelParams":
+        return replace(self, n_tr=int(n_tr))
+
+
 @dataclass
 class EigenSystem:
-    """Sorted eigenvalues, orthonormal eigenvectors, and parity labels.
+    """Sorted eigenvalues, chain-form eigenvectors, and parity labels.
 
     energies  ascending real eigenvalues
-    states    real eigenvector columns, states[:, n] belongs to energies[n]
-              (up to the level-order rule of eigensystem)
+    states    (n_tr+1, 2(n_tr+1)) real chain amplitudes: column k is level
+              k's eigenvector on the chain of its parity, entry n the
+              amplitude of |n, q(n)> (see _parity_chain); columns follow
+              energies up to the level-order rule of eigensystem
     parities  +1/-1 label of the parity sector of each state
     """
 
@@ -45,7 +108,7 @@ class EigenSystem:
 
 
 def _parity_chain(p: ModelParams, odd: int):
-    """H on one parity chain: composite-basis indices, diagonal, off-diagonal.
+    """H on one parity chain: diagonal and off-diagonal.
 
     The chain basis is |n, q(n)>, n = 0..n_tr, with qubit q (1 = excited)
     fixed by the parity: q = (n + odd) mod 2, so odd=0 is P=+1 and odd=1 is
@@ -56,22 +119,21 @@ def _parity_chain(p: ModelParams, odd: int):
     q = (n + odd) % 2
     diag = (0.5 * p.delta + p.u * n) * (2 * q - 1) + p.omega0 * n
     off = p.g * (np.sqrt(n[1:]) * np.where(q[:-1] == 1, 1.0, p.r))
-    return q * (p.n_tr + 1) + n, diag, off
+    return diag, off
 
 
 def eigensystem(p: ModelParams) -> EigenSystem:
     """Full spectrum of the model, solved as two tridiagonal parity chains.
 
-    The eigenvectors are scattered into the qubit-major composite basis, so
-    every state has an exact parity label; each one's largest component is
-    made positive.
+    Each eigenvector stays on its own chain, so its parity label is exact;
+    its largest component is made positive.
     """
     m = p.n_tr + 1
     energies = np.empty(p.dim)
-    states = np.zeros((p.dim, p.dim))
+    states = np.empty((m, p.dim))
     for odd in (0, 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            index, diag, off = _parity_chain(p, odd)
+            diag, off = _parity_chain(p, odd)
             # Gershgorin: every eigenvalue lies within +/- bound, so a finite
             # 2*bound keeps the coefficients and the spectral span finite.
             bound = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
@@ -87,7 +149,7 @@ def eigensystem(p: ModelParams) -> EigenSystem:
             raise NumericFailureError(f"eigensolver failed: {exc}") from None
         v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(m)])
         energies[odd * m:(odd + 1) * m] = e
-        states[index, odd * m:(odd + 1) * m] = v
+        states[:, odd * m:(odd + 1) * m] = v
     parities = np.repeat([1.0, -1.0], m)
 
     # Level order of the former dense solver, kept because the critical-scan
@@ -100,6 +162,36 @@ def eigensystem(p: ModelParams) -> EigenSystem:
     return EigenSystem(
         energies=np.sort(energies), states=states[:, order], parities=parities[order]
     )
+
+
+def parity_odd_elements(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """<j|sigma_x|k> and <j|a + a^dag|k> over the lowest n_levels levels.
+
+    Both operators flip parity, so elements between equal labels are zero.
+    sigma_x maps |n, q> to |n, 1-q>, the same chain index on the other
+    chain, so its elements are chain overlaps C^T C.  a maps |n, q> to
+    sqrt(n) |n-1, q>, index n-1 on the other chain, so a + a^dag acts as the
+    symmetric shift S + S^T with S[n-1, n] = sqrt(n).
+    """
+    c = eigs.states[:, :n_levels]
+    root = np.sqrt(np.arange(1.0, c.shape[0]))[:, None]
+    shifted = np.zeros_like(c)
+    shifted[:-1] = root * c[1:]
+    shifted[1:] += root * c[:-1]
+    flips = eigs.parities[:n_levels, None] != eigs.parities[None, :n_levels]
+    return np.where(flips, c.T @ c, 0.0), np.where(flips, c.T @ shifted, 0.0)
+
+
+def field_diagonals(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """<k|a^dag a|k> and <k|a^2|k> over the lowest n_levels levels.
+
+    Both keep the chain: a^dag a is n on it and a^2 the shift by two with
+    weight sqrt(n(n-1)).  <k|a|k> vanishes by parity.
+    """
+    c = eigs.states[:, :n_levels]
+    n = np.arange(float(c.shape[0]))
+    pair = np.sqrt(n[2:] * (n[2:] - 1.0))
+    return n @ c**2, pair @ (c[:-2] * c[2:])
 
 
 def gaps(eigs: EigenSystem) -> np.ndarray:

@@ -39,8 +39,7 @@ from .observables import (
     flux_proxy,
     squeezing_factor,
 )
-from .operators import ModelParams, _is_finite, composite_annihilation, composite_position
-from .spectrum import eigensystem
+from .spectrum import ModelParams, _is_finite, eigensystem
 
 AXIS_NAMES = ("g", "r", "u", "kt")
 OBSERVABLE_NAMES = ("g2", "g3", "g2_approx", "g3_approx", "xi_b2", "n_photon", "flux_proxy")
@@ -145,13 +144,14 @@ class SweepSpec:
 class PointResult:
     """Outcome of the pipeline at one grid point.
 
-    model and bath are None for a grid point whose parameters are invalid.
+    model and bath are None for a grid point whose parameters are invalid;
+    converged is None when the convergence check did not run.
     """
 
     model: Optional[ModelParams]
     bath: Optional[BathParams]
     report: Optional[ObservableReport]
-    converged: bool
+    converged: Optional[bool]
     near_degenerate: bool
     error_code: int
     error_message: str = ""
@@ -192,7 +192,7 @@ def _steady(eigs, model: ModelParams, bath: BathParams, n_levels: int):
 def _n_photon_at(model: ModelParams, bath: BathParams, n_levels: int) -> float:
     eigs = eigensystem(model)
     ss = _steady(eigs, model, bath, n_levels)
-    _, n_photon, _ = field_moments(ss, eigs, composite_annihilation(model.n_tr))
+    _, n_photon, _ = field_moments(ss, eigs)
     return n_photon
 
 
@@ -209,7 +209,7 @@ def evaluate_point(
     code with an empty report, never raised.  The convergence flag compares
     the photon number against a truncation enlarged by delta_ntr: relative
     agreement within CONVERGENCE_TOL, or absolute agreement when both values
-    are below 1e-6.
+    are below 1e-6; it is None when check_convergence is off.
     """
     near_degenerate = False
     try:
@@ -219,9 +219,8 @@ def evaluate_point(
         )
         ss = _steady(eigs, model, bath, n_levels)
 
-        a = composite_annihilation(model.n_tr)
-        x = detection_operator(eigs, composite_position(model.n_tr), n_levels=ss.n_levels)
-        moments = field_moments(ss, eigs, a)
+        x = detection_operator(eigs, n_levels=ss.n_levels)
+        moments = field_moments(ss, eigs)
         a_mean, n_photon, a_sq = moments
 
         flux = flux_proxy(x, ss)
@@ -230,7 +229,7 @@ def evaluate_point(
         g2_a, eta1, eta2 = approx_g2(eigs, x, ss)
         kt_eff = bath.kt_c if bath.kt_c > 0 else bath.kt_q
         g3_a, eta3 = approx_g3(eigs, x, kt_eff)
-        xi_b2, _, _ = squeezing_factor(ss, eigs, a, moments=moments)
+        xi_b2, _, _ = squeezing_factor(ss, eigs, moments=moments)
 
         report = ObservableReport(
             g2=g2, g3=g3, g2_approx=g2_a, g3_approx=g3_a, xi_b2=xi_b2,
@@ -239,9 +238,10 @@ def evaluate_point(
         )
     except tuple(_ERROR_CODES) as exc:
         code = next(c for kind, c in _ERROR_CODES.items() if isinstance(exc, kind))
-        return PointResult(model, bath, None, False, near_degenerate, code, str(exc))
+        converged = False if check_convergence else None
+        return PointResult(model, bath, None, converged, near_degenerate, code, str(exc))
 
-    converged = False
+    converged = None
     if check_convergence:
         try:
             bigger = _n_photon_at(model.with_n_tr(model.n_tr + delta_ntr), bath, n_levels)
@@ -261,7 +261,8 @@ def _evaluate_slot(args) -> tuple[int, PointResult]:
         model, bath = spec.point_params(i, j)
     except InvalidParameterError as exc:
         # Grid point itself is unphysical (e.g. |u| >= omega0).
-        return flat, PointResult(None, None, None, False, False, ERR_INVALID_PARAMS, str(exc))
+        converged = False if spec.check_convergence else None
+        return flat, PointResult(None, None, None, converged, False, ERR_INVALID_PARAMS, str(exc))
     return flat, evaluate_point(
         model, bath, n_levels=spec.n_levels, check_convergence=spec.check_convergence,
     )

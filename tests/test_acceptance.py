@@ -37,7 +37,7 @@ def full_point(g, r, u, n_tr=120, kt=KT, n_levels=40):
 
 
 def exact_g2(g, r, u, n_tr=120):
-    eigs, table, ss, x, a = full_point(g, r, u, n_tr=n_tr)
+    eigs, table, ss, x = full_point(g, r, u, n_tr=n_tr)
     return rs.correlation_g_n(x, ss, eigs, 2)
 
 
@@ -127,11 +127,11 @@ def test_criterion_4_parity_selection():
 
 
 def test_criterion_5_thermal_statistics_limit():
-    eigs, table, ss, x, a = full_point(1e-6, 0.2, 0.0, n_tr=60)
+    eigs, table, ss, x = full_point(1e-6, 0.2, 0.0, n_tr=60)
     g2 = rs.correlation_g_n(x, ss, eigs, 2)
     g3 = rs.correlation_g_n(x, ss, eigs, 3)
-    _, n_photon, _ = rs.field_moments(ss, eigs, a)
-    xi, _, _ = rs.squeezing_factor(ss, eigs, a)
+    _, n_photon, _ = rs.field_moments(ss, eigs)
+    xi, _, _ = rs.squeezing_factor(ss, eigs)
     n_th = 1.0 / (math.exp(1.0 / KT) - 1.0)
     ok = (abs(g2 - 2.0) < 1e-3 and abs(g3 - 6.0) < 1e-2
           and abs(xi - (1.0 + 2.0 * n_th)) < 1e-8
@@ -145,7 +145,7 @@ def test_criterion_5_thermal_statistics_limit():
 def test_criterion_6_zero_temperature_limits():
     model = rs.ModelParams(delta=1.0, g=0.8, r=0.5, u=0.2, n_tr=60)
     cold = rs.BathParams(kt_q=0.0, kt_c=0.0)
-    eigs, table, ss, x, a = observables_pipeline(model, cold, n_levels=20)
+    eigs, table, ss, x = observables_pipeline(model, cold, n_levels=20)
     ground_ok = ss.populations[0] == 1.0 and np.all(ss.populations[1:] == 0.0)
     raised = False
     try:
@@ -169,10 +169,10 @@ def test_criterion_7_squeezing_consistency():
         )
         kt = float(rng.uniform(0.02, 0.2))
         bath = rs.BathParams(kt_q=kt, kt_c=kt)
-        eigs, table, ss, x, a = observables_pipeline(model, bath, n_levels=24)
-        moments = rs.field_moments(ss, eigs, a)
+        eigs, table, ss, x = observables_pipeline(model, bath, n_levels=24)
+        moments = rs.field_moments(ss, eigs)
         a_mean, n_photon, a_sq = moments
-        xi, _, _ = rs.squeezing_factor(ss, eigs, a, moments=moments)
+        xi, _, _ = rs.squeezing_factor(ss, eigs, moments=moments)
         thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         grid = (1.0 + 2.0 * (n_photon - abs(a_mean) ** 2)
                 + 2.0 * ((a_sq - a_mean**2) * np.exp(-2j * thetas)).real)
@@ -181,8 +181,8 @@ def test_criterion_7_squeezing_consistency():
     gs = np.linspace(0.1, 1.5, 29)
     xis = []
     for g in gs:
-        eigs, table, ss, x, a = full_point(g, 0.5, 0.0, n_tr=100)
-        xi, _, _ = rs.squeezing_factor(ss, eigs, a)
+        eigs, table, ss, x = full_point(g, 0.5, 0.0, n_tr=100)
+        xi, _, _ = rs.squeezing_factor(ss, eigs)
         xis.append(xi)
     argmin_g = float(gs[int(np.argmin(xis))])
     ok = worst < 1e-9 and 0.7 <= argmin_g <= 0.9
@@ -239,7 +239,7 @@ def _classification_grid():
     total = 0
     for g in np.linspace(0.1, 2.0, 15):
         for u in np.linspace(-0.8, 0.8, 15):
-            eigs, table, ss, x, a = full_point(g, 0.2, u, n_tr=120)
+            eigs, table, ss, x = full_point(g, 0.2, u, n_tr=120)
             g2 = rs.correlation_g_n(x, ss, eigs, 2)
             g2a, _, _ = rs.approx_g2(eigs, x, ss)
             if math.isfinite(g2a):
@@ -252,7 +252,7 @@ def _divergence_window(r, u, centre, n_tr=120):
     exact2, exact3, approx2, approx3 = [], [], [], []
     for g in (centre - 0.004, centre - 0.002, centre,
               centre + 0.002, centre + 0.004):
-        eigs, table, ss, x, a = full_point(g, r, u, n_tr=n_tr)
+        eigs, table, ss, x = full_point(g, r, u, n_tr=n_tr)
         exact2.append(rs.correlation_g_n(x, ss, eigs, 2))
         exact3.append(rs.correlation_g_n(x, ss, eigs, 3))
         approx2.append(rs.approx_g2(eigs, x, ss)[0])
@@ -262,7 +262,7 @@ def _divergence_window(r, u, centre, n_tr=120):
 
 def _emission_shares(g, r, u, n_tr=120):
     """Shares of <X^- X^+> emitted from level 1 (its only term, 1->0) and level 2."""
-    eigs, table, ss, x, a = full_point(g, r, u, n_tr=n_tr)
+    eigs, table, ss, x = full_point(g, r, u, n_tr=n_tr)
     L = min(x.n_levels, ss.n_levels)
     per_level = ss.populations[:L] * np.sum(np.abs(x.xplus[:L, :L]) ** 2, axis=0)
     flux = rs.flux_proxy(x, ss)

@@ -255,6 +255,47 @@ def test_cli_requested_observable_subset(tmp_path):
         assert record["error_code"] == "0"
 
 
+def test_cli_unchecked_convergence_is_empty(tmp_path):
+    # With the check off, converged is an empty cell, not 0 ("did not
+    # converge"), on ok rows and error-coded rows alike.
+    config = write_config(tmp_path, {
+        "model": {"delta": 1.0, "g": 0.4, "r": 0.4, "u": 0.0, "n_tr": 30},
+        "sweep": {"axis1": {"name": "u", "min": 0.5, "max": 1.5, "count": 3},
+                  "n_levels": 12, "check_convergence": False},
+    })
+    out = tmp_path / "unchecked"
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "sweep.csv")
+    records = [dict(zip(header, row)) for row in rows]
+    assert [r["error_code"] for r in records] == ["0", "4", "4"]
+    assert all(r["converged"] == "" for r in records)
+
+
+def test_cli_rejects_workers_below_one(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "model": {"delta": 1.0, "n_tr": 20},
+        "sweep": {"axis1": {"name": "g", "min": 0.1, "max": 0.5, "count": 3}},
+    })
+    for workers in ("0", "-3"):
+        out = tmp_path / f"w{workers}"
+        assert main(["sweep", "--config", config, "--out", str(out),
+                     "--workers", workers]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_plot_rejects_1d_sweep_before_running(tmp_path, capsys):
+    config = write_config(tmp_path, {
+        "model": {"delta": 1.0, "n_tr": 20},
+        "sweep": {"axis1": {"name": "g", "min": 0.1, "max": 0.5, "count": 3}},
+    })
+    out = tmp_path / "plot1d"
+    assert main(["sweep", "--config", config, "--out", str(out), "--plot"]) == 2
+    assert "axis2" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "sweep.meta.json").exists()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = write_config(tmp_path, {"model": {"n_tr": -3}})
     assert main(["spectrum", "--config", bad, "--out", str(tmp_path / "x")]) == 2

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 import rabistark as rs
 from rabistark.spectrum import DEGENERACY_FRACTION
 
-from conftest import build_eigs, dense_hamiltonian, parity_diagonal, random_model
+from conftest import (
+    build_eigs, composite_states, dense_hamiltonian, observables_pipeline, parity_diagonal,
+    random_model,
+)
 
 
 def jc_reference_energies(g, n_levels):
@@ -36,10 +39,12 @@ def test_eigensystem_invariants():
         p = random_model(rng, n_tr=14)
         h = dense_hamiltonian(p)
         eigs = rs.eigensystem(p)
+        assert eigs.states.shape == (p.n_tr + 1, p.dim)
         assert np.all(np.diff(eigs.energies) >= 0)
-        overlap = eigs.states.conj().T @ eigs.states
+        states = composite_states(eigs)
+        overlap = states.T @ states
         assert np.max(np.abs(overlap - np.eye(eigs.dim))) < 1e-10
-        residual = h @ eigs.states - eigs.states * eigs.energies
+        residual = h @ states - states * eigs.energies
         scale = np.maximum(1.0, np.abs(eigs.energies))
         assert np.all(np.linalg.norm(residual, axis=0) < 1e-9 * scale)
         assert set(np.unique(eigs.parities)) <= {-1.0, 1.0}
@@ -58,6 +63,7 @@ def test_eigensystem_invariants():
 def test_eigensystem_matches_dense_oracle(g, r, u, n_tr):
     p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
     eigs = rs.eigensystem(p)
+    states = composite_states(eigs)
     h = dense_hamiltonian(p)
     reference = np.linalg.eigvalsh(h)
     scale = max(1.0, reference[-1] - reference[0])
@@ -66,18 +72,19 @@ def test_eigensystem_matches_dense_oracle(g, r, u, n_tr):
     # Every column is an eigenvector of H.  Under the level-order rule a
     # column may sit at a neighbour's energy, but no farther away than the
     # order threshold DEGENERACY_FRACTION * span.
-    own = np.einsum("ij,ij->j", eigs.states, h @ eigs.states)
-    residual = np.linalg.norm(h @ eigs.states - eigs.states * own, axis=0)
+    own = np.einsum("ij,ij->j", states, h @ states)
+    residual = np.linalg.norm(h @ states - states * own, axis=0)
     assert np.all(residual <= 1e-9 * np.maximum(1.0, np.abs(own)))
     assert np.max(np.abs(own - eigs.energies)) <= (DEGENERACY_FRACTION + 1e-12) * scale
-    assert np.max(np.abs(eigs.states.T @ eigs.states - np.eye(p.dim))) < 1e-12
+    assert np.max(np.abs(states.T @ states - np.eye(p.dim))) < 1e-12
 
-    # Each column lives in the parity sector of its label, and its largest
-    # component is positive (ties between +/- components of equal size occur
-    # in the resonant Jaynes-Cummings doublets).
-    wrong_sector = parity_diagonal(n_tr)[:, None] != eigs.parities[None, :]
-    assert np.all(eigs.states[wrong_sector] == 0.0)
-    assert np.all(eigs.states.max(axis=0) >= -eigs.states.min(axis=0))
+    # The scatter puts each column in the sector of its label, so that sector
+    # must be the one H is diagonal on: exp(i pi N) states = states * labels.
+    # Its largest component is positive (ties between +/- components of
+    # equal size occur in the resonant Jaynes-Cummings doublets).
+    parity = parity_diagonal(n_tr)[:, None]
+    assert np.array_equal(parity * states, states * eigs.parities[None, :])
+    assert np.all(states.max(axis=0) >= -states.min(axis=0))
 
 
 def test_level_order_rule_near_ground_crossing():
@@ -98,10 +105,11 @@ def test_decoupled_parity_labels():
     # label of (qubit ground, n photons) must be (-1)^n.
     p = rs.ModelParams(delta=0.5, g=0.0, r=1.0, u=0.0, n_tr=8)
     eigs = build_eigs(p)
+    states = composite_states(eigs)
     for n in range(6):
         basis_index = n  # qubit ground block comes first
-        level = int(np.argmax(np.abs(eigs.states[basis_index, :])))
-        assert abs(abs(eigs.states[basis_index, level]) - 1.0) < 1e-12
+        level = int(np.argmax(np.abs(states[basis_index, :])))
+        assert abs(abs(states[basis_index, level]) - 1.0) < 1e-12
         assert eigs.parities[level] == (-1.0) ** n
 
 
@@ -110,16 +118,15 @@ def test_phase_fixing_largest_component_real_positive():
     eigs = build_eigs(p)
     for k in range(eigs.dim):
         col = eigs.states[:, k]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        assert abs(pivot.imag) < 1e-12
-        assert pivot.real > 0
+        assert col[int(np.argmax(np.abs(col)))] > 0
 
 
 def test_pipeline_arrays_are_real():
     p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=10)
-    arrays = (*rs.build_field_ops(p.n_tr), rs.composite_annihilation(p.n_tr),
-              rs.composite_position(p.n_tr), rs.eigensystem(p).states)
+    eigs, table, ss, x = observables_pipeline(p, rs.BathParams(), n_levels=12)
+    arrays = (eigs.states, table.m_q, table.m_c, ss.populations, x.xplus, x.xmat)
     assert all(arr.dtype == np.float64 for arr in arrays)
+    assert all(isinstance(m, float) for m in rs.field_moments(ss, eigs))
 
 
 def test_truncation_convergence_of_low_levels():

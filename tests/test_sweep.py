@@ -206,6 +206,20 @@ def test_convergence_flag():
     assert not rough.converged
 
 
+def test_unchecked_convergence_is_none():
+    # None means "not checked"; False stays "did not converge" (or failed).
+    model = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.0, n_tr=30)
+    pt = evaluate_point(model, BASE_BATH, n_levels=12, check_convergence=False)
+    assert pt.error_code == ERR_OK and pt.converged is None
+    cold = rs.BathParams(kt_q=0.0, kt_c=0.0)
+    for check, expected in ((False, None), (True, False)):
+        failed = evaluate_point(model, cold, n_levels=12, check_convergence=check)
+        assert failed.error_code != ERR_OK and failed.converged is expected
+        spec = SweepSpec(model=model, bath=BASE_BATH, axis1=AxisSpec("u", 0.5, 1.5, 3),
+                         n_levels=12, check_convergence=check)
+        assert run_sweep(spec, workers=1).points[-1].converged is expected
+
+
 def test_sign_transitions_counting():
     result = run_sweep(
         SweepSpec(model=BASE_MODEL, bath=BASE_BATH,
