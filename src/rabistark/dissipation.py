@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     InvalidInputError,
@@ -182,11 +180,26 @@ class SteadyState:
         return self.populations.shape[0]
 
 
-def _graph_components(table: TransitionTable) -> list:
-    linked = (table.down_total > WEIGHT_FLOOR) | (table.up_total > WEIGHT_FLOOR)
-    adj = csr_matrix(linked | linked.T)
-    n, labels = connected_components(adj, directed=False)
-    return [np.flatnonzero(labels == c).tolist() for c in range(n)]
+def _graph_components(linked: np.ndarray) -> list:
+    """Connected components of the undirected graph with adjacency linked | linked.T.
+
+    Each component lists its levels in ascending order; components are
+    ordered by their lowest level.
+    """
+    adj = linked | linked.T
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    components = []
+    while unseen.any():
+        reach = np.zeros_like(unseen)
+        reach[np.argmax(unseen)] = True
+        while True:
+            grown = reach | adj[reach].any(axis=0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        components.append(np.flatnonzero(reach).tolist())
+        unseen &= ~reach
+    return components
 
 
 def steady_populations(table: TransitionTable) -> SteadyState:
@@ -205,7 +218,9 @@ def steady_populations(table: TransitionTable) -> SteadyState:
         pops[0] = 1.0
         return SteadyState(populations=pops)
 
-    components = _graph_components(table)
+    components = _graph_components(
+        (table.down_total > WEIGHT_FLOOR) | (table.up_total > WEIGHT_FLOOR)
+    )
     if len(components) > 1:
         raise MultipleSteadyStateError(components)
 

@@ -194,4 +194,3 @@ class ObservableReport:
     eta1: float
     eta2: float
     eta3: float
-    gn: Optional[dict] = None

@@ -6,7 +6,8 @@ within each parity sector it is a tridiagonal chain (Braak, PRL 107, 100401
 carries an exact label +/-1.  Eigenvectors stay in chain form, and every
 matrix element the pipeline needs is taken on the chains.  Crossings of
 adjacent levels are located by tracking the swap of the energy-sorted
-parity labels along a coupling scan and refining with bisection.
+parity labels along a coupling scan and refining with bisection; the scan
+reads only the lowest chain eigenvalues, never eigenvectors.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from .errors import InvalidParameterError, NumericFailureError
 
@@ -122,15 +123,14 @@ def _parity_chain(p: ModelParams, odd: int):
     return diag, off
 
 
-def eigensystem(p: ModelParams) -> EigenSystem:
-    """Full spectrum of the model, solved as two tridiagonal parity chains.
+def _solve_chains(p: ModelParams, solve) -> list:
+    """solve(diag, off) on the P=+1 chain, then on the P=-1 chain.
 
-    Each eigenvector stays on its own chain, so its parity label is exact;
-    its largest component is made positive.
+    Coefficients whose Gershgorin bound overflows are rejected as invalid
+    parameters before LAPACK sees them, and a LAPACK failure becomes a
+    NumericFailureError.
     """
-    m = p.n_tr + 1
-    energies = np.empty(p.dim)
-    states = np.empty((m, p.dim))
+    out = []
     for odd in (0, 1):
         with np.errstate(over="ignore", invalid="ignore"):
             diag, off = _parity_chain(p, odd)
@@ -144,24 +144,64 @@ def eigensystem(p: ModelParams) -> EigenSystem:
                 f"g={p.g}, omega0={p.omega0}"
             )
         try:
-            e, v = eigh_tridiagonal(diag, off)
+            out.append(solve(diag, off))
         except np.linalg.LinAlgError as exc:
             raise NumericFailureError(f"eigensolver failed: {exc}") from None
-        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(m)])
-        energies[odd * m:(odd + 1) * m] = e
-        states[:, odd * m:(odd + 1) * m] = v
-    parities = np.repeat([1.0, -1.0], m)
+    return out
 
-    # Level order of the former dense solver, kept because the critical-scan
-    # references depend on it: levels closer than DEGENERACY_FRACTION * span
-    # are ordered odd parity first, not by energy.  This swaps the labels of
-    # a ground crossing slightly before the crossing (a known defect; fixing
-    # it moves the r=1 crossings past the critical-scan gate).
-    span = max(float(energies.max() - energies.min()), 1.0)
-    order = np.argsort(energies - DEGENERACY_FRACTION * span * (parities < 0), kind="stable")
+
+def _level_order(energies: np.ndarray, parities: np.ndarray, span: float) -> np.ndarray:
+    """Permutation into the level order of the former dense solver.
+
+    Kept because the critical-scan references depend on it: levels closer
+    than DEGENERACY_FRACTION * span (span = max(E) - min(E) over the whole
+    spectrum) are ordered odd parity first, not by energy.  This swaps the
+    labels of a ground crossing slightly before the crossing (a known
+    defect; fixing it moves the r=1 crossings past the critical-scan gate).
+    """
+    shift = DEGENERACY_FRACTION * max(span, 1.0)
+    return np.argsort(energies - shift * (parities < 0), kind="stable")
+
+
+def eigensystem(p: ModelParams) -> EigenSystem:
+    """Full spectrum of the model, solved as two tridiagonal parity chains.
+
+    Each eigenvector stays on its own chain, so its parity label is exact;
+    its largest component is made positive.
+    """
+    m = p.n_tr + 1
+    chains = _solve_chains(p, eigh_tridiagonal)
+    for _, v in chains:
+        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(m)])
+    energies = np.concatenate([e for e, _ in chains])
+    states = np.hstack([v for _, v in chains])
+    parities = np.repeat([1.0, -1.0], m)
+    order = _level_order(energies, parities, float(energies.max() - energies.min()))
     return EigenSystem(
         energies=np.sort(energies), states=states[:, order], parities=parities[order]
     )
+
+
+def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k energies and parity labels of eigensystem(p), without vectors.
+
+    Bisection on each chain gives its lowest min(k, n_tr+1) eigenvalues and
+    its top one, which fixes the span of the level-order rule.  Energies
+    agree with eigensystem to ~1e-14 relative; labels follow the same rule.
+    """
+    m = p.n_tr + 1
+    low = min(int(k), m)
+
+    def solve(diag, off):
+        return (eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, low - 1)),
+                eigvalsh_tridiagonal(diag, off, select="i", select_range=(m - 1, m - 1)))
+
+    (e_even, top_even), (e_odd, top_odd) = _solve_chains(p, solve)
+    energies = np.concatenate([e_even, e_odd])
+    parities = np.repeat([1.0, -1.0], low)
+    span = float(max(top_even[0], top_odd[0]) - min(e_even[0], e_odd[0]))
+    order = _level_order(energies, parities, span)
+    return np.sort(energies)[:k], parities[order][:k]
 
 
 def parity_odd_elements(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -270,8 +310,8 @@ def find_crossings(
     grid = np.linspace(g_min, g_max, int(steps))
 
     def labels_at(g: float):
-        eigs = eigensystem(_with_g(p, g))
-        return eigs.parities[: max_level + 1], eigs.energies[: max_level + 2]
+        energies, parities = lowest_levels(_with_g(p, g), max_level + 2)
+        return parities[: max_level + 1], energies
 
     scan = [labels_at(g) for g in grid]
 

@@ -1,17 +1,21 @@
 """Full-pipeline evaluation over 1-D and 2-D parameter grids.
 
-Each grid point runs spectrum -> rates -> steady state -> observables
-independently; failing points are recorded with an error code instead of
-aborting the sweep.  Results land in preallocated row-major slots,
+Each grid point runs spectrum -> rates -> steady state -> observables;
+failing points are recorded with an error code instead of aborting the
+sweep.  The bath enters only through the rates, so grid points that share
+(g, r, u, n_tr) share one spectrum: run_sweep groups them and solves each
+spectrum once per sweep.  Results land in preallocated row-major slots,
 so the output is identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .observables import (
     flux_proxy,
     squeezing_factor,
 )
-from .spectrum import ModelParams, _is_finite, eigensystem
+from .spectrum import EigenSystem, ModelParams, _is_finite, eigensystem
 
 AXIS_NAMES = ("g", "r", "u", "kt")
 OBSERVABLE_NAMES = ("g2", "g3", "g2_approx", "g3_approx", "xi_b2", "n_photon", "flux_proxy")
@@ -189,8 +193,8 @@ def _steady(eigs, model: ModelParams, bath: BathParams, n_levels: int):
     return steady_populations(transition_rates(eigs, model, bath, n_levels=n_levels))
 
 
-def _n_photon_at(model: ModelParams, bath: BathParams, n_levels: int) -> float:
-    eigs = eigensystem(model)
+def _n_photon_at(model: ModelParams, bath: BathParams, n_levels: int, solve=None) -> float:
+    eigs = (solve or eigensystem)(model)
     ss = _steady(eigs, model, bath, n_levels)
     _, n_photon, _ = field_moments(ss, eigs)
     return n_photon
@@ -202,6 +206,7 @@ def evaluate_point(
     n_levels: int = DEFAULT_N_LEVELS,
     check_convergence: bool = True,
     delta_ntr: int = CONVERGENCE_DELTA_NTR,
+    solve: Optional[Callable[[ModelParams], EigenSystem]] = None,
 ) -> PointResult:
     """Run the full single-point pipeline and package every observable.
 
@@ -209,11 +214,14 @@ def evaluate_point(
     code with an empty report, never raised.  The convergence flag compares
     the photon number against a truncation enlarged by delta_ntr: relative
     agreement within CONVERGENCE_TOL, or absolute agreement when both values
-    are below 1e-6; it is None when check_convergence is off.
+    are below 1e-6; it is None when check_convergence is off.  solve maps a
+    model to its EigenSystem (eigensystem by default); run_sweep passes one
+    that remembers the spectra of a group of points.
     """
+    solve = solve or eigensystem
     near_degenerate = False
     try:
-        eigs = eigensystem(model)
+        eigs = solve(model)
         near_degenerate = (
             eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
         )
@@ -244,7 +252,9 @@ def evaluate_point(
     converged = None
     if check_convergence:
         try:
-            bigger = _n_photon_at(model.with_n_tr(model.n_tr + delta_ntr), bath, n_levels)
+            bigger = _n_photon_at(
+                model.with_n_tr(model.n_tr + delta_ntr), bath, n_levels, solve
+            )
             scale = max(abs(n_photon), abs(bigger))
             if scale < 1e-6:
                 converged = abs(bigger - n_photon) < CONVERGENCE_TOL
@@ -255,39 +265,65 @@ def evaluate_point(
     return PointResult(model, bath, report, converged, near_degenerate, ERR_OK)
 
 
-def _evaluate_slot(args) -> tuple[int, PointResult]:
-    spec, i, j, flat = args
-    try:
-        model, bath = spec.point_params(i, j)
-    except InvalidParameterError as exc:
-        # Grid point itself is unphysical (e.g. |u| >= omega0).
-        converged = False if spec.check_convergence else None
-        return flat, PointResult(None, None, None, converged, False, ERR_INVALID_PARAMS, str(exc))
-    return flat, evaluate_point(
-        model, bath, n_levels=spec.n_levels, check_convergence=spec.check_convergence,
-    )
+def _evaluate_group(args) -> list:
+    """Evaluate every (flat, bath) slot of one model against shared spectra.
+
+    The cache lives as long as the task.  A solve that raises is not cached,
+    so a failing spectrum is attempted again for each bath.
+    """
+    spec, model, slots = args
+    solve = functools.cache(eigensystem)
+    return [
+        (flat, evaluate_point(model, bath, n_levels=spec.n_levels,
+                              check_convergence=spec.check_convergence, solve=solve))
+        for flat, bath in slots
+    ]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the pipeline over the grid; output is worker-count independent."""
+    """Evaluate the pipeline over the grid; output is worker-count independent.
+
+    The bath enters only through the rates, so slots that share a model
+    (g, r, u, n_tr) share its spectra.  Slots are grouped by model and each
+    group is one task: it solves the model's spectrum once, the n_tr +
+    delta spectrum at most once (only if a bath reaches the convergence
+    check), and runs evaluate_point for each of its baths.  Slots whose
+    parameters are invalid get error code 4 before grouping.  When there
+    are fewer groups than workers, each group is split into contiguous
+    pieces so every worker gets work; a piece solves its spectra once.
+    """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     rows, cols = spec.shape
-    tasks = []
+    slots: list = [None] * (rows * cols)
+    groups: dict = {}
     for i in range(rows):
         for j in range(cols):
-            tasks.append((spec, i, j, i * cols + j))
+            flat = i * cols + j
+            try:
+                model, bath = spec.point_params(i, j)
+            except InvalidParameterError as exc:
+                # Grid point itself is unphysical (e.g. |u| >= omega0).
+                converged = False if spec.check_convergence else None
+                slots[flat] = PointResult(
+                    None, None, None, converged, False, ERR_INVALID_PARAMS, str(exc)
+                )
+                continue
+            groups.setdefault(model, []).append((flat, bath))
 
-    slots: list = [None] * len(tasks)
+    pieces = -(-workers // max(len(groups), 1))
+    tasks = []
+    for model, members in groups.items():
+        size = -(-len(members) // pieces)
+        tasks += [(spec, model, members[k:k + size]) for k in range(0, len(members), size)]
     if workers == 1:
-        for task in tasks:
-            flat, result = _evaluate_slot(task)
-            slots[flat] = result
+        done = [_evaluate_group(task) for task in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for flat, result in pool.map(_evaluate_slot, tasks, chunksize=chunk):
-                slots[flat] = result
+            done = list(pool.map(_evaluate_group, tasks, chunksize=chunk))
+    for flat, result in itertools.chain.from_iterable(done):
+        slots[flat] = result
 
     return SweepResult(
         spec=spec,

@@ -81,6 +81,13 @@ def composite_states(eigs):
     return out
 
 
+def eigensystem_levels(p, k):
+    """Lowest k energies and parity labels read off the full eigensystem,
+    the reference for spectrum.lowest_levels."""
+    eigs = rs.eigensystem(p)
+    return eigs.energies[:k], eigs.parities[:k]
+
+
 def steady_pipeline(model, bath, n_levels=40):
     """Diagonalize, build rates, and solve the steady state."""
     eigs = build_eigs(model)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.sparse.csgraph import connected_components
 
 import rabistark as rs
-from rabistark.dissipation import _pair_weights
+from rabistark.dissipation import _graph_components, _pair_weights
 
 from conftest import build_eigs, random_model, steady_pipeline
 
@@ -239,6 +241,14 @@ def test_disconnected_graph_raises_with_components():
         rs.steady_populations(table)
     assert [0, 1] in err.value.components
     assert [2, 3] in err.value.components
+
+
+@settings(max_examples=150, deadline=None)
+@given(linked=st.integers(1, 12).flatmap(lambda n: hnp.arrays(bool, (n, n))))
+def test_graph_components_match_scipy(linked):
+    count, labels = connected_components(linked, directed=False)
+    want = [np.flatnonzero(labels == c).tolist() for c in range(count)]
+    assert _graph_components(linked) == want
 
 
 def _dynamics_setup(n_levels=12):

@@ -9,8 +9,8 @@ import rabistark as rs
 from rabistark.spectrum import DEGENERACY_FRACTION
 
 from conftest import (
-    build_eigs, composite_states, dense_hamiltonian, observables_pipeline, parity_diagonal,
-    random_model,
+    build_eigs, composite_states, dense_hamiltonian, eigensystem_levels, observables_pipeline,
+    parity_diagonal, random_model,
 )
 
 
@@ -210,6 +210,35 @@ def test_crossing_levels_swap_parity():
     assert left.parities[1] == -right.parities[1]
     assert left.parities[0] == -left.parities[1]
     assert right.parities[0] == -right.parities[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.floats(0.0, 2.0),
+    r=st.floats(0.0, 2.0),
+    u=st.floats(-0.9, 0.9),
+    n_tr=st.integers(2, 40),
+    k=st.integers(1, 90),
+)
+@example(g=1.5491904, r=1.0, u=0.2, n_tr=200, k=4)   # level-order rule at a ground crossing
+def test_lowest_levels_match_eigensystem(g, r, u, n_tr, k):
+    p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    energies, labels = rs.spectrum.lowest_levels(p, k)
+    want_e, want_p = eigensystem_levels(p, k)
+    assert np.array_equal(labels, want_p)
+    scale = max(1.0, float(np.max(np.abs(want_e))))
+    assert np.allclose(energies, want_e, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("r, u", [(0.2, 0.2), (1.0, 0.2), (0.5, -0.4)])
+def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
+    # The chain-eigenvalue scan finds the very crossings the labels of the
+    # full eigensystem give, on the three benchmark families.
+    p = rs.ModelParams(delta=1.0, g=0.0, r=r, u=u, n_tr=30)
+    fast = rs.find_crossings(p, 0.05, 2.0, steps=41)
+    monkeypatch.setattr(rs.spectrum, "lowest_levels", eigensystem_levels)
+    assert fast == rs.find_crossings(p, 0.05, 2.0, steps=41)
+    assert fast.all_crossings()
 
 
 def test_find_crossings_validation():

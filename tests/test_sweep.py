@@ -267,3 +267,62 @@ def test_kt_axis_sets_both_bath_temperatures():
     model, bath = spec.point_params(1, 0)
     assert bath.kt_q == 0.15 and bath.kt_c == 0.15
     assert model == BASE_MODEL
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_grouped_slots_equal_standalone_points(check):
+    # A random u x kt grid with |u| >= 1 rows and a kT=0 column: every slot of
+    # the grouped sweep is the standalone evaluate_point result, field for
+    # field, and the CSV does not depend on the worker count.
+    rng = np.random.default_rng(7 + check)
+    u_max = float(rng.uniform(1.0, 1.4))
+    spec = SweepSpec(
+        model=rs.ModelParams(delta=1.0, g=float(rng.uniform(0.3, 1.2)),
+                             r=float(rng.uniform(0.0, 1.5)), n_tr=16),
+        bath=BASE_BATH,
+        axis1=AxisSpec("u", -u_max, u_max, 5),
+        axis2=AxisSpec("kt", 0.0, float(rng.uniform(0.05, 0.3)), 3),
+        n_levels=10,
+        check_convergence=check,
+    )
+    result = run_sweep(spec, workers=1)
+    codes = {pt.error_code for pt in result.points}
+    assert {ERR_OK, ERR_ZERO_FLUX, ERR_INVALID_PARAMS} <= codes
+    for i in range(5):
+        for j in range(3):
+            got = result[i, j]
+            try:
+                model, bath = spec.point_params(i, j)
+            except rs.InvalidParameterError as exc:
+                assert (got.model, got.report, got.error_code) == (None, None, ERR_INVALID_PARAMS)
+                assert got.error_message == str(exc)
+                assert got.converged is (False if check else None)
+                continue
+            want = evaluate_point(model, bath, n_levels=10, check_convergence=check)
+            assert repr(got) == repr(want)   # repr compares NaN fields too
+    assert sweep_csv(result) == sweep_csv(run_sweep(spec, workers=2))
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_sweep_solves_each_spectrum_once(monkeypatch, check):
+    solved = []
+
+    def counting(model):
+        solved.append(model)
+        return rs.eigensystem(model)
+
+    monkeypatch.setattr(rs.sweep, "eigensystem", counting)
+    spec = small_spec(axis2=AxisSpec("kt", 0.02, 0.2, 4), check_convergence=check)
+    result = run_sweep(spec, workers=1)
+    assert all(pt.error_code == ERR_OK for pt in result.points)
+    models = {pt.model for pt in result.points}
+    expected = models | ({m.with_n_tr(m.n_tr + 40) for m in models} if check else set())
+    assert len(models) == 3
+    assert len(solved) == len(expected) and set(solved) == expected
+
+
+def test_one_dimensional_kt_sweep_is_worker_independent():
+    # One model, so the pool splits its single group into pieces.
+    spec = SweepSpec(model=BASE_MODEL, bath=BASE_BATH, axis1=AxisSpec("kt", 0.0, 0.2, 7),
+                     n_levels=12, check_convergence=True)
+    assert sweep_csv(run_sweep(spec, workers=1)) == sweep_csv(run_sweep(spec, workers=2))
