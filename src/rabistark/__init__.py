@@ -11,8 +11,6 @@ from .dissipation import (
     SteadyState,
     TransitionTable,
     bose_occupation,
-    evolve_density,
-    gibbs_state,
     steady_populations,
     transition_rates,
 )
@@ -23,7 +21,6 @@ from .errors import (
     MultipleSteadyStateError,
     NumericFailureError,
     RabiStarkError,
-    StepSizeError,
     ZeroFluxError,
 )
 from .observables import (
@@ -43,7 +40,6 @@ from .spectrum import (
     ModelParams,
     eigensystem,
     find_crossings,
-    gaps,
     gc_analytic,
 )
 from .sweep import (
@@ -53,7 +49,6 @@ from .sweep import (
     SweepSpec,
     evaluate_point,
     run_sweep,
-    sign_transitions,
 )
 
 __version__ = "0.1.0"

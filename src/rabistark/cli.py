@@ -88,10 +88,19 @@ def _write_sidecar(out_dir: Path, command: str, config: RunConfig,
                 json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _require_levels(config: RunConfig, top: int, field: str) -> None:
+    """Reject a scan that asks for level top when the model has fewer levels."""
+    if top >= config.model.dim:
+        raise ConfigError(
+            f"scan asks for level {top}, but n_tr={config.model.n_tr} gives "
+            f"{config.model.dim} levels", [field])
+
+
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
     """Scan the coupling axis and tabulate low-lying energies and parities."""
     scan = config.scan
     k = scan.n_levels
+    _require_levels(config, k - 1, "scan.n_levels")
     lines = ["g," + ",".join(f"e{i}" for i in range(k)) + ","
              + ",".join(f"p{i}" for i in range(k))]
     for g in np.linspace(scan.g_min, scan.g_max, scan.count):
@@ -109,6 +118,7 @@ def cmd_critical(config: RunConfig, out_dir: Path) -> list[str]:
     """Locate level crossings on the scan window and report the analytic
     ground critical coupling."""
     scan = config.scan
+    _require_levels(config, max(hi for _, hi in scan.pairs), "scan.pairs")
     points = find_crossings(
         config.model, scan.g_min, scan.g_max, scan.count, levels=scan.pairs
     )

@@ -79,11 +79,25 @@ def _check_keys(section: str, data: dict, allowed) -> list[str]:
     return [f"{section}.{k}" for k in data if k not in allowed]
 
 
-def _number(section: str, data: dict, key: str, default, bad: list) -> float:
+def _is_integer(value) -> bool:
+    """A JSON integer, or a float with no fractional part; never a bool."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and _is_finite(value) and float(value).is_integer())
+
+
+def _number(section: str, data: dict, key: str, default, bad: list, integer: bool = False):
+    """data[key] (default when absent) as a finite number, or as an int when
+    integer is set; a value of the wrong type is recorded in bad and the
+    default returned."""
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_finite(value):
         bad.append(f"{section}.{key}")
         return default
+    if integer:
+        if not _is_integer(value):
+            bad.append(f"{section}.{key} (must be an integer)")
+            return default
+        return int(value)
     return value
 
 
@@ -98,14 +112,14 @@ def _axis(name: str, data, bad: list) -> Optional[AxisSpec]:
     if missing:
         bad.extend(f"{name}.{k}" for k in missing)
         return None
+    lo = _number(name, data, "min", None, bad)
+    hi = _number(name, data, "max", None, bad)
+    count = _number(name, data, "count", None, bad, integer=True)
+    if None in (lo, hi, count):
+        return None
     try:
-        return AxisSpec(
-            name=str(data["name"]),
-            min=float(data["min"]),
-            max=float(data["max"]),
-            count=int(data["count"]),
-        )
-    except (InvalidParameterError, TypeError, ValueError, OverflowError) as exc:
+        return AxisSpec(name=str(data["name"]), min=float(lo), max=float(hi), count=count)
+    except InvalidParameterError as exc:
         bad.append(f"{name} ({exc})")
         return None
 
@@ -134,11 +148,8 @@ def parse_config(data: dict) -> RunConfig:
     if bad:
         raise ConfigError("unknown config keys", bad)
 
-    model_kw = {k: _number("model", model_in, k, MODEL_DEFAULTS[k], bad) for k in MODEL_DEFAULTS}
-    if float(model_kw["n_tr"]).is_integer():
-        model_kw["n_tr"] = int(model_kw["n_tr"])
-    else:
-        bad.append("model.n_tr (must be an integer)")
+    model_kw = {k: _number("model", model_in, k, MODEL_DEFAULTS[k], bad, integer=k == "n_tr")
+                for k in MODEL_DEFAULTS}
     bath_kw = {k: _number("bath", bath_in, k, BATH_DEFAULTS[k], bad) for k in BATH_DEFAULTS}
     if bad:
         raise ConfigError("config values have wrong types or are not finite", bad)
@@ -155,16 +166,18 @@ def parse_config(data: dict) -> RunConfig:
     scan_kw = {
         "g_min": _number("scan", scan_in, "g_min", SCAN_DEFAULTS["g_min"], bad),
         "g_max": _number("scan", scan_in, "g_max", SCAN_DEFAULTS["g_max"], bad),
-        "count": int(_number("scan", scan_in, "count", SCAN_DEFAULTS["count"], bad)),
-        "n_levels": int(_number("scan", scan_in, "n_levels", SCAN_DEFAULTS["n_levels"], bad)),
+        "count": _number("scan", scan_in, "count", SCAN_DEFAULTS["count"], bad, integer=True),
+        "n_levels": _number("scan", scan_in, "n_levels", SCAN_DEFAULTS["n_levels"], bad,
+                            integer=True),
     }
     pairs_in = scan_in.get("pairs", SCAN_DEFAULTS["pairs"])
     pairs = []
-    if not isinstance(pairs_in, list):
-        bad.append("scan.pairs")
+    if not isinstance(pairs_in, list) or not pairs_in:
+        bad.append("scan.pairs (need a list of at least one pair)")
     else:
         for p in pairs_in:
-            if (not isinstance(p, list)) or len(p) != 2 or p[1] != p[0] + 1 or p[0] < 0:
+            if (not isinstance(p, list) or len(p) != 2 or not all(map(_is_integer, p))
+                    or p[1] != p[0] + 1 or p[0] < 0):
                 bad.append(f"scan.pairs entry {p!r}")
             else:
                 pairs.append((int(p[0]), int(p[1])))

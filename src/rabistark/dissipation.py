@@ -1,4 +1,4 @@
-"""Bath-induced transition rates, steady-state balance, and time evolution.
+"""Bath-induced transition rates and the steady-state balance.
 
 Both the qubit and the cavity couple to independent Ohmic baths.  Rates are
 built in the eigenbasis of the full Hamiltonian, so they stay valid deep into
@@ -9,7 +9,6 @@ transition weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import (
     InvalidParameterError,
     MultipleSteadyStateError,
     NumericFailureError,
-    StepSizeError,
 )
 from .spectrum import EigenSystem, ModelParams, _is_finite, parity_odd_elements
 
@@ -82,8 +80,6 @@ class TransitionTable:
     All arrays are (n_levels, n_levels); entry [k, j] with k > j refers to
     the ordered pair (upper k, lower j).  down_* is the emission weight
     Gamma*(1+n) for k -> j, up_* the absorption weight Gamma*n for j -> k.
-    frozen marks pairs that are degenerate at zero temperature, where both
-    weights are set to zero.
     """
 
     n_levels: int
@@ -94,7 +90,6 @@ class TransitionTable:
     up_q: np.ndarray
     down_c: np.ndarray
     up_c: np.ndarray
-    frozen: np.ndarray
     kt_q: float
     kt_c: float
 
@@ -114,11 +109,11 @@ class TransitionTable:
 
 
 def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
-    """Down/up weights and frozen flags for one bath over pairs with gap >= 0.
+    """Down/up weights for one bath over pairs with gap >= 0.
 
     gap and melem_sq may be scalars or arrays of the same shape.  Pairs with
-    gap < eps take the degenerate limit of both weights, which vanishes and
-    marks the pair frozen at kt = 0.
+    gap < eps take the degenerate limit of both weights, which vanishes at
+    kt = 0.
     """
     gap = np.asarray(gap, dtype=float)
     cutoff = np.exp(-np.abs(gap) / omega_cutoff)
@@ -129,7 +124,7 @@ def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
     w = alpha * (kt / omega_ref) * melem_sq * cutoff
     down = np.where(degenerate, w, gamma * (1.0 + n))
     up = np.where(degenerate, w, gamma * n)
-    return down, up, degenerate & (kt == 0.0)
+    return down, up
 
 
 def transition_rates(
@@ -150,10 +145,10 @@ def transition_rates(
     # Ordered pairs (upper k, lower j), k > j; matrix elements are <j|.|k>.
     lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
     d = gap[lower]
-    dq, uq, fq = _pair_weights(
+    dq, uq = _pair_weights(
         bath.alpha_q, d, model.delta, bath.omega_cutoff, m_q.T[lower] ** 2, bath.kt_q, eps
     )
-    dc, uc, fc = _pair_weights(
+    dc, uc = _pair_weights(
         bath.alpha_c, d, model.omega0, bath.omega_cutoff, m_c.T[lower] ** 2, bath.kt_c, eps
     )
 
@@ -165,7 +160,7 @@ def transition_rates(
     return TransitionTable(
         n_levels=L, gap=gap, m_q=m_q, m_c=m_c,
         down_q=table(dq), up_q=table(uq), down_c=table(dc), up_c=table(uc),
-        frozen=table(fq & fc), kt_q=bath.kt_q, kt_c=bath.kt_c,
+        kt_q=bath.kt_q, kt_c=bath.kt_c,
     )
 
 
@@ -211,6 +206,12 @@ def steady_populations(table: TransitionTable) -> SteadyState:
     *relative* error; Boltzmann tails far below machine epsilon come out
     correctly instead of as solver noise.  At zero temperature in both
     baths the ground state is returned directly.
+
+    Elimination also decides uniqueness: a level left with no downward
+    flow means some closed set of levels does not hold level 0.  Only then
+    are the components of the transition graph computed: several raise
+    MultipleSteadyStateError, one (a set closed in one direction only)
+    raises NumericFailureError.
     """
     L = table.n_levels
     if table.kt_q == 0.0 and table.kt_c == 0.0:
@@ -218,15 +219,12 @@ def steady_populations(table: TransitionTable) -> SteadyState:
         pops[0] = 1.0
         return SteadyState(populations=pops)
 
-    components = _graph_components(
-        (table.down_total > WEIGHT_FLOOR) | (table.up_total > WEIGHT_FLOOR)
-    )
-    if len(components) > 1:
-        raise MultipleSteadyStateError(components)
-
-    # rate[i, j]: transition rate from level i to level j.
-    rate = table.flow_matrix().T.copy()
-    np.fill_diagonal(rate, 0.0)
+    # rate[i, j]: transition rate from level i to level j.  A pair whose
+    # weights all sit at or below WEIGHT_FLOOR is unlinked and carries no
+    # rate, so a block cut off by such pairs has exactly zero escape.
+    linked = (table.down_total > WEIGHT_FLOOR) | (table.up_total > WEIGHT_FLOOR)
+    linked |= linked.T
+    rate = np.where(linked, table.flow_matrix().T, 0.0)
 
     # Fold states from the top down; record the escape rate and the inflow
     # column of each state at its elimination time for back-substitution.
@@ -234,6 +232,9 @@ def steady_populations(table: TransitionTable) -> SteadyState:
     for n in range(L - 1, 0, -1):
         s = rate[n, :n].sum()
         if s <= 0.0:
+            components = _graph_components(linked)
+            if len(components) > 1:
+                raise MultipleSteadyStateError(components)
             raise NumericFailureError(
                 f"level {n} has no downward flow during elimination"
             )
@@ -247,82 +248,8 @@ def steady_populations(table: TransitionTable) -> SteadyState:
     return SteadyState(populations=pops / pops.sum())
 
 
-def gibbs_state(eigs: EigenSystem, kt: float, n_levels: int | None = None) -> SteadyState:
-    """Canonical populations exp(-E_n/kt)/Z over the lowest levels."""
-    if kt < 0:
-        raise InvalidParameterError(f"kt must be >= 0, got {kt}")
-    L = eigs.dim if n_levels is None else min(int(n_levels), eigs.dim)
-    energies = eigs.energies[:L]
-    pops = np.zeros(L)
-    if kt == 0.0:
-        pops[0] = 1.0
-        return SteadyState(populations=pops)
-    weights = np.exp(-(energies - energies[0]) / kt)
-    return SteadyState(populations=weights / weights.sum())
-
-
 def balance_residual(table: TransitionTable, state: SteadyState) -> float:
     """Max-norm residual of the steady-state balance equations."""
     flow = table.flow_matrix()
     p = state.populations
     return float(np.max(np.abs(flow @ p - flow.sum(axis=0) * p)))
-
-
-def evolve_density(
-    rho0: np.ndarray,
-    eigs: EigenSystem,
-    table: TransitionTable,
-    dt: float,
-    steps: int,
-    record_every: int = 1,
-) -> list[np.ndarray]:
-    """Integrate the element-wise master equation with fixed-step RK4.
-
-    rho0 is the density matrix in the energy eigenbasis, restricted to the
-    table's levels.  Returns recorded density matrices, the initial state
-    first and the final state last.
-    """
-    L = table.n_levels
-    rho = np.array(rho0, dtype=complex)
-    if rho.shape != (L, L):
-        raise InvalidInputError(f"rho0 must be {L}x{L}, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise InvalidInputError("rho0 must be Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-10:
-        raise InvalidInputError("rho0 must have unit trace")
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-10:
-        raise InvalidInputError(f"rho0 must be positive semidefinite, min eig {evals.min():.3e}")
-    if steps < 1 or record_every < 1:
-        raise InvalidParameterError("steps and record_every must be >= 1")
-
-    flow = table.flow_matrix()          # flow[m, k]: k -> m
-    out_rate = flow.sum(axis=0)         # total escape rate per level
-    max_rate = float(out_rate.max())
-    if dt * max_rate > 0.1:
-        raise StepSizeError(
-            f"dt*max_rate = {dt * max_rate:.3e} exceeds 0.1; reduce dt below "
-            f"{0.1 / max_rate if max_rate > 0 else math.inf:.3e}"
-        )
-
-    # Linear, element-wise generator: coherent phase + coherence decay act
-    # entrywise, population gain couples diagonals only.
-    decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
-    coeff = -1j * table.gap - decay
-    np.fill_diagonal(coeff, -out_rate)
-
-    def rhs(r):
-        dr = coeff * r
-        dr[np.diag_indices(L)] += flow @ np.real(np.diag(r))
-        return dr
-
-    recorded = [rho.copy()]
-    for step in range(1, steps + 1):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % record_every == 0 or step == steps:
-            recorded.append(rho.copy())
-    return recorded

@@ -34,10 +34,6 @@ class MultipleSteadyStateError(RabiStarkError):
         super().__init__(f"transition graph is disconnected: components {parts}")
 
 
-class StepSizeError(RabiStarkError, ValueError):
-    """Integrator step is too large for the fastest dissipative rate."""
-
-
 class ConfigError(RabiStarkError, ValueError):
     """A run configuration failed strict validation."""
 

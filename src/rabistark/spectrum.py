@@ -234,12 +234,6 @@ def field_diagonals(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, np.nd
     return n @ c**2, pair @ (c[:-2] * c[2:])
 
 
-def gaps(eigs: EigenSystem) -> np.ndarray:
-    """Antisymmetric gap matrix: gaps[k, j] = E_k - E_j."""
-    e = eigs.energies
-    return e[:, None] - e[None, :]
-
-
 def gc_analytic(p: ModelParams) -> Optional[float]:
     """First-order ground-state critical coupling, if finite.
 
@@ -306,6 +300,10 @@ def find_crossings(
             raise InvalidParameterError(f"tracked pairs must be adjacent, got ({lo}, {hi})")
 
     max_level = max(hi for _, hi in levels)
+    if max_level >= p.dim:
+        raise InvalidParameterError(
+            f"tracked level {max_level} is beyond the {p.dim} levels at n_tr={p.n_tr}"
+        )
     closure = GAP_CLOSURE_FRACTION * p.omega0
     grid = np.linspace(g_min, g_max, int(steps))
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -22,13 +21,13 @@ import numpy as np
 from .dissipation import (
     DEFAULT_N_LEVELS,
     BathParams,
-    MultipleSteadyStateError,
     steady_populations,
     transition_rates,
 )
 from .errors import (
     InvalidInputError,
     InvalidParameterError,
+    MultipleSteadyStateError,
     NumericFailureError,
     RabiStarkError,
     ZeroFluxError,
@@ -56,14 +55,6 @@ ERR_ZERO_FLUX = 1
 ERR_NO_STEADY_STATE = 2
 ERR_NUMERIC = 3
 ERR_INVALID_PARAMS = 4
-
-ERROR_NAMES = {
-    ERR_OK: "ok",
-    ERR_ZERO_FLUX: "zero-flux",
-    ERR_NO_STEADY_STATE: "no-steady-state",
-    ERR_NUMERIC: "numeric-failure",
-    ERR_INVALID_PARAMS: "invalid-params",
-}
 
 # Exceptions a point's pipeline may raise, and the error code each maps to.
 _ERROR_CODES = {
@@ -331,34 +322,3 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         axis2_values=spec.axis2.values() if spec.axis2 else None,
         points=slots,
     )
-
-
-def sign_transitions(
-    result: SweepResult, column: str, threshold: float
-) -> tuple[int, list[float]]:
-    """Count strict sign changes of (column - threshold) along a 1-D sweep.
-
-    Error-coded rows and rows sitting exactly on the threshold are skipped.
-    Returns the count and the axis values at the right edge of each change.
-    """
-    if result.is_2d:
-        raise InvalidInputError("sign_transitions requires a 1-D sweep result")
-    if column not in OBSERVABLE_NAMES:
-        raise InvalidInputError(f"unknown observable column {column!r}")
-    values = result.column(column)
-    axis = result.axis1_values
-
-    count = 0
-    locations: list[float] = []
-    prev_sign = 0
-    for v, x in zip(values, axis):
-        if not math.isfinite(v):
-            continue
-        sign = 1 if v > threshold else (-1 if v < threshold else 0)
-        if sign == 0:
-            continue
-        if prev_sign != 0 and sign != prev_sign:
-            count += 1
-            locations.append(float(x))
-        prev_sign = sign
-    return count, locations

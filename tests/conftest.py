@@ -1,8 +1,11 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 import rabistark as rs
+from rabistark.sweep import OBSERVABLE_NAMES
 
 
 build_eigs = rs.eigensystem
@@ -111,3 +114,111 @@ def random_model(rng, n_tr=40, g_max=1.5, r_max=2.0, u_max=0.8):
         u=float(rng.uniform(-u_max, u_max)),
         n_tr=n_tr,
     )
+
+
+def gaps(eigs):
+    """Antisymmetric gap matrix: gaps[k, j] = E_k - E_j."""
+    e = eigs.energies
+    return e[:, None] - e[None, :]
+
+
+def gibbs_state(eigs, kt, n_levels=None):
+    """Canonical populations exp(-E_n/kt)/Z over the lowest levels, the
+    reference the steady state must equal when both baths share kt."""
+    if kt < 0:
+        raise rs.InvalidParameterError(f"kt must be >= 0, got {kt}")
+    L = eigs.dim if n_levels is None else min(int(n_levels), eigs.dim)
+    energies = eigs.energies[:L]
+    pops = np.zeros(L)
+    if kt == 0.0:
+        pops[0] = 1.0
+        return rs.SteadyState(populations=pops)
+    weights = np.exp(-(energies - energies[0]) / kt)
+    return rs.SteadyState(populations=weights / weights.sum())
+
+
+class StepSizeError(rs.RabiStarkError, ValueError):
+    """Integrator step is too large for the fastest dissipative rate."""
+
+
+def evolve_density(rho0, eigs, table, dt, steps, record_every=1):
+    """Integrate the element-wise master equation with fixed-step RK4.
+
+    The time-domain reference for steady_populations.  rho0 is the density
+    matrix in the energy eigenbasis, restricted to the table's levels.
+    Returns recorded density matrices, the initial state first and the
+    final state last.
+    """
+    L = table.n_levels
+    rho = np.array(rho0, dtype=complex)
+    if rho.shape != (L, L):
+        raise rs.InvalidInputError(f"rho0 must be {L}x{L}, got {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise rs.InvalidInputError("rho0 must be Hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-10:
+        raise rs.InvalidInputError("rho0 must have unit trace")
+    evals = np.linalg.eigvalsh(rho)
+    if evals.min() < -1e-10:
+        raise rs.InvalidInputError(f"rho0 must be positive semidefinite, min eig {evals.min():.3e}")
+    if steps < 1 or record_every < 1:
+        raise rs.InvalidParameterError("steps and record_every must be >= 1")
+
+    flow = table.flow_matrix()          # flow[m, k]: k -> m
+    out_rate = flow.sum(axis=0)         # total escape rate per level
+    max_rate = float(out_rate.max())
+    if dt * max_rate > 0.1:
+        raise StepSizeError(
+            f"dt*max_rate = {dt * max_rate:.3e} exceeds 0.1; reduce dt below "
+            f"{0.1 / max_rate if max_rate > 0 else math.inf:.3e}"
+        )
+
+    # Linear, element-wise generator: coherent phase + coherence decay act
+    # entrywise, population gain couples diagonals only.
+    decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
+    coeff = -1j * table.gap - decay
+    np.fill_diagonal(coeff, -out_rate)
+
+    def rhs(r):
+        dr = coeff * r
+        dr[np.diag_indices(L)] += flow @ np.real(np.diag(r))
+        return dr
+
+    recorded = [rho.copy()]
+    for step in range(1, steps + 1):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % record_every == 0 or step == steps:
+            recorded.append(rho.copy())
+    return recorded
+
+
+def sign_transitions(result, column, threshold):
+    """Count strict sign changes of (column - threshold) along a 1-D sweep.
+
+    Error-coded rows and rows sitting exactly on the threshold are skipped.
+    Returns the count and the axis values at the right edge of each change.
+    """
+    if result.is_2d:
+        raise rs.InvalidInputError("sign_transitions requires a 1-D sweep result")
+    if column not in OBSERVABLE_NAMES:
+        raise rs.InvalidInputError(f"unknown observable column {column!r}")
+    values = result.column(column)
+    axis = result.axis1_values
+
+    count = 0
+    locations = []
+    prev_sign = 0
+    for v, x in zip(values, axis):
+        if not math.isfinite(v):
+            continue
+        sign = 1 if v > threshold else (-1 if v < threshold else 0)
+        if sign == 0:
+            continue
+        if prev_sign != 0 and sign != prev_sign:
+            count += 1
+            locations.append(float(x))
+        prev_sign = sign
+    return count, locations

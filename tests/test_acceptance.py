@@ -12,9 +12,12 @@ import pytest
 
 import rabistark as rs
 from rabistark.cli import main
-from rabistark.sweep import AxisSpec, SweepSpec, run_sweep, sign_transitions
+from rabistark.sweep import AxisSpec, SweepSpec, run_sweep
 
-from conftest import build_eigs, observables_pipeline, steady_pipeline
+from conftest import (
+    build_eigs, evolve_density, gibbs_state, observables_pipeline, sign_transitions,
+    steady_pipeline,
+)
 
 BATH = rs.BathParams()  # alpha_q = alpha_c = 1e-3, omega_c = 10, kT = 0.07
 KT = 0.07
@@ -53,7 +56,7 @@ def test_criterion_1_gibbs_equivalence():
             n_tr=60,
         )
         eigs, table, ss = steady_pipeline(model, BATH, n_levels=40)
-        gibbs = rs.gibbs_state(eigs, KT, n_levels=40)
+        gibbs = gibbs_state(eigs, KT, n_levels=40)
         worst = max(worst, float(np.max(np.abs(ss.populations - gibbs.populations))))
     report("C1 Gibbs equivalence", worst < 1e-8,
            f"max |P_n - exp(-E_n/kT)/Z| = {worst:.3e} over 20 random sets (< 1e-8)")
@@ -325,8 +328,8 @@ def test_criterion_10_dynamics_consistency():
         weights = rng.random(L)
         rho = np.diag(weights / weights.sum()).astype(complex)
         for _ in range(80):
-            rho = rs.evolve_density(rho, eigs, table, dt=dt, steps=400,
-                                    record_every=400)[-1]
+            rho = evolve_density(rho, eigs, table, dt=dt, steps=400,
+                                 record_every=400)[-1]
             if np.max(np.abs(np.diag(rho).real - ss.populations)) < 1e-7:
                 break
         worst_dist = max(worst_dist,
@@ -334,8 +337,8 @@ def test_criterion_10_dynamics_consistency():
         worst_trace = max(worst_trace, abs(float(np.trace(rho).real) - 1.0))
 
     rho_ss = np.diag(ss.populations).astype(complex)
-    traj = rs.evolve_density(rho_ss, eigs, table, dt=dt, steps=10_000,
-                             record_every=1000)
+    traj = evolve_density(rho_ss, eigs, table, dt=dt, steps=10_000,
+                          record_every=1000)
     drift = max(float(np.max(np.abs(state - rho_ss))) for state in traj)
     trace_err = max(abs(float(np.trace(state).real) - 1.0) for state in traj)
     ok = worst_dist < 1e-6 and drift < 1e-9 and worst_trace < 1e-9 and trace_err < 1e-9

@@ -89,6 +89,14 @@ def test_config_rejects_bad_values():
     with pytest.raises(rs.ConfigError):
         parse_config({"sweep": {"axis1": {"name": "g", "min": 0, "max": 1, "count": 3},
                                 "axis2": {"name": "g", "min": 0, "max": 2, "count": 3}}})
+    axis = {"name": "g", "min": 0.1, "max": 0.5, "count": 5}
+    for data in ({"scan": {"count": 81.5}}, {"scan": {"n_levels": 8.7}},
+                 {"sweep": {"axis1": dict(axis, count=4.9)}},
+                 {"sweep": {"axis1": dict(axis, min="0.1")}},
+                 {"sweep": {"axis1": dict(axis, count="5")}},
+                 {"scan": {"pairs": [[True, 2]]}}, {"scan": {"pairs": []}}):
+        with pytest.raises(rs.ConfigError):
+            parse_config(data)
 
 
 # ---------------------------------------------------------------------- cli
@@ -314,6 +322,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", no_sweep, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_cli_rejects_scan_beyond_spectrum(tmp_path, capsys):
+    # n_tr=2 gives 6 levels: level 7 (the default n_levels 8) and pair (10, 11)
+    # do not exist.
+    for command, scan in (("spectrum", {}), ("critical", {"pairs": [[10, 11]]})):
+        config = write_config(tmp_path, {"model": {"n_tr": 2}, "scan": scan},
+                              name=f"{command}.json")
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
+
 def test_cli_rejects_non_finite_config(tmp_path, capsys):
     axis = {"name": "g", "min": 0.1, "max": 0.5, "count": 3}
     configs = (
@@ -324,8 +344,16 @@ def test_cli_rejects_non_finite_config(tmp_path, capsys):
         {"scan": {"g_max": math.inf}},
         {"sweep": {"axis1": dict(axis, max=math.inf)}},
         {"sweep": {"axis1": dict(axis, count=math.inf)}},
+        {"scan": {"count": 81.5}},
+        {"scan": {"n_levels": 8.7}},
+        {"sweep": {"axis1": dict(axis, count=4.9)}},
+        {"sweep": {"axis1": dict(axis, min="0.1")}},
+        {"sweep": {"axis1": dict(axis, count="5")}},
+        {"scan": {"pairs": [[True, 2]]}},
     )
     for k, data in enumerate(configs):
         path = write_config(tmp_path, data, name=f"nonfinite{k}.json")
-        assert main(["sweep", "--config", path, "--out", str(tmp_path / "x")]) == 2, data
+        # A config without a sweep section would fail `sweep` for that reason alone.
+        command = "sweep" if "sweep" in data else "spectrum"
+        assert main([command, "--config", path, "--out", str(tmp_path / "x")]) == 2, data
         assert "config error" in capsys.readouterr().err

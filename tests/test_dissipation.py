@@ -8,9 +8,14 @@ from hypothesis.extra import numpy as hnp
 from scipy.sparse.csgraph import connected_components
 
 import rabistark as rs
-from rabistark.dissipation import _graph_components, _pair_weights
+from rabistark import dissipation
+from rabistark.dissipation import (
+    WEIGHT_FLOOR, TransitionTable, _graph_components, _pair_weights, balance_residual,
+)
 
-from conftest import build_eigs, random_model, steady_pipeline
+from conftest import (
+    StepSizeError, build_eigs, evolve_density, gibbs_state, random_model, steady_pipeline,
+)
 
 BATH = rs.BathParams()  # alpha 1e-3, cutoff 10, kT 0.07
 
@@ -107,10 +112,10 @@ def test_degenerate_regularization_is_continuous():
 
 def test_degenerate_pair_freezes_at_zero_temperature():
     eps = 1e-9
-    down, up, frozen = _pair_weights(1e-3, 1e-12, 1.0, 10.0, 0.8, 0.0, eps)
-    assert down == 0.0 and up == 0.0 and frozen
-    down, up, frozen = _pair_weights(1e-3, 1e-12, 1.0, 10.0, 0.8, 0.07, eps)
-    assert down > 0.0 and down == up and not frozen
+    down, up = _pair_weights(1e-3, 1e-12, 1.0, 10.0, 0.8, 0.0, eps)
+    assert down == 0.0 and up == 0.0
+    down, up = _pair_weights(1e-3, 1e-12, 1.0, 10.0, 0.8, 0.07, eps)
+    assert down > 0.0 and down == up
 
 
 def _scalar_pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
@@ -118,9 +123,9 @@ def _scalar_pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps)
     cutoff = math.exp(-abs(gap) / omega_cutoff)
     if gap < eps:
         if kt == 0.0:
-            return 0.0, 0.0, True
+            return 0.0, 0.0
         w = alpha * (kt / omega_ref) * melem_sq * cutoff
-        return w, w, False
+        return w, w
     gamma = alpha * (gap / omega_ref) * cutoff * melem_sq
     if kt == 0.0:
         n = 0.0
@@ -129,7 +134,7 @@ def _scalar_pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps)
         n = ex / (1.0 - ex)
     else:
         n = 1.0 / math.expm1(gap / kt)
-    return gamma * (1.0 + n), gamma * n, False
+    return gamma * (1.0 + n), gamma * n
 
 
 EPS = 1e-9
@@ -153,12 +158,11 @@ def test_vectorized_pair_weights_match_scalar_formula(pairs, bose_x, kt, omega_r
         pairs = pairs + [(kt * x, 0.5) for x in bose_x]
     gaps = np.array([g for g, _ in pairs])
     melem_sq = np.array([m for _, m in pairs])
-    down, up, frozen = _pair_weights(1e-3, gaps, omega_ref, 10.0, melem_sq, kt, EPS)
+    down, up = _pair_weights(1e-3, gaps, omega_ref, 10.0, melem_sq, kt, EPS)
     for idx, (gap, m2) in enumerate(pairs):
         want = _scalar_pair_weights(1e-3, gap, omega_ref, 10.0, m2, kt, EPS)
         assert down[idx] == pytest.approx(want[0], rel=1e-14, abs=0.0)
         assert up[idx] == pytest.approx(want[1], rel=1e-14, abs=0.0)
-        assert frozen[idx] == want[2]
 
 
 def test_transition_tables_match_scalar_formula():
@@ -171,14 +175,13 @@ def test_transition_tables_match_scalar_formula():
         for k in range(1, table.n_levels):
             for j in range(k):
                 gap = table.gap[k, j]
-                dq, uq, fq = _scalar_pair_weights(bath.alpha_q, gap, p.delta, bath.omega_cutoff,
+                dq, uq = _scalar_pair_weights(bath.alpha_q, gap, p.delta, bath.omega_cutoff,
                                                   abs(table.m_q[j, k]) ** 2, bath.kt_q, eps)
-                dc, uc, fc = _scalar_pair_weights(bath.alpha_c, gap, p.omega0, bath.omega_cutoff,
+                dc, uc = _scalar_pair_weights(bath.alpha_c, gap, p.omega0, bath.omega_cutoff,
                                                   abs(table.m_c[j, k]) ** 2, bath.kt_c, eps)
                 got = (table.down_q[k, j], table.up_q[k, j], table.down_c[k, j], table.up_c[k, j])
                 assert got == pytest.approx((dq, uq, dc, uc), rel=1e-14, abs=0.0)
-                assert table.frozen[k, j] == (fq and fc)
-        for arr in (table.down_q, table.up_q, table.down_c, table.up_c, table.frozen):
+        for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
             assert not np.any(np.triu(arr))
 
 
@@ -199,7 +202,7 @@ def test_steady_state_is_gibbs_at_equal_temperatures():
     for _ in range(3):
         p = random_model(rng, n_tr=50)
         eigs, table, ss = steady_pipeline(p, BATH, n_levels=30)
-        gibbs = rs.gibbs_state(eigs, 0.07, n_levels=30)
+        gibbs = gibbs_state(eigs, 0.07, n_levels=30)
         assert np.max(np.abs(ss.populations - gibbs.populations)) < 1e-10
         assert abs(ss.populations.sum() - 1.0) < 1e-10
 
@@ -215,7 +218,7 @@ def test_steady_state_detailed_balance_ratio():
 def test_gibbs_stationarity_residual():
     p = rs.ModelParams(delta=1.0, g=0.5, r=0.8, u=-0.2, n_tr=50)
     eigs, table, ss = steady_pipeline(p, BATH, n_levels=24)
-    gibbs = rs.gibbs_state(eigs, 0.07, n_levels=24)
+    gibbs = gibbs_state(eigs, 0.07, n_levels=24)
     from rabistark.dissipation import balance_residual
     assert balance_residual(table, gibbs) < 1e-10
 
@@ -224,9 +227,9 @@ def test_gibbs_state_values():
     eigs = rs.EigenSystem(
         energies=np.array([0.0, 0.07, 0.5, 1.1]), states=np.eye(4), parities=np.ones(4)
     )
-    cold = rs.gibbs_state(eigs, 0.0)
+    cold = gibbs_state(eigs, 0.0)
     assert np.array_equal(cold.populations, [1.0, 0.0, 0.0, 0.0])
-    warm = rs.gibbs_state(eigs, 0.07)
+    warm = gibbs_state(eigs, 0.07)
     assert warm.populations[1] / warm.populations[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert warm.populations.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -241,6 +244,104 @@ def test_disconnected_graph_raises_with_components():
         rs.steady_populations(table)
     assert [0, 1] in err.value.components
     assert [2, 3] in err.value.components
+
+
+def _four_level_table():
+    p = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
+    return rs.transition_rates(build_eigs(p), p, BATH, n_levels=4)
+
+
+def test_one_way_closed_block_is_numeric_failure():
+    # {0,1} still feeds {2,3} upwards, but {2,3} never flows back down: one
+    # component, no unique steady state holding level 0.
+    table = _four_level_table()
+    for arr in (table.down_q, table.down_c):
+        arr[2:, :2] = 0.0
+    with pytest.raises(rs.NumericFailureError):
+        rs.steady_populations(table)
+
+
+def test_link_at_weight_floor_counts_as_severed():
+    table = _four_level_table()
+    for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
+        arr[2:, :2] = 0.0
+    table.down_q[2, 1] = WEIGHT_FLOOR
+    table.up_q[2, 1] = 1e-305
+    with pytest.raises(rs.MultipleSteadyStateError) as err:
+        rs.steady_populations(table)
+    assert err.value.components == [[0, 1], [2, 3]]
+
+
+def test_connected_table_computes_no_components(monkeypatch):
+    calls = []
+
+    def counted(linked):
+        calls.append(linked)
+        return _graph_components(linked)
+
+    monkeypatch.setattr(dissipation, "_graph_components", counted)
+    table = _four_level_table()
+    rs.steady_populations(table)
+    assert calls == []
+    for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
+        arr[2:, :2] = 0.0
+    with pytest.raises(rs.MultipleSteadyStateError):
+        rs.steady_populations(table)
+    assert len(calls) == 1
+
+
+@st.composite
+def severed_tables(draw):
+    """Small rate tables whose levels fall into random blocks.
+
+    Within a block each weight is cut or O(1); across blocks the qubit-bath
+    weights sit at or below WEIGHT_FLOOR, so the blocks are unlinked.
+    """
+    n = draw(st.integers(2, 7))
+    blocks = draw(st.integers(1, 3))
+    block = draw(hnp.arrays(np.int64, n, elements=st.integers(0, blocks - 1)))
+    same = block[:, None] == block[None, :]
+    strong = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    weak = st.sampled_from([0.0, 1e-305, WEIGHT_FLOOR])
+    weights = {}
+    for name in ("down_q", "up_q", "down_c", "up_c"):
+        inside = draw(hnp.arrays(float, (n, n), elements=strong))
+        across = draw(hnp.arrays(float, (n, n), elements=weak)) if name.endswith("q") else 0.0
+        weights[name] = np.tril(np.where(same, inside, across), -1)
+    zero = np.zeros((n, n))
+    return TransitionTable(n_levels=n, gap=zero, m_q=zero, m_c=zero,
+                           kt_q=0.07, kt_c=0.07, **weights)
+
+
+def _reaches_ground(rate):
+    """Whether every level has a directed path of positive rates to level 0."""
+    reach = np.zeros(rate.shape[0], dtype=bool)
+    reach[0] = True
+    while True:
+        grown = reach | (rate[:, reach] > 0.0).any(axis=1)
+        if np.array_equal(grown, reach):
+            return bool(reach.all())
+        reach = grown
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=severed_tables())
+def test_steady_state_classification_matches_components(table):
+    linked = (table.down_total > WEIGHT_FLOOR) | (table.up_total > WEIGHT_FLOOR)
+    components = _graph_components(linked)
+    rate = np.where(linked | linked.T, table.flow_matrix().T, 0.0)
+    if len(components) > 1:
+        with pytest.raises(rs.MultipleSteadyStateError) as err:
+            rs.steady_populations(table)
+        assert err.value.components == components
+    elif not _reaches_ground(rate):
+        with pytest.raises(rs.NumericFailureError):
+            rs.steady_populations(table)
+    else:
+        ss = rs.steady_populations(table)
+        assert np.all(ss.populations >= 0.0)
+        assert abs(ss.populations.sum() - 1.0) <= 1e-12
+        assert balance_residual(table, ss) <= 1e-12 * table.flow_matrix().max()
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,7 +363,7 @@ def _dynamics_setup(n_levels=12):
 def test_evolution_fixed_point():
     eigs, table, ss, dt = _dynamics_setup()
     rho_ss = np.diag(ss.populations).astype(complex)
-    traj = rs.evolve_density(rho_ss, eigs, table, dt=dt, steps=1000, record_every=1000)
+    traj = evolve_density(rho_ss, eigs, table, dt=dt, steps=1000, record_every=1000)
     assert np.max(np.abs(traj[-1] - rho_ss)) < 1e-9
     assert abs(np.trace(traj[-1]).real - 1.0) < 1e-9
 
@@ -273,7 +374,7 @@ def test_evolution_coherence_decays_monotonically():
     amp = 0.4 * math.sqrt(ss.populations[0] * ss.populations[1])
     rho[0, 1] = amp
     rho[1, 0] = amp
-    traj = rs.evolve_density(rho, eigs, table, dt=dt, steps=600, record_every=60)
+    traj = evolve_density(rho, eigs, table, dt=dt, steps=600, record_every=60)
     mags = [abs(state[0, 1]) for state in traj]
     assert all(b <= a + 1e-15 for a, b in zip(mags, mags[1:]))
     assert mags[-1] < mags[0]
@@ -285,7 +386,7 @@ def test_evolution_converges_to_steady_state():
     weights = rng.random(table.n_levels)
     rho = np.diag(weights / weights.sum()).astype(complex)
     for _ in range(60):
-        traj = rs.evolve_density(rho, eigs, table, dt=dt, steps=400, record_every=400)
+        traj = evolve_density(rho, eigs, table, dt=dt, steps=400, record_every=400)
         rho = traj[-1]
         if np.max(np.abs(np.diag(rho).real - ss.populations)) < 1e-7:
             break
@@ -299,17 +400,17 @@ def test_evolution_input_validation():
     L = table.n_levels
     good = np.diag(ss.populations[:L] / ss.populations[:L].sum()).astype(complex)
 
-    with pytest.raises(rs.StepSizeError):
-        rs.evolve_density(good, eigs, table, dt=1e6, steps=10)
+    with pytest.raises(StepSizeError):
+        evolve_density(good, eigs, table, dt=1e6, steps=10)
 
     not_hermitian = good.copy()
     not_hermitian[0, 1] = 0.3
     with pytest.raises(rs.InvalidInputError):
-        rs.evolve_density(not_hermitian, eigs, table, dt=dt, steps=5)
+        evolve_density(not_hermitian, eigs, table, dt=dt, steps=5)
 
     bad_trace = 2.0 * good
     with pytest.raises(rs.InvalidInputError):
-        rs.evolve_density(bad_trace, eigs, table, dt=dt, steps=5)
+        evolve_density(bad_trace, eigs, table, dt=dt, steps=5)
 
     not_psd = good.copy()
     not_psd[0, 0] -= 0.2
@@ -318,4 +419,4 @@ def test_evolution_input_validation():
     not_psd[0, 1] = amp
     not_psd[1, 0] = amp
     with pytest.raises(rs.InvalidInputError):
-        rs.evolve_density(not_psd, eigs, table, dt=dt, steps=5)
+        evolve_density(not_psd, eigs, table, dt=dt, steps=5)

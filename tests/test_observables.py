@@ -11,7 +11,8 @@ import rabistark as rs
 from rabistark.observables import DetectionOperator
 
 from conftest import (
-    build_eigs, composite_annihilation, composite_states, observables_pipeline, random_model,
+    build_eigs, composite_annihilation, composite_states, gaps, gibbs_state, observables_pipeline,
+    random_model,
 )
 
 BATH = rs.BathParams()
@@ -109,7 +110,7 @@ def test_approx_g2_eta_definitions():
     model = rs.ModelParams(delta=1.0, g=0.4, r=0.2, u=0.2, n_tr=60)
     eigs, table, ss, x = observables_pipeline(model, BATH, n_levels=12)
     value, eta1, eta2 = rs.approx_g2(eigs, x, ss)
-    d = rs.gaps(eigs)
+    d = gaps(eigs)
     assert eta1 == pytest.approx(d[1, 0] - d[2, 1], abs=1e-12)
     assert eta2 == pytest.approx(d[1, 0] - d[3, 1], abs=1e-12)
     g3_value, eta3 = rs.approx_g3(eigs, x, 0.07)
@@ -120,7 +121,7 @@ def test_approx_g2_underflow_flag():
     model = rs.ModelParams(delta=1.0, g=0.4, r=0.2, u=0.2, n_tr=40)
     eigs = build_eigs(model)
     x = rs.detection_operator(eigs, n_levels=8)
-    frozen = rs.gibbs_state(eigs, 1e-4, n_levels=8)  # P1 underflows to zero
+    frozen = gibbs_state(eigs, 1e-4, n_levels=8)  # P1 underflows to zero
     value, eta1, eta2 = rs.approx_g2(eigs, x, frozen)
     assert math.isnan(value)
     assert math.isfinite(eta1) and math.isfinite(eta2)

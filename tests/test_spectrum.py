@@ -9,7 +9,7 @@ import rabistark as rs
 from rabistark.spectrum import DEGENERACY_FRACTION
 
 from conftest import (
-    build_eigs, composite_states, dense_hamiltonian, eigensystem_levels, observables_pipeline,
+    build_eigs, composite_states, dense_hamiltonian, eigensystem_levels, gaps, observables_pipeline,
     parity_diagonal, random_model,
 )
 
@@ -147,7 +147,7 @@ def test_truncation_convergence_of_low_levels():
 def test_gaps_antisymmetric_and_jc_value():
     p = rs.ModelParams(delta=1.0, g=0.1, r=0.0, u=0.0, n_tr=12)
     eigs = build_eigs(p)
-    d = rs.gaps(eigs)
+    d = gaps(eigs)
     assert np.array_equal(d, -d.T)
     assert d[1, 0] == pytest.approx(0.9, abs=1e-9)
     assert d[2, 1] == pytest.approx(0.2, abs=1e-9)
@@ -155,7 +155,7 @@ def test_gaps_antisymmetric_and_jc_value():
     assert np.all(tri <= 0)  # upper triangle is E_j - E_k with k > j
 
     decoupled = build_eigs(rs.ModelParams(delta=1.0, g=0.0, r=1.0, u=0.0, n_tr=8))
-    assert rs.gaps(decoupled)[1, 0] == pytest.approx(1.0, abs=1e-12)
+    assert gaps(decoupled)[1, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gc_analytic_values():
@@ -249,3 +249,5 @@ def test_find_crossings_validation():
         rs.find_crossings(p, 0.1, 1.0, steps=4)
     with pytest.raises(rs.InvalidParameterError):
         rs.find_crossings(p, 0.1, 1.0, steps=16, levels=((0, 2),))
+    with pytest.raises(rs.InvalidParameterError):
+        rs.find_crossings(p, 0.1, 1.0, steps=16, levels=((21, 22),))  # 22 levels at n_tr=10

@@ -13,8 +13,9 @@ from rabistark.sweep import (
     SweepSpec,
     evaluate_point,
     run_sweep,
-    sign_transitions,
 )
+
+from conftest import sign_transitions
 
 BASE_MODEL = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=40)
 BASE_BATH = rs.BathParams()
