@@ -204,9 +204,9 @@ def parse_config(data: dict) -> RunConfig:
         observables = sweep_in.get("observables", list(OBSERVABLE_NAMES))
         if not isinstance(observables, list) or any(o not in OBSERVABLE_NAMES for o in observables):
             bad.append("sweep.observables")
-        n_levels = sweep_in.get("n_levels", DEFAULT_N_LEVELS)
-        if not isinstance(n_levels, int) or n_levels < 2:
-            bad.append("sweep.n_levels")
+        n_levels = _number("sweep", sweep_in, "n_levels", DEFAULT_N_LEVELS, bad, integer=True)
+        if n_levels < 2:
+            bad.append("sweep.n_levels (must be >= 2)")
         check_convergence = sweep_in.get("check_convergence", True)
         if not isinstance(check_convergence, bool):
             bad.append("sweep.check_convergence")

@@ -66,7 +66,8 @@ def bose_occupation(gap, kt: float):
     if kt == 0.0:
         n = np.zeros_like(gap)
     else:
-        x = gap / kt
+        with np.errstate(over="ignore"):    # inf at a subnormal kt, where n = 0
+            x = gap / kt
         # For x > 30, e^-x / (1 - e^-x) never overflows.
         ex = np.exp(-x)
         n = np.where(x > 30.0, ex / (1.0 - ex), 1.0 / np.expm1(np.minimum(x, 30.0)))

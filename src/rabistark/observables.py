@@ -129,7 +129,11 @@ def approx_g3(
     d10, d21, d32 = e[1] - e[0], e[2] - e[1], e[3] - e[2]
     eta3 = 2.0 * d10 - d21 - d32
     ax = np.abs(x.xmat)
-    numer = d21**2 * d32**2 * ax[1, 2] ** 2 * ax[2, 3] ** 2 * math.exp(eta3 / kt)
+    try:
+        weight = math.exp(float(eta3) / kt)
+    except OverflowError:   # eta3/kt beyond ~709
+        weight = math.inf
+    numer = float(d21**2 * d32**2 * ax[1, 2] ** 2 * ax[2, 3] ** 2) * weight
     denom = d10**4 * ax[0, 1] ** 4
     if denom == 0.0:
         return math.inf if numer > 0 else 0.0, eta3

@@ -234,6 +234,48 @@ def field_diagonals(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, np.nd
     return n @ c**2, pair @ (c[:-2] * c[2:])
 
 
+def edge_residuals(p: ModelParams, eigs: EigenSystem, n_levels: int) -> np.ndarray:
+    """|h v_k[n_tr]| for the lowest n_levels levels of eigs = eigensystem(p).
+
+    Extending a chain past n_tr adds the hop h = g sqrt(n_tr+1) (times r on
+    one chain, so max(1, r) bounds both), and (E_k, [v_k; 0]) keeps one
+    nonzero residual entry, h v_k[n_tr].  The longer chain thus has an
+    eigenvalue within that residual of E_k (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4).
+    """
+    h = p.g * math.sqrt(p.n_tr + 1) * max(1.0, p.r)
+    return h * np.abs(eigs.states[-1, :n_levels])
+
+
+def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra: int) -> bool:
+    """Whether growing each chain of eigs = eigensystem(p) by extra sites adds
+    no eigenvalue below sigma, the midpoint of the gap above level n_levels-1.
+
+    The residual bound keeps every old level but cannot rule out new ones
+    (at g=0 the sites past n_tr are levels of their own).  A chain keeps its
+    count below sigma exactly when the Schur complement (H_ext - sigma) -
+    h^2 [(H - sigma)^-1]_{n_tr,n_tr} e_1 e_1^T is positive definite
+    (Haynsworth inertia additivity).  No level above n_levels-1, a gap below
+    the crossing closure threshold, or extra < 1 is not cleared.
+    """
+    e = eigs.energies
+    if (extra < 1 or n_levels >= eigs.dim
+            or e[n_levels] - e[n_levels - 1] < GAP_CLOSURE_FRACTION * p.omega0):
+        return False
+    sigma = 0.5 * (e[n_levels - 1] + e[n_levels])
+    longer = p.with_n_tr(p.n_tr + extra)
+    for odd, label in enumerate((1.0, -1.0)):
+        on = eigs.parities == label
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, off = _parity_chain(longer, odd)
+            diag = diag[p.n_tr + 1:] - sigma
+            diag[0] -= off[p.n_tr] ** 2 * np.sum(eigs.states[-1, on] ** 2 / (e[on] - sigma))
+        if not (np.isfinite(diag).all() and np.isfinite(off).all() and eigvalsh_tridiagonal(
+                diag, off[p.n_tr + 1:], select="i", select_range=(0, 0))[0] > 0):
+            return False
+    return True
+
+
 def gc_analytic(p: ModelParams) -> Optional[float]:
     """First-order ground-state critical coupling, if finite.
 

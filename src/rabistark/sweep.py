@@ -42,13 +42,21 @@ from .observables import (
     flux_proxy,
     squeezing_factor,
 )
-from .spectrum import EigenSystem, ModelParams, _is_finite, eigensystem
+from .spectrum import (
+    EigenSystem,
+    ModelParams,
+    _is_finite,
+    edge_residuals,
+    eigensystem,
+    keeps_lowest_levels,
+)
 
 AXIS_NAMES = ("g", "r", "u", "kt")
 OBSERVABLE_NAMES = ("g2", "g3", "g2_approx", "g3_approx", "xi_b2", "n_photon", "flux_proxy")
 NEAR_DEGENERACY_FRACTION = 1e-4
 CONVERGENCE_DELTA_NTR = 40
 CONVERGENCE_TOL = 1e-6
+CERTIFY_TOL = 1e-4 * CONVERGENCE_TOL
 
 ERR_OK = 0
 ERR_ZERO_FLUX = 1
@@ -202,12 +210,16 @@ def evaluate_point(
     """Run the full single-point pipeline and package every observable.
 
     Zero-flux and no-steady-state conditions are reported through the error
-    code with an empty report, never raised.  The convergence flag compares
-    the photon number against a truncation enlarged by delta_ntr: relative
-    agreement within CONVERGENCE_TOL, or absolute agreement when both values
-    are below 1e-6; it is None when check_convergence is off.  solve maps a
-    model to its EigenSystem (eigensystem by default); run_sweep passes one
-    that remembers the spectra of a group of points.
+    code with an empty report, never raised.  The convergence flag says the
+    photon number is stable under n_tr -> n_tr + delta_ntr; it is None when
+    check_convergence is off.  It is True without a re-solve when the edge
+    certificate w = sum_k p_k (n_tr+1) |h v_k[n_tr]| (see edge_residuals) is
+    at most CERTIFY_TOL and the longer chains add no level below the ones in
+    use (keeps_lowest_levels).  Otherwise the enlarged truncation is solved
+    and the photon numbers must agree within CONVERGENCE_TOL, relative, or
+    absolute when both are below 1e-6.  solve maps a model to its
+    EigenSystem (eigensystem by default); run_sweep passes one that
+    remembers the spectra of a group of points.
     """
     solve = solve or eigensystem
     near_degenerate = False
@@ -242,6 +254,11 @@ def evaluate_point(
 
     converged = None
     if check_convergence:
+        resid = edge_residuals(model, eigs, ss.n_levels)
+        certificate = (model.n_tr + 1) * float(ss.populations @ resid)
+        # A NaN or inf certificate fails the test and falls through to the re-solve.
+        if certificate <= CERTIFY_TOL and keeps_lowest_levels(model, eigs, ss.n_levels, delta_ntr):
+            return PointResult(model, bath, report, True, near_degenerate, ERR_OK)
         try:
             bigger = _n_photon_at(
                 model.with_n_tr(model.n_tr + delta_ntr), bath, n_levels, solve
@@ -277,8 +294,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     The bath enters only through the rates, so slots that share a model
     (g, r, u, n_tr) share its spectra.  Slots are grouped by model and each
     group is one task: it solves the model's spectrum once, the n_tr +
-    delta spectrum at most once (only if a bath reaches the convergence
-    check), and runs evaluate_point for each of its baths.  Slots whose
+    delta spectrum at most once (only if a bath's point reaches the
+    convergence re-solve, which a certified point skips), and runs
+    evaluate_point for each of its baths.  Slots whose
     parameters are invalid get error code 4 before grouping.  When there
     are fewer groups than workers, each group is split into contiguous
     pieces so every worker gets work; a piece solves its spectra once.

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import rabistark as rs
 from rabistark.cli import main

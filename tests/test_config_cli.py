@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import rabistark as rs
@@ -94,9 +93,16 @@ def test_config_rejects_bad_values():
                  {"sweep": {"axis1": dict(axis, count=4.9)}},
                  {"sweep": {"axis1": dict(axis, min="0.1")}},
                  {"sweep": {"axis1": dict(axis, count="5")}},
-                 {"scan": {"pairs": [[True, 2]]}}, {"scan": {"pairs": []}}):
+                 {"scan": {"pairs": [[True, 2]]}}, {"scan": {"pairs": []}},
+                 {"sweep": {"axis1": axis, "n_levels": 40.5}},
+                 {"sweep": {"axis1": axis, "n_levels": "40"}},
+                 {"sweep": {"axis1": axis, "n_levels": True}},
+                 {"sweep": {"axis1": axis, "n_levels": 1}}):
         with pytest.raises(rs.ConfigError):
             parse_config(data)
+    # sweep.n_levels follows the integer rule of every other integer field.
+    sweep = parse_config({"sweep": {"axis1": axis, "n_levels": 40.0}}).sweep
+    assert sweep.n_levels == 40 and isinstance(sweep.n_levels, int)
 
 
 # ---------------------------------------------------------------------- cli
@@ -350,6 +356,9 @@ def test_cli_rejects_non_finite_config(tmp_path, capsys):
         {"sweep": {"axis1": dict(axis, min="0.1")}},
         {"sweep": {"axis1": dict(axis, count="5")}},
         {"scan": {"pairs": [[True, 2]]}},
+        {"sweep": {"axis1": axis, "n_levels": 40.5}},
+        {"sweep": {"axis1": axis, "n_levels": "40"}},
+        {"sweep": {"axis1": axis, "n_levels": True}},
     )
     for k, data in enumerate(configs):
         path = write_config(tmp_path, data, name=f"nonfinite{k}.json")

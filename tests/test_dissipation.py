@@ -22,6 +22,7 @@ BATH = rs.BathParams()  # alpha 1e-3, cutoff 10, kT 0.07
 
 def test_bose_occupation_values():
     assert rs.bose_occupation(1.0, 0.0) == 0.0
+    assert rs.bose_occupation(1.0, 5e-324) == 0.0   # gap/kt overflows to inf
     # frozen by direct scalar evaluation of 1/(exp(gap/kt) - 1)
     assert rs.bose_occupation(1.0, 0.07) == pytest.approx(6.24875341415258e-07, rel=1e-9)
     assert rs.bose_occupation(0.07, 0.07) == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)

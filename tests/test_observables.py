@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import rabistark as rs
-from rabistark.observables import DetectionOperator
 
 from conftest import (
     build_eigs, composite_annihilation, composite_states, gaps, gibbs_state, observables_pipeline,
@@ -115,6 +114,9 @@ def test_approx_g2_eta_definitions():
     assert eta2 == pytest.approx(d[1, 0] - d[3, 1], abs=1e-12)
     g3_value, eta3 = rs.approx_g3(eigs, x, 0.07)
     assert eta3 == pytest.approx(2 * d[1, 0] - d[2, 1] - d[3, 2], abs=1e-12)
+    # eta3 > 0, so exp(eta3/kt) leaves a double's range as kt -> 0: the
+    # value is inf, not an OverflowError.
+    assert eta3 > 0 and rs.approx_g3(eigs, x, 1e-6)[0] == math.inf
 
 
 def test_approx_g2_underflow_flag():

@@ -1,12 +1,21 @@
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import rabistark as rs
+from rabistark import sweep
 from rabistark.cli import sweep_csv
+from rabistark.spectrum import edge_residuals, keeps_lowest_levels
 from rabistark.sweep import (
+    CERTIFY_TOL,
+    CONVERGENCE_TOL,
     ERR_INVALID_PARAMS,
+    ERR_NO_STEADY_STATE,
     ERR_OK,
     ERR_ZERO_FLUX,
     AxisSpec,
@@ -192,19 +201,118 @@ def test_near_degeneracy_flag_at_ground_crossing():
     assert any(not f for f in flags)
 
 
-def test_convergence_flag():
+def counting(monkeypatch, name):
+    """Replace sweep.<name> by a wrapper that logs each call's first argument."""
+    calls, real = [], getattr(sweep, name)
+
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, name, wrapper)
+    return calls
+
+
+def test_convergence_flag(monkeypatch):
+    resolved = counting(monkeypatch, "_n_photon_at")
     pt = evaluate_point(
         rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.0, n_tr=60),
         BASE_BATH, n_levels=20, check_convergence=True, delta_ntr=20,
     )
     assert pt.error_code == ERR_OK
     assert pt.converged
+    assert resolved == []       # cleared by the edge certificate
 
+    # At n_tr=2 every level is in use, so the certificate cannot clear the
+    # point: it is re-solved at n_tr=22 and reads unconverged.
     rough = evaluate_point(
         rs.ModelParams(delta=1.0, g=1.5, r=1.0, u=0.0, n_tr=2),
         BASE_BATH, n_levels=6, check_convergence=True, delta_ntr=20,
     )
     assert not rough.converged
+    assert [m.n_tr for m in resolved] == [22]
+
+    # A truncation that does not grow is never certified, only re-solved.
+    same = evaluate_point(
+        rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.0, n_tr=60),
+        BASE_BATH, n_levels=20, check_convergence=True, delta_ntr=0,
+    )
+    assert same.converged and [m.n_tr for m in resolved] == [22, 60]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_tr=st.integers(8, 80),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 2.5)),
+    r=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    u=st.floats(-0.9, 0.9),
+    kt=st.one_of(st.just(0.0), st.floats(0.0, 0.5), st.floats(0.02, 0.5)),
+    n_levels=st.integers(2, 40),
+)
+@example(n_tr=16, g=0.0, r=1.547, u=-0.766, kt=0.45, n_levels=40)   # w = 0, unconverged
+def test_certified_points_pass_the_resolve(n_tr, g, r, u, kt, n_levels):
+    # Certified (no re-solve made) implies the n_tr+40 re-solve converges.
+    model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    bath = rs.BathParams(kt_q=kt, kt_c=kt)
+    with pytest.MonkeyPatch.context() as mp:
+        resolved = counting(mp, "_n_photon_at")
+        pt = evaluate_point(model, bath, n_levels=n_levels)
+    event("re-solved" if resolved else f"error {pt.error_code}" if pt.error_code else "certified")
+    if pt.error_code != ERR_OK or resolved:
+        return
+    eigs = rs.eigensystem(model)
+    populations = sweep._steady(eigs, model, bath, n_levels).populations
+    w = (n_tr + 1) * float(populations @ edge_residuals(model, eigs, populations.size))
+    assert w <= CERTIFY_TOL
+    assert pt.converged is True
+    bigger = sweep._n_photon_at(model.with_n_tr(n_tr + 40), bath, n_levels)
+    scale = max(abs(pt.report.n_photon), abs(bigger))
+    assert abs(bigger - pt.report.n_photon) < CONVERGENCE_TOL * (scale if scale >= 1e-6 else 1.0)
+
+
+def test_decoupled_chain_is_not_certified_by_the_edge_alone(monkeypatch):
+    # At g=0 the edge residual is 0, yet the sites past n_tr are low levels
+    # of their own (u=-0.766 puts |n, e> at 0.5 + 0.234 n), so the re-solve
+    # moves the photon number; the level count keeps the point uncertified.
+    model = rs.ModelParams(delta=1.0, g=0.0, r=1.547, u=-0.766, n_tr=16)
+    bath = rs.BathParams(kt_q=0.45, kt_c=0.45)
+    eigs = rs.eigensystem(model)
+    assert not edge_residuals(model, eigs, 20).any()
+    assert not keeps_lowest_levels(model, eigs, 20, 40)
+    resolved = counting(monkeypatch, "_n_photon_at")
+    pt = evaluate_point(model, bath, n_levels=40)
+    assert resolved and pt.converged is False
+
+
+def test_certified_point_solves_no_larger_spectrum(monkeypatch):
+    solved = counting(monkeypatch, "eigensystem")
+    model = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=40)
+    pt = evaluate_point(model, BASE_BATH, n_levels=20)
+    assert pt.error_code == ERR_OK and pt.converged is True
+    assert solved == [model]
+
+
+def test_non_finite_certificate_falls_back_to_the_resolve(monkeypatch):
+    # Huge couplings run without a RuntimeWarning (warnings fail the suite):
+    # the residuals stay finite, the level count declines, and a certificate
+    # overflowing to inf, or a NaN one, counts as uncertified.
+    huge = rs.ModelParams(delta=1.0, g=1e300, n_tr=40)
+    eigs = rs.eigensystem(huge)
+    assert np.isfinite(edge_residuals(huge, eigs, 20)).all()
+    assert not keeps_lowest_levels(huge, eigs, 20, 40)
+    failed = evaluate_point(huge, BASE_BATH, n_levels=20)
+    assert failed.error_code == ERR_NO_STEADY_STATE and failed.converged is False
+    wide = rs.ModelParams(delta=1.0, g=1e306, n_tr=200)
+    populations = np.full(20, 0.05)    # evaluate_point's sum, in Python floats
+    w = (wide.n_tr + 1) * float(populations @ edge_residuals(wide, rs.eigensystem(wide), 20))
+    assert w == math.inf and not w <= CERTIFY_TOL
+
+    model = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=40)
+    resolved = counting(monkeypatch, "_n_photon_at")
+    for bad in (math.nan, math.inf):
+        monkeypatch.setattr(sweep, "edge_residuals", lambda p, e, n: np.full(n, bad))
+        assert evaluate_point(model, BASE_BATH, n_levels=20).converged is True
+    assert len(resolved) == 2
 
 
 def test_unchecked_convergence_is_none():
@@ -306,20 +414,28 @@ def test_grouped_slots_equal_standalone_points(check):
 
 @pytest.mark.parametrize("check", [True, False])
 def test_sweep_solves_each_spectrum_once(monkeypatch, check):
-    solved = []
-
-    def counting(model):
-        solved.append(model)
-        return rs.eigensystem(model)
-
-    monkeypatch.setattr(rs.sweep, "eigensystem", counting)
+    # Every slot is cleared by the edge certificate, so even with the check
+    # on no n_tr+40 spectrum is solved.
+    solved = counting(monkeypatch, "eigensystem")
     spec = small_spec(axis2=AxisSpec("kt", 0.02, 0.2, 4), check_convergence=check)
     result = run_sweep(spec, workers=1)
     assert all(pt.error_code == ERR_OK for pt in result.points)
     models = {pt.model for pt in result.points}
-    expected = models | ({m.with_n_tr(m.n_tr + 40) for m in models} if check else set())
     assert len(models) == 3
-    assert len(solved) == len(expected) and set(solved) == expected
+    assert len(solved) == len(models) and set(solved) == models
+
+
+def test_uncertified_slots_solve_the_larger_spectrum_once(monkeypatch):
+    # At n_tr=6 all 14 levels are in use, so no slot is certified and each
+    # group solves its n_tr+40 spectrum once for all of its baths.
+    solved = counting(monkeypatch, "eigensystem")
+    spec = small_spec(model=replace(BASE_MODEL, n_tr=6),
+                      axis2=AxisSpec("kt", 0.02, 0.2, 4), check_convergence=True)
+    result = run_sweep(spec, workers=1)
+    assert all(pt.error_code == ERR_OK for pt in result.points)
+    models = {pt.model for pt in result.points}
+    expected = models | {m.with_n_tr(m.n_tr + 40) for m in models}
+    assert len(solved) == len(expected) == 6 and set(solved) == expected
 
 
 def test_one_dimensional_kt_sweep_is_worker_independent():
