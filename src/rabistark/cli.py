@@ -236,14 +236,14 @@ def main(argv=None) -> int:
         cmdp = sub.add_parser(name, help=help_text)
         cmdp.add_argument("--config", required=True, help="JSON config path")
         cmdp.add_argument("--out", default=".", help="output directory")
-        cmdp.add_argument("--workers", type=int, default=1, help="worker processes")
-        cmdp.add_argument("--scale", choices=("linear", "log10"), default=None,
-                          help="heatmap color scale (overrides config)")
         if name == "sweep":
+            cmdp.add_argument("--workers", type=int, default=1, help="worker processes")
+            cmdp.add_argument("--scale", choices=("linear", "log10"), default=None,
+                              help="heatmap color scale (overrides config)")
             cmdp.add_argument("--plot", action="store_true",
                               help="emit an SVG heatmap of the configured column")
     args = parser.parse_args(argv)
-    if args.workers < 1:
+    if args.command == "sweep" and args.workers < 1:
         print(f"usage error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -255,8 +255,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    scale = args.scale if args.scale is not None else config.scale
 
     try:
         out_dir = Path(args.out)
@@ -274,8 +272,8 @@ def main(argv=None) -> int:
         elif args.command == "observables":
             outputs = cmd_observables(config, out_dir)
         else:
-            outputs = cmd_sweep(config, out_dir, args.workers,
-                                getattr(args, "plot", False), scale)
+            outputs = cmd_sweep(config, out_dir, args.workers, args.plot,
+                                args.scale or config.scale)
         _write_sidecar(out_dir, args.command, config, outputs,
                        time.perf_counter() - start)
     except ConfigError as exc:

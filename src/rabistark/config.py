@@ -1,30 +1,24 @@
 """Strict JSON run configuration for the command-line front end.
 
 A config is a single JSON object with sections model, bath, scan, sweep, and
-output; unknown keys anywhere are rejected.  Defaults follow the reference
-operating point: delta = omega0 = 1, Ohmic baths with alpha = 1e-3, cutoff
-10*omega0, and k_B T = 0.07*omega0.
+output; unknown keys anywhere are rejected.  Each section maps onto the
+dataclass it configures (ModelParams, BathParams, ScanConfig, SweepSpec and
+its AxisSpec axes, and RunConfig for output), which holds the defaults and
+the range rules; this module checks only the JSON types.  The defaults give
+the reference operating point.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
-from .dissipation import DEFAULT_N_LEVELS, BathParams
+from .dissipation import BathParams
 from .errors import ConfigError, InvalidParameterError
 from .spectrum import ModelParams, _is_finite
 from .sweep import OBSERVABLE_NAMES, AxisSpec, SweepSpec
 
-MODEL_DEFAULTS = {"delta": 1.0, "omega0": 1.0, "g": 0.0, "r": 1.0, "u": 0.0, "n_tr": 200}
-BATH_DEFAULTS = {"alpha_q": 1e-3, "alpha_c": 1e-3, "omega_cutoff": 10.0,
-                 "kt_q": 0.07, "kt_c": 0.07}
-SCAN_DEFAULTS = {"g_min": 0.05, "g_max": 2.0, "count": 81, "n_levels": 8,
-                 "pairs": [[0, 1], [1, 2], [2, 3]]}
-AXIS_KEYS = ("name", "min", "max", "count")
-SWEEP_KEYS = ("axis1", "axis2", "observables", "n_levels", "check_convergence")
-OUTPUT_DEFAULTS = {"scale": "linear", "column": "g2"}
 SECTIONS = ("model", "bath", "scan", "sweep", "output")
 
 
@@ -38,45 +32,44 @@ class ScanConfig:
     n_levels: int = 8
     pairs: tuple = ((0, 1), (1, 2), (2, 3))
 
+    def __post_init__(self):
+        if self.count < 8:
+            raise InvalidParameterError(f"count must be >= 8, got {self.count}")
+        if not self.g_min < self.g_max:
+            raise InvalidParameterError(
+                f"need g_min < g_max, got [{self.g_min}, {self.g_max}]")
+        if self.n_levels < 2:
+            raise InvalidParameterError(f"n_levels must be >= 2, got {self.n_levels}")
+        if not self.pairs or any(lo < 0 or hi != lo + 1 for lo, hi in self.pairs):
+            raise InvalidParameterError(
+                f"pairs must be one or more level pairs (k, k+1), k >= 0, got {self.pairs}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelParams = field(default_factory=lambda: ModelParams(**MODEL_DEFAULTS))
+    model: ModelParams = field(default_factory=lambda: ModelParams(delta=1.0))
     bath: BathParams = field(default_factory=BathParams)
     scan: ScanConfig = field(default_factory=ScanConfig)
     sweep: Optional[SweepSpec] = None
     scale: str = "linear"
     column: str = "g2"
 
+    def __post_init__(self):
+        if self.scale not in ("linear", "log10"):
+            raise InvalidParameterError(f"scale must be 'linear' or 'log10', got {self.scale!r}")
+        if self.column not in OBSERVABLE_NAMES:
+            raise InvalidParameterError(
+                f"column must be one of {OBSERVABLE_NAMES}, got {self.column!r}")
+
     def to_dict(self) -> dict:
-        """Canonical dict form; parsing it back yields an equal RunConfig."""
-        out = {
-            "model": {k: getattr(self.model, k) for k in MODEL_DEFAULTS},
-            "bath": {k: getattr(self.bath, k) for k in BATH_DEFAULTS},
-            "scan": {
-                "g_min": self.scan.g_min, "g_max": self.scan.g_max,
-                "count": self.scan.count, "n_levels": self.scan.n_levels,
-                "pairs": [list(p) for p in self.scan.pairs],
-            },
-            "output": {"scale": self.scale, "column": self.column},
-        }
-        if self.sweep is not None:
-            sweep = {
-                "axis1": dict(zip(AXIS_KEYS, (self.sweep.axis1.name, self.sweep.axis1.min,
-                                              self.sweep.axis1.max, self.sweep.axis1.count))),
-                "observables": list(self.sweep.observables),
-                "n_levels": self.sweep.n_levels,
-                "check_convergence": self.sweep.check_convergence,
-            }
-            if self.sweep.axis2 is not None:
-                sweep["axis2"] = dict(zip(AXIS_KEYS, (self.sweep.axis2.name, self.sweep.axis2.min,
-                                                      self.sweep.axis2.max, self.sweep.axis2.count)))
-            out["sweep"] = sweep
+        """Canonical JSON form; parsing it back yields an equal RunConfig."""
+        out = json.loads(json.dumps(asdict(self)))
+        out["output"] = {"scale": out.pop("scale"), "column": out.pop("column")}
+        sweep = out.pop("sweep")
+        if sweep is not None:
+            del sweep["model"], sweep["bath"]  # the model and bath sections
+            out["sweep"] = {k: v for k, v in sweep.items() if v is not None}
         return out
-
-
-def _check_keys(section: str, data: dict, allowed) -> list[str]:
-    return [f"{section}.{k}" for k in data if k not in allowed]
 
 
 def _is_integer(value) -> bool:
@@ -85,153 +78,102 @@ def _is_integer(value) -> bool:
             and _is_finite(value) and float(value).is_integer())
 
 
-def _number(section: str, data: dict, key: str, default, bad: list, integer: bool = False):
-    """data[key] (default when absent) as a finite number, or as an int when
-    integer is set; a value of the wrong type is recorded in bad and the
-    default returned."""
-    value = data.get(key, default)
+def _number(name: str, value, bad: list, integer: bool = False):
+    """value as a finite number, or as an int when integer is set; a value of
+    the wrong type is recorded in bad."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not _is_finite(value):
-        bad.append(f"{section}.{key}")
-        return default
-    if integer:
-        if not _is_integer(value):
-            bad.append(f"{section}.{key} (must be an integer)")
-            return default
+        bad.append(name)
+    elif not integer:
+        return value
+    elif _is_integer(value):
         return int(value)
+    else:
+        bad.append(f"{name} (must be an integer)")
     return value
 
 
-def _axis(name: str, data, bad: list) -> Optional[AxisSpec]:
-    if data is None:
-        return None
-    if not isinstance(data, dict):
+def _pairs(name: str, value, bad: list):
+    """A list of two-integer lists as a tuple of int pairs."""
+    if not isinstance(value, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_integer, p)) for p in value):
+        bad.append(f"{name} (need a list of [k, k+1] integer pairs)")
+        return value
+    return tuple((int(lo), int(hi)) for lo, hi in value)
+
+
+def _names(name: str, value, bad: list):
+    if not isinstance(value, list):
         bad.append(name)
+        return value
+    return tuple(value)
+
+
+def _flag(name: str, value, bad: list):
+    if not isinstance(value, bool):
+        bad.append(name)
+    return value
+
+
+def _axis(name: str, value, bad: list):
+    """An axis object; axis2 may be null, which makes the sweep 1-D."""
+    if value is None and name == "sweep.axis2":
         return None
-    bad.extend(_check_keys(name, data, AXIS_KEYS))
-    missing = [k for k in AXIS_KEYS if k not in data]
-    if missing:
-        bad.extend(f"{name}.{k}" for k in missing)
-        return None
-    lo = _number(name, data, "min", None, bad)
-    hi = _number(name, data, "max", None, bad)
-    count = _number(name, data, "count", None, bad, integer=True)
-    if None in (lo, hi, count):
-        return None
+    return _section(name, AxisSpec, value)
+
+
+def _section(section: str, cls, data, base=None, readers=None, **given):
+    """Build cls from the config section data.
+
+    The keys of data are the fields of cls less those given.  An absent key
+    takes its value from base, or the field default when base is None, and
+    is required when it has neither.  readers[key] reads a key that needs
+    one; any other number must be finite, and integer-valued for an int
+    field.  A range rule of cls itself is reported as a ConfigError.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be a JSON object", [section])
+    keys = [f for f in fields(cls) if f.name not in given]
+    bad = [f"{section}.{k}" for k in data if k not in {f.name for f in keys}]
+    kw = dict(given)
+    for f in keys:
+        name = f"{section}.{f.name}"
+        if f.name not in data:
+            kw[f.name] = getattr(base, f.name, f.default)
+            if kw[f.name] is MISSING:
+                bad.append(f"{name} (required)")
+        elif f.name in (readers or {}):
+            kw[f.name] = readers[f.name](name, data[f.name], bad)
+        elif f.type in ("int", "float"):
+            kw[f.name] = _number(name, data[f.name], bad, integer=f.type == "int")
+        else:
+            kw[f.name] = data[f.name]
+    if bad:
+        raise ConfigError(f"{section} section invalid", bad)
     try:
-        return AxisSpec(name=str(data["name"]), min=float(lo), max=float(hi), count=count)
+        return cls(**kw)
     except InvalidParameterError as exc:
-        bad.append(f"{name} ({exc})")
-        return None
+        raise ConfigError(f"{section} section invalid: {exc}", [section]) from None
 
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a config dict strictly and build a RunConfig."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    bad = _check_keys("", data, SECTIONS)
-    bad = [b.lstrip(".") for b in bad]
-
-    for section in SECTIONS:
-        if section in data and not isinstance(data[section], dict):
-            bad.append(section)
-    if bad:
-        raise ConfigError("unknown or malformed config entries", bad)
-
-    model_in = data.get("model", {})
-    bath_in = data.get("bath", {})
-    scan_in = data.get("scan", {})
-    output_in = data.get("output", {})
-    bad.extend(_check_keys("model", model_in, MODEL_DEFAULTS))
-    bad.extend(_check_keys("bath", bath_in, BATH_DEFAULTS))
-    bad.extend(_check_keys("scan", scan_in, SCAN_DEFAULTS))
-    bad.extend(_check_keys("output", output_in, OUTPUT_DEFAULTS))
-    if bad:
-        raise ConfigError("unknown config keys", bad)
-
-    model_kw = {k: _number("model", model_in, k, MODEL_DEFAULTS[k], bad, integer=k == "n_tr")
-                for k in MODEL_DEFAULTS}
-    bath_kw = {k: _number("bath", bath_in, k, BATH_DEFAULTS[k], bad) for k in BATH_DEFAULTS}
-    if bad:
-        raise ConfigError("config values have wrong types or are not finite", bad)
-
-    try:
-        model = ModelParams(**model_kw)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"model section invalid: {exc}", ["model"]) from None
-    try:
-        bath = BathParams(**bath_kw)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"bath section invalid: {exc}", ["bath"]) from None
-
-    scan_kw = {
-        "g_min": _number("scan", scan_in, "g_min", SCAN_DEFAULTS["g_min"], bad),
-        "g_max": _number("scan", scan_in, "g_max", SCAN_DEFAULTS["g_max"], bad),
-        "count": _number("scan", scan_in, "count", SCAN_DEFAULTS["count"], bad, integer=True),
-        "n_levels": _number("scan", scan_in, "n_levels", SCAN_DEFAULTS["n_levels"], bad,
-                            integer=True),
-    }
-    pairs_in = scan_in.get("pairs", SCAN_DEFAULTS["pairs"])
-    pairs = []
-    if not isinstance(pairs_in, list) or not pairs_in:
-        bad.append("scan.pairs (need a list of at least one pair)")
-    else:
-        for p in pairs_in:
-            if (not isinstance(p, list) or len(p) != 2 or not all(map(_is_integer, p))
-                    or p[1] != p[0] + 1 or p[0] < 0):
-                bad.append(f"scan.pairs entry {p!r}")
-            else:
-                pairs.append((int(p[0]), int(p[1])))
-    if scan_kw["count"] < 8:
-        bad.append("scan.count (must be >= 8)")
-    if not scan_kw["g_min"] < scan_kw["g_max"]:
-        bad.append("scan.g_min/g_max (need g_min < g_max)")
-    if scan_kw["n_levels"] < 2:
-        bad.append("scan.n_levels (must be >= 2)")
-    if bad:
-        raise ConfigError("scan section invalid", bad)
-    scan = ScanConfig(pairs=tuple(pairs), **scan_kw)
-
+    unknown = [k for k in data if k not in SECTIONS]
+    if unknown:
+        raise ConfigError("unknown config sections", unknown)
+    defaults = RunConfig()
+    model = _section("model", ModelParams, data.get("model", {}), defaults.model)
+    bath = _section("bath", BathParams, data.get("bath", {}), defaults.bath)
+    scan = _section("scan", ScanConfig, data.get("scan", {}), defaults.scan,
+                    readers={"pairs": _pairs})
     sweep = None
     if "sweep" in data:
-        sweep_in = data["sweep"]
-        bad.extend(_check_keys("sweep", sweep_in, SWEEP_KEYS))
-        if "axis1" not in sweep_in:
-            bad.append("sweep.axis1 (required)")
-        if bad:
-            raise ConfigError("sweep section invalid", bad)
-        axis1 = _axis("sweep.axis1", sweep_in["axis1"], bad)
-        axis2 = _axis("sweep.axis2", sweep_in.get("axis2"), bad)
-        observables = sweep_in.get("observables", list(OBSERVABLE_NAMES))
-        if not isinstance(observables, list) or any(o not in OBSERVABLE_NAMES for o in observables):
-            bad.append("sweep.observables")
-        n_levels = _number("sweep", sweep_in, "n_levels", DEFAULT_N_LEVELS, bad, integer=True)
-        if n_levels < 2:
-            bad.append("sweep.n_levels (must be >= 2)")
-        check_convergence = sweep_in.get("check_convergence", True)
-        if not isinstance(check_convergence, bool):
-            bad.append("sweep.check_convergence")
-        if bad or axis1 is None:
-            raise ConfigError("sweep section invalid", bad or ["sweep.axis1"])
-        try:
-            sweep = SweepSpec(
-                model=model, bath=bath, axis1=axis1, axis2=axis2,
-                observables=tuple(observables), n_levels=n_levels,
-                check_convergence=check_convergence,
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError(f"sweep section invalid: {exc}", ["sweep"]) from None
-
-    scale = output_in.get("scale", OUTPUT_DEFAULTS["scale"])
-    column = output_in.get("column", OUTPUT_DEFAULTS["column"])
-    if scale not in ("linear", "log10"):
-        bad.append("output.scale (must be 'linear' or 'log10')")
-    if column not in OBSERVABLE_NAMES:
-        bad.append("output.column")
-    if bad:
-        raise ConfigError("output section invalid", bad)
-
-    return RunConfig(model=model, bath=bath, scan=scan, sweep=sweep,
-                     scale=scale, column=column)
+        sweep = _section("sweep", SweepSpec, data["sweep"], model=model, bath=bath,
+                         readers={"axis1": _axis, "axis2": _axis, "observables": _names,
+                                  "check_convergence": _flag})
+    return _section("output", RunConfig, data.get("output", {}), defaults,
+                    model=model, bath=bath, scan=scan, sweep=sweep)
 
 
 def load_config(path: str) -> RunConfig:

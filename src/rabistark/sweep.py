@@ -77,7 +77,7 @@ _ERROR_CODES = {
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One swept parameter: uniform linear grid from min to max."""
+    """One swept parameter: uniform linear grid from min to max, stored as floats."""
 
     name: str
     min: float
@@ -99,6 +99,8 @@ class AxisSpec:
             raise InvalidParameterError(
                 f"axis needs min < max, got [{self.min}, {self.max}]"
             )
+        object.__setattr__(self, "min", float(self.min))
+        object.__setattr__(self, "max", float(self.max))
 
     def values(self) -> np.ndarray:
         return np.linspace(self.min, self.max, self.count)
@@ -124,6 +126,10 @@ class SweepSpec:
         unknown = [o for o in self.observables if o not in OBSERVABLE_NAMES]
         if unknown:
             raise InvalidParameterError(f"unknown observables: {unknown}")
+        if self.n_levels < 4:
+            raise InvalidParameterError(
+                f"n_levels must be >= 4 for approx_g2/approx_g3, got {self.n_levels}"
+            )
 
     @property
     def shape(self) -> tuple:

@@ -1,11 +1,15 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rabistark as rs
 from rabistark.cli import format_number, main
 from rabistark.config import load_config, parse_config
+from rabistark.sweep import AXIS_NAMES, OBSERVABLE_NAMES
 
 THERMAL_CONFIG = {
     "model": {"delta": 1.0, "g": 1e-6, "r": 0.2, "u": 0.0, "n_tr": 50},
@@ -64,6 +68,97 @@ def test_config_defaults_and_roundtrip():
     assert parse_config(full.to_dict()) == full
 
 
+def readme_config():
+    """The example config of README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+# Axis bounds are echoed as floats; every other number keeps its JSON type,
+# with integer fields as ints.
+INTEGER_CONFIG = {
+    "model": {"delta": 2, "g": 1, "n_tr": 30.0},
+    "bath": {"kt_c": 0},
+    "scan": {"g_min": 0, "g_max": 2, "count": 9.0, "n_levels": 4.0, "pairs": [[0.0, 1]]},
+    "sweep": {"axis1": {"name": "u", "min": 0, "max": 1, "count": 3},
+              "axis2": {"name": "kt", "min": -1, "max": 2, "count": 2.0},
+              "n_levels": 12.0},
+}
+ECHO_DEFAULT = (
+    '{"bath": {"alpha_c": 0.001, "alpha_q": 0.001, "kt_c": 0.07, "kt_q": 0.07, '
+    '"omega_cutoff": 10.0}, "model": {"delta": 1.0, "g": 0.0, "n_tr": 200, '
+    '"omega0": 1.0, "r": 1.0, "u": 0.0}, "output": {"column": "g2", "scale": "linear"}, '
+    '"scan": {"count": 81, "g_max": 2.0, "g_min": 0.05, "n_levels": 8, "pairs": [[0, 1], '
+    '[1, 2], [2, 3]]}}'
+)
+ECHO_README = (
+    '{"bath": {"alpha_c": 0.001, "alpha_q": 0.001, "kt_c": 0.07, "kt_q": 0.07, '
+    '"omega_cutoff": 10.0}, "model": {"delta": 1.0, "g": 0.5, "n_tr": 120, '
+    '"omega0": 1.0, "r": 0.2, "u": 0.2}, "output": {"column": "g2", "scale": "log10"}, '
+    '"scan": {"count": 81, "g_max": 2.0, "g_min": 0.05, "n_levels": 8, "pairs": [[0, 1], '
+    '[1, 2], [2, 3]]}, "sweep": {"axis1": {"count": 41, "max": 2.0, "min": 0.05, '
+    '"name": "g"}, "axis2": {"count": 41, "max": 2.5, "min": 0.05, "name": "r"}, '
+    '"check_convergence": true, "n_levels": 40, "observables": ["g2", "g3", "xi_b2", '
+    '"n_photon", "flux_proxy"]}}'
+)
+ECHO_INTEGER = (
+    '{"bath": {"alpha_c": 0.001, "alpha_q": 0.001, "kt_c": 0, "kt_q": 0.07, '
+    '"omega_cutoff": 10.0}, "model": {"delta": 2, "g": 1, "n_tr": 30, "omega0": 1.0, '
+    '"r": 1.0, "u": 0.0}, "output": {"column": "g2", "scale": "linear"}, '
+    '"scan": {"count": 9, "g_max": 2, "g_min": 0, "n_levels": 4, "pairs": [[0, 1]]}, '
+    '"sweep": {"axis1": {"count": 3, "max": 1.0, "min": 0.0, "name": "u"}, '
+    '"axis2": {"count": 2, "max": 2.0, "min": -1.0, "name": "kt"}, '
+    '"check_convergence": true, "n_levels": 12, "observables": ["g2", "g3", "g2_approx", '
+    '"g3_approx", "xi_b2", "n_photon", "flux_proxy"]}}'
+)
+
+
+def test_config_echo_is_pinned():
+    for data, echo in (({}, ECHO_DEFAULT), (readme_config(), ECHO_README),
+                       (INTEGER_CONFIG, ECHO_INTEGER)):
+        assert json.dumps(parse_config(data).to_dict(), sort_keys=True) == echo
+
+
+def axes(name):
+    """Valid axes; integer bounds give a JSON-integer max too."""
+    return st.builds(lambda lo, span, count: {"name": name, "min": lo, "max": lo + span,
+                                              "count": count},
+                     st.integers(-5, 5) | st.floats(-5, 5),
+                     st.integers(1, 5) | st.floats(0.01, 5), st.integers(2, 60))
+
+
+@st.composite
+def valid_configs(draw):
+    names = draw(st.permutations(AXIS_NAMES))
+    floats = st.floats(0.05, 3.0)
+    sweep = st.fixed_dictionaries({"axis1": axes(names[0])}, optional={
+        "axis2": axes(names[1]),
+        "observables": st.lists(st.sampled_from(OBSERVABLE_NAMES), unique=True),
+        "n_levels": st.integers(4, 60),
+        "check_convergence": st.booleans(),
+    })
+    return draw(st.fixed_dictionaries({}, optional={
+        "model": st.fixed_dictionaries({}, optional={
+            "delta": floats, "g": st.integers(0, 3) | floats, "r": floats,
+            "u": st.floats(-0.9, 0.9), "n_tr": st.integers(2, 300)}),
+        "bath": st.fixed_dictionaries({}, optional={"alpha_c": floats, "kt_q": st.floats(0, 1)}),
+        "scan": st.fixed_dictionaries({}, optional={
+            "count": st.integers(8, 200), "n_levels": st.integers(2, 20),
+            "pairs": st.lists(st.integers(0, 10).map(lambda k: [k, k + 1]), min_size=1)}),
+        "sweep": sweep,
+        "output": st.fixed_dictionaries({}, optional={
+            "scale": st.sampled_from(["linear", "log10"]),
+            "column": st.sampled_from(OBSERVABLE_NAMES)}),
+    }))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_config_echo_round_trips_through_json(data):
+    cfg = parse_config(data)
+    assert parse_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(rs.ConfigError) as err:
         parse_config({"model": {"delta": 1.0, "coupling": 2.0}})
@@ -97,7 +192,11 @@ def test_config_rejects_bad_values():
                  {"sweep": {"axis1": axis, "n_levels": 40.5}},
                  {"sweep": {"axis1": axis, "n_levels": "40"}},
                  {"sweep": {"axis1": axis, "n_levels": True}},
-                 {"sweep": {"axis1": axis, "n_levels": 1}}):
+                 {"sweep": {"axis1": axis, "n_levels": 1}},
+                 {"sweep": {"axis1": axis, "n_levels": 2}},
+                 {"sweep": {"axis1": axis, "n_levels": 3}},
+                 {"scan": {"count": 7}}, {"scan": {"n_levels": 1}},
+                 {"scan": {"pairs": [[0, 2]]}}, {"output": {"column": "eta1"}}):
         with pytest.raises(rs.ConfigError):
             parse_config(data)
     # sweep.n_levels follows the integer rule of every other integer field.
@@ -359,6 +458,10 @@ def test_cli_rejects_non_finite_config(tmp_path, capsys):
         {"sweep": {"axis1": axis, "n_levels": 40.5}},
         {"sweep": {"axis1": axis, "n_levels": "40"}},
         {"sweep": {"axis1": axis, "n_levels": True}},
+        # approx_g2/approx_g3 need 4 levels: such a sweep would only fill
+        # error-coded rows.
+        {"sweep": {"axis1": axis, "n_levels": 2}},
+        {"sweep": {"axis1": axis, "n_levels": 3}},
     )
     for k, data in enumerate(configs):
         path = write_config(tmp_path, data, name=f"nonfinite{k}.json")
@@ -366,3 +469,13 @@ def test_cli_rejects_non_finite_config(tmp_path, capsys):
         command = "sweep" if "sweep" in data else "spectrum"
         assert main([command, "--config", path, "--out", str(tmp_path / "x")]) == 2, data
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x" / f"{command}.csv").exists()
+
+
+def test_cli_sweep_only_flags(tmp_path):
+    config = write_config(tmp_path, {"model": {"n_tr": 20}})
+    for command in ("spectrum", "critical", "observables"):
+        for flag in (["--workers", "2"], ["--scale", "log10"], ["--plot"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", config, "--out", str(tmp_path / "x")] + flag)
+            assert exc.value.code == 2

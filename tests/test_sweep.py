@@ -54,6 +54,9 @@ def test_axis_and_spec_validation():
         small_spec(axis2=AxisSpec("g", 0.0, 1.0, 3))
     with pytest.raises(rs.InvalidParameterError):
         small_spec(observables=("g2", "bogus"))
+    for n_levels in (2, 3):
+        with pytest.raises(rs.InvalidParameterError, match="approx_g2/approx_g3"):
+            small_spec(n_levels=n_levels)
     with pytest.raises(rs.InvalidParameterError):
         run_sweep(small_spec(), workers=0)
 
