@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from types import SimpleNamespace
 from typing import Optional
 
-from .dissipation import BathParams
+from .dissipation import DEFAULT_N_LEVELS, BathParams
 from .errors import ConfigError, InvalidParameterError
 from .spectrum import ModelParams, _is_finite
 from .sweep import OBSERVABLE_NAMES, AxisSpec, SweepSpec
@@ -169,7 +170,9 @@ def parse_config(data: dict) -> RunConfig:
                     readers={"pairs": _pairs})
     sweep = None
     if "sweep" in data:
-        sweep = _section("sweep", SweepSpec, data["sweep"], model=model, bath=bath,
+        # An absent n_levels reads as the default, or as every level of a smaller model.
+        levels = SimpleNamespace(n_levels=min(DEFAULT_N_LEVELS, model.dim))
+        sweep = _section("sweep", SweepSpec, data["sweep"], levels, model=model, bath=bath,
                          readers={"axis1": _axis, "axis2": _axis, "observables": _names,
                                   "check_convergence": _flag})
     return _section("output", RunConfig, data.get("output", {}), defaults,

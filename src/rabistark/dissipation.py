@@ -240,7 +240,7 @@ def steady_populations(table: TransitionTable) -> SteadyState:
                 f"level {n} has no downward flow during elimination"
             )
         escape[n] = s
-        rate[:n, :n] += np.outer(rate[:n, n], rate[n, :n]) / s
+        rate[:n, :n] += rate[:n, n, None] * rate[n, :n] / s
 
     pops = np.zeros(L)
     pops[0] = 1.0

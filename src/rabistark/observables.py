@@ -17,20 +17,21 @@ import numpy as np
 
 from .errors import InvalidInputError, ZeroFluxError
 from .dissipation import SteadyState
-from .spectrum import EigenSystem, field_diagonals, parity_odd_elements
+from .spectrum import EigenSystem, Memo, field_diagonals, parity_odd_elements
 
 ZERO_FLUX_THRESHOLD = 1e-30
 P1_FLOOR = 1e-300
 
 
 @dataclass
-class DetectionOperator:
+class DetectionOperator(Memo):
     """Gap-weighted emission operator in the energy eigenbasis.
 
     xplus[j, k] = (E_k - E_j) * xmat[j, k] for k > j, zero elsewhere;
     xmat[j, k] = <phi_j| (a + a^dag) |phi_k> restricted to the same levels.
     The physical operator carries a global factor -i, dropped here: every
-    observable takes |.|^2 of its elements, so xplus stays real.
+    observable takes |.|^2 of its elements, so xplus stays real.  The
+    emission norms of flux_proxy and correlation_g_n are memoized on it.
     """
 
     xplus: np.ndarray
@@ -45,9 +46,13 @@ def detection_operator(eigs: EigenSystem, n_levels: Optional[int] = None) -> Det
     """Build the detection operator over the lowest n_levels eigenstates.
 
     The result is strictly upper triangular in the energy-sorted basis and
-    annihilates the ground state.
+    annihilates the ground state.  Memoized on eigs.
     """
     L = eigs.dim if n_levels is None else min(int(n_levels), eigs.dim)
+    return eigs.memo(("detection_operator", L), _detection_operator, eigs, L)
+
+
+def _detection_operator(eigs: EigenSystem, L: int) -> DetectionOperator:
     _, xmat = parity_odd_elements(eigs, L)
     gap = eigs.energies[:L][None, :] - eigs.energies[:L][:, None]  # gap[j,k] = E_k - E_j
     xplus = np.triu(gap * xmat, k=1)
@@ -57,7 +62,7 @@ def detection_operator(eigs: EigenSystem, n_levels: Optional[int] = None) -> Det
 def flux_proxy(x: DetectionOperator, ss: SteadyState) -> float:
     """Steady-state emission flux <X^- X^+> (dimensionless proxy)."""
     L = min(x.n_levels, ss.n_levels)
-    norms = np.sum(np.abs(x.xplus[:, :L]) ** 2, axis=0)
+    norms = x.memo(("emission_norms", L, 1), _emission_norms, x.xplus[:, :L], 1)
     return float(np.dot(ss.populations[:L], norms))
 
 
@@ -74,9 +79,15 @@ def correlation_g_n(
             f"<X^- X^+> = {denom:.3e} is below {ZERO_FLUX_THRESHOLD}; the "
             "correlation ratio is 0/0 (non-emitting steady state)"
         )
-    power = np.linalg.matrix_power(x.xplus[:L, :L], n)
-    numer = float(np.dot(ss.populations[:L], np.sum(np.abs(power) ** 2, axis=0)))
+    norms = x.memo(("emission_norms", L, n), _emission_norms, x.xplus[:L, :L], n)
+    numer = float(np.dot(ss.populations[:L], norms))
     return numer / denom**n
+
+
+def _emission_norms(xplus: np.ndarray, n: int) -> np.ndarray:
+    """Column norms sum_j |(X^+)^n [j, k]|^2: <k|X^-n X^+n|k> for each level k."""
+    power = xplus if n == 1 else np.linalg.matrix_power(xplus, n)
+    return np.sum(np.abs(power) ** 2, axis=0)
 
 
 def approx_g2(

@@ -3,9 +3,9 @@
 Each grid point runs spectrum -> rates -> steady state -> observables;
 failing points are recorded with an error code instead of aborting the
 sweep.  The bath enters only through the rates, so grid points that share
-(g, r, u, n_tr) share one spectrum: run_sweep groups them and solves each
-spectrum once per sweep.  Results land in preallocated row-major slots,
-so the output is identical for any worker count.
+(g, r, u, n_tr) share one spectrum and what is built from it alone (see
+spectrum.Memo): run_sweep groups them and solves each spectrum once per
+sweep.  Results land in row-major slots, the same for any worker count.
 """
 
 from __future__ import annotations
@@ -126,10 +126,15 @@ class SweepSpec:
         unknown = [o for o in self.observables if o not in OBSERVABLE_NAMES]
         if unknown:
             raise InvalidParameterError(f"unknown observables: {unknown}")
+        if not self.observables:
+            raise InvalidParameterError(f"observables must name one or more of {OBSERVABLE_NAMES}")
         if self.n_levels < 4:
             raise InvalidParameterError(
                 f"n_levels must be >= 4 for approx_g2/approx_g3, got {self.n_levels}"
             )
+        if self.n_levels > self.model.dim:
+            raise InvalidParameterError(f"n_levels {self.n_levels} is beyond the "
+                                        f"{self.model.dim} levels at n_tr={self.model.n_tr}")
 
     @property
     def shape(self) -> tuple:
@@ -282,8 +287,8 @@ def evaluate_point(
 def _evaluate_group(args) -> list:
     """Evaluate every (flat, bath) slot of one model against shared spectra.
 
-    The cache lives as long as the task.  A solve that raises is not cached,
-    so a failing spectrum is attempted again for each bath.
+    The cache, and the memo of each spectrum in it, live as long as the task.
+    A solve that raises is not cached, so it is attempted again for each bath.
     """
     spec, model, slots = args
     solve = functools.cache(eigensystem)

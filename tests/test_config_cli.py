@@ -3,7 +3,7 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
@@ -133,11 +133,11 @@ def valid_configs(draw):
     floats = st.floats(0.05, 3.0)
     sweep = st.fixed_dictionaries({"axis1": axes(names[0])}, optional={
         "axis2": axes(names[1]),
-        "observables": st.lists(st.sampled_from(OBSERVABLE_NAMES), unique=True),
+        "observables": st.lists(st.sampled_from(OBSERVABLE_NAMES), min_size=1, unique=True),
         "n_levels": st.integers(4, 60),
         "check_convergence": st.booleans(),
     })
-    return draw(st.fixed_dictionaries({}, optional={
+    data = draw(st.fixed_dictionaries({}, optional={
         "model": st.fixed_dictionaries({}, optional={
             "delta": floats, "g": st.integers(0, 3) | floats, "r": floats,
             "u": st.floats(-0.9, 0.9), "n_tr": st.integers(2, 300)}),
@@ -150,6 +150,10 @@ def valid_configs(draw):
             "scale": st.sampled_from(["linear", "log10"]),
             "column": st.sampled_from(OBSERVABLE_NAMES)}),
     }))
+    # A sweep may use no more levels than the model has.
+    levels = 2 * (data.get("model", {}).get("n_tr", 200) + 1)
+    assume(data.get("sweep", {}).get("n_levels", 4) <= levels)
+    return data
 
 
 @settings(max_examples=200, deadline=None)
@@ -196,12 +200,21 @@ def test_config_rejects_bad_values():
                  {"sweep": {"axis1": axis, "n_levels": 2}},
                  {"sweep": {"axis1": axis, "n_levels": 3}},
                  {"scan": {"count": 7}}, {"scan": {"n_levels": 1}},
-                 {"scan": {"pairs": [[0, 2]]}}, {"output": {"column": "eta1"}}):
+                 {"scan": {"pairs": [[0, 2]]}}, {"output": {"column": "eta1"}},
+                 {"sweep": {"axis1": axis, "observables": []}},
+                 {"model": {"n_tr": 12}, "sweep": {"axis1": axis, "n_levels": 27}}):
         with pytest.raises(rs.ConfigError):
             parse_config(data)
     # sweep.n_levels follows the integer rule of every other integer field.
     sweep = parse_config({"sweep": {"axis1": axis, "n_levels": 40.0}}).sweep
     assert sweep.n_levels == 40 and isinstance(sweep.n_levels, int)
+    # Up to every level of the model; an absent n_levels takes no more than that.
+    for n_levels in (26, None):
+        data = {"model": {"n_tr": 12}, "sweep": {"axis1": axis, "n_levels": n_levels}}
+        if n_levels is None:
+            del data["sweep"]["n_levels"]
+        cfg = parse_config(data)
+        assert cfg.sweep.n_levels == 26 and cfg.to_dict()["sweep"]["n_levels"] == 26
 
 
 # ---------------------------------------------------------------------- cli
@@ -462,6 +475,9 @@ def test_cli_rejects_non_finite_config(tmp_path, capsys):
         # error-coded rows.
         {"sweep": {"axis1": axis, "n_levels": 2}},
         {"sweep": {"axis1": axis, "n_levels": 3}},
+        # No observable to write, or more levels than the model's 26.
+        {"sweep": {"axis1": axis, "observables": []}},
+        {"model": {"n_tr": 12}, "sweep": {"axis1": axis, "n_levels": 60}},
     )
     for k, data in enumerate(configs):
         path = write_config(tmp_path, data, name=f"nonfinite{k}.json")

@@ -1,5 +1,5 @@
+import functools
 import math
-
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +8,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
-from rabistark import sweep
+from rabistark import spectrum, sweep
 from rabistark.cli import sweep_csv
 from rabistark.spectrum import edge_residuals, keeps_lowest_levels
 from rabistark.sweep import (
@@ -204,15 +204,15 @@ def test_near_degeneracy_flag_at_ground_crossing():
     assert any(not f for f in flags)
 
 
-def counting(monkeypatch, name):
-    """Replace sweep.<name> by a wrapper that logs each call's first argument."""
-    calls, real = [], getattr(sweep, name)
+def counting(monkeypatch, name, module=sweep):
+    """Replace module.<name> by a wrapper that logs each call's first argument."""
+    calls, real = [], getattr(module, name)
 
     def wrapper(first, *args, **kwargs):
         calls.append(first)
         return real(first, *args, **kwargs)
 
-    monkeypatch.setattr(sweep, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -432,7 +432,7 @@ def test_uncertified_slots_solve_the_larger_spectrum_once(monkeypatch):
     # At n_tr=6 all 14 levels are in use, so no slot is certified and each
     # group solves its n_tr+40 spectrum once for all of its baths.
     solved = counting(monkeypatch, "eigensystem")
-    spec = small_spec(model=replace(BASE_MODEL, n_tr=6),
+    spec = small_spec(model=replace(BASE_MODEL, n_tr=6), n_levels=14,
                       axis2=AxisSpec("kt", 0.02, 0.2, 4), check_convergence=True)
     result = run_sweep(spec, workers=1)
     assert all(pt.error_code == ERR_OK for pt in result.points)
@@ -446,3 +446,55 @@ def test_one_dimensional_kt_sweep_is_worker_independent():
     spec = SweepSpec(model=BASE_MODEL, bath=BASE_BATH, axis1=AxisSpec("kt", 0.0, 0.2, 7),
                      n_levels=12, check_convergence=True)
     assert sweep_csv(run_sweep(spec, workers=1)) == sweep_csv(run_sweep(spec, workers=2))
+
+
+@pytest.mark.parametrize("n_tr, n_levels, resolves", [(40, 20, False), (6, 14, True)])
+def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_levels, resolves):
+    # A u x kT grid: |u| >= 1 rows, and per model a kT=0 bath and three warm ones.
+    # The matrix elements, the truncation check and the X+^n powers (n = 2,
+    # 3) are computed once per spectrum and level count, not once per slot.
+    # At n_tr=6 every slot is re-solved, and each n_tr+40 spectrum gets its
+    # matrix elements once.
+    elements = counting(monkeypatch, "_parity_odd_elements", spectrum)
+    checked = counting(monkeypatch, "_keeps_lowest_levels", spectrum)
+    powers = counting(monkeypatch, "matrix_power", np.linalg)
+    resolved = counting(monkeypatch, "_n_photon_at")
+    spec = SweepSpec(model=replace(BASE_MODEL, n_tr=n_tr), bath=BASE_BATH,
+                     axis1=AxisSpec("u", -1.2, 1.2, 5), axis2=AxisSpec("kt", 0.0, 0.2, 4),
+                     n_levels=n_levels, check_convergence=True)
+    result = run_sweep(spec, workers=1)
+    assert [pt.error_code for pt in result.points].count(ERR_OK) == 9
+    models = {pt.model for pt in result.points if pt.model is not None}
+    assert len(models) == 3
+    assert bool(resolved) is resolves and len(resolved) == (9 if resolves else 0)
+    spectra = len(models) + len(set(resolved))
+    assert len(elements) == spectra and len({id(e) for e in elements}) == spectra
+    # A re-solved slot fails the edge certificate before the level check.
+    assert len(checked) == len(set(checked)) and set(checked) == (set() if resolves else models)
+    assert len(powers) == 2 * len(models)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_tr=st.integers(2, 30),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    r=st.floats(0.0, 2.0),
+    u=st.floats(-0.9, 0.9),
+    baths=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+                             st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+                             st.integers(4, 70)), min_size=1, max_size=6),
+    check=st.booleans(),
+)
+@example(n_tr=2, g=1.5, r=1.0, u=0.0, baths=[(0.07, 0.07, 6), (0.0, 0.0, 6), (0.2, 0.0, 4)],
+         check=True)
+def test_shared_spectrum_matches_standalone_points(n_tr, g, r, u, baths, check):
+    # One EigenSystem (and one n_tr+40 one) shared by baths in any order,
+    # as in a grouped sweep, gives each bath its standalone result.
+    model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    solve = functools.cache(rs.eigensystem)
+    for kt_q, kt_c, n_levels in baths:
+        bath = rs.BathParams(kt_q=kt_q, kt_c=kt_c)
+        shared = evaluate_point(model, bath, n_levels=n_levels, check_convergence=check,
+                                solve=solve)
+        alone = evaluate_point(model, bath, n_levels=n_levels, check_convergence=check)
+        assert repr(shared) == repr(alone)
