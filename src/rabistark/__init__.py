@@ -47,6 +47,7 @@ from .sweep import (
     PointResult,
     SweepResult,
     SweepSpec,
+    evaluate_group,
     evaluate_point,
     run_sweep,
 )

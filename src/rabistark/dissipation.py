@@ -10,6 +10,7 @@ transition weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,34 +54,36 @@ class BathParams:
             raise InvalidParameterError("bath temperatures must be >= 0")
 
 
-def bose_occupation(gap, kt: float):
+def bose_occupation(gap, kt):
     """Bose-Einstein occupation 1/(exp(gap/kt) - 1) for gap > 0, kt >= 0.
 
-    gap may be a scalar or an array; a scalar gap gives a float.
+    gap and kt may be scalars or arrays that broadcast together; scalars give
+    a float.  kt = 0 gives n = 0.
     """
     gap = np.asarray(gap, dtype=float)
+    kt = np.asarray(kt, dtype=float)
     if np.any(gap <= 0):
         raise InvalidInputError(f"gap must be > 0, got {gap.min()}")
-    if kt < 0:
-        raise InvalidInputError(f"kt must be >= 0, got {kt}")
-    if kt == 0.0:
-        n = np.zeros_like(gap)
-    else:
-        with np.errstate(over="ignore"):    # inf at a subnormal kt, where n = 0
-            x = gap / kt
-        # For x > 30, e^-x / (1 - e^-x) never overflows.
-        ex = np.exp(-x)
-        n = np.where(x > 30.0, ex / (1.0 - ex), 1.0 / np.expm1(np.minimum(x, 30.0)))
+    if np.any(kt < 0):
+        raise InvalidInputError(f"kt must be >= 0, got {kt.min()}")
+    # x = inf at kt = 0 or a subnormal kt, where n = 0.
+    with np.errstate(over="ignore", divide="ignore"):
+        x = gap / kt
+    # For x > 30, e^-x / (1 - e^-x) never overflows.
+    ex = np.exp(-x)
+    n = np.where(x > 30.0, ex / (1.0 - ex), 1.0 / np.expm1(np.minimum(x, 30.0)))
     return float(n) if n.ndim == 0 else n
 
 
 @dataclass
 class TransitionTable:
-    """Per-pair gaps, coupling matrix elements, and regularized rate weights.
+    """Regularized rate weights of a batch of baths over one spectrum's levels.
 
-    All arrays are (n_levels, n_levels); entry [k, j] with k > j refers to
-    the ordered pair (upper k, lower j).  down_* is the emission weight
-    Gamma*(1+n) for k -> j, up_* the absorption weight Gamma*n for j -> k.
+    gap, m_q and m_c are (n_levels, n_levels) and shared by the baths; the
+    weights are (B, n_levels, n_levels), one table per bath, and kt_q, kt_c
+    are (B,).  Entry [..., k, j] with k > j refers to the ordered pair
+    (upper k, lower j).  down_* is the emission weight Gamma*(1+n) for
+    k -> j, up_* the absorption weight Gamma*n for j -> k.
     """
 
     n_levels: int
@@ -91,8 +94,8 @@ class TransitionTable:
     up_q: np.ndarray
     down_c: np.ndarray
     up_c: np.ndarray
-    kt_q: float
-    kt_c: float
+    kt_q: np.ndarray
+    kt_c: np.ndarray
 
     @property
     def down_total(self) -> np.ndarray:
@@ -103,18 +106,17 @@ class TransitionTable:
         return self.up_q + self.up_c
 
     def flow_matrix(self) -> np.ndarray:
-        """flow[m, k] = total transition rate from level k into level m."""
-        down = self.down_total
-        up = self.up_total
-        return down.T + up
+        """flow[b, m, k] = total transition rate of bath b from level k into level m."""
+        return np.swapaxes(self.down_total, -1, -2) + self.up_total
 
 
 def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
     """Down/up weights for one bath over pairs with gap >= 0.
 
-    gap and melem_sq may be scalars or arrays of the same shape.  Pairs with
-    gap < eps take the degenerate limit of both weights, which vanishes at
-    kt = 0.
+    gap and melem_sq may be scalars or arrays of the same shape; alpha,
+    omega_cutoff and kt may be arrays that broadcast against them, one entry
+    per bath.  Pairs with gap < eps take the degenerate limit of both
+    weights, which vanishes at kt = 0.
     """
     gap = np.asarray(gap, dtype=float)
     cutoff = np.exp(-np.abs(gap) / omega_cutoff)
@@ -128,52 +130,71 @@ def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
     return down, up
 
 
-def transition_rates(
-    eigs: EigenSystem,
-    model: ModelParams,
-    bath: BathParams,
-    n_levels: int = DEFAULT_N_LEVELS,
-) -> TransitionTable:
-    """Build the regularized rate table over the lowest n_levels eigenstates."""
-    L = min(int(n_levels), eigs.dim)
-    if L < 2:
-        raise InvalidParameterError(f"need at least 2 levels, got {n_levels}")
+def _level_pairs(eigs: EigenSystem, L: int) -> tuple:
+    """Gaps E_k - E_j; the flat indices of the pairs (k, j), k > j, in row-major
+    order; and per pair the gap and the squared qubit and cavity matrix
+    elements <j|.|k>^2."""
     energies = eigs.energies[:L]
     m_q, m_c = parity_odd_elements(eigs, L)
     gap = energies[:, None] - energies[None, :]
+    lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
+    return gap, np.flatnonzero(lower), gap[lower], m_q.T[lower] ** 2, m_c.T[lower] ** 2
+
+
+def transition_rates(
+    eigs: EigenSystem,
+    model: ModelParams,
+    baths: Sequence[BathParams],
+    n_levels: int = DEFAULT_N_LEVELS,
+) -> TransitionTable:
+    """Build the regularized rate table of each bath over the lowest n_levels
+    eigenstates, stacked in the order of baths.  What depends on the spectrum
+    alone is memoized on eigs."""
+    L = min(int(n_levels), eigs.dim)
+    if L < 2:
+        raise InvalidParameterError(f"need at least 2 levels, got {n_levels}")
+    m_q, m_c = parity_odd_elements(eigs, L)
+    gap, pairs, d, mq_sq, mc_sq = eigs.memo(("level_pairs", L), _level_pairs, eigs, L)
     eps = GAP_EPSILON_FRACTION * model.omega0
 
-    # Ordered pairs (upper k, lower j), k > j; matrix elements are <j|.|k>.
-    lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
-    d = gap[lower]
-    dq, uq = _pair_weights(
-        bath.alpha_q, d, model.delta, bath.omega_cutoff, m_q.T[lower] ** 2, bath.kt_q, eps
-    )
-    dc, uc = _pair_weights(
-        bath.alpha_c, d, model.omega0, bath.omega_cutoff, m_c.T[lower] ** 2, bath.kt_c, eps
-    )
+    alpha_q, alpha_c, cutoff, kt_q, kt_c = np.array(
+        [[b.alpha_q, b.alpha_c, b.omega_cutoff, b.kt_q, b.kt_c] for b in baths]).T[:, :, None]
+    dq, uq = _pair_weights(alpha_q, d, model.delta, cutoff, mq_sq, kt_q, eps)
+    dc, uc = _pair_weights(alpha_c, d, model.omega0, cutoff, mc_sq, kt_c, eps)
 
     def table(values):
-        out = np.zeros((L, L), dtype=values.dtype)
-        out[lower] = values
-        return out
+        out = np.zeros((len(baths), L * L))
+        out[:, pairs] = values
+        return out.reshape(-1, L, L)
 
     return TransitionTable(
         n_levels=L, gap=gap, m_q=m_q, m_c=m_c,
         down_q=table(dq), up_q=table(uq), down_c=table(dc), up_c=table(uc),
-        kt_q=bath.kt_q, kt_c=bath.kt_c,
+        kt_q=kt_q[:, 0], kt_c=kt_c[:, 0],
     )
 
 
 @dataclass
 class SteadyState:
-    """Diagonal steady-state populations over the lowest eigenstates."""
+    """Diagonal steady-state populations over the lowest eigenstates.
+
+    populations is (n_levels,) for one bath, or (B, n_levels) with one row
+    per bath as steady_populations returns it.  Then errors[b] is the
+    exception bath b's balance raised, or None; a failed bath's row is NaN.
+    """
 
     populations: np.ndarray
+    errors: tuple = ()
 
     @property
     def n_levels(self) -> int:
-        return self.populations.shape[0]
+        return self.populations.shape[-1]
+
+    def of_bath(self, b: int) -> "SteadyState":
+        """The steady state of bath b alone; raises the error its balance met."""
+        if self.errors[b] is not None:
+            raise self.errors[b]
+        return SteadyState(populations=self.populations[b])
 
 
 def _graph_components(linked: np.ndarray) -> list:
@@ -198,59 +219,75 @@ def _graph_components(linked: np.ndarray) -> list:
     return components
 
 
+def _no_steady_state(linked: np.ndarray, n: int):
+    """The error of a bath whose elimination left level n with no downward flow."""
+    components = _graph_components(linked)
+    if len(components) > 1:
+        return MultipleSteadyStateError(components)
+    return NumericFailureError(f"level {n} has no downward flow during elimination")
+
+
 def steady_populations(table: TransitionTable) -> SteadyState:
-    """Solve the diagonal balance equations for the steady populations.
+    """Solve the diagonal balance equations of every bath of the table.
 
     The balance system (flow in = flow out for every level, populations
     normalized) is solved by GTH state elimination, which uses no
     subtractions and therefore resolves every component with small
     *relative* error; Boltzmann tails far below machine epsilon come out
-    correctly instead of as solver noise.  At zero temperature in both
-    baths the ground state is returned directly.
+    correctly instead of as solver noise.  A bath at zero temperature in
+    both reservoirs gets the ground state directly.  The other baths are
+    eliminated together, one level at a time over the whole stack; each
+    bath's arithmetic is the same as for a table of its own.
 
     Elimination also decides uniqueness: a level left with no downward
-    flow means some closed set of levels does not hold level 0.  Only then
-    are the components of the transition graph computed: several raise
-    MultipleSteadyStateError, one (a set closed in one direction only)
-    raises NumericFailureError.
+    flow means some closed set of levels does not hold level 0.  Only for
+    such a bath are the components of its transition graph computed:
+    several give MultipleSteadyStateError, one (a set closed in one
+    direction only) NumericFailureError.  The error is kept in errors[b],
+    for SteadyState.of_bath to raise, and the bath's row is NaN.
     """
-    L = table.n_levels
-    if table.kt_q == 0.0 and table.kt_c == 0.0:
-        pops = np.zeros(L)
-        pops[0] = 1.0
-        return SteadyState(populations=pops)
+    B, L = table.down_q.shape[0], table.n_levels
+    pops = np.full((B, L), np.nan)
+    errors = [None] * B
+    cold = (table.kt_q == 0.0) & (table.kt_c == 0.0)
+    pops[cold] = np.eye(1, L)
 
-    # rate[i, j]: transition rate from level i to level j.  A pair whose
-    # weights all sit at or below WEIGHT_FLOOR is unlinked and carries no
-    # rate, so a block cut off by such pairs has exactly zero escape.
-    linked = (table.down_total > WEIGHT_FLOOR) | (table.up_total > WEIGHT_FLOOR)
-    linked |= linked.T
-    rate = np.where(linked, table.flow_matrix().T, 0.0)
+    # rate[b, i, j]: transition rate of bath b from level i to level j.  A
+    # pair whose weights all sit at or below WEIGHT_FLOOR is unlinked and
+    # carries no rate, so a block cut off by such pairs has exactly zero escape.
+    live = np.flatnonzero(~cold)
+    down, up = table.down_total[live], table.up_total[live]
+    linked = (down > WEIGHT_FLOOR) | (up > WEIGHT_FLOOR)
+    linked |= np.swapaxes(linked, -1, -2)
+    rate = np.where(linked, down + np.swapaxes(up, -1, -2), 0.0)
 
     # Fold states from the top down; record the escape rate and the inflow
     # column of each state at its elimination time for back-substitution.
-    escape = np.zeros(L)
-    for n in range(L - 1, 0, -1):
-        s = rate[n, :n].sum()
-        if s <= 0.0:
-            components = _graph_components(linked)
-            if len(components) > 1:
-                raise MultipleSteadyStateError(components)
-            raise NumericFailureError(
-                f"level {n} has no downward flow during elimination"
-            )
-        escape[n] = s
-        rate[:n, :n] += rate[:n, n, None] * rate[n, :n] / s
+    # A bath that meets a zero escape s divides by it from there on: its
+    # slice turns NaN without touching the others, and is judged after the
+    # loops, at its first (highest) such level.
+    escape = np.zeros((L, live.size, 1, 1))
+    p = np.zeros((live.size, 1, L))
+    p[:, :, 0] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(L - 1, 0, -1):
+            row = rate[:, n, None, :n]
+            s = escape[n] = row.sum(axis=-1, keepdims=True)
+            block = rate[:, :n, :n]
+            block += rate[:, :n, n, None] * row / s
+        for n in range(1, L):
+            np.divide(p[:, :, :n] @ rate[:, :n, n, None], escape[n], out=p[:, :, n, None])
+        pops[live] = p[:, 0] / p[:, 0].sum(axis=-1, keepdims=True)
 
-    pops = np.zeros(L)
-    pops[0] = 1.0
-    for n in range(1, L):
-        pops[n] = np.dot(pops[:n], rate[:n, n]) / escape[n]
-    return SteadyState(populations=pops / pops.sum())
+    stuck = escape[1:, :, 0, 0] <= 0.0
+    for k in np.flatnonzero(stuck.any(axis=0)):
+        errors[live[k]] = _no_steady_state(linked[k], 1 + np.flatnonzero(stuck[:, k])[-1])
+        pops[live[k]] = np.nan
+    return SteadyState(populations=pops, errors=tuple(errors))
 
 
 def balance_residual(table: TransitionTable, state: SteadyState) -> float:
-    """Max-norm residual of the steady-state balance equations."""
+    """Max-norm residual of the steady-state balance equations over all baths."""
     flow = table.flow_matrix()
     p = state.populations
-    return float(np.max(np.abs(flow @ p - flow.sum(axis=0) * p)))
+    return float(np.max(np.abs((flow @ p[..., None])[..., 0] - flow.sum(axis=-2) * p)))

@@ -4,17 +4,17 @@ Each grid point runs spectrum -> rates -> steady state -> observables;
 failing points are recorded with an error code instead of aborting the
 sweep.  The bath enters only through the rates, so grid points that share
 (g, r, u, n_tr) share one spectrum and what is built from it alone (see
-spectrum.Memo): run_sweep groups them and solves each spectrum once per
-sweep.  Results land in row-major slots, the same for any worker count.
+spectrum.Memo): run_sweep groups them, and evaluate_group solves each
+spectrum once and the group's baths as one stack.  Results land in
+row-major slots, the same for any worker count.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -198,16 +198,118 @@ class SweepResult:
         return out
 
 
-def _steady(eigs, model: ModelParams, bath: BathParams, n_levels: int):
-    """Rates and steady state over the lowest n_levels eigenstates of eigs."""
-    return steady_populations(transition_rates(eigs, model, bath, n_levels=n_levels))
+def _failure(model, bath, exc, near_degenerate: bool, check_convergence: bool) -> PointResult:
+    code = next(c for kind, c in _ERROR_CODES.items() if isinstance(exc, kind))
+    converged = False if check_convergence else None
+    return PointResult(model, bath, None, converged, near_degenerate, code, str(exc))
 
 
-def _n_photon_at(model: ModelParams, bath: BathParams, n_levels: int, solve=None) -> float:
-    eigs = (solve or eigensystem)(model)
-    ss = _steady(eigs, model, bath, n_levels)
-    _, n_photon, _ = field_moments(ss, eigs)
-    return n_photon
+def _report(eigs: EigenSystem, ss, bath: BathParams) -> ObservableReport:
+    """Every observable of one bath's steady state ss."""
+    x = detection_operator(eigs, n_levels=ss.n_levels)
+    moments = field_moments(ss, eigs)
+    a_mean, n_photon, a_sq = moments
+
+    flux = flux_proxy(x, ss)
+    g2 = correlation_g_n(x, ss, eigs, 2)
+    g3 = correlation_g_n(x, ss, eigs, 3)
+    g2_a, eta1, eta2 = approx_g2(eigs, x, ss)
+    kt_eff = bath.kt_c if bath.kt_c > 0 else bath.kt_q
+    g3_a, eta3 = approx_g3(eigs, x, kt_eff)
+    xi_b2, _, _ = squeezing_factor(ss, eigs, moments=moments)
+    return ObservableReport(
+        g2=g2, g3=g3, g2_approx=g2_a, g3_approx=g3_a, xi_b2=xi_b2,
+        n_photon=n_photon, a_mean=a_mean, a_sq=a_sq, flux_proxy=flux,
+        eta1=eta1, eta2=eta2, eta3=eta3,
+    )
+
+
+def _n_photon_at(model: ModelParams, baths: list, n_levels: int) -> list:
+    """Photon number of each bath's steady state at model's truncation, None
+    for a bath with no steady state."""
+    eigs = eigensystem(model)
+    states = steady_populations(transition_rates(eigs, model, baths, n_levels=n_levels))
+    return [None if err is not None else field_moments(states.of_bath(b), eigs)[1]
+            for b, err in enumerate(states.errors)]
+
+
+def _agrees(n_photon: float, bigger: float) -> bool:
+    """Photon numbers equal within CONVERGENCE_TOL, relative, or absolute
+    when both are below 1e-6."""
+    scale = max(abs(n_photon), abs(bigger))
+    if scale < 1e-6:
+        return abs(bigger - n_photon) < CONVERGENCE_TOL
+    return abs(bigger - n_photon) / scale < CONVERGENCE_TOL
+
+
+def evaluate_group(
+    model: ModelParams,
+    baths: Sequence[BathParams],
+    n_levels: int = DEFAULT_N_LEVELS,
+    check_convergence: bool = True,
+    delta_ntr: int = CONVERGENCE_DELTA_NTR,
+) -> list:
+    """Run the full pipeline for one model against each bath of baths.
+
+    Returns one PointResult per bath, in order.  The spectrum is solved once
+    for the group, and the rate tables and steady states of all baths are
+    built and solved as one stack (transition_rates, steady_populations);
+    the observables are then read off each bath's steady state.  Errors stay
+    per bath: zero-flux and no-steady-state conditions are reported through
+    that bath's error code with an empty report, never raised, and a failure
+    before the baths part (the spectrum, say) is every bath's error.
+
+    The convergence flag says the photon number is stable under n_tr ->
+    n_tr + delta_ntr; it is None when check_convergence is off.  It is True
+    without a re-solve when the edge certificate w = sum_k p_k (n_tr+1)
+    |h v_k[n_tr]| (see edge_residuals) is at most CERTIFY_TOL and the longer
+    chains add no level below the ones in use (keeps_lowest_levels).  The
+    baths that miss it are re-solved together on the enlarged truncation,
+    over the same number of levels, and their photon numbers must agree
+    within CONVERGENCE_TOL, relative, or absolute when both are below 1e-6.
+    """
+    near_degenerate = False
+    try:
+        eigs = eigensystem(model)
+        near_degenerate = (
+            eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
+        )
+        states = steady_populations(transition_rates(eigs, model, baths, n_levels=n_levels))
+    except tuple(_ERROR_CODES) as exc:
+        return [_failure(model, bath, exc, near_degenerate, check_convergence) for bath in baths]
+
+    results = []
+    for b, bath in enumerate(baths):
+        try:
+            report = _report(eigs, states.of_bath(b), bath)
+        except tuple(_ERROR_CODES) as exc:
+            results.append(_failure(model, bath, exc, near_degenerate, check_convergence))
+        else:
+            results.append(PointResult(model, bath, report, None, near_degenerate, ERR_OK))
+    if not check_convergence:
+        return results
+
+    L = states.n_levels
+    solved = [b for b, pt in enumerate(results) if pt.error_code == ERR_OK]
+    resid = edge_residuals(model, eigs, L) if solved else None
+    pending = []
+    for b in solved:
+        certificate = (model.n_tr + 1) * float(states.populations[b] @ resid)
+        # A NaN or inf certificate fails the test and falls through to the re-solve.
+        if certificate <= CERTIFY_TOL and keeps_lowest_levels(model, eigs, L, delta_ntr):
+            results[b].converged = True
+        else:
+            pending.append(b)
+    if pending:
+        try:
+            bigger = _n_photon_at(model.with_n_tr(model.n_tr + delta_ntr),
+                                  [baths[b] for b in pending], L)
+        except RabiStarkError:
+            bigger = [None] * len(pending)
+        for b, n_photon in zip(pending, bigger):
+            results[b].converged = n_photon is not None and _agrees(
+                results[b].report.n_photon, n_photon)
+    return results
 
 
 def evaluate_point(
@@ -216,87 +318,18 @@ def evaluate_point(
     n_levels: int = DEFAULT_N_LEVELS,
     check_convergence: bool = True,
     delta_ntr: int = CONVERGENCE_DELTA_NTR,
-    solve: Optional[Callable[[ModelParams], EigenSystem]] = None,
 ) -> PointResult:
-    """Run the full single-point pipeline and package every observable.
-
-    Zero-flux and no-steady-state conditions are reported through the error
-    code with an empty report, never raised.  The convergence flag says the
-    photon number is stable under n_tr -> n_tr + delta_ntr; it is None when
-    check_convergence is off.  It is True without a re-solve when the edge
-    certificate w = sum_k p_k (n_tr+1) |h v_k[n_tr]| (see edge_residuals) is
-    at most CERTIFY_TOL and the longer chains add no level below the ones in
-    use (keeps_lowest_levels).  Otherwise the enlarged truncation is solved
-    and the photon numbers must agree within CONVERGENCE_TOL, relative, or
-    absolute when both are below 1e-6.  solve maps a model to its
-    EigenSystem (eigensystem by default); run_sweep passes one that
-    remembers the spectra of a group of points.
-    """
-    solve = solve or eigensystem
-    near_degenerate = False
-    try:
-        eigs = solve(model)
-        near_degenerate = (
-            eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
-        )
-        ss = _steady(eigs, model, bath, n_levels)
-
-        x = detection_operator(eigs, n_levels=ss.n_levels)
-        moments = field_moments(ss, eigs)
-        a_mean, n_photon, a_sq = moments
-
-        flux = flux_proxy(x, ss)
-        g2 = correlation_g_n(x, ss, eigs, 2)
-        g3 = correlation_g_n(x, ss, eigs, 3)
-        g2_a, eta1, eta2 = approx_g2(eigs, x, ss)
-        kt_eff = bath.kt_c if bath.kt_c > 0 else bath.kt_q
-        g3_a, eta3 = approx_g3(eigs, x, kt_eff)
-        xi_b2, _, _ = squeezing_factor(ss, eigs, moments=moments)
-
-        report = ObservableReport(
-            g2=g2, g3=g3, g2_approx=g2_a, g3_approx=g3_a, xi_b2=xi_b2,
-            n_photon=n_photon, a_mean=a_mean, a_sq=a_sq, flux_proxy=flux,
-            eta1=eta1, eta2=eta2, eta3=eta3,
-        )
-    except tuple(_ERROR_CODES) as exc:
-        code = next(c for kind, c in _ERROR_CODES.items() if isinstance(exc, kind))
-        converged = False if check_convergence else None
-        return PointResult(model, bath, None, converged, near_degenerate, code, str(exc))
-
-    converged = None
-    if check_convergence:
-        resid = edge_residuals(model, eigs, ss.n_levels)
-        certificate = (model.n_tr + 1) * float(ss.populations @ resid)
-        # A NaN or inf certificate fails the test and falls through to the re-solve.
-        if certificate <= CERTIFY_TOL and keeps_lowest_levels(model, eigs, ss.n_levels, delta_ntr):
-            return PointResult(model, bath, report, True, near_degenerate, ERR_OK)
-        try:
-            bigger = _n_photon_at(
-                model.with_n_tr(model.n_tr + delta_ntr), bath, n_levels, solve
-            )
-            scale = max(abs(n_photon), abs(bigger))
-            if scale < 1e-6:
-                converged = abs(bigger - n_photon) < CONVERGENCE_TOL
-            else:
-                converged = abs(bigger - n_photon) / scale < CONVERGENCE_TOL
-        except RabiStarkError:
-            converged = False
-    return PointResult(model, bath, report, converged, near_degenerate, ERR_OK)
+    """Run the full single-point pipeline: evaluate_group with one bath."""
+    return evaluate_group(model, [bath], n_levels=n_levels,
+                          check_convergence=check_convergence, delta_ntr=delta_ntr)[0]
 
 
 def _evaluate_group(args) -> list:
-    """Evaluate every (flat, bath) slot of one model against shared spectra.
-
-    The cache, and the memo of each spectrum in it, live as long as the task.
-    A solve that raises is not cached, so it is attempted again for each bath.
-    """
+    """Pool task: evaluate_group over the (flat, bath) slots of one model."""
     spec, model, slots = args
-    solve = functools.cache(eigensystem)
-    return [
-        (flat, evaluate_point(model, bath, n_levels=spec.n_levels,
-                              check_convergence=spec.check_convergence, solve=solve))
-        for flat, bath in slots
-    ]
+    flats, baths = zip(*slots)
+    return list(zip(flats, evaluate_group(model, baths, n_levels=spec.n_levels,
+                                          check_convergence=spec.check_convergence)))
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -304,13 +337,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     The bath enters only through the rates, so slots that share a model
     (g, r, u, n_tr) share its spectra.  Slots are grouped by model and each
-    group is one task: it solves the model's spectrum once, the n_tr +
-    delta spectrum at most once (only if a bath's point reaches the
-    convergence re-solve, which a certified point skips), and runs
-    evaluate_point for each of its baths.  Slots whose
-    parameters are invalid get error code 4 before grouping.  When there
-    are fewer groups than workers, each group is split into contiguous
-    pieces so every worker gets work; a piece solves its spectra once.
+    group is one evaluate_group task: it solves the model's spectrum once,
+    its baths' steady states as one stack, and the n_tr + delta spectrum at
+    most once, for the baths that miss the convergence certificate.  Slots
+    whose parameters are invalid get error code 4 before grouping.  When
+    there are fewer groups than workers, each group is split into
+    contiguous pieces so every worker gets work; a piece is a group of its own.
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")

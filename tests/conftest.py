@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 import rabistark as rs
+from rabistark.dissipation import WEIGHT_FLOOR, _graph_components
 from rabistark.sweep import OBSERVABLE_NAMES
 
 
@@ -92,11 +93,39 @@ def eigensystem_levels(p, k):
 
 
 def steady_pipeline(model, bath, n_levels=40):
-    """Diagonalize, build rates, and solve the steady state."""
+    """Diagonalize, build the rate table of one bath, and solve its steady state."""
     eigs = build_eigs(model)
-    table = rs.transition_rates(eigs, model, bath, n_levels=n_levels)
-    ss = rs.steady_populations(table)
+    table = rs.transition_rates(eigs, model, [bath], n_levels=n_levels)
+    ss = rs.steady_populations(table).of_bath(0)
     return eigs, table, ss
+
+
+def reference_populations(table, b):
+    """GTH elimination of bath b of table alone, one level at a time on its
+    own (L, L) rate table: the oracle for the stacked steady_populations."""
+    L = table.n_levels
+    pops = np.zeros(L)
+    pops[0] = 1.0
+    if table.kt_q[b] == 0.0 and table.kt_c[b] == 0.0:
+        return pops
+    down = table.down_total[b]
+    up = table.up_total[b]
+    linked = (down > WEIGHT_FLOOR) | (up > WEIGHT_FLOOR)
+    linked |= linked.T
+    rate = np.where(linked, (down.T + up).T, 0.0)
+    escape = np.zeros(L)
+    for n in range(L - 1, 0, -1):
+        s = rate[n, :n].sum()
+        if s <= 0.0:
+            components = _graph_components(linked)
+            if len(components) > 1:
+                raise rs.MultipleSteadyStateError(components)
+            raise rs.NumericFailureError(f"level {n} has no downward flow during elimination")
+        escape[n] = s
+        rate[:n, :n] += rate[:n, n, None] * rate[n, :n] / s
+    for n in range(1, L):
+        pops[n] = np.dot(pops[:n], rate[:n, n]) / escape[n]
+    return pops / pops.sum()
 
 
 def observables_pipeline(model, bath, n_levels=40):
@@ -163,7 +192,7 @@ def evolve_density(rho0, eigs, table, dt, steps, record_every=1):
     if steps < 1 or record_every < 1:
         raise rs.InvalidParameterError("steps and record_every must be >= 1")
 
-    flow = table.flow_matrix()          # flow[m, k]: k -> m
+    flow = table.flow_matrix()[0]       # flow[m, k]: k -> m, the table's one bath
     out_rate = flow.sum(axis=0)         # total escape rate per level
     max_rate = float(out_rate.max())
     if dt * max_rate > 0.1:

@@ -112,7 +112,7 @@ def test_criterion_4_parity_selection():
             n_tr=60,
         )
         eigs = build_eigs(model)
-        table = rs.transition_rates(eigs, model, BATH, n_levels=16)
+        table = rs.transition_rates(eigs, model, [BATH], n_levels=16)
         same = np.equal.outer(eigs.parities[:16], eigs.parities[:16])
         off = ~np.eye(16, dtype=bool)
         mask = same & off
@@ -121,7 +121,7 @@ def test_criterion_4_parity_selection():
                          float(np.max(np.abs(table.m_c[mask]))))
         pair_mask = np.tril(same, k=-1)
         for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-            worst_weight = max(worst_weight, float(np.max(arr[pair_mask])))
+            worst_weight = max(worst_weight, float(np.max(arr[0][pair_mask])))
     ok = worst_elem < 1e-10 and worst_weight < 1e-20
     report("C4 parity selection rules", ok,
            f"max equal-parity |X_jk| = {worst_elem:.2e} (< 1e-10), "
@@ -317,7 +317,7 @@ def test_criterion_10_dynamics_consistency():
     bath = rs.BathParams(alpha_q=0.05, alpha_c=0.05, kt_q=KT, kt_c=KT)
     eigs, table, ss = steady_pipeline(model, bath, n_levels=12)
     L = table.n_levels
-    max_rate = table.flow_matrix().sum(axis=0).max()
+    max_rate = table.flow_matrix()[0].sum(axis=0).max()
     dt = 0.09 / max_rate
 
     rng = np.random.default_rng(1010)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.sparse.csgraph import connected_components
@@ -14,7 +14,8 @@ from rabistark.dissipation import (
 )
 
 from conftest import (
-    StepSizeError, build_eigs, evolve_density, gibbs_state, random_model, steady_pipeline,
+    StepSizeError, build_eigs, evolve_density, gibbs_state, random_model,
+    reference_populations, steady_pipeline,
 )
 
 BATH = rs.BathParams()  # alpha 1e-3, cutoff 10, kT 0.07
@@ -37,6 +38,19 @@ def test_bose_occupation_array_matches_scalar():
     assert got.shape == gaps.shape
     assert list(got) == [rs.bose_occupation(g, 0.07) for g in gaps]
     assert np.all(rs.bose_occupation(gaps, 0.0) == 0.0)
+
+
+def test_bose_occupation_per_bath_temperatures():
+    # One row per bath: kt = 0 rows are zero, the others the scalar values.
+    gaps = np.array([0.07, 1.0, 2.0, 100.0])
+    kts = np.array([[0.0], [0.07], [5e-324], [0.3]])
+    got = rs.bose_occupation(gaps, kts)
+    assert got.shape == (4, 4)
+    for row, kt in zip(got, kts[:, 0]):
+        assert list(row) == [rs.bose_occupation(g, kt) for g in gaps]
+    assert not got[0].any() and not got[2].any()
+    with pytest.raises(rs.InvalidInputError):
+        rs.bose_occupation(gaps, np.array([[0.07], [-0.1]]))
 
 
 def test_bose_occupation_rejects_bad_input():
@@ -64,14 +78,14 @@ def test_parity_selection_rules_zero_weights():
     for _ in range(6):
         p = random_model(rng, n_tr=30)
         eigs = build_eigs(p)
-        table = rs.transition_rates(eigs, p, BATH, n_levels=14)
+        table = rs.transition_rates(eigs, p, [BATH], n_levels=14)
         for k in range(1, table.n_levels):
             for j in range(k):
                 if eigs.parities[k] == eigs.parities[j]:
                     assert abs(table.m_q[j, k]) < 1e-10
                     assert abs(table.m_c[j, k]) < 1e-10
-                    assert table.down_q[k, j] < 1e-20
-                    assert table.down_c[k, j] < 1e-20
+                    assert table.down_q[0, k, j] < 1e-20
+                    assert table.down_c[0, k, j] < 1e-20
 
 
 def test_weights_nonnegative_and_detailed_balance():
@@ -79,13 +93,14 @@ def test_weights_nonnegative_and_detailed_balance():
     for _ in range(4):
         p = random_model(rng, n_tr=30)
         eigs = build_eigs(p)
-        table = rs.transition_rates(eigs, p, BATH, n_levels=12)
+        table = rs.transition_rates(eigs, p, [BATH], n_levels=12)
         for name in ("down_q", "up_q", "down_c", "up_c"):
             assert np.all(getattr(table, name) >= 0.0)
         for k in range(1, table.n_levels):
             for j in range(k):
                 gap = table.gap[k, j]
-                for down, up in ((table.down_q, table.up_q), (table.down_c, table.up_c)):
+                for down, up in ((table.down_q[0], table.up_q[0]),
+                                 (table.down_c[0], table.up_c[0])):
                     if down[k, j] > 1e-300 and up[k, j] > 1e-300:
                         ratio = up[k, j] / down[k, j]
                         assert ratio == pytest.approx(math.exp(-gap / 0.07), rel=1e-10)
@@ -96,9 +111,9 @@ def test_cavity_rate_matches_decoupled_hand_value():
     # state, so Gamma_c = alpha_c * 1 * exp(-1/omega_c) * |<0|(a+a+)|1>|^2.
     p = rs.ModelParams(delta=1.3, g=1e-6, r=0.2, u=0.0, n_tr=20)
     eigs = build_eigs(p)
-    table = rs.transition_rates(eigs, p, BATH, n_levels=6)
+    table = rs.transition_rates(eigs, p, [BATH], n_levels=6)
     n_th = rs.bose_occupation(1.0, 0.07)
-    gamma_c = table.down_c[1, 0] / (1.0 + n_th)
+    gamma_c = table.down_c[0, 1, 0] / (1.0 + n_th)
     assert gamma_c == pytest.approx(1e-3 * math.exp(-0.1), rel=1e-6)
 
 
@@ -167,21 +182,26 @@ def test_vectorized_pair_weights_match_scalar_formula(pairs, bose_x, kt, omega_r
 
 
 def test_transition_tables_match_scalar_formula():
+    # Each bath's table in a stack is the per-pair formula with its own parameters.
     rng = np.random.default_rng(53)
-    baths = (BATH, rs.BathParams(kt_q=0.0, kt_c=0.0), rs.BathParams(kt_q=0.02, kt_c=0.3))
-    for bath in baths:
+    baths = (BATH, rs.BathParams(kt_q=0.0, kt_c=0.0),
+             rs.BathParams(alpha_q=3e-3, alpha_c=5e-4, omega_cutoff=2.5, kt_q=0.02, kt_c=0.3))
+    for _ in range(3):
         p = random_model(rng, n_tr=30)
-        table = rs.transition_rates(build_eigs(p), p, bath, n_levels=16)
+        table = rs.transition_rates(build_eigs(p), p, baths, n_levels=16)
+        assert table.down_q.shape == (len(baths), 16, 16)
         eps = 1e-9 * p.omega0
-        for k in range(1, table.n_levels):
-            for j in range(k):
-                gap = table.gap[k, j]
-                dq, uq = _scalar_pair_weights(bath.alpha_q, gap, p.delta, bath.omega_cutoff,
+        for b, bath in enumerate(baths):
+            for k in range(1, table.n_levels):
+                for j in range(k):
+                    gap = table.gap[k, j]
+                    dq, uq = _scalar_pair_weights(bath.alpha_q, gap, p.delta, bath.omega_cutoff,
                                                   abs(table.m_q[j, k]) ** 2, bath.kt_q, eps)
-                dc, uc = _scalar_pair_weights(bath.alpha_c, gap, p.omega0, bath.omega_cutoff,
+                    dc, uc = _scalar_pair_weights(bath.alpha_c, gap, p.omega0, bath.omega_cutoff,
                                                   abs(table.m_c[j, k]) ** 2, bath.kt_c, eps)
-                got = (table.down_q[k, j], table.up_q[k, j], table.down_c[k, j], table.up_c[k, j])
-                assert got == pytest.approx((dq, uq, dc, uc), rel=1e-14, abs=0.0)
+                    got = (table.down_q[b, k, j], table.up_q[b, k, j],
+                           table.down_c[b, k, j], table.up_c[b, k, j])
+                    assert got == pytest.approx((dq, uq, dc, uc), rel=1e-14, abs=0.0)
         for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
             assert not np.any(np.triu(arr))
 
@@ -190,10 +210,10 @@ def test_zero_temperature_freeze_and_up_weights():
     cold = rs.BathParams(kt_q=0.0, kt_c=0.0)
     p = rs.ModelParams(delta=1.0, g=0.4, r=0.5, u=0.1, n_tr=30)
     eigs = build_eigs(p)
-    table = rs.transition_rates(eigs, p, cold, n_levels=10)
+    table = rs.transition_rates(eigs, p, [cold], n_levels=10)
     assert np.all(table.up_q == 0.0)
     assert np.all(table.up_c == 0.0)
-    ss = rs.steady_populations(table)
+    ss = rs.steady_populations(table).of_bath(0)
     assert ss.populations[0] == 1.0
     assert np.all(ss.populations[1:] == 0.0)
 
@@ -238,18 +258,18 @@ def test_gibbs_state_values():
 def test_disconnected_graph_raises_with_components():
     p = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
     eigs = build_eigs(p)
-    table = rs.transition_rates(eigs, p, BATH, n_levels=4)
+    table = rs.transition_rates(eigs, p, [BATH], n_levels=4)
     for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-        arr[2:, :2] = 0.0  # sever {0,1} from {2,3}
+        arr[0, 2:, :2] = 0.0  # sever {0,1} from {2,3}
     with pytest.raises(rs.MultipleSteadyStateError) as err:
-        rs.steady_populations(table)
+        rs.steady_populations(table).of_bath(0)
     assert [0, 1] in err.value.components
     assert [2, 3] in err.value.components
 
 
 def _four_level_table():
     p = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
-    return rs.transition_rates(build_eigs(p), p, BATH, n_levels=4)
+    return rs.transition_rates(build_eigs(p), p, [BATH], n_levels=4)
 
 
 def test_one_way_closed_block_is_numeric_failure():
@@ -257,19 +277,19 @@ def test_one_way_closed_block_is_numeric_failure():
     # component, no unique steady state holding level 0.
     table = _four_level_table()
     for arr in (table.down_q, table.down_c):
-        arr[2:, :2] = 0.0
+        arr[0, 2:, :2] = 0.0
     with pytest.raises(rs.NumericFailureError):
-        rs.steady_populations(table)
+        rs.steady_populations(table).of_bath(0)
 
 
 def test_link_at_weight_floor_counts_as_severed():
     table = _four_level_table()
     for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-        arr[2:, :2] = 0.0
-    table.down_q[2, 1] = WEIGHT_FLOOR
-    table.up_q[2, 1] = 1e-305
+        arr[0, 2:, :2] = 0.0
+    table.down_q[0, 2, 1] = WEIGHT_FLOOR
+    table.up_q[0, 2, 1] = 1e-305
     with pytest.raises(rs.MultipleSteadyStateError) as err:
-        rs.steady_populations(table)
+        rs.steady_populations(table).of_bath(0)
     assert err.value.components == [[0, 1], [2, 3]]
 
 
@@ -282,12 +302,12 @@ def test_connected_table_computes_no_components(monkeypatch):
 
     monkeypatch.setattr(dissipation, "_graph_components", counted)
     table = _four_level_table()
-    rs.steady_populations(table)
+    rs.steady_populations(table).of_bath(0)
     assert calls == []
     for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-        arr[2:, :2] = 0.0
+        arr[0, 2:, :2] = 0.0
     with pytest.raises(rs.MultipleSteadyStateError):
-        rs.steady_populations(table)
+        rs.steady_populations(table).of_bath(0)
     assert len(calls) == 1
 
 
@@ -310,8 +330,8 @@ def severed_tables(draw):
         across = draw(hnp.arrays(float, (n, n), elements=weak)) if name.endswith("q") else 0.0
         weights[name] = np.tril(np.where(same, inside, across), -1)
     zero = np.zeros((n, n))
-    return TransitionTable(n_levels=n, gap=zero, m_q=zero, m_c=zero,
-                           kt_q=0.07, kt_c=0.07, **weights)
+    return TransitionTable(n_levels=n, gap=zero, m_q=zero, m_c=zero, kt_q=np.array([0.07]),
+                           kt_c=np.array([0.07]), **{k: w[None] for k, w in weights.items()})
 
 
 def _reaches_ground(rate):
@@ -328,18 +348,18 @@ def _reaches_ground(rate):
 @settings(max_examples=300, deadline=None)
 @given(table=severed_tables())
 def test_steady_state_classification_matches_components(table):
-    linked = (table.down_total > WEIGHT_FLOOR) | (table.up_total > WEIGHT_FLOOR)
+    linked = (table.down_total[0] > WEIGHT_FLOOR) | (table.up_total[0] > WEIGHT_FLOOR)
     components = _graph_components(linked)
-    rate = np.where(linked | linked.T, table.flow_matrix().T, 0.0)
+    rate = np.where(linked | linked.T, table.flow_matrix()[0].T, 0.0)
     if len(components) > 1:
         with pytest.raises(rs.MultipleSteadyStateError) as err:
-            rs.steady_populations(table)
+            rs.steady_populations(table).of_bath(0)
         assert err.value.components == components
     elif not _reaches_ground(rate):
         with pytest.raises(rs.NumericFailureError):
-            rs.steady_populations(table)
+            rs.steady_populations(table).of_bath(0)
     else:
-        ss = rs.steady_populations(table)
+        ss = rs.steady_populations(table).of_bath(0)
         assert np.all(ss.populations >= 0.0)
         assert abs(ss.populations.sum() - 1.0) <= 1e-12
         assert balance_residual(table, ss) <= 1e-12 * table.flow_matrix().max()
@@ -353,11 +373,83 @@ def test_graph_components_match_scipy(linked):
     assert _graph_components(linked) == want
 
 
+def _same_outcome(state, b, table):
+    """Bath b of the stacked state against the one-table reference: equal
+    populations, or the same error with the same components."""
+    try:
+        want = reference_populations(table, b)
+    except rs.RabiStarkError as exc:
+        with pytest.raises(type(exc)) as err:
+            state.of_bath(b)
+        assert str(err.value) == str(exc)
+        assert getattr(err.value, "components", None) == getattr(exc, "components", None)
+        assert np.isnan(state.populations[b]).all()
+        return exc
+    assert state.errors[b] is None
+    assert np.array_equal(state.of_bath(b).populations, want)
+    return None
+
+
+def _cut(table, b, k, one_way):
+    """Cut bath b's links from levels k.. down to levels ..k-1; one_way keeps the upward ones."""
+    for name in ("down_q", "down_c") if one_way else ("down_q", "up_q", "down_c", "up_c"):
+        getattr(table, name)[b, k:, :k] = 0.0
+
+
+TEMPERATURES = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_tr=st.integers(4, 79),
+    n_levels=st.integers(4, 40),
+    g=st.floats(0.0, 1.5),
+    r=st.floats(0.0, 2.0),
+    u=st.floats(-0.8, 0.8),
+    temps=st.lists(st.tuples(TEMPERATURES, TEMPERATURES), min_size=1, max_size=9),
+    cuts=st.lists(st.tuples(st.integers(0, 8), st.integers(1, 39), st.booleans()), max_size=2),
+)
+def test_stacked_populations_equal_the_reference(n_tr, n_levels, g, r, u, temps, cuts):
+    # Every bath of a stack solves bit for bit as its own table; a bath cut
+    # by a severed or one-way-closed block fails alone, with the reference's error.
+    model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    eigs = build_eigs(model)
+    baths = [rs.BathParams(kt_q=kq, kt_c=kc) for kq, kc in temps]
+    table = rs.transition_rates(eigs, model, baths, n_levels=n_levels)
+    for b, bath in enumerate(baths):
+        alone = rs.transition_rates(eigs, model, [bath], n_levels=n_levels)
+        for name in ("down_q", "up_q", "down_c", "up_c"):
+            assert np.array_equal(getattr(table, name)[b], getattr(alone, name)[0])
+    for b, k, one_way in cuts:
+        _cut(table, b % len(baths), 1 + k % (table.n_levels - 1), one_way)
+    state = rs.steady_populations(table)
+    assert state.populations.shape == (len(baths), table.n_levels)
+    errors = {type(_same_outcome(state, b, table)).__name__ for b in range(len(baths))}
+    event(", ".join(sorted(errors)))
+
+
+def test_failing_baths_leave_the_stack_alone():
+    model = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
+    warm, cold = rs.BathParams(kt_q=0.05, kt_c=0.2), rs.BathParams(kt_q=0.0, kt_c=0.0)
+    table = rs.transition_rates(build_eigs(model), model, [warm, BATH, cold, BATH, warm],
+                                n_levels=8)
+    _cut(table, 1, 3, one_way=False)
+    _cut(table, 3, 3, one_way=True)
+    _cut(table, 2, 3, one_way=False)    # the ground-state branch reads no rates
+    state = rs.steady_populations(table)
+    outcomes = [_same_outcome(state, b, table) for b in range(5)]
+    assert [type(e) for e in outcomes] == [
+        type(None), rs.MultipleSteadyStateError, type(None), rs.NumericFailureError, type(None)]
+    assert outcomes[1].components == [[0, 1, 2], [3, 4, 5, 6, 7]]
+    assert np.array_equal(state.populations[2], np.eye(1, 8)[0])
+    assert np.array_equal(state.populations[0], state.populations[4])
+
+
 def _dynamics_setup(n_levels=12):
     p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=50)
     bath = rs.BathParams(alpha_q=0.05, alpha_c=0.05, kt_q=0.07, kt_c=0.07)
     eigs, table, ss = steady_pipeline(p, bath, n_levels=n_levels)
-    max_rate = table.flow_matrix().sum(axis=0).max()
+    max_rate = table.flow_matrix()[0].sum(axis=0).max()
     return eigs, table, ss, 0.09 / max_rate
 
 

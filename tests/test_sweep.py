@@ -1,4 +1,3 @@
-import functools
 import math
 from dataclasses import replace
 
@@ -20,6 +19,7 @@ from rabistark.sweep import (
     ERR_ZERO_FLUX,
     AxisSpec,
     SweepSpec,
+    evaluate_group,
     evaluate_point,
     run_sweep,
 )
@@ -264,11 +264,12 @@ def test_certified_points_pass_the_resolve(n_tr, g, r, u, kt, n_levels):
     if pt.error_code != ERR_OK or resolved:
         return
     eigs = rs.eigensystem(model)
-    populations = sweep._steady(eigs, model, bath, n_levels).populations
+    table = rs.transition_rates(eigs, model, [bath], n_levels=n_levels)
+    populations = rs.steady_populations(table).populations[0]
     w = (n_tr + 1) * float(populations @ edge_residuals(model, eigs, populations.size))
     assert w <= CERTIFY_TOL
     assert pt.converged is True
-    bigger = sweep._n_photon_at(model.with_n_tr(n_tr + 40), bath, n_levels)
+    [bigger] = sweep._n_photon_at(model.with_n_tr(n_tr + 40), [bath], populations.size)
     scale = max(abs(pt.report.n_photon), abs(bigger))
     assert abs(bigger - pt.report.n_photon) < CONVERGENCE_TOL * (scale if scale >= 1e-6 else 1.0)
 
@@ -453,8 +454,8 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
     # A u x kT grid: |u| >= 1 rows, and per model a kT=0 bath and three warm ones.
     # The matrix elements, the truncation check and the X+^n powers (n = 2,
     # 3) are computed once per spectrum and level count, not once per slot.
-    # At n_tr=6 every slot is re-solved, and each n_tr+40 spectrum gets its
-    # matrix elements once.
+    # At n_tr=6 every warm slot misses the certificate; each group re-solves
+    # its three together, and each n_tr+40 spectrum gets its matrix elements once.
     elements = counting(monkeypatch, "_parity_odd_elements", spectrum)
     checked = counting(monkeypatch, "_keeps_lowest_levels", spectrum)
     powers = counting(monkeypatch, "matrix_power", np.linalg)
@@ -466,7 +467,7 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
     assert [pt.error_code for pt in result.points].count(ERR_OK) == 9
     models = {pt.model for pt in result.points if pt.model is not None}
     assert len(models) == 3
-    assert bool(resolved) is resolves and len(resolved) == (9 if resolves else 0)
+    assert len(resolved) == (len(models) if resolves else 0)
     spectra = len(models) + len(set(resolved))
     assert len(elements) == spectra and len({id(e) for e in elements}) == spectra
     # A re-solved slot fails the edge certificate before the level check.
@@ -488,13 +489,29 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
 @example(n_tr=2, g=1.5, r=1.0, u=0.0, baths=[(0.07, 0.07, 6), (0.0, 0.0, 6), (0.2, 0.0, 4)],
          check=True)
 def test_shared_spectrum_matches_standalone_points(n_tr, g, r, u, baths, check):
-    # One EigenSystem (and one n_tr+40 one) shared by baths in any order,
-    # as in a grouped sweep, gives each bath its standalone result.
+    # One group per level count, its baths in the drawn order: each bath of
+    # the stack gets its standalone (group of one) result.
     model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
-    solve = functools.cache(rs.eigensystem)
-    for kt_q, kt_c, n_levels in baths:
-        bath = rs.BathParams(kt_q=kt_q, kt_c=kt_c)
-        shared = evaluate_point(model, bath, n_levels=n_levels, check_convergence=check,
-                                solve=solve)
-        alone = evaluate_point(model, bath, n_levels=n_levels, check_convergence=check)
-        assert repr(shared) == repr(alone)
+    for n_levels in {n for _, _, n in baths}:
+        group = [rs.BathParams(kt_q=kt_q, kt_c=kt_c) for kt_q, kt_c, n in baths if n == n_levels]
+        shared = evaluate_group(model, group, n_levels=n_levels, check_convergence=check)
+        for bath, got in zip(group, shared, strict=True):
+            alone = evaluate_point(model, bath, n_levels=n_levels, check_convergence=check)
+            assert repr(got) == repr(alone)
+
+
+def test_resolve_uses_the_levels_of_the_base_solve(monkeypatch):
+    # n_levels beyond the model's 26 levels: the n_tr+40 re-solve (every
+    # level is in use, so the point is not certified) keeps the same 26.
+    solved, real = [], sweep.transition_rates
+
+    def recording(eigs, model, baths, n_levels):
+        table = real(eigs, model, baths, n_levels=n_levels)
+        solved.append((model.n_tr, table.n_levels))
+        return table
+
+    monkeypatch.setattr(sweep, "transition_rates", recording)
+    model = rs.ModelParams(delta=1, g=0.5, r=0.5, u=0.1, n_tr=12)
+    pt = evaluate_point(model, rs.BathParams(), n_levels=40)
+    assert pt.error_code == ERR_OK and pt.converged is not None
+    assert solved == [(12, 26), (52, 26)]
