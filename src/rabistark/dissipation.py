@@ -111,12 +111,12 @@ class TransitionTable:
 
 
 def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
-    """Down/up weights for one bath over pairs with gap >= 0.
+    """Down/up weights over pairs with gap >= 0.
 
-    gap and melem_sq may be scalars or arrays of the same shape; alpha,
-    omega_cutoff and kt may be arrays that broadcast against them, one entry
-    per bath.  Pairs with gap < eps take the degenerate limit of both
-    weights, which vanishes at kt = 0.
+    gap is a scalar or an array of pairs; the other arguments but eps may be
+    scalars or arrays that broadcast against it, such as one entry per
+    reservoir and bath.  Pairs with gap < eps take the degenerate limit of
+    both weights, which vanishes at kt = 0.
     """
     gap = np.asarray(gap, dtype=float)
     cutoff = np.exp(-np.abs(gap) / omega_cutoff)
@@ -132,13 +132,14 @@ def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
 
 def _level_pairs(eigs: EigenSystem, L: int) -> tuple:
     """Gaps E_k - E_j; the flat indices of the pairs (k, j), k > j, in row-major
-    order; and per pair the gap and the squared qubit and cavity matrix
-    elements <j|.|k>^2."""
+    order; per pair the gap; and the squared qubit and cavity matrix elements
+    <j|.|k>^2 of each pair, stacked as (2, 1, pairs)."""
     energies = eigs.energies[:L]
     m_q, m_c = parity_odd_elements(eigs, L)
     gap = energies[:, None] - energies[None, :]
     lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
-    return gap, np.flatnonzero(lower), gap[lower], m_q.T[lower] ** 2, m_c.T[lower] ** 2
+    melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]
+    return gap, np.flatnonzero(lower), gap[lower], melem_sq
 
 
 def transition_rates(
@@ -154,23 +155,22 @@ def transition_rates(
     if L < 2:
         raise InvalidParameterError(f"need at least 2 levels, got {n_levels}")
     m_q, m_c = parity_odd_elements(eigs, L)
-    gap, pairs, d, mq_sq, mc_sq = eigs.memo(("level_pairs", L), _level_pairs, eigs, L)
-    eps = GAP_EPSILON_FRACTION * model.omega0
+    gap, pairs, d, melem_sq = eigs.memo(("level_pairs", L), _level_pairs, eigs, L)
 
-    alpha_q, alpha_c, cutoff, kt_q, kt_c = np.array(
-        [[b.alpha_q, b.alpha_c, b.omega_cutoff, b.kt_q, b.kt_c] for b in baths]).T[:, :, None]
-    dq, uq = _pair_weights(alpha_q, d, model.delta, cutoff, mq_sq, kt_q, eps)
-    dc, uc = _pair_weights(alpha_c, d, model.omega0, cutoff, mc_sq, kt_c, eps)
-
-    def table(values):
-        out = np.zeros((len(baths), L * L))
-        out[:, pairs] = values
-        return out.reshape(-1, L, L)
-
+    # Both reservoirs of every bath in one pass: arrays run over (reservoir,
+    # bath, pair), the qubit reservoir first.
+    alpha, kt = np.array([[(b.alpha_q, b.kt_q), (b.alpha_c, b.kt_c)] for b in baths]).T[..., None]
+    cutoff = np.array([[b.omega_cutoff] for b in baths])
+    omega_ref = np.array([model.delta, model.omega0])[:, None, None]
+    down, up = _pair_weights(alpha, d, omega_ref, cutoff, melem_sq, kt,
+                             GAP_EPSILON_FRACTION * model.omega0)
+    weights = np.zeros((4, len(baths), L * L))
+    weights[:, :, pairs] = np.concatenate([down, up])
+    down_q, down_c, up_q, up_c = weights.reshape(4, -1, L, L)
     return TransitionTable(
         n_levels=L, gap=gap, m_q=m_q, m_c=m_c,
-        down_q=table(dq), up_q=table(uq), down_c=table(dc), up_c=table(uc),
-        kt_q=kt_q[:, 0], kt_c=kt_c[:, 0],
+        down_q=down_q, up_q=up_q, down_c=down_c, up_c=up_c,
+        kt_q=kt[0, :, 0], kt_c=kt[1, :, 0],
     )
 
 
@@ -247,15 +247,14 @@ def steady_populations(table: TransitionTable) -> SteadyState:
     for SteadyState.of_bath to raise, and the bath's row is NaN.
     """
     B, L = table.down_q.shape[0], table.n_levels
-    pops = np.full((B, L), np.nan)
+    pops = np.zeros((B, L))
+    pops[:, 0] = 1.0
     errors = [None] * B
-    cold = (table.kt_q == 0.0) & (table.kt_c == 0.0)
-    pops[cold] = np.eye(1, L)
 
     # rate[b, i, j]: transition rate of bath b from level i to level j.  A
     # pair whose weights all sit at or below WEIGHT_FLOOR is unlinked and
     # carries no rate, so a block cut off by such pairs has exactly zero escape.
-    live = np.flatnonzero(~cold)
+    live = (table.kt_q != 0.0) | (table.kt_c != 0.0)
     down, up = table.down_total[live], table.up_total[live]
     linked = (down > WEIGHT_FLOOR) | (up > WEIGHT_FLOOR)
     linked |= np.swapaxes(linked, -1, -2)
@@ -266,23 +265,25 @@ def steady_populations(table: TransitionTable) -> SteadyState:
     # A bath that meets a zero escape s divides by it from there on: its
     # slice turns NaN without touching the others, and is judged after the
     # loops, at its first (highest) such level.
-    escape = np.zeros((L, live.size, 1, 1))
-    p = np.zeros((live.size, 1, L))
+    escape = [None] * L
+    p = np.zeros((rate.shape[0], 1, L))
     p[:, :, 0] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         for n in range(L - 1, 0, -1):
             row = rate[:, n, None, :n]
-            s = escape[n] = row.sum(axis=-1, keepdims=True)
+            escape[n] = s = row.sum(axis=-1, keepdims=True)
             block = rate[:, :n, :n]
             block += rate[:, :n, n, None] * row / s
         for n in range(1, L):
             np.divide(p[:, :, :n] @ rate[:, :n, n, None], escape[n], out=p[:, :, n, None])
         pops[live] = p[:, 0] / p[:, 0].sum(axis=-1, keepdims=True)
 
-    stuck = escape[1:, :, 0, 0] <= 0.0
-    for k in np.flatnonzero(stuck.any(axis=0)):
-        errors[live[k]] = _no_steady_state(linked[k], 1 + np.flatnonzero(stuck[:, k])[-1])
-        pops[live[k]] = np.nan
+    stuck = np.concatenate(escape[1:], axis=1) <= 0.0
+    if stuck.any():
+        at = np.flatnonzero(live)
+        for k in np.flatnonzero(stuck.any(axis=(1, 2))):
+            errors[at[k]] = _no_steady_state(linked[k], 1 + np.flatnonzero(stuck[k])[-1])
+            pops[at[k]] = np.nan
     return SteadyState(populations=pops, errors=tuple(errors))
 
 
