@@ -165,7 +165,8 @@ def transition_rates(
     down, up = _pair_weights(alpha, d, omega_ref, cutoff, melem_sq, kt,
                              GAP_EPSILON_FRACTION * model.omega0)
     weights = np.zeros((4, len(baths), L * L))
-    weights[:, :, pairs] = np.concatenate([down, up])
+    weights[:2, :, pairs] = down
+    weights[2:, :, pairs] = up
     down_q, down_c, up_q, up_c = weights.reshape(4, -1, L, L)
     return TransitionTable(
         n_levels=L, gap=gap, m_q=m_q, m_c=m_c,
@@ -255,10 +256,14 @@ def steady_populations(table: TransitionTable) -> SteadyState:
     # pair whose weights all sit at or below WEIGHT_FLOOR is unlinked and
     # carries no rate, so a block cut off by such pairs has exactly zero escape.
     live = (table.kt_q != 0.0) | (table.kt_c != 0.0)
-    down, up = table.down_total[live], table.up_total[live]
-    linked = (down > WEIGHT_FLOOR) | (up > WEIGHT_FLOOR)
+    rate = table.down_q[live]
+    rate += table.down_c[live]
+    up = table.up_q[live]
+    up += table.up_c[live]
+    linked = (rate > WEIGHT_FLOOR) | (up > WEIGHT_FLOOR)
     linked |= np.swapaxes(linked, -1, -2)
-    rate = np.where(linked, down + np.swapaxes(up, -1, -2), 0.0)
+    rate += np.swapaxes(up, -1, -2)
+    rate[~linked] = 0.0
 
     # Fold states from the top down; record the escape rate and the inflow
     # column of each state at its elimination time for back-substitution.
