@@ -431,16 +431,19 @@ def test_stacked_populations_equal_the_reference(n_tr, n_levels, g, r, u, temps,
 def test_failing_baths_leave_the_stack_alone():
     model = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
     warm, cold = rs.BathParams(kt_q=0.05, kt_c=0.2), rs.BathParams(kt_q=0.0, kt_c=0.0)
-    table = rs.transition_rates(build_eigs(model), model, [warm, BATH, cold, BATH, warm],
+    table = rs.transition_rates(build_eigs(model), model, [warm, BATH, cold, BATH, warm, BATH],
                                 n_levels=8)
     _cut(table, 1, 3, one_way=False)
     _cut(table, 3, 3, one_way=True)
     _cut(table, 2, 3, one_way=False)    # the ground-state branch reads no rates
+    _cut(table, 5, 1, one_way=True)     # stuck at the last step, level 1
     state = rs.steady_populations(table)
-    outcomes = [_same_outcome(state, b, table) for b in range(5)]
+    outcomes = [_same_outcome(state, b, table) for b in range(6)]
     assert [type(e) for e in outcomes] == [
-        type(None), rs.MultipleSteadyStateError, type(None), rs.NumericFailureError, type(None)]
+        type(None), rs.MultipleSteadyStateError, type(None), rs.NumericFailureError, type(None),
+        rs.NumericFailureError]
     assert outcomes[1].components == [[0, 1, 2], [3, 4, 5, 6, 7]]
+    assert str(outcomes[5]) == "level 1 has no downward flow during elimination"
     assert np.array_equal(state.populations[2], np.eye(1, 8)[0])
     assert np.array_equal(state.populations[0], state.populations[4])
 
