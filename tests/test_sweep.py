@@ -489,11 +489,11 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
 @example(n_tr=2, g=1.5, r=1.0, u=0.0, baths=[(0.07, 0.07, 6), (0.0, 0.0, 6), (0.2, 0.0, 4)],
          check=True)
 def test_shared_spectrum_matches_standalone_points(n_tr, g, r, u, baths, check):
-    # One group per level count, its baths in the drawn order: each bath of
-    # the stack gets its standalone (group of one) result.
+    # All baths, in the drawn order, as one group at each drawn level count:
+    # each bath of the stack gets its standalone (group of one) result.
     model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    group = [rs.BathParams(kt_q=kt_q, kt_c=kt_c) for kt_q, kt_c, _ in baths]
     for n_levels in {n for _, _, n in baths}:
-        group = [rs.BathParams(kt_q=kt_q, kt_c=kt_c) for kt_q, kt_c, n in baths if n == n_levels]
         shared = evaluate_group(model, group, n_levels=n_levels, check_convergence=check)
         for bath, got in zip(group, shared, strict=True):
             alone = evaluate_point(model, bath, n_levels=n_levels, check_convergence=check)
