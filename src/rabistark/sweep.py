@@ -21,6 +21,7 @@ import numpy as np
 from .dissipation import (
     DEFAULT_N_LEVELS,
     BathParams,
+    SteadyState,
     steady_populations,
     transition_rates,
 )
@@ -57,6 +58,7 @@ NEAR_DEGENERACY_FRACTION = 1e-4
 CONVERGENCE_DELTA_NTR = 40
 CONVERGENCE_TOL = 1e-6
 CERTIFY_TOL = 1e-4 * CONVERGENCE_TOL
+STACK_BATHS = 64   # baths per stacked solve: ~100 KB each at 40 levels
 
 ERR_OK = 0
 ERR_ZERO_FLUX = 1
@@ -224,11 +226,22 @@ def _report(eigs: EigenSystem, ss, bath: BathParams) -> ObservableReport:
     )
 
 
+def _stacked_states(eigs: EigenSystem, model: ModelParams, baths: Sequence[BathParams],
+                    n_levels: int) -> SteadyState:
+    """Steady states of baths on one spectrum, solved STACK_BATHS at a time so
+    that memory stays bounded on a long bath axis."""
+    parts = [steady_populations(transition_rates(eigs, model, baths[k:k + STACK_BATHS],
+                                                 n_levels=n_levels))
+             for k in range(0, len(baths), STACK_BATHS)]
+    return SteadyState(populations=np.concatenate([part.populations for part in parts]),
+                       errors=sum((part.errors for part in parts), ()))
+
+
 def _n_photon_at(model: ModelParams, baths: list, n_levels: int) -> list:
     """Photon number of each bath's steady state at model's truncation, None
     for a bath with no steady state."""
     eigs = eigensystem(model)
-    states = steady_populations(transition_rates(eigs, model, baths, n_levels=n_levels))
+    states = _stacked_states(eigs, model, baths, n_levels)
     return [None if err is not None else field_moments(states.of_bath(b), eigs)[1]
             for b, err in enumerate(states.errors)]
 
@@ -252,9 +265,10 @@ def evaluate_group(
     """Run the full pipeline for one model against each bath of baths.
 
     Returns one PointResult per bath, in order.  The spectrum is solved once
-    for the group, and the rate tables and steady states of all baths are
-    built and solved as one stack (transition_rates, steady_populations);
-    the observables are then read off each bath's steady state.  Errors stay
+    for the group, and the rate tables and steady states of its baths are
+    built and solved as stacks of up to STACK_BATHS (transition_rates,
+    steady_populations); the observables are then read off each bath's
+    steady state.  Errors stay
     per bath: zero-flux and no-steady-state conditions are reported through
     that bath's error code with an empty report, never raised, and a failure
     before the baths part (the spectrum, say) is every bath's error.
@@ -274,7 +288,7 @@ def evaluate_group(
         near_degenerate = (
             eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
         )
-        states = steady_populations(transition_rates(eigs, model, baths, n_levels=n_levels))
+        states = _stacked_states(eigs, model, baths, n_levels)
     except tuple(_ERROR_CODES) as exc:
         return [_failure(model, bath, exc, near_degenerate, check_convergence) for bath in baths]
 

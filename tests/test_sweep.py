@@ -483,18 +483,21 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
     u=st.floats(-0.9, 0.9),
     baths=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
                              st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
-                             st.integers(4, 70)), min_size=1, max_size=6),
+                             st.integers(4, 70)), min_size=1, max_size=9),
     check=st.booleans(),
 )
 @example(n_tr=2, g=1.5, r=1.0, u=0.0, baths=[(0.07, 0.07, 6), (0.0, 0.0, 6), (0.2, 0.0, 4)],
          check=True)
 def test_shared_spectrum_matches_standalone_points(n_tr, g, r, u, baths, check):
-    # All baths, in the drawn order, as one group at each drawn level count:
-    # each bath of the stack gets its standalone (group of one) result.
+    # All baths, in the drawn order, as one group at each drawn level count,
+    # solved in stacks of 4 or fewer: each bath gets its standalone (group of
+    # one) result.
     model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
     group = [rs.BathParams(kt_q=kt_q, kt_c=kt_c) for kt_q, kt_c, _ in baths]
     for n_levels in {n for _, _, n in baths}:
-        shared = evaluate_group(model, group, n_levels=n_levels, check_convergence=check)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "STACK_BATHS", 4)
+            shared = evaluate_group(model, group, n_levels=n_levels, check_convergence=check)
         for bath, got in zip(group, shared, strict=True):
             alone = evaluate_point(model, bath, n_levels=n_levels, check_convergence=check)
             assert repr(got) == repr(alone)
