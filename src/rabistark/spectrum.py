@@ -190,15 +190,18 @@ def eigensystem(p: ModelParams) -> EigenSystem:
     """
     m = p.n_tr + 1
     chains = _solve_chains(p, eigh_tridiagonal)
-    for _, v in chains:
-        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(m)])
     energies = np.concatenate([e for e, _ in chains])
-    states = np.hstack([v for _, v in chains])
     parities = np.repeat([1.0, -1.0], m)
     order = _level_order(energies, parities, float(energies.max() - energies.min()))
-    return EigenSystem(
-        energies=np.sort(energies), states=states[:, order], parities=parities[order]
-    )
+    # Each chain's vectors go straight to their levels' columns: one
+    # column-major array, the layout LAPACK returns, written once.
+    rank = np.empty_like(order)
+    rank[order] = np.arange(2 * m)
+    states = np.empty((m, 2 * m), order="F")
+    for k, (_, v) in enumerate(chains):
+        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(m)])
+        states[:, rank[k * m:(k + 1) * m]] = v
+    return EigenSystem(energies=np.sort(energies), states=states, parities=parities[order])
 
 
 def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
