@@ -5,7 +5,7 @@ failing points are recorded with an error code instead of aborting the
 sweep.  The bath enters only through the rates, so grid points that share
 (g, r, u, n_tr) share one spectrum and what is built from it alone (see
 spectrum.Memo): run_sweep groups them, and evaluate_group solves each
-spectrum once and the group's baths as one stack.  Results land in
+spectrum once and the group's baths as stacked arrays.  Results land in
 row-major slots, the same for any worker count.
 """
 
@@ -268,10 +268,10 @@ def evaluate_group(
     for the group, and the rate tables and steady states of its baths are
     built and solved as stacks of up to STACK_BATHS (transition_rates,
     steady_populations); the observables are then read off each bath's
-    steady state.  Errors stay
-    per bath: zero-flux and no-steady-state conditions are reported through
-    that bath's error code with an empty report, never raised, and a failure
-    before the baths part (the spectrum, say) is every bath's error.
+    steady state.  Errors stay per bath: zero-flux and no-steady-state
+    conditions are reported through that bath's error code with an empty
+    report, never raised, and a failure before the baths part (the
+    spectrum, say) is every bath's error.
 
     The convergence flag says the photon number is stable under n_tr ->
     n_tr + delta_ntr; it is None when check_convergence is off.  It is True
@@ -352,8 +352,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     The bath enters only through the rates, so slots that share a model
     (g, r, u, n_tr) share its spectra.  Slots are grouped by model and each
     group is one evaluate_group task: it solves the model's spectrum once,
-    its baths' steady states as one stack, and the n_tr + delta spectrum at
-    most once, for the baths that miss the convergence certificate.  Slots
+    its baths' steady states as stacked arrays, and the n_tr + delta
+    spectrum at most once, for the baths that miss the convergence
+    certificate.  Slots
     whose parameters are invalid get error code 4 before grouping.  When
     there are fewer groups than workers, each group is split into
     contiguous pieces so every worker gets work; a piece is a group of its own.
