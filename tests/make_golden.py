@@ -1,8 +1,9 @@
-"""Golden outputs of `rabistark sweep` for tests/test_golden.py.
+"""Golden outputs of the rabistark commands for tests/test_golden.py.
 
-Each case is one sweep config run through the command-line entry point.
-Its sweep.csv, its SVG heatmap (2-D cases) and its sweep.meta.json, without
-the wall time and the package version, are kept under tests/golden/<case>/.
+Each case is one config run through the command-line entry point.  Its
+outputs (the CSV, and for a plotted sweep the SVG heatmap) and its
+<command>.meta.json, without the wall time and the package version, are
+kept under tests/golden/<case>/.
 
 Rewrite them only for a deliberate change of output, and list each changed
 cell where the change is described:
@@ -34,62 +35,80 @@ def _axis(name, lo, hi, count):
     return {"name": name, "min": lo, "max": hi, "count": count}
 
 
-# name -> (config, --plot)
+# name -> (command and flags, config)
 CASES = {
     # The kT = 0 column has no flux: error code 1.
     "g_kt_zero_column": (
+        ["sweep", "--plot"],
         {**_sweep({"r": 0.2, "u": 0.2, "n_tr": 20}, _axis("g", 0.1, 1.2, 5),
                   _axis("kt", 0.0, 0.2, 4), n_levels=16),
          "output": {"scale": "log10", "column": "g2"}},
-        True,
     ),
     # |u| >= 1 rows are invalid parameters (error code 4), beside a kT = 0 column.
     "u_kt_checked": (
+        ["sweep", "--plot"],
         {**_sweep({"g": 0.6, "r": 0.8, "n_tr": 16}, _axis("u", -1.2, 1.2, 5),
                   _axis("kt", 0.0, 0.15, 3), n_levels=12),
          "output": {"column": "xi_b2"}},
-        True,
     ),
     "u_kt_unchecked": (
+        ["sweep", "--plot"],
         {**_sweep({"g": 0.6, "r": 0.8, "n_tr": 16}, _axis("u", -1.2, 1.2, 5),
                   _axis("kt", 0.0, 0.15, 3), n_levels=12, check_convergence=False),
          "output": {"column": "xi_b2"}},
-        True,
     ),
     # All 14 levels in use: no slot is certified, every one is re-solved.
     "n_tr_6_resolved": (
+        ["sweep", "--plot"],
         _sweep({"g": 0.5, "r": 0.5, "u": 0.1, "n_tr": 6}, _axis("g", 0.2, 1.0, 3),
                _axis("kt", 0.02, 0.2, 4), n_levels=14),
-        True,
     ),
     # Decoupled qubit and cavity along r and kT.
     "g_zero_edge": (
+        ["sweep", "--plot"],
         _sweep({"g": 0.0, "u": -0.3, "n_tr": 20}, _axis("r", 0.0, 2.0, 3),
                _axis("kt", 0.05, 0.2, 3), n_levels=12),
-        True,
     ),
     # Jaynes-Cummings limit, 1-D from g = 0.
     "r_zero_edge": (
+        ["sweep"],
         _sweep({"r": 0.0, "u": 0.3, "n_tr": 20}, _axis("g", 0.0, 1.5, 6),
                n_levels=12, observables=["g2", "g3", "xi_b2", "n_photon"]),
-        False,
+    ),
+    # Crossings over the default scan (g 0.05..2, 81 steps, pairs (0,1),
+    # (1,2), (2,3)).
+    "critical_r02_u02": (["critical"], {"model": {"delta": 1.0, "r": 0.2, "u": 0.2, "n_tr": 30}}),
+    "critical_r05_um04": (["critical"],
+                          {"model": {"delta": 1.0, "r": 0.5, "u": -0.4, "n_tr": 30}}),
+    # Isotropic: plain energy order in spectrum._level_order moves this
+    # ground crossing (1.54919119 -> 1.54919268).
+    "critical_r1_u02": (["critical"], {"model": {"delta": 1.0, "r": 1.0, "u": 0.2, "n_tr": 120}}),
+    "spectrum_r05_u01": (
+        ["spectrum"],
+        {"model": {"delta": 1.0, "r": 0.5, "u": 0.1, "n_tr": 30},
+         "scan": {"g_min": 0.0, "g_max": 1.5, "count": 11, "n_levels": 6}},
+    ),
+    # A squeezed steady state (xi_b2 < 1) at the default bath.
+    "observables_squeezed": (
+        ["observables"], {"model": {"delta": 1.0, "g": 0.8, "r": 0.5, "u": 0.1, "n_tr": 30}},
     ),
 }
+SWEEPS = sorted(name for name, (argv, _) in CASES.items() if argv[0] == "sweep")
 
 
 def run_case(name: str, out_dir: Path, workers: int = 1) -> dict:
     """Run one case into out_dir; return {file name: bytes} of its outputs,
     the meta.json without its volatile fields."""
-    config, plot = CASES[name]
+    argv, config = CASES[name]
     path = out_dir / "config.json"
     path.write_text(json.dumps(config))
-    argv = ["sweep", "--config", str(path), "--out", str(out_dir),
-            "--workers", str(workers)]
-    code = cli.main(argv + (["--plot"] if plot else []))
+    pool = [] if workers == 1 else ["--workers", str(workers)]
+    code = cli.main(argv + pool + ["--config", str(path), "--out", str(out_dir)])
     if code != cli.EXIT_OK:
         raise RuntimeError(f"golden case {name} exited {code}")
-    meta = json.loads((out_dir / "sweep.meta.json").read_text())
-    files = {"sweep.meta.json": (json.dumps({k: v for k, v in meta.items()
+    meta_name = f"{argv[0]}.meta.json"
+    meta = json.loads((out_dir / meta_name).read_text())
+    files = {meta_name: (json.dumps({k: v for k, v in meta.items()
                                              if k not in VOLATILE_META},
                                             indent=2, sort_keys=True) + "\n").encode()}
     for output in meta["outputs"]:
