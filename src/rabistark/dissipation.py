@@ -130,18 +130,6 @@ def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
     return down, up
 
 
-def _level_pairs(eigs: EigenSystem, L: int) -> tuple:
-    """Gaps E_k - E_j; the flat indices of the pairs (k, j), k > j, in row-major
-    order; per pair the gap; and the squared qubit and cavity matrix elements
-    <j|.|k>^2 of each pair, stacked as (2, 1, pairs)."""
-    energies = eigs.energies[:L]
-    m_q, m_c = parity_odd_elements(eigs, L)
-    gap = energies[:, None] - energies[None, :]
-    lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
-    melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]
-    return gap, np.flatnonzero(lower), gap[lower], melem_sq
-
-
 def transition_rates(
     eigs: EigenSystem,
     model: ModelParams,
@@ -149,25 +137,29 @@ def transition_rates(
     n_levels: int = DEFAULT_N_LEVELS,
 ) -> TransitionTable:
     """Build the regularized rate table of each bath over the lowest n_levels
-    eigenstates, stacked in the order of baths.  What depends on the spectrum
-    alone is memoized on eigs."""
+    eigenstates, stacked in the order of baths."""
     L = min(int(n_levels), eigs.dim)
     if L < 2:
         raise InvalidParameterError(f"need at least 2 levels, got {n_levels}")
+    energies = eigs.energies[:L]
     m_q, m_c = parity_odd_elements(eigs, L)
-    gap, pairs, d, melem_sq = eigs.memo(("level_pairs", L), _level_pairs, eigs, L)
+    gap = energies[:, None] - energies[None, :]
+    # The pairs (k, j), k > j, and per pair the squared qubit and cavity
+    # matrix elements <j|.|k>^2, stacked as (2, 1, pairs).
+    lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
+    melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]
 
     # Both reservoirs of every bath in one pass: arrays run over (reservoir,
     # bath, pair), the qubit reservoir first.
     alpha, kt = np.array([[(b.alpha_q, b.kt_q), (b.alpha_c, b.kt_c)] for b in baths]).T[..., None]
     cutoff = np.array([[b.omega_cutoff] for b in baths])
     omega_ref = np.array([model.delta, model.omega0])[:, None, None]
-    down, up = _pair_weights(alpha, d, omega_ref, cutoff, melem_sq, kt,
+    down, up = _pair_weights(alpha, gap[lower], omega_ref, cutoff, melem_sq, kt,
                              GAP_EPSILON_FRACTION * model.omega0)
-    weights = np.zeros((4, len(baths), L * L))
-    weights[:2, :, pairs] = down
-    weights[2:, :, pairs] = up
-    down_q, down_c, up_q, up_c = weights.reshape(4, -1, L, L)
+    weights = np.zeros((4, len(baths), L, L))
+    weights[:2, :, lower] = down
+    weights[2:, :, lower] = up
+    down_q, down_c, up_q, up_c = weights
     return TransitionTable(
         n_levels=L, gap=gap, m_q=m_q, m_c=m_c,
         down_q=down_q, up_q=up_q, down_c=down_c, up_c=up_c,

@@ -10,32 +10,40 @@ diagonal steady-state ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidInputError, ZeroFluxError
 from .dissipation import SteadyState
-from .spectrum import EigenSystem, Memo, field_diagonals, parity_odd_elements
+from .spectrum import EigenSystem, field_diagonals, parity_odd_elements
 
 ZERO_FLUX_THRESHOLD = 1e-30
 P1_FLOOR = 1e-300
 
 
 @dataclass
-class DetectionOperator(Memo):
+class DetectionOperator:
     """Gap-weighted emission operator in the energy eigenbasis.
 
     xplus[j, k] = (E_k - E_j) * xmat[j, k] for k > j, zero elsewhere;
     xmat[j, k] = <phi_j| (a + a^dag) |phi_k> restricted to the same levels.
     The physical operator carries a global factor -i, dropped here: every
-    observable takes |.|^2 of its elements, so xplus stays real.  The
-    emission norms of flux_proxy and correlation_g_n are memoized on it.
+    observable takes |.|^2 of its elements, so xplus stays real.
+    norms[n-1][k] = sum_j |((X^+)^n)[j, k]|^2 = <k|X^-n X^+n|k>, n = 1, 2, 3,
+    is computed once here for flux_proxy and correlation_g_n.
     """
 
     xplus: np.ndarray
     xmat: np.ndarray
+    norms: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # A power that overflows only feeds a ratio that is then inf or NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.norms = tuple(np.sum(np.abs(np.linalg.matrix_power(self.xplus, n)) ** 2, axis=0)
+                               for n in (1, 2, 3))
 
     @property
     def n_levels(self) -> int:
@@ -46,48 +54,39 @@ def detection_operator(eigs: EigenSystem, n_levels: Optional[int] = None) -> Det
     """Build the detection operator over the lowest n_levels eigenstates.
 
     The result is strictly upper triangular in the energy-sorted basis and
-    annihilates the ground state.  Memoized on eigs.
+    annihilates the ground state.
     """
     L = eigs.dim if n_levels is None else min(int(n_levels), eigs.dim)
-    return eigs.memo(("detection_operator", L), _detection_operator, eigs, L)
-
-
-def _detection_operator(eigs: EigenSystem, L: int) -> DetectionOperator:
     _, xmat = parity_odd_elements(eigs, L)
     gap = eigs.energies[:L][None, :] - eigs.energies[:L][:, None]  # gap[j,k] = E_k - E_j
     xplus = np.triu(gap * xmat, k=1)
     return DetectionOperator(xplus=xplus, xmat=xmat)
 
 
+def _emission(x: DetectionOperator, ss: SteadyState, n: int) -> float:
+    """<X^-n X^+n> in the steady state ss, which must span the levels of x."""
+    if ss.n_levels != x.n_levels:
+        raise InvalidInputError(
+            f"steady state has {ss.n_levels} levels, the detection operator {x.n_levels}")
+    return float(np.dot(ss.populations, x.norms[n - 1]))
+
+
 def flux_proxy(x: DetectionOperator, ss: SteadyState) -> float:
     """Steady-state emission flux <X^- X^+> (dimensionless proxy)."""
-    L = min(x.n_levels, ss.n_levels)
-    norms = x.memo(("emission_norms", L, 1), _emission_norms, x.xplus[:, :L], 1)
-    return float(np.dot(ss.populations[:L], norms))
+    return _emission(x, ss, 1)
 
 
-def correlation_g_n(
-    x: DetectionOperator, ss: SteadyState, eigs: EigenSystem, n: int
-) -> float:
-    """Zero-delay n-photon correlation <X^-n X^+n> / <X^- X^+>^n."""
-    if n not in (2, 3, 4):
-        raise InvalidInputError(f"correlation order must be 2, 3, or 4, got {n}")
-    L = min(x.n_levels, ss.n_levels)
+def correlation_g_n(x: DetectionOperator, ss: SteadyState, n: int) -> float:
+    """Zero-delay n-photon correlation <X^-n X^+n> / <X^- X^+>^n, n = 2 or 3."""
+    if n not in (2, 3):
+        raise InvalidInputError(f"correlation order must be 2 or 3, got {n}")
     denom = flux_proxy(x, ss)
     if denom < ZERO_FLUX_THRESHOLD:
         raise ZeroFluxError(
             f"<X^- X^+> = {denom:.3e} is below {ZERO_FLUX_THRESHOLD}; the "
             "correlation ratio is 0/0 (non-emitting steady state)"
         )
-    norms = x.memo(("emission_norms", L, n), _emission_norms, x.xplus[:L, :L], n)
-    numer = float(np.dot(ss.populations[:L], norms))
-    return numer / denom**n
-
-
-def _emission_norms(xplus: np.ndarray, n: int) -> np.ndarray:
-    """Column norms sum_j |(X^+)^n [j, k]|^2: <k|X^-n X^+n|k> for each level k."""
-    power = xplus if n == 1 else np.linalg.matrix_power(xplus, n)
-    return np.sum(np.abs(power) ** 2, axis=0)
+    return _emission(x, ss, n) / denom**n
 
 
 def approx_g2(
@@ -163,29 +162,20 @@ def squeezing_factor(
     ss: SteadyState,
     eigs: EigenSystem,
     moments: Optional[tuple] = None,
-) -> tuple[float, float, float]:
-    """Principal quadrature squeezing of the cavity field.
+) -> float:
+    """Principal quadrature squeezing xi_b2 of the cavity field.
 
     The variance of the rotated quadrature X_theta is
     1 + 2*(<a^dag a> - |<a>|^2) + 2*Re(<a^2>_c e^{-2i theta}) with
     <a^2>_c = <a^2> - <a>^2; its minimum over theta is taken in closed form
-    by dropping the cosine to -1.  Also evaluates the symmetry-reduced
-    closed form 2*(<a^dag a> - Re<a^2>) + 1.  moments, when given, may be
-    complex.  Returns (xi_b2, xi_b2_closed, theta_min); squeezing means
-    xi_b2 < 1.
+    by dropping the cosine to -1.  moments, when given, may be complex.
+    Squeezing means xi_b2 < 1.
     """
     if moments is None:
         moments = field_moments(ss, eigs)
     a_mean, n_photon, a_sq = moments
-
-    centered = a_sq - a_mean**2
     base = 1.0 + 2.0 * (n_photon - abs(a_mean) ** 2)
-    xi_b2 = base - 2.0 * abs(centered)
-
-    xi_b2_closed = 1.0 + 2.0 * (n_photon - a_sq.real)
-    # math.atan2, not cmath.phase: the latter raises on a subnormal angle.
-    theta_min = math.atan2(a_sq.imag, a_sq.real) / 2.0 + math.pi / 2.0
-    return xi_b2, xi_b2_closed, theta_min
+    return base - 2.0 * abs(a_sq - a_mean**2)
 
 
 @dataclass

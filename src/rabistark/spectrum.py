@@ -88,26 +88,7 @@ class ModelParams:
 
 
 @dataclass
-class Memo:
-    """Per-instance memo of results that depend on the instance alone, such as
-    what the pipeline builds from one spectrum; left out of init, repr and eq."""
-
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def memo(self, key, compute, *args):
-        """compute(*args), run once per key; the result's arrays are made read-only."""
-        if key not in self._memo:
-            value = self._memo[key] = compute(*args)
-            parts = (value if isinstance(value, tuple)
-                     else vars(value).values() if hasattr(value, "__dict__") else (value,))
-            for part in parts:
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
-        return self._memo[key]
-
-
-@dataclass
-class EigenSystem(Memo):
+class EigenSystem:
     """Sorted eigenvalues, chain-form eigenvectors, and parity labels.
 
     energies  ascending real eigenvalues
@@ -233,12 +214,8 @@ def parity_odd_elements(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, n
     sigma_x maps |n, q> to |n, 1-q>, the same chain index on the other
     chain, so its elements are chain overlaps C^T C.  a maps |n, q> to
     sqrt(n) |n-1, q>, index n-1 on the other chain, so a + a^dag acts as the
-    symmetric shift S + S^T with S[n-1, n] = sqrt(n).  Memoized on eigs.
+    symmetric shift S + S^T with S[n-1, n] = sqrt(n).
     """
-    return eigs.memo(("parity_odd_elements", n_levels), _parity_odd_elements, eigs, n_levels)
-
-
-def _parity_odd_elements(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
     c = eigs.states[:, :n_levels]
     root = np.sqrt(np.arange(1.0, c.shape[0]))[:, None]
     shifted = np.zeros_like(c)
@@ -282,13 +259,8 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra:
     count below sigma exactly when the Schur complement (H_ext - sigma) -
     h^2 [(H - sigma)^-1]_{n_tr,n_tr} e_1 e_1^T is positive definite
     (Haynsworth inertia additivity).  No level above n_levels-1, a gap below
-    the crossing closure threshold, or extra < 1 is not cleared.  Memoized on eigs.
+    the crossing closure threshold, or extra < 1 is not cleared.
     """
-    return eigs.memo(("keeps_lowest_levels", p, n_levels, extra),
-                     _keeps_lowest_levels, p, eigs, n_levels, extra)
-
-
-def _keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra: int) -> bool:
     e = eigs.energies
     if (extra < 1 or n_levels >= eigs.dim
             or e[n_levels] - e[n_levels - 1] < GAP_CLOSURE_FRACTION * p.omega0):

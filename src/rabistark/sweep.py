@@ -3,10 +3,11 @@
 Each grid point runs spectrum -> rates -> steady state -> observables;
 failing points are recorded with an error code instead of aborting the
 sweep.  The bath enters only through the rates, so grid points that share
-(g, r, u, n_tr) share one spectrum and what is built from it alone (see
-spectrum.Memo): run_sweep groups them, and evaluate_group solves each
-spectrum once and the group's baths as stacked arrays.  Results land in
-row-major slots, the same for any worker count.
+(g, r, u, n_tr) share one spectrum and what is built from it alone:
+run_sweep groups them, and evaluate_group solves each spectrum once, the
+group's baths as stacked arrays, and the detection operator and the
+truncation check once for all of its baths.  Results land in row-major
+slots, the same for any worker count.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import (
     ZeroFluxError,
 )
 from .observables import (
+    DetectionOperator,
     ObservableReport,
     approx_g2,
     approx_g3,
@@ -206,19 +208,18 @@ def _failure(model, bath, exc, near_degenerate: bool, check_convergence: bool) -
     return PointResult(model, bath, None, converged, near_degenerate, code, str(exc))
 
 
-def _report(eigs: EigenSystem, ss, bath: BathParams) -> ObservableReport:
-    """Every observable of one bath's steady state ss."""
-    x = detection_operator(eigs, n_levels=ss.n_levels)
+def _report(eigs: EigenSystem, x: DetectionOperator, ss, bath: BathParams) -> ObservableReport:
+    """Every observable of one bath's steady state ss, with x over its levels."""
     moments = field_moments(ss, eigs)
     a_mean, n_photon, a_sq = moments
 
     flux = flux_proxy(x, ss)
-    g2 = correlation_g_n(x, ss, eigs, 2)
-    g3 = correlation_g_n(x, ss, eigs, 3)
+    g2 = correlation_g_n(x, ss, 2)
+    g3 = correlation_g_n(x, ss, 3)
     g2_a, eta1, eta2 = approx_g2(eigs, x, ss)
     kt_eff = bath.kt_c if bath.kt_c > 0 else bath.kt_q
     g3_a, eta3 = approx_g3(eigs, x, kt_eff)
-    xi_b2, _, _ = squeezing_factor(ss, eigs, moments=moments)
+    xi_b2 = squeezing_factor(ss, eigs, moments=moments)
     return ObservableReport(
         g2=g2, g3=g3, g2_approx=g2_a, g3_approx=g3_a, xi_b2=xi_b2,
         n_photon=n_photon, a_mean=a_mean, a_sq=a_sq, flux_proxy=flux,
@@ -267,21 +268,25 @@ def evaluate_group(
     Returns one PointResult per bath, in order.  The spectrum is solved once
     for the group, and the rate tables and steady states of its baths are
     built and solved as stacks of up to STACK_BATHS (transition_rates,
-    steady_populations); the observables are then read off each bath's
-    steady state.  Errors stay per bath: zero-flux and no-steady-state
-    conditions are reported through that bath's error code with an empty
-    report, never raised, and a failure before the baths part (the
-    spectrum, say) is every bath's error.
+    steady_populations).  The detection operator is built once, when some
+    bath has a steady state, and each bath's observables are read off its
+    steady state with it.  Errors stay per bath: zero-flux and
+    no-steady-state conditions are reported through that bath's error code
+    with an empty report, never raised, and a failure before the baths part
+    (the spectrum, say) is every bath's error.
 
     The convergence flag says the photon number is stable under n_tr ->
     n_tr + delta_ntr; it is None when check_convergence is off.  It is True
     without a re-solve when the edge certificate w = sum_k p_k (n_tr+1)
     |h v_k[n_tr]| (see edge_residuals) is at most CERTIFY_TOL and the longer
-    chains add no level below the ones in use (keeps_lowest_levels).  The
-    baths that miss it are re-solved together on the enlarged truncation,
-    over the same number of levels, and their photon numbers must agree
-    within CONVERGENCE_TOL, relative, or absolute when both are below 1e-6.
+    chains add no level below the ones in use (keeps_lowest_levels, run
+    once for the group if some bath passes the edge test).  The baths that
+    miss it are re-solved together on the enlarged truncation, over the
+    same number of levels, and their photon numbers must agree within
+    CONVERGENCE_TOL, relative, or absolute when both are below 1e-6.
     """
+    if not baths:
+        return []
     near_degenerate = False
     try:
         eigs = eigensystem(model)
@@ -292,10 +297,12 @@ def evaluate_group(
     except tuple(_ERROR_CODES) as exc:
         return [_failure(model, bath, exc, near_degenerate, check_convergence) for bath in baths]
 
+    L = states.n_levels
+    x = detection_operator(eigs, L) if None in states.errors else None
     results = []
     for b, bath in enumerate(baths):
         try:
-            report = _report(eigs, states.of_bath(b), bath)
+            report = _report(eigs, x, states.of_bath(b), bath)
         except tuple(_ERROR_CODES) as exc:
             results.append(_failure(model, bath, exc, near_degenerate, check_convergence))
         else:
@@ -303,17 +310,15 @@ def evaluate_group(
     if not check_convergence:
         return results
 
-    L = states.n_levels
     solved = [b for b, pt in enumerate(results) if pt.error_code == ERR_OK]
     resid = edge_residuals(model, eigs, L) if solved else None
-    pending = []
-    for b in solved:
-        certificate = (model.n_tr + 1) * float(states.populations[b] @ resid)
-        # A NaN or inf certificate fails the test and falls through to the re-solve.
-        if certificate <= CERTIFY_TOL and keeps_lowest_levels(model, eigs, L, delta_ntr):
+    # A NaN or inf certificate fails the test and falls through to the re-solve.
+    certified = [b for b in solved
+                 if (model.n_tr + 1) * float(states.populations[b] @ resid) <= CERTIFY_TOL]
+    if certified and keeps_lowest_levels(model, eigs, L, delta_ntr):
+        for b in certified:
             results[b].converged = True
-        else:
-            pending.append(b)
+    pending = [b for b in solved if results[b].converged is None]
     if pending:
         try:
             bigger = _n_photon_at(model.with_n_tr(model.n_tr + delta_ntr),

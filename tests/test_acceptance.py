@@ -40,7 +40,7 @@ def full_point(g, r, u, n_tr=120, kt=KT, n_levels=40):
 
 def exact_g2(g, r, u, n_tr=120):
     eigs, table, ss, x = full_point(g, r, u, n_tr=n_tr)
-    return rs.correlation_g_n(x, ss, eigs, 2)
+    return rs.correlation_g_n(x, ss, 2)
 
 
 def test_criterion_1_gibbs_equivalence():
@@ -130,10 +130,10 @@ def test_criterion_4_parity_selection():
 
 def test_criterion_5_thermal_statistics_limit():
     eigs, table, ss, x = full_point(1e-6, 0.2, 0.0, n_tr=60)
-    g2 = rs.correlation_g_n(x, ss, eigs, 2)
-    g3 = rs.correlation_g_n(x, ss, eigs, 3)
+    g2 = rs.correlation_g_n(x, ss, 2)
+    g3 = rs.correlation_g_n(x, ss, 3)
     _, n_photon, _ = rs.field_moments(ss, eigs)
-    xi, _, _ = rs.squeezing_factor(ss, eigs)
+    xi = rs.squeezing_factor(ss, eigs)
     n_th = 1.0 / (math.exp(1.0 / KT) - 1.0)
     ok = (abs(g2 - 2.0) < 1e-3 and abs(g3 - 6.0) < 1e-2
           and abs(xi - (1.0 + 2.0 * n_th)) < 1e-8
@@ -151,7 +151,7 @@ def test_criterion_6_zero_temperature_limits():
     ground_ok = ss.populations[0] == 1.0 and np.all(ss.populations[1:] == 0.0)
     raised = False
     try:
-        rs.correlation_g_n(x, ss, eigs, 2)
+        rs.correlation_g_n(x, ss, 2)
     except rs.ZeroFluxError:
         raised = True
     report("C6 zero-temperature limits", ground_ok and raised,
@@ -174,7 +174,7 @@ def test_criterion_7_squeezing_consistency():
         eigs, table, ss, x = observables_pipeline(model, bath, n_levels=24)
         moments = rs.field_moments(ss, eigs)
         a_mean, n_photon, a_sq = moments
-        xi, _, _ = rs.squeezing_factor(ss, eigs, moments=moments)
+        xi = rs.squeezing_factor(ss, eigs, moments=moments)
         thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         grid = (1.0 + 2.0 * (n_photon - abs(a_mean) ** 2)
                 + 2.0 * ((a_sq - a_mean**2) * np.exp(-2j * thetas)).real)
@@ -184,7 +184,7 @@ def test_criterion_7_squeezing_consistency():
     xis = []
     for g in gs:
         eigs, table, ss, x = full_point(g, 0.5, 0.0, n_tr=100)
-        xi, _, _ = rs.squeezing_factor(ss, eigs)
+        xi = rs.squeezing_factor(ss, eigs)
         xis.append(xi)
     argmin_g = float(gs[int(np.argmin(xis))])
     ok = worst < 1e-9 and 0.7 <= argmin_g <= 0.9
@@ -242,7 +242,7 @@ def _classification_grid():
     for g in np.linspace(0.1, 2.0, 15):
         for u in np.linspace(-0.8, 0.8, 15):
             eigs, table, ss, x = full_point(g, 0.2, u, n_tr=120)
-            g2 = rs.correlation_g_n(x, ss, eigs, 2)
+            g2 = rs.correlation_g_n(x, ss, 2)
             g2a, _, _ = rs.approx_g2(eigs, x, ss)
             if math.isfinite(g2a):
                 total += 1
@@ -255,8 +255,8 @@ def _divergence_window(r, u, centre, n_tr=120):
     for g in (centre - 0.004, centre - 0.002, centre,
               centre + 0.002, centre + 0.004):
         eigs, table, ss, x = full_point(g, r, u, n_tr=n_tr)
-        exact2.append(rs.correlation_g_n(x, ss, eigs, 2))
-        exact3.append(rs.correlation_g_n(x, ss, eigs, 3))
+        exact2.append(rs.correlation_g_n(x, ss, 2))
+        exact3.append(rs.correlation_g_n(x, ss, 3))
         approx2.append(rs.approx_g2(eigs, x, ss)[0])
         approx3.append(rs.approx_g3(eigs, x, KT)[0])
     return max(exact2), max(exact3), max(approx2), max(approx3)

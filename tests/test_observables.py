@@ -71,18 +71,27 @@ def test_flux_proxy_matches_matrix_product():
 
 def test_thermal_correlations():
     eigs, table, ss, x = thermal_point()
-    assert rs.correlation_g_n(x, ss, eigs, 2) == pytest.approx(2.0, abs=1e-3)
-    assert rs.correlation_g_n(x, ss, eigs, 3) == pytest.approx(6.0, abs=1e-2)
-    # fourth order exists and follows n! to the same accuracy class
-    assert rs.correlation_g_n(x, ss, eigs, 4) == pytest.approx(24.0, abs=1e-1)
+    assert rs.correlation_g_n(x, ss, 2) == pytest.approx(2.0, abs=1e-3)
+    assert rs.correlation_g_n(x, ss, 3) == pytest.approx(6.0, abs=1e-2)
 
 
 def test_correlation_rejects_bad_order():
     eigs, table, ss, x = thermal_point(n_tr=30)
-    with pytest.raises(rs.InvalidInputError):
-        rs.correlation_g_n(x, ss, eigs, 1)
-    with pytest.raises(rs.InvalidInputError):
-        rs.correlation_g_n(x, ss, eigs, 5)
+    for n in (1, 4, 5):
+        with pytest.raises(rs.InvalidInputError):
+            rs.correlation_g_n(x, ss, n)
+
+
+def test_emission_needs_the_levels_of_the_detection_operator():
+    # The emission norms are taken over X+'s levels, so a steady state over
+    # another level count is rejected rather than cut to fit.
+    model = rs.ModelParams(delta=1.0, g=0.6, r=0.3, u=0.1, n_tr=40)
+    eigs, table, ss, x = observables_pipeline(model, BATH, n_levels=16)
+    for other in (rs.detection_operator(eigs, n_levels=12), rs.detection_operator(eigs, 20)):
+        with pytest.raises(rs.InvalidInputError, match="levels"):
+            rs.flux_proxy(other, ss)
+        with pytest.raises(rs.InvalidInputError, match="levels"):
+            rs.correlation_g_n(other, ss, 2)
 
 
 def test_zero_temperature_flux_error():
@@ -91,7 +100,7 @@ def test_zero_temperature_flux_error():
     eigs, table, ss, x = observables_pipeline(model, cold, n_levels=16)
     assert ss.populations[0] == 1.0
     with pytest.raises(rs.ZeroFluxError):
-        rs.correlation_g_n(x, ss, eigs, 2)
+        rs.correlation_g_n(x, ss, 2)
 
 
 def test_correlation_invariant_under_rescaling():
@@ -101,8 +110,8 @@ def test_correlation_invariant_under_rescaling():
     factor = complex(rng.normal(), rng.normal())
     scaled = rs.DetectionOperator(xplus=x.xplus * factor, xmat=x.xmat)
     for n in (2, 3):
-        original = rs.correlation_g_n(x, ss, eigs, n)
-        assert rs.correlation_g_n(scaled, ss, eigs, n) == pytest.approx(original, rel=1e-12)
+        original = rs.correlation_g_n(x, ss, n)
+        assert rs.correlation_g_n(scaled, ss, n) == pytest.approx(original, rel=1e-12)
 
 
 def test_approx_g2_eta_definitions():
@@ -194,15 +203,14 @@ def test_squeezing_vacuum_limit():
     model = rs.ModelParams(delta=0.9, g=0.0, r=1.0, u=0.0, n_tr=20)
     cold = rs.BathParams(kt_q=0.0, kt_c=0.0)
     eigs, table, ss, x = observables_pipeline(model, cold, n_levels=8)
-    xi, xi_closed, theta = rs.squeezing_factor(ss, eigs)
-    assert xi == pytest.approx(1.0, abs=1e-9)
-    assert xi_closed == pytest.approx(1.0, abs=1e-9)
+    _, n_photon, a_sq = rs.field_moments(ss, eigs)
+    assert rs.squeezing_factor(ss, eigs) == pytest.approx(1.0, abs=1e-9)
+    assert 1.0 + 2.0 * (n_photon - a_sq.real) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_squeezing_thermal_limit():
     eigs, table, ss, x = thermal_point()
-    xi, xi_closed, theta = rs.squeezing_factor(ss, eigs)
-    assert xi == pytest.approx(1.0 + 2.0 * N_TH, abs=1e-8)
+    assert rs.squeezing_factor(ss, eigs) == pytest.approx(1.0 + 2.0 * N_TH, abs=1e-8)
 
 
 def test_squeezing_closed_form_agreement():
@@ -211,12 +219,11 @@ def test_squeezing_closed_form_agreement():
         p = random_model(rng, n_tr=50)
         eigs, table, ss, x = observables_pipeline(p, BATH, n_levels=24)
         moments = rs.field_moments(ss, eigs)
-        xi, xi_closed, theta = rs.squeezing_factor(ss, eigs, moments=moments)
+        xi = rs.squeezing_factor(ss, eigs, moments=moments)
         a_mean, n_photon, a_sq = moments
         if a_sq.real >= 0:
-            assert xi == pytest.approx(xi_closed, abs=1e-9)
-        # theta convention: arg(<a^2>)/2 + pi/2
-        assert theta == pytest.approx(cmath.phase(a_sq) / 2.0 + math.pi / 2.0, abs=1e-12)
+            # the symmetry-reduced closed form 2*(<a^dag a> - Re<a^2>) + 1
+            assert xi == pytest.approx(1.0 + 2.0 * (n_photon - a_sq.real), abs=1e-9)
         # explicit grid re-check against the analytic minimum
         base = 1.0 + 2.0 * (n_photon - abs(a_mean) ** 2)
         thetas = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
@@ -227,7 +234,7 @@ def test_squeezing_closed_form_agreement():
 def test_squeezed_region_exists_at_strong_coupling():
     model = rs.ModelParams(delta=1.0, g=0.8, r=0.5, u=0.0, n_tr=80)
     eigs, table, ss, x = observables_pipeline(model, BATH)
-    xi, _, _ = rs.squeezing_factor(ss, eigs)
+    xi = rs.squeezing_factor(ss, eigs)
     assert xi < 1.0
 
 
@@ -240,7 +247,7 @@ moment = st.floats(-3.0, 3.0)
 @example(0.0, 0.0, 0.0, 2.0, 5e-324)  # subnormal phase of <a^2>
 def test_squeezing_minimum_matches_theta_minimization(a_re, a_im, n_photon, sq_re, sq_im):
     a_mean, a_sq = complex(a_re, a_im), complex(sq_re, sq_im)
-    xi, _, _ = rs.squeezing_factor(None, None, moments=(a_mean, n_photon, a_sq))
+    xi = rs.squeezing_factor(None, None, moments=(a_mean, n_photon, a_sq))
 
     base = 1.0 + 2.0 * (n_photon - abs(a_mean) ** 2)
     centered = a_sq - a_mean**2

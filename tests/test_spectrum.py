@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
-from rabistark.spectrum import DEGENERACY_FRACTION, parity_odd_elements
+from rabistark.spectrum import DEGENERACY_FRACTION
 
 from conftest import (
     build_eigs, composite_states, dense_hamiltonian, eigensystem_levels, gaps, observables_pipeline,
@@ -128,25 +127,6 @@ def test_pipeline_arrays_are_real():
     arrays = (eigs.states, table.m_q, table.m_c, ss.populations, x.xplus, x.xmat)
     assert all(arr.dtype == np.float64 for arr in arrays)
     assert all(isinstance(m, float) for m in rs.field_moments(ss, eigs))
-
-
-def test_memoized_arrays_are_shared_and_reject_writes():
-    # What a spectrum computes once for all baths is one read-only copy.
-    p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=10)
-    eigs, table, ss, x = observables_pipeline(p, rs.BathParams(), n_levels=12)
-    g2 = rs.correlation_g_n(x, ss, eigs, 2)
-    assert rs.detection_operator(eigs, n_levels=12) is x
-    assert parity_odd_elements(eigs, 12)[0] is table.m_q
-    norms = list(x._memo.values())      # the flux and G2 emission norms
-    assert len(norms) == 2
-    for arr in (table.m_q, table.m_c, x.xplus, x.xmat, *norms):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1.0
-    assert rs.correlation_g_n(x, ss, eigs, 2) == g2
-    # The memo is no field of the value: repr leaves it out, and a copy starts empty.
-    assert "_memo" not in repr(eigs) and "_memo" not in repr(x)
-    assert replace(eigs)._memo == {} and replace(x)._memo == {}
-    assert eigs.states.flags.writeable     # the spectrum itself stays the caller's
 
 
 def test_truncation_convergence_of_low_levels():

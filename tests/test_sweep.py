@@ -7,7 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
-from rabistark import spectrum, sweep
+from rabistark import dissipation, observables, sweep
 from rabistark.cli import sweep_csv
 from rabistark.spectrum import edge_residuals, keeps_lowest_levels
 from rabistark.sweep import (
@@ -452,12 +452,14 @@ def test_one_dimensional_kt_sweep_is_worker_independent():
 @pytest.mark.parametrize("n_tr, n_levels, resolves", [(40, 20, False), (6, 14, True)])
 def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_levels, resolves):
     # A u x kT grid: |u| >= 1 rows, and per model a kT=0 bath and three warm ones.
-    # The matrix elements, the truncation check and the X+^n powers (n = 2,
-    # 3) are computed once per spectrum and level count, not once per slot.
-    # At n_tr=6 every warm slot misses the certificate; each group re-solves
-    # its three together, and each n_tr+40 spectrum gets its matrix elements once.
-    elements = counting(monkeypatch, "_parity_odd_elements", spectrum)
-    checked = counting(monkeypatch, "_keeps_lowest_levels", spectrum)
+    # Per spectrum, not per slot: the rate table and X+ take the matrix
+    # elements once each (an n_tr+40 spectrum builds no X+), the truncation
+    # check runs at most once per group, and X+^n (n = 1, 2, 3) once per
+    # solved spectrum.  At n_tr=6 every warm slot misses the certificate;
+    # each group re-solves its three together.
+    rates = counting(monkeypatch, "parity_odd_elements", dissipation)
+    detection = counting(monkeypatch, "parity_odd_elements", observables)
+    checked = counting(monkeypatch, "keeps_lowest_levels")
     powers = counting(monkeypatch, "matrix_power", np.linalg)
     resolved = counting(monkeypatch, "_n_photon_at")
     spec = SweepSpec(model=replace(BASE_MODEL, n_tr=n_tr), bath=BASE_BATH,
@@ -468,11 +470,33 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
     models = {pt.model for pt in result.points if pt.model is not None}
     assert len(models) == 3
     assert len(resolved) == (len(models) if resolves else 0)
-    spectra = len(models) + len(set(resolved))
-    assert len(elements) == spectra and len({id(e) for e in elements}) == spectra
+    spectra = len(models) + len(resolved)
+    assert len(rates) == len({id(e) for e in rates}) == spectra
+    assert len(detection) == len({id(e) for e in detection}) == len(models)
+    assert {id(e) for e in detection} <= {id(e) for e in rates}
     # A re-solved slot fails the edge certificate before the level check.
     assert len(checked) == len(set(checked)) and set(checked) == (set() if resolves else models)
-    assert len(powers) == 2 * len(models)
+    assert len(powers) == 3 * len(models) and len({id(x) for x in powers}) == len(models)
+
+
+def test_empty_group_has_no_results():
+    assert evaluate_group(BASE_MODEL, []) == []
+
+
+def test_group_without_a_steady_state_builds_no_detection_operator(monkeypatch):
+    built = counting(monkeypatch, "detection_operator")
+    huge = rs.ModelParams(delta=1.0, g=1e300, n_tr=40)
+    results = evaluate_group(huge, [BASE_BATH, replace(BASE_BATH, kt_q=0.2)], n_levels=20)
+    assert [pt.error_code for pt in results] == [ERR_NO_STEADY_STATE] * 2
+    assert built == []
+
+
+def test_cold_bath_at_huge_coupling_reports_zero_flux():
+    # The kT=0 ground state gets X+, whose powers overflow at this coupling:
+    # the point still reports zero flux, and without a RuntimeWarning.
+    huge = rs.ModelParams(delta=1.0, g=1e150, n_tr=40)
+    pt = evaluate_point(huge, rs.BathParams(kt_q=0.0, kt_c=0.0), n_levels=20)
+    assert pt.error_code == ERR_ZERO_FLUX
 
 
 @settings(max_examples=60, deadline=None)
