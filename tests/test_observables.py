@@ -87,7 +87,8 @@ def test_emission_needs_the_levels_of_the_detection_operator():
     # another level count is rejected rather than cut to fit.
     model = rs.ModelParams(delta=1.0, g=0.6, r=0.3, u=0.1, n_tr=40)
     eigs, table, ss, x = observables_pipeline(model, BATH, n_levels=16)
-    for other in (rs.detection_operator(eigs, n_levels=12), rs.detection_operator(eigs, 20)):
+    for other in (rs.detection_operator(eigs, n_levels=12),
+                  rs.detection_operator(eigs, n_levels=20)):
         with pytest.raises(rs.InvalidInputError, match="levels"):
             rs.flux_proxy(other, ss)
         with pytest.raises(rs.InvalidInputError, match="levels"):
