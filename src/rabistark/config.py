@@ -41,9 +41,11 @@ class ScanConfig:
                 f"need g_min < g_max, got [{self.g_min}, {self.g_max}]")
         if self.n_levels < 2:
             raise InvalidParameterError(f"n_levels must be >= 2, got {self.n_levels}")
-        if not self.pairs or any(lo < 0 or hi != lo + 1 for lo, hi in self.pairs):
+        if (not self.pairs or len(set(self.pairs)) != len(self.pairs)
+                or any(lo < 0 or hi != lo + 1 for lo, hi in self.pairs)):
             raise InvalidParameterError(
-                f"pairs must be one or more level pairs (k, k+1), k >= 0, got {self.pairs}")
+                f"pairs must be one or more distinct level pairs (k, k+1), k >= 0, "
+                f"got {self.pairs}")
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,9 @@ def _emission(x: DetectionOperator, ss: SteadyState, n: int) -> float:
     if ss.n_levels != x.n_levels:
         raise InvalidInputError(
             f"steady state has {ss.n_levels} levels, the detection operator {x.n_levels}")
-    return float(np.dot(ss.populations, x.norms[n - 1]))
+    # An empty level adds 0 even where its norm overflowed to inf (0 * inf).
+    p = ss.populations
+    return float(np.dot(p, np.where(p != 0.0, x.norms[n - 1], 0.0)))
 
 
 def flux_proxy(x: DetectionOperator, ss: SteadyState) -> float:

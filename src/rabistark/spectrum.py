@@ -7,7 +7,8 @@ carries an exact label +/-1.  Eigenvectors stay in chain form, and every
 matrix element the pipeline needs is taken on the chains.  Crossings of
 adjacent levels are located by tracking the swap of the energy-sorted
 parity labels along a coupling scan and refining with bisection; the scan
-reads only the lowest chain eigenvalues, never eigenvectors.
+reads only the lowest chain eigenvalues, never eigenvectors, solves each
+coupling once, and bisects them with LAPACK dstebz called directly.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -20,7 +21,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .errors import InvalidParameterError, NumericFailureError
 
@@ -123,6 +125,23 @@ def _parity_chain(p: ModelParams, odd: int):
     return diag, off
 
 
+def _bisect(diag: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Eigenvalues lo..hi (0-based, ascending) of the symmetric tridiagonal
+    matrix with diagonal diag and off-diagonal off, by LAPACK bisection.
+
+    dstebz gets the arguments scipy's eigvalsh_tridiagonal(select='i')
+    passes it (index range, tol 0, order E), so the eigenvalues are the
+    same bits, without the wrapper's validation on every call.  The callers
+    check that diag and off are finite first.
+    """
+    if diag.size == 1:       # f2py rejects the empty off-diagonal of a 1x1 matrix
+        return diag.copy()
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info={info})")
+    return w[:m]
+
+
 def _solve_chains(p: ModelParams, solve) -> list:
     """solve(diag, off) on the P=+1 chain, then on the P=-1 chain.
 
@@ -188,16 +207,17 @@ def eigensystem(p: ModelParams) -> EigenSystem:
 def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k energies and parity labels of eigensystem(p), without vectors.
 
-    Bisection on each chain gives its lowest min(k, n_tr+1) eigenvalues and
-    its top one, which fixes the span of the level-order rule.  Energies
-    agree with eigensystem to ~1e-14 relative; labels follow the same rule.
+    Bisection by LAPACK dstebz, called directly (_bisect), gives each chain's
+    lowest min(k, n_tr+1) eigenvalues and its top one, which fixes the span
+    of the level-order rule.  Energies agree with eigensystem to ~1e-14
+    relative; labels follow the same rule.  find_crossings asks for the
+    max_level + 1 levels its labels and gaps read, once per coupling.
     """
     m = p.n_tr + 1
     low = min(int(k), m)
 
     def solve(diag, off):
-        return (eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, low - 1)),
-                eigvalsh_tridiagonal(diag, off, select="i", select_range=(m - 1, m - 1)))
+        return _bisect(diag, off, 0, low - 1), _bisect(diag, off, m - 1, m - 1)
 
     (e_even, top_even), (e_odd, top_odd) = _solve_chains(p, solve)
     energies = np.concatenate([e_even, e_odd])
@@ -273,8 +293,8 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra:
             diag, off = _parity_chain(longer, odd)
             diag = diag[p.n_tr + 1:] - sigma
             diag[0] -= off[p.n_tr] ** 2 * np.sum(eigs.states[-1, on] ** 2 / (e[on] - sigma))
-        if not (np.isfinite(diag).all() and np.isfinite(off).all() and eigvalsh_tridiagonal(
-                diag, off[p.n_tr + 1:], select="i", select_range=(0, 0))[0] > 0):
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()
+                and _bisect(diag, off[p.n_tr + 1:], 0, 0)[0] > 0):
             return False
     return True
 
@@ -335,11 +355,19 @@ def find_crossings(
     the pair gap at the refined point is below the closure threshold.  The
     closure test also rejects swaps of level n caused by a crossing of the
     pair below it.
+
+    Each coupling is solved once per call (a ground crossing swaps level 1
+    too, so the (1, 2) bisection meets the (0, 1) one's couplings again),
+    and each solve bisects max_level + 1 levels per chain, the most the
+    labels and gaps read.
     """
     if not g_min < g_max:
         raise InvalidParameterError(f"need g_min < g_max, got [{g_min}, {g_max}]")
-    if steps < 8:
-        raise InvalidParameterError(f"need steps >= 8, got {steps}")
+    if not isinstance(steps, (int, np.integer)) or steps < 8:
+        raise InvalidParameterError(f"need an integer steps >= 8, got {steps}")
+    if not levels or len(set(levels)) != len(levels):
+        raise InvalidParameterError(
+            f"tracked pairs must be one or more distinct pairs, got {levels}")
     for lo, hi in levels:
         if hi != lo + 1 or lo < 0:
             raise InvalidParameterError(f"tracked pairs must be adjacent, got ({lo}, {hi})")
@@ -350,11 +378,14 @@ def find_crossings(
             f"tracked level {max_level} is beyond the {p.dim} levels at n_tr={p.n_tr}"
         )
     closure = GAP_CLOSURE_FRACTION * p.omega0
-    grid = np.linspace(g_min, g_max, int(steps))
+    grid = np.linspace(g_min, g_max, steps)
+    solved: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def labels_at(g: float):
-        energies, parities = lowest_levels(_with_g(p, g), max_level + 2)
-        return parities[: max_level + 1], energies
+        if g not in solved:
+            energies, parities = lowest_levels(_with_g(p, g), max_level + 1)
+            solved[g] = parities, energies
+        return solved[g]
 
     scan = [labels_at(g) for g in grid]
 

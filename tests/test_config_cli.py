@@ -144,7 +144,8 @@ def valid_configs(draw):
         "bath": st.fixed_dictionaries({}, optional={"alpha_c": floats, "kt_q": st.floats(0, 1)}),
         "scan": st.fixed_dictionaries({}, optional={
             "count": st.integers(8, 200), "n_levels": st.integers(2, 20),
-            "pairs": st.lists(st.integers(0, 10).map(lambda k: [k, k + 1]), min_size=1)}),
+            "pairs": st.lists(st.integers(0, 10), min_size=1, unique=True).map(
+                lambda ks: [[k, k + 1] for k in ks])}),
         "sweep": sweep,
         "output": st.fixed_dictionaries({}, optional={
             "scale": st.sampled_from(["linear", "log10"]),
@@ -200,7 +201,8 @@ def test_config_rejects_bad_values():
                  {"sweep": {"axis1": axis, "n_levels": 2}},
                  {"sweep": {"axis1": axis, "n_levels": 3}},
                  {"scan": {"count": 7}}, {"scan": {"n_levels": 1}},
-                 {"scan": {"pairs": [[0, 2]]}}, {"output": {"column": "eta1"}},
+                 {"scan": {"pairs": [[0, 2]]}}, {"scan": {"pairs": [[0, 1], [0, 1]]}},
+                 {"output": {"column": "eta1"}},
                  {"sweep": {"axis1": axis, "observables": []}},
                  {"model": {"n_tr": 12}, "sweep": {"axis1": axis, "n_levels": 27}}):
         with pytest.raises(rs.ConfigError):
@@ -468,6 +470,7 @@ def test_cli_rejects_non_finite_config(tmp_path, capsys):
         {"sweep": {"axis1": dict(axis, min="0.1")}},
         {"sweep": {"axis1": dict(axis, count="5")}},
         {"scan": {"pairs": [[True, 2]]}},
+        {"scan": {"pairs": [[0, 1], [0, 1]]}},    # would write each crossing twice
         {"sweep": {"axis1": axis, "n_levels": 40.5}},
         {"sweep": {"axis1": axis, "n_levels": "40"}},
         {"sweep": {"axis1": axis, "n_levels": True}},

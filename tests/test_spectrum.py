@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
-from rabistark.spectrum import DEGENERACY_FRACTION
+from rabistark.spectrum import DEGENERACY_FRACTION, GAP_CLOSURE_FRACTION, keeps_lowest_levels
 
 from conftest import (
     build_eigs, composite_states, dense_hamiltonian, eigensystem_levels, gaps, observables_pipeline,
@@ -251,3 +251,62 @@ def test_find_crossings_validation():
         rs.find_crossings(p, 0.1, 1.0, steps=16, levels=((0, 2),))
     with pytest.raises(rs.InvalidParameterError):
         rs.find_crossings(p, 0.1, 1.0, steps=16, levels=((21, 22),))  # 22 levels at n_tr=10
+    # A repeated pair would report its crossings again; no pair, no scan; a
+    # fractional step count is not rounded for the caller.
+    for levels in (((0, 1), (0, 1)), ((0, 1), (1, 2), (0, 1)), ()):
+        with pytest.raises(rs.InvalidParameterError):
+            rs.find_crossings(p, 0.1, 1.0, steps=16, levels=levels)
+    for steps in (10.7, 16.0, True):
+        with pytest.raises(rs.InvalidParameterError):
+            rs.find_crossings(p, 0.1, 1.0, steps=steps)
+
+
+def test_find_crossings_solves_each_coupling_once(monkeypatch):
+    # At the ground crossing level 1 swaps in the same grid interval as
+    # level 0, so the (1, 2) refinement meets the (0, 1) one's couplings;
+    # each is solved once, with the max_level + 1 levels the scan reads.
+    calls = []
+    solve = rs.spectrum.lowest_levels
+
+    def counted(p, k):
+        calls.append((p.g, k))
+        return solve(p, k)
+
+    monkeypatch.setattr(rs.spectrum, "lowest_levels", counted)
+    p = rs.ModelParams(delta=1.0, g=0.0, r=0.2, u=0.2, n_tr=30)
+    cp = rs.find_crossings(p, 0.05, 2.0, steps=41)
+    assert cp.gc_numeric is not None
+    couplings = [g for g, _ in calls]
+    assert len(couplings) == len(set(couplings))
+    assert {k for _, k in calls} == {4}     # default pairs up to (2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.floats(0.0, 2.0),
+    r=st.floats(0.0, 2.0),
+    u=st.floats(-0.9, 0.9),
+    n_tr=st.integers(2, 20),
+    n_levels=st.integers(1, 12),
+    extra=st.integers(1, 3),
+)
+def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, extra):
+    # The inertia test against a count on the longer spectrum, per parity,
+    # down to one added site (a 1x1 Schur complement).
+    p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    eigs = rs.eigensystem(p)
+    e = eigs.energies
+    assume(n_levels < eigs.dim and e[n_levels] - e[n_levels - 1] >= GAP_CLOSURE_FRACTION)
+    sigma = 0.5 * (e[n_levels - 1] + e[n_levels])
+    longer = rs.eigensystem(p.with_n_tr(n_tr + extra))
+    assume(np.min(np.abs(longer.energies - sigma)) > 1e-9)
+    same = all(np.sum((longer.energies < sigma) & (longer.parities == label))
+               == np.sum((e < sigma) & (eigs.parities == label)) for label in (1.0, -1.0))
+    assert keeps_lowest_levels(p, eigs, n_levels, extra) == same
+
+
+def test_bisection_failure_is_a_numeric_failure(monkeypatch):
+    monkeypatch.setattr(rs.spectrum, "dstebz", lambda *args: (0, np.empty(3), None, None, 1))
+    p = rs.ModelParams(delta=1.0, g=0.5, r=0.2, u=0.2, n_tr=10)
+    with pytest.raises(rs.NumericFailureError):
+        rs.spectrum.lowest_levels(p, 4)

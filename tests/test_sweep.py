@@ -491,10 +491,12 @@ def test_group_without_a_steady_state_builds_no_detection_operator(monkeypatch):
     assert built == []
 
 
-def test_cold_bath_at_huge_coupling_reports_zero_flux():
-    # The kT=0 ground state gets X+, whose powers overflow at this coupling:
-    # the point still reports zero flux, and without a RuntimeWarning.
-    huge = rs.ModelParams(delta=1.0, g=1e150, n_tr=40)
+@pytest.mark.parametrize("g", [1e150, 1e300])
+def test_cold_bath_at_huge_coupling_reports_zero_flux(g):
+    # The kT=0 ground state gets X+, whose powers overflow at this coupling
+    # (at 1e300 its emission norms are inf on the empty levels): the point
+    # still reports zero flux, and without a RuntimeWarning.
+    huge = rs.ModelParams(delta=1.0, g=g, n_tr=40)
     pt = evaluate_point(huge, rs.BathParams(kt_q=0.0, kt_c=0.0), n_levels=20)
     assert pt.error_code == ERR_ZERO_FLUX
 
