@@ -191,8 +191,7 @@ def sweep_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool,
-              scale: str) -> list[str]:
+def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool) -> list[str]:
     """Run the grid sweep; optionally render an SVG heatmap of one column."""
     if config.sweep is None:
         raise ConfigError("sweep subcommand needs a 'sweep' config section",
@@ -212,7 +211,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool,
             axis1=(spec.axis1.name, spec.axis1.min, spec.axis1.max),
             axis2=(spec.axis2.name, spec.axis2.min, spec.axis2.max),
             label=column,
-            scale=scale,
+            scale=config.scale,
         )
         name = f"heatmap_{column}.svg"
         _write_text(out_dir / name, svg)
@@ -255,6 +254,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    if args.command == "sweep" and args.scale is not None:
+        config = replace(config, scale=args.scale)   # so meta.json echoes it
 
     try:
         out_dir = Path(args.out)
@@ -272,8 +273,7 @@ def main(argv=None) -> int:
         elif args.command == "observables":
             outputs = cmd_observables(config, out_dir)
         else:
-            outputs = cmd_sweep(config, out_dir, args.workers, args.plot,
-                                args.scale or config.scale)
+            outputs = cmd_sweep(config, out_dir, args.workers, args.plot)
         _write_sidecar(out_dir, args.command, config, outputs,
                        time.perf_counter() - start)
     except ConfigError as exc:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .dissipation import DEFAULT_N_LEVELS, BathParams
 from .errors import ConfigError, InvalidParameterError
-from .spectrum import ModelParams, _is_finite
+from .spectrum import ModelParams, _check_scan, _is_finite, _is_int
 from .sweep import OBSERVABLE_NAMES, AxisSpec, SweepSpec
 
 SECTIONS = ("model", "bath", "scan", "sweep", "output")
@@ -34,18 +34,9 @@ class ScanConfig:
     pairs: tuple = ((0, 1), (1, 2), (2, 3))
 
     def __post_init__(self):
-        if self.count < 8:
-            raise InvalidParameterError(f"count must be >= 8, got {self.count}")
-        if not self.g_min < self.g_max:
-            raise InvalidParameterError(
-                f"need g_min < g_max, got [{self.g_min}, {self.g_max}]")
-        if self.n_levels < 2:
-            raise InvalidParameterError(f"n_levels must be >= 2, got {self.n_levels}")
-        if (not self.pairs or len(set(self.pairs)) != len(self.pairs)
-                or any(lo < 0 or hi != lo + 1 for lo, hi in self.pairs)):
-            raise InvalidParameterError(
-                f"pairs must be one or more distinct level pairs (k, k+1), k >= 0, "
-                f"got {self.pairs}")
+        _check_scan(self.g_min, self.g_max, self.count, self.pairs)
+        if not _is_int(self.n_levels) or self.n_levels < 2:
+            raise InvalidParameterError(f"n_levels must be an integer >= 2, got {self.n_levels}")
 
 
 @dataclass(frozen=True)

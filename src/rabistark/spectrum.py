@@ -8,7 +8,8 @@ matrix element the pipeline needs is taken on the chains.  Crossings of
 adjacent levels are located by tracking the swap of the energy-sorted
 parity labels along a coupling scan and refining with bisection; the scan
 reads only the lowest chain eigenvalues, never eigenvectors, solves each
-coupling once, and bisects them with LAPACK dstebz called directly.
+coupling once, and bisects them with LAPACK dstebz called directly.  Its
+result is one list of crossings, ascending in the coupling.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -17,7 +18,7 @@ temperatures are quoted in units of omega0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +38,11 @@ def _is_finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _is_int(value) -> bool:
+    """Whether value is a Python or numpy integer; an integral float is not."""
+    return isinstance(value, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,7 @@ class ModelParams:
             raise InvalidParameterError(
                 f"|u| must be < omega0 (spectral collapse beyond), got u={self.u}"
             )
-        if not isinstance(self.n_tr, (int, np.integer)) or self.n_tr < 2:
+        if not _is_int(self.n_tr) or self.n_tr < 2:
             raise InvalidParameterError(f"n_tr must be an integer >= 2, got {self.n_tr}")
 
     @property
@@ -319,25 +325,37 @@ def gc_analytic(p: ModelParams) -> Optional[float]:
 class CriticalPoints:
     """Detected level crossings along a coupling scan.
 
-    gc_analytic        closed-form ground crossing, or None
-    gc_numeric         refined ground crossing (value, half_width), or None
-    excited_crossings  list of ((n, n+1), value, half_width) for tracked pairs
+    gc_analytic  closed-form ground crossing, or None
+    crossings    ((n, n+1), value, half_width) of each accepted crossing,
+                 ascending in value; crossings at one value keep the order
+                 of the tracked pairs
     """
 
     gc_analytic: Optional[float]
-    gc_numeric: Optional[tuple[float, float]]
-    excited_crossings: list = field(default_factory=list)
+    crossings: list
+
+    @property
+    def gc_numeric(self) -> Optional[tuple[float, float]]:
+        """The first ground crossing (value, half_width), or None."""
+        return next(((g, half) for pair, g, half in self.crossings if pair == (0, 1)), None)
 
     def all_crossings(self) -> list:
-        out = []
-        if self.gc_numeric is not None:
-            out.append(((0, 1), self.gc_numeric[0], self.gc_numeric[1]))
-        out.extend(self.excited_crossings)
-        return sorted(out, key=lambda item: item[1])
+        return self.crossings
 
 
-def _with_g(p: ModelParams, g: float) -> ModelParams:
-    return replace(p, g=float(g))
+def _check_scan(g_min: float, g_max: float, steps: int, levels: Sequence) -> None:
+    """The scan rules of find_crossings and config.ScanConfig: g_min < g_max,
+    an integer step count >= 8, and one or more distinct adjacent pairs
+    (k, k+1) with k >= 0."""
+    if not g_min < g_max:
+        raise InvalidParameterError(f"need g_min < g_max, got [{g_min}, {g_max}]")
+    if not _is_int(steps) or steps < 8:
+        raise InvalidParameterError(f"need an integer step count >= 8, got {steps}")
+    if (not levels or len(set(levels)) != len(levels)
+            or any(lo < 0 or hi != lo + 1 for lo, hi in levels)):
+        raise InvalidParameterError(
+            f"tracked pairs must be one or more distinct level pairs (k, k+1), k >= 0, "
+            f"got {levels}")
 
 
 def find_crossings(
@@ -354,74 +372,45 @@ def find_crossings(
     bisection to a bracket of width (g_max - g_min)/2**14 and accepted when
     the pair gap at the refined point is below the closure threshold.  The
     closure test also rejects swaps of level n caused by a crossing of the
-    pair below it.
+    pair below it.  Accepted crossings go into one list, sorted by value.
 
     Each coupling is solved once per call (a ground crossing swaps level 1
     too, so the (1, 2) bisection meets the (0, 1) one's couplings again),
     and each solve bisects max_level + 1 levels per chain, the most the
     labels and gaps read.
     """
-    if not g_min < g_max:
-        raise InvalidParameterError(f"need g_min < g_max, got [{g_min}, {g_max}]")
-    if not isinstance(steps, (int, np.integer)) or steps < 8:
-        raise InvalidParameterError(f"need an integer steps >= 8, got {steps}")
-    if not levels or len(set(levels)) != len(levels):
-        raise InvalidParameterError(
-            f"tracked pairs must be one or more distinct pairs, got {levels}")
-    for lo, hi in levels:
-        if hi != lo + 1 or lo < 0:
-            raise InvalidParameterError(f"tracked pairs must be adjacent, got ({lo}, {hi})")
-
+    _check_scan(g_min, g_max, steps, levels)
     max_level = max(hi for _, hi in levels)
     if max_level >= p.dim:
         raise InvalidParameterError(
-            f"tracked level {max_level} is beyond the {p.dim} levels at n_tr={p.n_tr}"
-        )
+            f"tracked level {max_level} is beyond the {p.dim} levels at n_tr={p.n_tr}")
     closure = GAP_CLOSURE_FRACTION * p.omega0
     grid = np.linspace(g_min, g_max, steps)
     solved: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def labels_at(g: float):
+    def solve(g: float):
         if g not in solved:
-            energies, parities = lowest_levels(_with_g(p, g), max_level + 1)
-            solved[g] = parities, energies
+            solved[g] = lowest_levels(replace(p, g=float(g)), max_level + 1)
         return solved[g]
 
-    scan = [labels_at(g) for g in grid]
-
-    found: dict[tuple[int, int], list[tuple[float, float]]] = {pair: [] for pair in levels}
+    labels = [solve(g)[1] for g in grid]
+    crossings = []
     for i in range(len(grid) - 1):
-        labels_lo, _ = scan[i]
-        labels_hi, _ = scan[i + 1]
         for pair in levels:
             n = pair[0]
-            if labels_lo[n] == labels_hi[n]:
+            ref = labels[i][n]
+            if labels[i + 1][n] == ref:
                 continue
             lo, hi = float(grid[i]), float(grid[i + 1])
-            ref = labels_lo[n]
             for _ in range(BISECTION_DEPTH):
                 mid = 0.5 * (lo + hi)
-                labels_mid, _ = labels_at(mid)
-                if labels_mid[n] == ref:
+                if solve(mid)[1][n] == ref:
                     lo = mid
                 else:
                     hi = mid
             center = 0.5 * (lo + hi)
-            _, energies = labels_at(center)
+            energies = solve(center)[0]
             if energies[n + 1] - energies[n] < closure:
-                found[pair].append((center, 0.5 * (hi - lo)))
-
-    ground = found.get((0, 1), [])
-    gc_numeric = ground[0] if ground else None
-    excited = []
-    for pair in levels:
-        if pair == (0, 1):
-            for extra in found[pair][1:]:
-                excited.append((pair, extra[0], extra[1]))
-            continue
-        for value, half in found[pair]:
-            excited.append((pair, value, half))
-    excited.sort(key=lambda item: item[1])
-    return CriticalPoints(
-        gc_analytic=gc_analytic(p), gc_numeric=gc_numeric, excited_crossings=excited
-    )
+                crossings.append((pair, center, 0.5 * (hi - lo)))
+    crossings.sort(key=lambda item: item[1])
+    return CriticalPoints(gc_analytic=gc_analytic(p), crossings=crossings)

@@ -49,6 +49,7 @@ from .spectrum import (
     EigenSystem,
     ModelParams,
     _is_finite,
+    _is_int,
     edge_residuals,
     eigensystem,
     keeps_lowest_levels,
@@ -93,8 +94,8 @@ class AxisSpec:
             raise InvalidParameterError(
                 f"axis parameter must be one of {AXIS_NAMES}, got {self.name!r}"
             )
-        if self.count < 2:
-            raise InvalidParameterError(f"axis count must be >= 2, got {self.count}")
+        if not _is_int(self.count) or self.count < 2:
+            raise InvalidParameterError(f"axis count must be an integer >= 2, got {self.count}")
         if not (_is_finite(self.min) and _is_finite(self.max) and _is_finite(self.max - self.min)):
             raise InvalidParameterError(
                 f"axis bounds and span must be finite, got [{self.min}, {self.max}]"
@@ -132,10 +133,9 @@ class SweepSpec:
             raise InvalidParameterError(f"unknown observables: {unknown}")
         if not self.observables:
             raise InvalidParameterError(f"observables must name one or more of {OBSERVABLE_NAMES}")
-        if self.n_levels < 4:
+        if not _is_int(self.n_levels) or self.n_levels < 4:
             raise InvalidParameterError(
-                f"n_levels must be >= 4 for approx_g2/approx_g3, got {self.n_levels}"
-            )
+                f"n_levels must be an integer >= 4 for approx_g2/approx_g3, got {self.n_levels}")
         if self.n_levels > self.model.dim:
             raise InvalidParameterError(f"n_levels {self.n_levels} is beyond the "
                                         f"{self.model.dim} levels at n_tr={self.model.n_tr}")
@@ -261,7 +261,6 @@ def evaluate_group(
     baths: Sequence[BathParams],
     n_levels: int = DEFAULT_N_LEVELS,
     check_convergence: bool = True,
-    delta_ntr: int = CONVERGENCE_DELTA_NTR,
 ) -> list:
     """Run the full pipeline for one model against each bath of baths.
 
@@ -276,14 +275,15 @@ def evaluate_group(
     (the spectrum, say) is every bath's error.
 
     The convergence flag says the photon number is stable under n_tr ->
-    n_tr + delta_ntr; it is None when check_convergence is off.  It is True
-    without a re-solve when the edge certificate w = sum_k p_k (n_tr+1)
-    |h v_k[n_tr]| (see edge_residuals) is at most CERTIFY_TOL and the longer
-    chains add no level below the ones in use (keeps_lowest_levels, run
-    once for the group if some bath passes the edge test).  The baths that
-    miss it are re-solved together on the enlarged truncation, over the
-    same number of levels, and their photon numbers must agree within
-    CONVERGENCE_TOL, relative, or absolute when both are below 1e-6.
+    n_tr + CONVERGENCE_DELTA_NTR; it is None when check_convergence is off.
+    It is True without a re-solve when the edge certificate w = sum_k p_k
+    (n_tr+1) |h v_k[n_tr]| (see edge_residuals) is at most CERTIFY_TOL and
+    the longer chains add no level below the ones in use
+    (keeps_lowest_levels, run once for the group if some bath passes the
+    edge test).  The baths that miss it are re-solved together on the
+    enlarged truncation, over the same number of levels, and their photon
+    numbers must agree within CONVERGENCE_TOL, relative, or absolute when
+    both are below 1e-6.
     """
     if not baths:
         return []
@@ -315,13 +315,13 @@ def evaluate_group(
     # A NaN or inf certificate fails the test and falls through to the re-solve.
     certified = [b for b in solved
                  if (model.n_tr + 1) * float(states.populations[b] @ resid) <= CERTIFY_TOL]
-    if certified and keeps_lowest_levels(model, eigs, L, delta_ntr):
+    if certified and keeps_lowest_levels(model, eigs, L, CONVERGENCE_DELTA_NTR):
         for b in certified:
             results[b].converged = True
     pending = [b for b in solved if results[b].converged is None]
     if pending:
         try:
-            bigger = _n_photon_at(model.with_n_tr(model.n_tr + delta_ntr),
+            bigger = _n_photon_at(model.with_n_tr(model.n_tr + CONVERGENCE_DELTA_NTR),
                                   [baths[b] for b in pending], L)
         except RabiStarkError:
             bigger = [None] * len(pending)
@@ -336,11 +336,10 @@ def evaluate_point(
     bath: BathParams,
     n_levels: int = DEFAULT_N_LEVELS,
     check_convergence: bool = True,
-    delta_ntr: int = CONVERGENCE_DELTA_NTR,
 ) -> PointResult:
     """Run the full single-point pipeline: evaluate_group with one bath."""
     return evaluate_group(model, [bath], n_levels=n_levels,
-                          check_convergence=check_convergence, delta_ntr=delta_ntr)[0]
+                          check_convergence=check_convergence)[0]
 
 
 def _evaluate_group(args) -> list:
@@ -357,15 +356,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     The bath enters only through the rates, so slots that share a model
     (g, r, u, n_tr) share its spectra.  Slots are grouped by model and each
     group is one evaluate_group task: it solves the model's spectrum once,
-    its baths' steady states as stacked arrays, and the n_tr + delta
-    spectrum at most once, for the baths that miss the convergence
-    certificate.  Slots
-    whose parameters are invalid get error code 4 before grouping.  When
-    there are fewer groups than workers, each group is split into
-    contiguous pieces so every worker gets work; a piece is a group of its own.
+    its baths' steady states as stacked arrays, and the n_tr +
+    CONVERGENCE_DELTA_NTR spectrum at most once, for the baths that miss the
+    convergence certificate.  Slots whose parameters are invalid get error
+    code 4 before grouping.  When there are fewer groups than workers, each
+    group is split into contiguous pieces so every worker gets work; a piece
+    is a group of its own.
     """
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    if not _is_int(workers) or workers < 1:
+        raise InvalidParameterError(f"workers must be an integer >= 1, got {workers}")
     rows, cols = spec.shape
     slots: list = [None] * (rows * cols)
     groups: dict = {}

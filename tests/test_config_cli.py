@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,25 @@ def test_cli_spectrum_jc_row(tmp_path):
     meta = json.loads((out / "spectrum.meta.json").read_text())
     assert meta["command"] == "spectrum"
     assert parse_config(meta["config"]) == load_config(config)
+
+
+def test_cli_sweep_meta_echoes_scale_override(tmp_path):
+    # --scale overrides the config's scale, and the meta.json echo reparses
+    # to the configuration the run used.
+    config = write_config(tmp_path, {
+        "model": {"delta": 1.0, "g": 0.5, "r": 0.2, "u": 0.2, "n_tr": 20},
+        "sweep": {"axis1": {"name": "g", "min": 0.2, "max": 1.0, "count": 2},
+                  "axis2": {"name": "kt", "min": 0.05, "max": 0.1, "count": 2},
+                  "n_levels": 8, "check_convergence": False},
+    })
+    assert load_config(config).scale == "linear"
+    out = tmp_path / "scaled"
+    assert main(["sweep", "--config", config, "--out", str(out), "--plot",
+                 "--scale", "log10"]) == 0
+    meta = json.loads((out / "sweep.meta.json").read_text())
+    echoed = parse_config(meta["config"])
+    assert echoed.scale == "log10"
+    assert echoed == replace(load_config(config), scale="log10")
 
 
 def test_cli_critical_jc_and_isotropic(tmp_path):

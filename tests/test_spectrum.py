@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
+from rabistark.config import ScanConfig
 from rabistark.spectrum import DEGENERACY_FRACTION, GAP_CLOSURE_FRACTION, keeps_lowest_levels
 
 from conftest import (
@@ -184,7 +185,7 @@ def test_find_crossings_qrm_has_no_ground_crossing():
     cp = rs.find_crossings(p, 0.05, 2.0, steps=17, levels=((0, 1),))
     assert cp.gc_numeric is None
     assert cp.gc_analytic is None
-    assert cp.excited_crossings == []
+    assert cp.all_crossings() == []
 
 
 def test_gc_numeric_matches_analytic_within_refined_width():
@@ -233,12 +234,26 @@ def test_lowest_levels_match_eigensystem(g, r, u, n_tr, k):
 @pytest.mark.parametrize("r, u", [(0.2, 0.2), (1.0, 0.2), (0.5, -0.4)])
 def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
     # The chain-eigenvalue scan finds the very crossings the labels of the
-    # full eigensystem give, on the three benchmark families.
+    # full eigensystem give, on the three benchmark families.  They form
+    # one list ascending in g that the pair order does not change, and the
+    # numeric ground crossing is its first (0, 1) entry.  At 9 steps one
+    # interval of the (0.5, -0.4) scan holds a (2, 3) crossing below the
+    # (0, 1) one.
     p = rs.ModelParams(delta=1.0, g=0.0, r=r, u=u, n_tr=30)
-    fast = rs.find_crossings(p, 0.05, 2.0, steps=41)
+    scans = {steps: rs.find_crossings(p, 0.05, 2.0, steps=steps) for steps in (41, 9)}
+    for steps, cp in scans.items():
+        crossings = cp.all_crossings()
+        assert crossings
+        shuffled = rs.find_crossings(p, 0.05, 2.0, steps=steps,
+                                     levels=((2, 3), (0, 1), (1, 2)))
+        assert shuffled.all_crossings() == crossings
+        values = [g for _, g, _ in crossings]
+        assert values == sorted(values)
+        ground = [(g, half) for pair, g, half in crossings if pair == (0, 1)]
+        assert cp.gc_numeric == (ground[0] if ground else None)
     monkeypatch.setattr(rs.spectrum, "lowest_levels", eigensystem_levels)
-    assert fast == rs.find_crossings(p, 0.05, 2.0, steps=41)
-    assert fast.all_crossings()
+    for steps, cp in scans.items():
+        assert cp == rs.find_crossings(p, 0.05, 2.0, steps=steps)
 
 
 def test_find_crossings_validation():
@@ -259,6 +274,14 @@ def test_find_crossings_validation():
     for steps in (10.7, 16.0, True):
         with pytest.raises(rs.InvalidParameterError):
             rs.find_crossings(p, 0.1, 1.0, steps=steps)
+    # The scan section of a config obeys the same rules.
+    bad_scans = [dict(g_min=1.0, g_max=0.5), dict(g_min=0.5, g_max=0.5), dict(count=4),
+                 dict(count=10.5), dict(count=16.0), dict(pairs=((0, 2),)),
+                 dict(pairs=((-1, 0),)), dict(pairs=((0, 1), (0, 1))), dict(pairs=()),
+                 dict(n_levels=1), dict(n_levels=8.5)]
+    for bad in bad_scans:
+        with pytest.raises(rs.InvalidParameterError):
+            ScanConfig(**bad)
 
 
 def test_find_crossings_solves_each_coupling_once(monkeypatch):

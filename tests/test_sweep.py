@@ -48,8 +48,9 @@ def test_axis_and_spec_validation():
         AxisSpec("delta", 0.0, 1.0, 5)
     with pytest.raises(rs.InvalidParameterError):
         AxisSpec("g", 1.0, 0.5, 5)
-    with pytest.raises(rs.InvalidParameterError):
-        AxisSpec("g", 0.0, 1.0, 1)
+    for count in (1, 2.5, 3.0):     # a count is an integer, never rounded
+        with pytest.raises(rs.InvalidParameterError):
+            AxisSpec("g", 0.0, 1.0, count)
     with pytest.raises(rs.InvalidParameterError):
         small_spec(axis2=AxisSpec("g", 0.0, 1.0, 3))
     with pytest.raises(rs.InvalidParameterError):
@@ -58,7 +59,10 @@ def test_axis_and_spec_validation():
         with pytest.raises(rs.InvalidParameterError, match="approx_g2/approx_g3"):
             small_spec(n_levels=n_levels)
     with pytest.raises(rs.InvalidParameterError):
-        run_sweep(small_spec(), workers=0)
+        small_spec(n_levels=8.5)
+    for workers in (0, 1.5):
+        with pytest.raises(rs.InvalidParameterError):
+            run_sweep(small_spec(), workers=workers)
 
 
 def test_grid_is_row_major():
@@ -218,9 +222,10 @@ def counting(monkeypatch, name, module=sweep):
 
 def test_convergence_flag(monkeypatch):
     resolved = counting(monkeypatch, "_n_photon_at")
+    monkeypatch.setattr(sweep, "CONVERGENCE_DELTA_NTR", 20)
     pt = evaluate_point(
         rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.0, n_tr=60),
-        BASE_BATH, n_levels=20, check_convergence=True, delta_ntr=20,
+        BASE_BATH, n_levels=20, check_convergence=True,
     )
     assert pt.error_code == ERR_OK
     assert pt.converged
@@ -230,15 +235,16 @@ def test_convergence_flag(monkeypatch):
     # point: it is re-solved at n_tr=22 and reads unconverged.
     rough = evaluate_point(
         rs.ModelParams(delta=1.0, g=1.5, r=1.0, u=0.0, n_tr=2),
-        BASE_BATH, n_levels=6, check_convergence=True, delta_ntr=20,
+        BASE_BATH, n_levels=6, check_convergence=True,
     )
     assert not rough.converged
     assert [m.n_tr for m in resolved] == [22]
 
     # A truncation that does not grow is never certified, only re-solved.
+    monkeypatch.setattr(sweep, "CONVERGENCE_DELTA_NTR", 0)
     same = evaluate_point(
         rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.0, n_tr=60),
-        BASE_BATH, n_levels=20, check_convergence=True, delta_ntr=0,
+        BASE_BATH, n_levels=20, check_convergence=True,
     )
     assert same.converged and [m.n_tr for m in resolved] == [22, 60]
 
