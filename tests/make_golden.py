@@ -92,6 +92,15 @@ CASES = {
     "observables_squeezed": (
         ["observables"], {"model": {"delta": 1.0, "g": 0.8, "r": 0.5, "u": 0.1, "n_tr": 30}},
     ),
+    # Detuned, with the qubit and cavity reservoirs unequal in coupling and
+    # temperature and a non-default cutoff: a swap of the two reservoirs
+    # changes the steady state.
+    "observables_unequal_baths": (
+        ["observables"],
+        {"model": {"delta": 0.8, "g": 0.7, "r": 0.6, "u": 0.15, "n_tr": 30},
+         "bath": {"alpha_q": 3e-3, "alpha_c": 5e-4, "omega_cutoff": 4.0,
+                  "kt_q": 0.04, "kt_c": 0.12}},
+    ),
 }
 SWEEPS = sorted(name for name, (argv, _) in CASES.items() if argv[0] == "sweep")
 
