@@ -198,6 +198,9 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool) -> lis
                           ["sweep"])
     if plot and config.sweep.axis2 is None:
         raise ConfigError("--plot needs a 2-D sweep (axis2 missing)", ["sweep.axis2"])
+    if plot and config.column not in config.sweep.observables:
+        raise ConfigError(f"--plot column {config.column!r} is not in sweep.observables",
+                          ["output.column"])
     result = run_sweep(config.sweep, workers=workers)
     outputs = ["sweep.csv"]
     _write_text(out_dir / "sweep.csv", sweep_csv(result))

@@ -4,7 +4,9 @@ Both the qubit and the cavity couple to independent Ohmic baths.  Rates are
 built in the eigenbasis of the full Hamiltonian, so they stay valid deep into
 the ultrastrong-coupling regime; parity conservation zeroes every matrix
 element between equal-parity eigenstates, which shows up here as vanishing
-transition weights.
+rates.  A bath's two reservoirs act on the same levels, so the table keeps
+one rate matrix per bath, their sum, and that matrix is all the steady state
+reads.
 """
 
 from __future__ import annotations
@@ -77,37 +79,23 @@ def bose_occupation(gap, kt):
 
 @dataclass
 class TransitionTable:
-    """Regularized rate weights of a batch of baths over one spectrum's levels.
+    """Total transition rates of a batch of baths over one spectrum's levels.
 
-    gap, m_q and m_c are (n_levels, n_levels) and shared by the baths; the
-    weights are (B, n_levels, n_levels), one table per bath, and kt_q, kt_c
-    are (B,).  Entry [..., k, j] with k > j refers to the ordered pair
-    (upper k, lower j).  down_* is the emission weight Gamma*(1+n) for
-    k -> j, up_* the absorption weight Gamma*n for j -> k.
+    rate is (B, n_levels, n_levels), one table per bath, and kt_q, kt_c are
+    (B,).  rate[b, k, j] is bath b's rate from level k to level j, the qubit
+    and cavity reservoirs summed: below the diagonal (k > j) the emission
+    rate Gamma*(1+n), above it the absorption rate Gamma*n.  The diagonal
+    is zero.
     """
 
     n_levels: int
-    gap: np.ndarray
-    m_q: np.ndarray
-    m_c: np.ndarray
-    down_q: np.ndarray
-    up_q: np.ndarray
-    down_c: np.ndarray
-    up_c: np.ndarray
+    rate: np.ndarray
     kt_q: np.ndarray
     kt_c: np.ndarray
 
-    @property
-    def down_total(self) -> np.ndarray:
-        return self.down_q + self.down_c
-
-    @property
-    def up_total(self) -> np.ndarray:
-        return self.up_q + self.up_c
-
     def flow_matrix(self) -> np.ndarray:
         """flow[b, m, k] = total transition rate of bath b from level k into level m."""
-        return np.swapaxes(self.down_total, -1, -2) + self.up_total
+        return np.swapaxes(self.rate, -1, -2)
 
 
 def _pair_weights(alpha, gap, omega_ref, omega_cutoff, melem_sq, kt, eps):
@@ -143,10 +131,10 @@ def transition_rates(
         raise InvalidParameterError(f"need at least 2 levels, got {n_levels}")
     energies = eigs.energies[:L]
     m_q, m_c = parity_odd_elements(eigs, L)
-    gap = energies[:, None] - energies[None, :]
-    # The pairs (k, j), k > j, and per pair the squared qubit and cavity
-    # matrix elements <j|.|k>^2, stacked as (2, 1, pairs).
+    # The pairs (k, j), k > j, and per pair the gap and the squared qubit and
+    # cavity matrix elements <j|.|k>^2, stacked as (2, 1, pairs).
     lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
+    gap = (energies[:, None] - energies[None, :])[lower]
     melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]
 
     # Both reservoirs of every bath in one pass: arrays run over (reservoir,
@@ -154,17 +142,12 @@ def transition_rates(
     alpha, kt = np.array([[(b.alpha_q, b.kt_q), (b.alpha_c, b.kt_c)] for b in baths]).T[..., None]
     cutoff = np.array([[b.omega_cutoff] for b in baths])
     omega_ref = np.array([model.delta, model.omega0])[:, None, None]
-    down, up = _pair_weights(alpha, gap[lower], omega_ref, cutoff, melem_sq, kt,
+    down, up = _pair_weights(alpha, gap, omega_ref, cutoff, melem_sq, kt,
                              GAP_EPSILON_FRACTION * model.omega0)
-    weights = np.zeros((4, len(baths), L, L))
-    weights[:2, :, lower] = down
-    weights[2:, :, lower] = up
-    down_q, down_c, up_q, up_c = weights
-    return TransitionTable(
-        n_levels=L, gap=gap, m_q=m_q, m_c=m_c,
-        down_q=down_q, up_q=up_q, down_c=down_c, up_c=up_c,
-        kt_q=kt[0, :, 0], kt_c=kt[1, :, 0],
-    )
+    rate = np.zeros((len(baths), L, L))
+    rate[:, lower] = down[0] + down[1]
+    np.swapaxes(rate, -1, -2)[:, lower] = up[0] + up[1]
+    return TransitionTable(n_levels=L, rate=rate, kt_q=kt[0, :, 0], kt_c=kt[1, :, 0])
 
 
 @dataclass
@@ -239,22 +222,17 @@ def steady_populations(table: TransitionTable) -> SteadyState:
     direction only) NumericFailureError.  The error is kept in errors[b],
     for SteadyState.of_bath to raise, and the bath's row is NaN.
     """
-    B, L = table.down_q.shape[0], table.n_levels
+    B, L = table.rate.shape[0], table.n_levels
     pops = np.zeros((B, L))
     pops[:, 0] = 1.0
     errors = [None] * B
 
-    # rate[b, i, j]: transition rate of bath b from level i to level j.  A
-    # pair whose weights all sit at or below WEIGHT_FLOOR is unlinked and
+    # A pair whose rates both sit at or below WEIGHT_FLOOR is unlinked and
     # carries no rate, so a block cut off by such pairs has exactly zero escape.
     live = (table.kt_q != 0.0) | (table.kt_c != 0.0)
-    rate = table.down_q[live]
-    rate += table.down_c[live]
-    up = table.up_q[live]
-    up += table.up_c[live]
-    linked = (rate > WEIGHT_FLOOR) | (up > WEIGHT_FLOOR)
+    rate = table.rate[live]
+    linked = rate > WEIGHT_FLOOR
     linked |= np.swapaxes(linked, -1, -2)
-    rate += np.swapaxes(up, -1, -2)
     rate[~linked] = 0.0
 
     # Fold states from the top down; record the escape rate and the inflow

@@ -344,11 +344,11 @@ class CriticalPoints:
 
 
 def _check_scan(g_min: float, g_max: float, steps: int, levels: Sequence) -> None:
-    """The scan rules of find_crossings and config.ScanConfig: g_min < g_max,
-    an integer step count >= 8, and one or more distinct adjacent pairs
-    (k, k+1) with k >= 0."""
-    if not g_min < g_max:
-        raise InvalidParameterError(f"need g_min < g_max, got [{g_min}, {g_max}]")
+    """The scan rules of find_crossings and config.ScanConfig: finite bounds
+    with 0 <= g_min < g_max, an integer step count >= 8, and one or more
+    distinct adjacent pairs (k, k+1) with k >= 0."""
+    if not (_is_finite(g_min) and _is_finite(g_max) and 0 <= g_min < g_max):
+        raise InvalidParameterError(f"need finite 0 <= g_min < g_max, got [{g_min}, {g_max}]")
     if not _is_int(steps) or steps < 8:
         raise InvalidParameterError(f"need an integer step count >= 8, got {steps}")
     if (not levels or len(set(levels)) != len(levels)

@@ -387,7 +387,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     for model, members in groups.items():
         size = -(-len(members) // pieces)
         tasks += [(spec, model, members[k:k + size]) for k in range(0, len(members), size)]
-    if workers == 1:
+    # The pool forks all of its workers at the first submit: start no more
+    # than there are tasks.
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         done = [_evaluate_group(task) for task in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 4))

@@ -108,11 +108,10 @@ def reference_populations(table, b):
     pops[0] = 1.0
     if table.kt_q[b] == 0.0 and table.kt_c[b] == 0.0:
         return pops
-    down = table.down_total[b]
-    up = table.up_total[b]
-    linked = (down > WEIGHT_FLOOR) | (up > WEIGHT_FLOOR)
+    rate = table.rate[b].copy()
+    linked = rate > WEIGHT_FLOOR
     linked |= linked.T
-    rate = np.where(linked, (down.T + up).T, 0.0)
+    rate[~linked] = 0.0
     escape = np.zeros(L)
     for n in range(L - 1, 0, -1):
         s = rate[n, :n].sum()
@@ -204,7 +203,8 @@ def evolve_density(rho0, eigs, table, dt, steps, record_every=1):
     # Linear, element-wise generator: coherent phase + coherence decay act
     # entrywise, population gain couples diagonals only.
     decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
-    coeff = -1j * table.gap - decay
+    energies = eigs.energies[:L]
+    coeff = -1j * (energies[:, None] - energies[None, :]) - decay
     np.fill_diagonal(coeff, -out_rate)
 
     def rhs(r):

@@ -11,6 +11,7 @@ import numpy as np
 
 import rabistark as rs
 from rabistark.cli import main
+from rabistark.spectrum import parity_odd_elements
 from rabistark.sweep import AxisSpec, SweepSpec, run_sweep
 
 from conftest import (
@@ -116,12 +117,11 @@ def test_criterion_4_parity_selection():
         same = np.equal.outer(eigs.parities[:16], eigs.parities[:16])
         off = ~np.eye(16, dtype=bool)
         mask = same & off
+        m_q, m_c = parity_odd_elements(eigs, 16)
         worst_elem = max(worst_elem,
-                         float(np.max(np.abs(table.m_q[mask]))),
-                         float(np.max(np.abs(table.m_c[mask]))))
-        pair_mask = np.tril(same, k=-1)
-        for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-            worst_weight = max(worst_weight, float(np.max(arr[0][pair_mask])))
+                         float(np.max(np.abs(m_q[mask]))),
+                         float(np.max(np.abs(m_c[mask]))))
+        worst_weight = max(worst_weight, float(np.max(table.rate[0][mask])))
     ok = worst_elem < 1e-10 and worst_weight < 1e-20
     report("C4 parity selection rules", ok,
            f"max equal-parity |X_jk| = {worst_elem:.2e} (< 1e-10), "

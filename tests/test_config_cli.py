@@ -474,6 +474,31 @@ def test_cli_rejects_scan_beyond_spectrum(tmp_path, capsys):
         assert not (out / f"{command}.csv").exists()
 
 
+def test_cli_rejects_negative_scan_start(tmp_path, capsys):
+    # A negative coupling is a config error, found before any spectrum is solved.
+    config = write_config(tmp_path, {"model": {"n_tr": 20}, "scan": {"g_min": -0.1}})
+    for command in ("spectrum", "critical"):
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_plot_rejects_unrequested_column_before_running(tmp_path, capsys):
+    # The CSV leaves an unrequested observable blank, so the heatmap may not plot it.
+    config = write_config(tmp_path, {
+        "model": {"delta": 1.0, "n_tr": 20},
+        "sweep": {"axis1": {"name": "g", "min": 0.1, "max": 0.5, "count": 2},
+                  "axis2": {"name": "kt", "min": 0.05, "max": 0.1, "count": 2},
+                  "observables": ["g3"], "n_levels": 12},
+    })
+    out = tmp_path / "plot-g2"
+    assert main(["sweep", "--config", config, "--out", str(out), "--plot"]) == 2
+    assert "output.column" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+    assert not list(out.glob("*.svg"))
+
+
 def test_cli_rejects_non_finite_config(tmp_path, capsys):
     axis = {"name": "g", "min": 0.1, "max": 0.5, "count": 3}
     configs = (

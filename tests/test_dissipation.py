@@ -12,6 +12,7 @@ from rabistark import dissipation
 from rabistark.dissipation import (
     WEIGHT_FLOOR, TransitionTable, _graph_components, _pair_weights, balance_residual,
 )
+from rabistark.spectrum import parity_odd_elements
 
 from conftest import (
     StepSizeError, build_eigs, evolve_density, gibbs_state, random_model,
@@ -79,13 +80,14 @@ def test_parity_selection_rules_zero_weights():
         p = random_model(rng, n_tr=30)
         eigs = build_eigs(p)
         table = rs.transition_rates(eigs, p, [BATH], n_levels=14)
+        m_q, m_c = parity_odd_elements(eigs, table.n_levels)
         for k in range(1, table.n_levels):
             for j in range(k):
                 if eigs.parities[k] == eigs.parities[j]:
-                    assert abs(table.m_q[j, k]) < 1e-10
-                    assert abs(table.m_c[j, k]) < 1e-10
-                    assert table.down_q[0, k, j] < 1e-20
-                    assert table.down_c[0, k, j] < 1e-20
+                    assert abs(m_q[j, k]) < 1e-10
+                    assert abs(m_c[j, k]) < 1e-10
+                    assert table.rate[0, k, j] < 1e-20
+                    assert table.rate[0, j, k] < 1e-20
 
 
 def test_weights_nonnegative_and_detailed_balance():
@@ -94,26 +96,27 @@ def test_weights_nonnegative_and_detailed_balance():
         p = random_model(rng, n_tr=30)
         eigs = build_eigs(p)
         table = rs.transition_rates(eigs, p, [BATH], n_levels=12)
-        for name in ("down_q", "up_q", "down_c", "up_c"):
-            assert np.all(getattr(table, name) >= 0.0)
+        assert np.all(table.rate >= 0.0)
+        # Both reservoirs sit at kT = 0.07, so their summed rates obey it too.
+        rate = table.rate[0]
         for k in range(1, table.n_levels):
             for j in range(k):
-                gap = table.gap[k, j]
-                for down, up in ((table.down_q[0], table.up_q[0]),
-                                 (table.down_c[0], table.up_c[0])):
-                    if down[k, j] > 1e-300 and up[k, j] > 1e-300:
-                        ratio = up[k, j] / down[k, j]
-                        assert ratio == pytest.approx(math.exp(-gap / 0.07), rel=1e-10)
+                gap = eigs.energies[k] - eigs.energies[j]
+                if rate[k, j] > 1e-300 and rate[j, k] > 1e-300:
+                    ratio = rate[j, k] / rate[k, j]
+                    assert ratio == pytest.approx(math.exp(-gap / 0.07), rel=1e-10)
 
 
 def test_cavity_rate_matches_decoupled_hand_value():
     # Detuned near-decoupled model: first excited level is the one-photon
-    # state, so Gamma_c = alpha_c * 1 * exp(-1/omega_c) * |<0|(a+a+)|1>|^2.
+    # state, so Gamma_c = alpha_c * 1 * exp(-1/omega_c) * |<0|(a+a+)|1>|^2,
+    # and the qubit reservoir adds a rate of relative order g^2.
     p = rs.ModelParams(delta=1.3, g=1e-6, r=0.2, u=0.0, n_tr=20)
     eigs = build_eigs(p)
     table = rs.transition_rates(eigs, p, [BATH], n_levels=6)
+    assert parity_odd_elements(eigs, 6)[0][0, 1] ** 2 < 1e-10
     n_th = rs.bose_occupation(1.0, 0.07)
-    gamma_c = table.down_c[0, 1, 0] / (1.0 + n_th)
+    gamma_c = table.rate[0, 1, 0] / (1.0 + n_th)
     assert gamma_c == pytest.approx(1e-3 * math.exp(-0.1), rel=1e-6)
 
 
@@ -182,28 +185,30 @@ def test_vectorized_pair_weights_match_scalar_formula(pairs, bose_x, kt, omega_r
 
 
 def test_transition_tables_match_scalar_formula():
-    # Each bath's table in a stack is the per-pair formula with its own parameters.
+    # Each bath's table in a stack is the per-pair formula with its own
+    # parameters, summed over the two reservoirs: emission below the
+    # diagonal, absorption above it.
     rng = np.random.default_rng(53)
     baths = (BATH, rs.BathParams(kt_q=0.0, kt_c=0.0),
              rs.BathParams(alpha_q=3e-3, alpha_c=5e-4, omega_cutoff=2.5, kt_q=0.02, kt_c=0.3))
     for _ in range(3):
         p = random_model(rng, n_tr=30)
-        table = rs.transition_rates(build_eigs(p), p, baths, n_levels=16)
-        assert table.down_q.shape == (len(baths), 16, 16)
+        eigs = build_eigs(p)
+        table = rs.transition_rates(eigs, p, baths, n_levels=16)
+        assert table.rate.shape == (len(baths), 16, 16)
+        m_q, m_c = parity_odd_elements(eigs, 16)
         eps = 1e-9 * p.omega0
         for b, bath in enumerate(baths):
             for k in range(1, table.n_levels):
                 for j in range(k):
-                    gap = table.gap[k, j]
+                    gap = eigs.energies[k] - eigs.energies[j]
                     dq, uq = _scalar_pair_weights(bath.alpha_q, gap, p.delta, bath.omega_cutoff,
-                                                  abs(table.m_q[j, k]) ** 2, bath.kt_q, eps)
+                                                  abs(m_q[j, k]) ** 2, bath.kt_q, eps)
                     dc, uc = _scalar_pair_weights(bath.alpha_c, gap, p.omega0, bath.omega_cutoff,
-                                                  abs(table.m_c[j, k]) ** 2, bath.kt_c, eps)
-                    got = (table.down_q[b, k, j], table.up_q[b, k, j],
-                           table.down_c[b, k, j], table.up_c[b, k, j])
-                    assert got == pytest.approx((dq, uq, dc, uc), rel=1e-14, abs=0.0)
-        for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-            assert not np.any(np.triu(arr))
+                                                  abs(m_c[j, k]) ** 2, bath.kt_c, eps)
+                    got = (table.rate[b, k, j], table.rate[b, j, k])
+                    assert got == pytest.approx((dq + dc, uq + uc), rel=1e-14, abs=0.0)
+        assert not np.any(np.diagonal(table.rate, axis1=1, axis2=2))
 
 
 def test_zero_temperature_freeze_and_up_weights():
@@ -211,8 +216,7 @@ def test_zero_temperature_freeze_and_up_weights():
     p = rs.ModelParams(delta=1.0, g=0.4, r=0.5, u=0.1, n_tr=30)
     eigs = build_eigs(p)
     table = rs.transition_rates(eigs, p, [cold], n_levels=10)
-    assert np.all(table.up_q == 0.0)
-    assert np.all(table.up_c == 0.0)
+    assert np.all(np.triu(table.rate[0]) == 0.0)
     ss = rs.steady_populations(table).of_bath(0)
     assert ss.populations[0] == 1.0
     assert np.all(ss.populations[1:] == 0.0)
@@ -255,12 +259,18 @@ def test_gibbs_state_values():
     assert warm.populations.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def _cut(table, b, k, one_way):
+    """Cut bath b's links from levels k.. down to levels ..k-1; one_way keeps the upward ones."""
+    table.rate[b, k:, :k] = 0.0
+    if not one_way:
+        table.rate[b, :k, k:] = 0.0
+
+
 def test_disconnected_graph_raises_with_components():
     p = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
     eigs = build_eigs(p)
     table = rs.transition_rates(eigs, p, [BATH], n_levels=4)
-    for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-        arr[0, 2:, :2] = 0.0  # sever {0,1} from {2,3}
+    _cut(table, 0, 2, one_way=False)  # sever {0,1} from {2,3}
     with pytest.raises(rs.MultipleSteadyStateError) as err:
         rs.steady_populations(table).of_bath(0)
     assert [0, 1] in err.value.components
@@ -276,18 +286,16 @@ def test_one_way_closed_block_is_numeric_failure():
     # {0,1} still feeds {2,3} upwards, but {2,3} never flows back down: one
     # component, no unique steady state holding level 0.
     table = _four_level_table()
-    for arr in (table.down_q, table.down_c):
-        arr[0, 2:, :2] = 0.0
+    _cut(table, 0, 2, one_way=True)
     with pytest.raises(rs.NumericFailureError):
         rs.steady_populations(table).of_bath(0)
 
 
 def test_link_at_weight_floor_counts_as_severed():
     table = _four_level_table()
-    for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-        arr[0, 2:, :2] = 0.0
-    table.down_q[0, 2, 1] = WEIGHT_FLOOR
-    table.up_q[0, 2, 1] = 1e-305
+    _cut(table, 0, 2, one_way=False)
+    table.rate[0, 2, 1] = WEIGHT_FLOOR
+    table.rate[0, 1, 2] = 1e-305
     with pytest.raises(rs.MultipleSteadyStateError) as err:
         rs.steady_populations(table).of_bath(0)
     assert err.value.components == [[0, 1], [2, 3]]
@@ -304,8 +312,7 @@ def test_connected_table_computes_no_components(monkeypatch):
     table = _four_level_table()
     rs.steady_populations(table).of_bath(0)
     assert calls == []
-    for arr in (table.down_q, table.up_q, table.down_c, table.up_c):
-        arr[0, 2:, :2] = 0.0
+    _cut(table, 0, 2, one_way=False)
     with pytest.raises(rs.MultipleSteadyStateError):
         rs.steady_populations(table).of_bath(0)
     assert len(calls) == 1
@@ -315,8 +322,8 @@ def test_connected_table_computes_no_components(monkeypatch):
 def severed_tables(draw):
     """Small rate tables whose levels fall into random blocks.
 
-    Within a block each weight is cut or O(1); across blocks the qubit-bath
-    weights sit at or below WEIGHT_FLOOR, so the blocks are unlinked.
+    Within a block each rate is cut or O(1); across blocks the rates sit at
+    or below WEIGHT_FLOOR, so the blocks are unlinked.
     """
     n = draw(st.integers(2, 7))
     blocks = draw(st.integers(1, 3))
@@ -324,14 +331,12 @@ def severed_tables(draw):
     same = block[:, None] == block[None, :]
     strong = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
     weak = st.sampled_from([0.0, 1e-305, WEIGHT_FLOOR])
-    weights = {}
-    for name in ("down_q", "up_q", "down_c", "up_c"):
-        inside = draw(hnp.arrays(float, (n, n), elements=strong))
-        across = draw(hnp.arrays(float, (n, n), elements=weak)) if name.endswith("q") else 0.0
-        weights[name] = np.tril(np.where(same, inside, across), -1)
-    zero = np.zeros((n, n))
-    return TransitionTable(n_levels=n, gap=zero, m_q=zero, m_c=zero, kt_q=np.array([0.07]),
-                           kt_c=np.array([0.07]), **{k: w[None] for k, w in weights.items()})
+    inside = draw(hnp.arrays(float, (n, n), elements=strong))
+    across = draw(hnp.arrays(float, (n, n), elements=weak))
+    rate = np.where(same, inside, across)
+    np.fill_diagonal(rate, 0.0)
+    return TransitionTable(n_levels=n, rate=rate[None], kt_q=np.array([0.07]),
+                           kt_c=np.array([0.07]))
 
 
 def _reaches_ground(rate):
@@ -348,9 +353,9 @@ def _reaches_ground(rate):
 @settings(max_examples=300, deadline=None)
 @given(table=severed_tables())
 def test_steady_state_classification_matches_components(table):
-    linked = (table.down_total[0] > WEIGHT_FLOOR) | (table.up_total[0] > WEIGHT_FLOOR)
+    linked = table.rate[0] > WEIGHT_FLOOR
     components = _graph_components(linked)
-    rate = np.where(linked | linked.T, table.flow_matrix()[0].T, 0.0)
+    rate = np.where(linked | linked.T, table.rate[0], 0.0)
     if len(components) > 1:
         with pytest.raises(rs.MultipleSteadyStateError) as err:
             rs.steady_populations(table).of_bath(0)
@@ -390,12 +395,6 @@ def _same_outcome(state, b, table):
     return None
 
 
-def _cut(table, b, k, one_way):
-    """Cut bath b's links from levels k.. down to levels ..k-1; one_way keeps the upward ones."""
-    for name in ("down_q", "down_c") if one_way else ("down_q", "up_q", "down_c", "up_c"):
-        getattr(table, name)[b, k:, :k] = 0.0
-
-
 TEMPERATURES = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 
 
@@ -418,8 +417,7 @@ def test_stacked_populations_equal_the_reference(n_tr, n_levels, g, r, u, temps,
     table = rs.transition_rates(eigs, model, baths, n_levels=n_levels)
     for b, bath in enumerate(baths):
         alone = rs.transition_rates(eigs, model, [bath], n_levels=n_levels)
-        for name in ("down_q", "up_q", "down_c", "up_c"):
-            assert np.array_equal(getattr(table, name)[b], getattr(alone, name)[0])
+        assert np.array_equal(table.rate[b], alone.rate[0])
     for b, k, one_way in cuts:
         _cut(table, b % len(baths), 1 + k % (table.n_levels - 1), one_way)
     state = rs.steady_populations(table)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import rabistark as rs
 from rabistark.config import ScanConfig
-from rabistark.spectrum import DEGENERACY_FRACTION, GAP_CLOSURE_FRACTION, keeps_lowest_levels
+from rabistark.spectrum import (
+    DEGENERACY_FRACTION, GAP_CLOSURE_FRACTION, keeps_lowest_levels, parity_odd_elements,
+)
 
 from conftest import (
     build_eigs, composite_states, dense_hamiltonian, eigensystem_levels, gaps, observables_pipeline,
@@ -125,7 +127,8 @@ def test_phase_fixing_largest_component_real_positive():
 def test_pipeline_arrays_are_real():
     p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=10)
     eigs, table, ss, x = observables_pipeline(p, rs.BathParams(), n_levels=12)
-    arrays = (eigs.states, table.m_q, table.m_c, ss.populations, x.xplus, x.xmat)
+    arrays = (eigs.states, *parity_odd_elements(eigs, table.n_levels), table.rate,
+              ss.populations, x.xplus, x.xmat)
     assert all(arr.dtype == np.float64 for arr in arrays)
     assert all(isinstance(m, float) for m in rs.field_moments(ss, eigs))
 
@@ -274,11 +277,16 @@ def test_find_crossings_validation():
     for steps in (10.7, 16.0, True):
         with pytest.raises(rs.InvalidParameterError):
             rs.find_crossings(p, 0.1, 1.0, steps=steps)
+    # Bounds are finite with 0 <= g_min: a negative coupling is not a model,
+    # and an infinite one would reach np.linspace.
+    for lo, hi in ((-0.1, 1.0), (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(rs.InvalidParameterError):
+            rs.find_crossings(p, lo, hi, steps=9)
     # The scan section of a config obeys the same rules.
     bad_scans = [dict(g_min=1.0, g_max=0.5), dict(g_min=0.5, g_max=0.5), dict(count=4),
                  dict(count=10.5), dict(count=16.0), dict(pairs=((0, 2),)),
                  dict(pairs=((-1, 0),)), dict(pairs=((0, 1), (0, 1))), dict(pairs=()),
-                 dict(n_levels=1), dict(n_levels=8.5)]
+                 dict(n_levels=1), dict(n_levels=8.5), dict(g_min=-0.1), dict(g_max=math.inf)]
     for bad in bad_scans:
         with pytest.raises(rs.InvalidParameterError):
             ScanConfig(**bad)

@@ -95,6 +95,34 @@ def test_worker_counts_agree_exactly():
             assert va == vb or (np.isnan(va) and np.isnan(vb))
 
 
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
+    # A forked pool starts every worker at the first submit, so the pool size
+    # is capped at the task count; no task, no pool.  The stand-in pool
+    # records its size and maps in process.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    spec = small_spec(axis2=AxisSpec("kt", 0.05, 0.1, 2))     # 6 slots, 3 spectra
+    assert sweep_csv(run_sweep(spec, workers=5000)) == sweep_csv(run_sweep(spec, workers=1))
+    assert sizes == [6]
+    invalid = small_spec(axis1=AxisSpec("u", 1.1, 1.5, 2), axis2=None)
+    assert [pt.error_code for pt in run_sweep(invalid, workers=2).points] == [4, 4]
+    assert sizes == [6]
+
+
 def test_error_isolation_invalid_axis_points():
     # u axis reaching |u| >= omega0: those points are unphysical and must be
     # error-coded without aborting the sweep.
