@@ -94,7 +94,8 @@ class TransitionTable:
     kt_c: np.ndarray
 
     def flow_matrix(self) -> np.ndarray:
-        """flow[b, m, k] = total transition rate of bath b from level k into level m."""
+        """flow[b, m, k] = total transition rate of bath b from level k into
+        level m, a transposed view of rate."""
         return np.swapaxes(self.rate, -1, -2)
 
 
@@ -131,8 +132,8 @@ def transition_rates(
         raise InvalidParameterError(f"need at least 2 levels, got {n_levels}")
     energies = eigs.energies[:L]
     m_q, m_c = parity_odd_elements(eigs, L)
-    # The pairs (k, j), k > j, and per pair the gap and the squared qubit and
-    # cavity matrix elements <j|.|k>^2, stacked as (2, 1, pairs).
+    # The pairs (k, j), k > j: their gaps, and their squared qubit and cavity
+    # matrix elements <j|.|k>^2 stacked as (2, 1, pairs).
     lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
     gap = (energies[:, None] - energies[None, :])[lower]
     melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]

@@ -387,8 +387,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     for model, members in groups.items():
         size = -(-len(members) // pieces)
         tasks += [(spec, model, members[k:k + size]) for k in range(0, len(members), size)]
-    # The pool forks all of its workers at the first submit: start no more
-    # than there are tasks.
+    # Under the fork start method the pool starts all of its workers at the
+    # first submit: start no more than there are tasks.
     workers = min(workers, len(tasks))
     if workers <= 1:
         done = [_evaluate_group(task) for task in tasks]

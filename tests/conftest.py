@@ -203,8 +203,7 @@ def evolve_density(rho0, eigs, table, dt, steps, record_every=1):
     # Linear, element-wise generator: coherent phase + coherence decay act
     # entrywise, population gain couples diagonals only.
     decay = 0.5 * (out_rate[:, None] + out_rate[None, :])
-    energies = eigs.energies[:L]
-    coeff = -1j * (energies[:, None] - energies[None, :]) - decay
+    coeff = -1j * gaps(eigs)[:L, :L] - decay
     np.fill_diagonal(coeff, -out_rate)
 
     def rhs(r):

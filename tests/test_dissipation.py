@@ -301,6 +301,15 @@ def test_link_at_weight_floor_counts_as_severed():
     assert err.value.components == [[0, 1], [2, 3]]
 
 
+def test_linked_pair_keeps_its_rate_below_the_floor():
+    # The emission rate links the pair, so the absorption rate, below
+    # WEIGHT_FLOOR, still feeds level 1.
+    table = TransitionTable(n_levels=2, rate=np.array([[[0.0, 1e-305], [1.0, 0.0]]]),
+                            kt_q=np.array([0.07]), kt_c=np.array([0.07]))
+    populations = rs.steady_populations(table).of_bath(0).populations
+    assert populations[1] == pytest.approx(1e-305, rel=1e-12, abs=0.0)
+
+
 def test_connected_table_computes_no_components(monkeypatch):
     calls = []
 
