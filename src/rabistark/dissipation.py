@@ -22,7 +22,7 @@ from .errors import (
     MultipleSteadyStateError,
     NumericFailureError,
 )
-from .spectrum import EigenSystem, ModelParams, _is_finite, parity_odd_elements
+from .spectrum import EigenSystem, ModelParams, _is_finite, _is_int, parity_odd_elements
 
 GAP_EPSILON_FRACTION = 1e-9   # |gap| below this * omega0 uses the degenerate limit
 DEFAULT_N_LEVELS = 40
@@ -127,9 +127,10 @@ def transition_rates(
 ) -> TransitionTable:
     """Build the regularized rate table of each bath over the lowest n_levels
     eigenstates, stacked in the order of baths."""
-    L = min(int(n_levels), eigs.dim)
-    if L < 2:
-        raise InvalidParameterError(f"need at least 2 levels, got {n_levels}")
+    if not baths or not _is_int(n_levels) or n_levels < 2:
+        raise InvalidParameterError(
+            f"need baths and an integer n_levels >= 2, got {len(baths)} baths, n_levels={n_levels}")
+    L = min(n_levels, eigs.dim)
     energies = eigs.energies[:L]
     m_q, m_c = parity_odd_elements(eigs, L)
     # The pairs (k, j), k > j: their gaps, and their squared qubit and cavity

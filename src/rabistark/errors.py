@@ -24,6 +24,10 @@ class ZeroFluxError(RabiStarkError):
     zero temperature.
     """
 
+    def __init__(self, flux, threshold):
+        super().__init__(f"<X^- X^+> = {flux:.3e} is below {threshold}; the correlation "
+                         "ratio is 0/0 (non-emitting steady state)")
+
 
 class MultipleSteadyStateError(RabiStarkError):
     """The transition graph is disconnected; the steady state is not unique."""

@@ -4,20 +4,21 @@ Emission observables use the gap-weighted lowering operator in the energy
 eigenbasis instead of the bare annihilation operator, so the ground state of
 the coupled system emits nothing and correlation ratios stay meaningful into
 the ultrastrong-coupling regime.  Expectation values are taken in the
-diagonal steady-state ensemble.
+diagonal steady-state ensemble: one state, populations (L,), or a stack of
+them, (B, L), with one value per row.  Each row is reduced on its own (no
+matrix product), so its bits do not depend on the stack it sits in.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, ZeroFluxError
+from .errors import InvalidInputError, InvalidParameterError, ZeroFluxError
 from .dissipation import SteadyState
-from .spectrum import EigenSystem, field_diagonals, parity_odd_elements
+from .spectrum import EigenSystem, _is_int, field_diagonals, parity_odd_elements
 
 ZERO_FLUX_THRESHOLD = 1e-30
 P1_FLOOR = 1e-300
@@ -56,51 +57,55 @@ def detection_operator(eigs: EigenSystem, n_levels: Optional[int] = None) -> Det
     The result is strictly upper triangular in the energy-sorted basis and
     annihilates the ground state.
     """
-    L = eigs.dim if n_levels is None else min(int(n_levels), eigs.dim)
+    if not (n_levels is None or _is_int(n_levels) and n_levels >= 1):
+        raise InvalidParameterError(f"n_levels must be an integer >= 1 or None, got {n_levels}")
+    L = eigs.dim if n_levels is None else min(n_levels, eigs.dim)
     _, xmat = parity_odd_elements(eigs, L)
     gap = eigs.energies[:L][None, :] - eigs.energies[:L][:, None]  # gap[j,k] = E_k - E_j
     xplus = np.triu(gap * xmat, k=1)
     return DetectionOperator(xplus=xplus, xmat=xmat)
 
 
-def _emission(x: DetectionOperator, ss: SteadyState, n: int) -> float:
+def _rows(values):
+    """values as a float for one steady state, as the array for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _emission(x: DetectionOperator, ss: SteadyState, n: int):
     """<X^-n X^+n> in the steady state ss, which must span the levels of x."""
     if ss.n_levels != x.n_levels:
         raise InvalidInputError(
             f"steady state has {ss.n_levels} levels, the detection operator {x.n_levels}")
     # An empty level adds 0 even where its norm overflowed to inf (0 * inf).
     p = ss.populations
-    return float(np.dot(p, np.where(p != 0.0, x.norms[n - 1], 0.0)))
+    return (p * np.where(p != 0.0, x.norms[n - 1], 0.0)).sum(axis=-1)
 
 
-def flux_proxy(x: DetectionOperator, ss: SteadyState) -> float:
+def flux_proxy(x: DetectionOperator, ss: SteadyState):
     """Steady-state emission flux <X^- X^+> (dimensionless proxy)."""
-    return _emission(x, ss, 1)
+    return _rows(_emission(x, ss, 1))
 
 
-def correlation_g_n(x: DetectionOperator, ss: SteadyState, n: int) -> float:
+def correlation_g_n(x: DetectionOperator, ss: SteadyState, n: int):
     """Zero-delay n-photon correlation <X^-n X^+n> / <X^- X^+>^n, n = 2 or 3."""
     if n not in (2, 3):
         raise InvalidInputError(f"correlation order must be 2 or 3, got {n}")
-    denom = flux_proxy(x, ss)
-    if denom < ZERO_FLUX_THRESHOLD:
-        raise ZeroFluxError(
-            f"<X^- X^+> = {denom:.3e} is below {ZERO_FLUX_THRESHOLD}; the "
-            "correlation ratio is 0/0 (non-emitting steady state)"
-        )
-    return _emission(x, ss, n) / denom**n
+    denom = _emission(x, ss, 1)
+    if np.any(denom < ZERO_FLUX_THRESHOLD):
+        raise ZeroFluxError(np.nanmin(denom), ZERO_FLUX_THRESHOLD)
+    # Not **, which squares a float64 scalar by pow but an array by x * x.
+    return _rows(_emission(x, ss, n) / np.power(denom, n))
 
 
-def approx_g2(
-    eigs: EigenSystem, x: DetectionOperator, ss: SteadyState
-) -> tuple[float, float, float]:
+def approx_g2(eigs: EigenSystem, x: DetectionOperator, ss: SteadyState) -> tuple:
     """Few-level approximation of the two-photon correlation.
 
     Evaluates the full three-term expression built from the lowest four
     levels and the steady populations; the returned diagnostics eta1 and
     eta2 are the level-separation differences that control where the
     antibunching window opens.  Returns (value, eta1, eta2); the value is
-    NaN when the first excited state is effectively unpopulated.
+    NaN when the first excited state is effectively unpopulated, else the
+    ratio, inf for x/0 and NaN for 0/0.
     """
     if eigs.dim < 4 or x.n_levels < 4 or ss.n_levels < 4:
         raise InvalidInputError("approx_g2 needs at least 4 levels")
@@ -110,61 +115,51 @@ def approx_g2(
     eta1 = d10 - d21
     eta2 = d10 - d31
     p = ss.populations
-    if p[1] < P1_FLOOR:
-        return math.nan, eta1, eta2
     ax = np.abs(x.xmat)
-    numer = (
-        (d20**2 * ax[0, 2] ** 2 + d21**2 * ax[1, 2] ** 2) * d32**2 * ax[2, 3] ** 2 * p[3]
-        + d10**2 * ax[0, 1] ** 2 * d31**2 * ax[1, 3] ** 2 * p[3]
-        + d10**2 * ax[0, 1] ** 2 * d21**2 * ax[1, 2] ** 2 * p[2]
-    )
-    denom = d10**4 * ax[0, 1] ** 4 * p[1] ** 2
-    if denom == 0.0:
-        return math.inf if numer > 0 else math.nan, eta1, eta2
-    return numer / denom, eta1, eta2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        numer = (
+            (d20**2 * ax[0, 2] ** 2 + d21**2 * ax[1, 2] ** 2) * d32**2 * ax[2, 3] ** 2 * p[..., 3]
+            + d10**2 * ax[0, 1] ** 2 * d31**2 * ax[1, 3] ** 2 * p[..., 3]
+            + d10**2 * ax[0, 1] ** 2 * d21**2 * ax[1, 2] ** 2 * p[..., 2]
+        )
+        value = numer / (d10**4 * ax[0, 1] ** 4 * np.square(p[..., 1]))
+    return np.where(p[..., 1] < P1_FLOOR, np.nan, value)[()], eta1, eta2
 
 
-def approx_g3(
-    eigs: EigenSystem, x: DetectionOperator, kt: float
-) -> tuple[float, float]:
+def approx_g3(eigs: EigenSystem, x: DetectionOperator, kt) -> tuple:
     """Single-path approximation of the three-photon correlation.
 
     Uses the cascade through the three lowest excited levels with a thermal
     weight exp(eta3/kt); eta3 = 2*(E1-E0) - (E2-E1) - (E3-E2) is the
-    effective level separation.  Returns (value, eta3).
+    effective level separation.  kt is one temperature or one per row of a
+    stack.  Returns (value, eta3).
     """
     if eigs.dim < 4 or x.n_levels < 4:
         raise InvalidInputError("approx_g3 needs at least 4 levels")
-    if kt <= 0:
+    kt = np.asarray(kt, dtype=float)
+    if np.any(kt <= 0):
         raise InvalidInputError(f"approx_g3 needs kt > 0, got {kt}")
     e = eigs.energies
     d10, d21, d32 = e[1] - e[0], e[2] - e[1], e[3] - e[2]
     eta3 = 2.0 * d10 - d21 - d32
     ax = np.abs(x.xmat)
-    try:
-        weight = math.exp(float(eta3) / kt)
-    except OverflowError:   # eta3/kt beyond ~709
-        weight = math.inf
-    numer = float(d21**2 * d32**2 * ax[1, 2] ** 2 * ax[2, 3] ** 2) * weight
     denom = d10**4 * ax[0, 1] ** 4
-    if denom == 0.0:
-        return math.inf if numer > 0 else 0.0, eta3
-    return numer / denom, eta3
+    # exp(eta3/kt) is inf beyond eta3/kt ~ 709, and NaN times a zero amplitude.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        numer = float(d21**2 * d32**2 * ax[1, 2] ** 2 * ax[2, 3] ** 2) * np.exp(eta3 / kt)
+        # With denom = 0, x/0 is inf and 0/0 (or NaN/0) is 0: no cascade.
+        return np.where((denom == 0.0) & ~(numer > 0), 0.0, numer / denom)[()], eta3
 
 
-def field_moments(ss: SteadyState, eigs: EigenSystem) -> tuple[float, float, float]:
+def field_moments(ss: SteadyState, eigs: EigenSystem) -> tuple:
     """Steady-state field moments (<a>, <a^dag a>, <a^2>); <a> = 0 by parity."""
     L = min(ss.n_levels, eigs.dim)
     n_diag, a2_diag = field_diagonals(eigs, L)
-    p = ss.populations[:L]
-    return 0.0, float(p @ n_diag), float(p @ a2_diag)
+    p = ss.populations[..., :L]
+    return 0.0, _rows((p * n_diag).sum(axis=-1)), _rows((p * a2_diag).sum(axis=-1))
 
 
-def squeezing_factor(
-    ss: SteadyState,
-    eigs: EigenSystem,
-    moments: Optional[tuple] = None,
-) -> float:
+def squeezing_factor(ss: SteadyState, eigs: EigenSystem, moments: Optional[tuple] = None):
     """Principal quadrature squeezing xi_b2 of the cavity field.
 
     The variance of the rotated quadrature X_theta is

@@ -219,8 +219,10 @@ def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
     relative; labels follow the same rule.  find_crossings asks for the
     max_level + 1 levels its labels and gaps read, once per coupling.
     """
+    if not _is_int(k) or k < 1:
+        raise InvalidParameterError(f"need an integer level count k >= 1, got {k}")
     m = p.n_tr + 1
-    low = min(int(k), m)
+    low = min(k, m)
 
     def solve(diag, off):
         return _bisect(diag, off, 0, low - 1), _bisect(diag, off, m - 1, m - 1)
@@ -346,13 +348,14 @@ class CriticalPoints:
 def _check_scan(g_min: float, g_max: float, steps: int, levels: Sequence) -> None:
     """The scan rules of find_crossings and config.ScanConfig: finite bounds
     with 0 <= g_min < g_max, an integer step count >= 8, and one or more
-    distinct adjacent pairs (k, k+1) with k >= 0."""
+    distinct adjacent integer pairs (k, k+1) with k >= 0."""
     if not (_is_finite(g_min) and _is_finite(g_max) and 0 <= g_min < g_max):
         raise InvalidParameterError(f"need finite 0 <= g_min < g_max, got [{g_min}, {g_max}]")
     if not _is_int(steps) or steps < 8:
         raise InvalidParameterError(f"need an integer step count >= 8, got {steps}")
     if (not levels or len(set(levels)) != len(levels)
-            or any(lo < 0 or hi != lo + 1 for lo, hi in levels)):
+            or any(not (_is_int(lo) and _is_int(hi)) or lo < 0 or hi != lo + 1
+                   for lo, hi in levels)):
         raise InvalidParameterError(
             f"tracked pairs must be one or more distinct level pairs (k, k+1), k >= 0, "
             f"got {levels}")

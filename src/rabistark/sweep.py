@@ -5,9 +5,8 @@ failing points are recorded with an error code instead of aborting the
 sweep.  The bath enters only through the rates, so grid points that share
 (g, r, u, n_tr) share one spectrum and what is built from it alone:
 run_sweep groups them, and evaluate_group solves each spectrum once, the
-group's baths as stacked arrays, and the detection operator and the
-truncation check once for all of its baths.  Results land in row-major
-slots, the same for any worker count.
+group's baths as stacked arrays, and their observables in one pass over
+the stack.  Results land in row-major slots, the same for any worker count.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .errors import (
     ZeroFluxError,
 )
 from .observables import (
+    ZERO_FLUX_THRESHOLD,
     DetectionOperator,
     ObservableReport,
     approx_g2,
@@ -208,23 +208,20 @@ def _failure(model, bath, exc, near_degenerate: bool, check_convergence: bool) -
     return PointResult(model, bath, None, converged, near_degenerate, code, str(exc))
 
 
-def _report(eigs: EigenSystem, x: DetectionOperator, ss, bath: BathParams) -> ObservableReport:
-    """Every observable of one bath's steady state ss, with x over its levels."""
-    moments = field_moments(ss, eigs)
-    a_mean, n_photon, a_sq = moments
-
+def _report(eigs: EigenSystem, x: DetectionOperator, ss: SteadyState, baths: Sequence) -> list:
+    """Every observable of each bath of baths, row b of the stack ss for
+    baths[b], with x over their levels: one ObservableReport per bath."""
+    a_mean, n_photon, a_sq = moments = field_moments(ss, eigs)
     flux = flux_proxy(x, ss)
     g2 = correlation_g_n(x, ss, 2)
     g3 = correlation_g_n(x, ss, 3)
     g2_a, eta1, eta2 = approx_g2(eigs, x, ss)
-    kt_eff = bath.kt_c if bath.kt_c > 0 else bath.kt_q
-    g3_a, eta3 = approx_g3(eigs, x, kt_eff)
+    g3_a, eta3 = approx_g3(eigs, x, [b.kt_c if b.kt_c > 0 else b.kt_q for b in baths])
     xi_b2 = squeezing_factor(ss, eigs, moments=moments)
-    return ObservableReport(
-        g2=g2, g3=g3, g2_approx=g2_a, g3_approx=g3_a, xi_b2=xi_b2,
-        n_photon=n_photon, a_mean=a_mean, a_sq=a_sq, flux_proxy=flux,
-        eta1=eta1, eta2=eta2, eta3=eta3,
-    )
+    # The fields in ObservableReport's order; tolist() gives the per-bath floats.
+    return [ObservableReport(*row, eta1, eta2, eta3) for row in zip(
+        g2.tolist(), g3.tolist(), g2_a, g3_a, xi_b2.tolist(), n_photon.tolist(),
+        [a_mean] * len(baths), a_sq.tolist(), flux.tolist())]
 
 
 def _stacked_states(eigs: EigenSystem, model: ModelParams, baths: Sequence[BathParams],
@@ -243,8 +240,8 @@ def _n_photon_at(model: ModelParams, baths: list, n_levels: int) -> list:
     for a bath with no steady state."""
     eigs = eigensystem(model)
     states = _stacked_states(eigs, model, baths, n_levels)
-    return [None if err is not None else field_moments(states.of_bath(b), eigs)[1]
-            for b, err in enumerate(states.errors)]
+    n_photon = field_moments(states, eigs)[1].tolist()
+    return [None if err is not None else n for n, err in zip(n_photon, states.errors)]
 
 
 def _agrees(n_photon: float, bigger: float) -> bool:
@@ -265,14 +262,14 @@ def evaluate_group(
     """Run the full pipeline for one model against each bath of baths.
 
     Returns one PointResult per bath, in order.  The spectrum is solved once
-    for the group, and the rate tables and steady states of its baths are
-    built and solved as stacks of up to STACK_BATHS (transition_rates,
-    steady_populations).  The detection operator is built once, when some
-    bath has a steady state, and each bath's observables are read off its
-    steady state with it.  Errors stay per bath: zero-flux and
-    no-steady-state conditions are reported through that bath's error code
-    with an empty report, never raised, and a failure before the baths part
-    (the spectrum, say) is every bath's error.
+    for the group, the baths' rate tables and steady states as stacks of up
+    to STACK_BATHS (transition_rates, steady_populations), and, when some
+    bath has a steady state, the detection operator once and the observables
+    of the emitting baths in one pass over their rows (_report).  Errors
+    stay per bath: zero flux and no steady state become that bath's error
+    code with an empty report, never raised; a failure before the baths
+    part (the spectrum, say) is every bath's error, and one in the
+    observables pass every emitting bath's.
 
     The convergence flag says the photon number is stable under n_tr ->
     n_tr + CONVERGENCE_DELTA_NTR; it is None when check_convergence is off.
@@ -298,15 +295,22 @@ def evaluate_group(
         return [_failure(model, bath, exc, near_degenerate, check_convergence) for bath in baths]
 
     L = states.n_levels
-    x = detection_operator(eigs, L) if None in states.errors else None
-    results = []
-    for b, bath in enumerate(baths):
+    errors, reports = list(states.errors), {}
+    if None in errors:
+        x = detection_operator(eigs, L)
+        flux = flux_proxy(x, states)
+        for b in np.flatnonzero(flux < ZERO_FLUX_THRESHOLD):   # a failed bath's flux is NaN
+            errors[b] = ZeroFluxError(flux[b], ZERO_FLUX_THRESHOLD)
+        emitting = [b for b, err in enumerate(errors) if err is None]
         try:
-            report = _report(eigs, x, states.of_bath(b), bath)
+            if emitting:
+                reports = dict(zip(emitting, _report(
+                    eigs, x, SteadyState(states.populations[emitting]), [baths[b] for b in emitting])))
         except tuple(_ERROR_CODES) as exc:
-            results.append(_failure(model, bath, exc, near_degenerate, check_convergence))
-        else:
-            results.append(PointResult(model, bath, report, None, near_degenerate, ERR_OK))
+            errors = [exc if err is None else err for err in errors]
+    results = [PointResult(model, bath, reports[b], None, near_degenerate, ERR_OK) if err is None
+               else _failure(model, bath, err, near_degenerate, check_convergence)
+               for b, (bath, err) in enumerate(zip(baths, errors))]
     if not check_convergence:
         return results
 
@@ -354,14 +358,10 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the pipeline over the grid; output is worker-count independent.
 
     The bath enters only through the rates, so slots that share a model
-    (g, r, u, n_tr) share its spectra.  Slots are grouped by model and each
-    group is one evaluate_group task: it solves the model's spectrum once,
-    its baths' steady states as stacked arrays, and the n_tr +
-    CONVERGENCE_DELTA_NTR spectrum at most once, for the baths that miss the
-    convergence certificate.  Slots whose parameters are invalid get error
-    code 4 before grouping.  When there are fewer groups than workers, each
-    group is split into contiguous pieces so every worker gets work; a piece
-    is a group of its own.
+    (g, r, u, n_tr) are grouped, and each group is one evaluate_group task.
+    Slots whose parameters are invalid get error code 4 before grouping.
+    When there are fewer groups than workers, each group is split into
+    contiguous pieces so every worker gets work; a piece is a group of its own.
     """
     if not _is_int(workers) or workers < 1:
         raise InvalidParameterError(f"workers must be an integer >= 1, got {workers}")
@@ -375,10 +375,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                 model, bath = spec.point_params(i, j)
             except InvalidParameterError as exc:
                 # Grid point itself is unphysical (e.g. |u| >= omega0).
-                converged = False if spec.check_convergence else None
-                slots[flat] = PointResult(
-                    None, None, None, converged, False, ERR_INVALID_PARAMS, str(exc)
-                )
+                slots[flat] = _failure(None, None, exc, False, spec.check_convergence)
                 continue
             groups.setdefault(model, []).append((flat, bath))
 

@@ -74,6 +74,19 @@ def test_bath_params_validation():
         rs.BathParams(kt_c=-0.1)
 
 
+def test_rate_table_needs_baths_and_an_integer_level_count():
+    # A fractional count is not cut for the caller; NaN and inf are not
+    # counts either, and no bath is no table.
+    p = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=10)
+    eigs = build_eigs(p)
+    assert rs.transition_rates(eigs, p, [BATH], n_levels=np.int64(6)).n_levels == 6
+    for n_levels in (1, 0, 2.5, 6.0, math.nan, math.inf, None):
+        with pytest.raises(rs.InvalidParameterError):
+            rs.transition_rates(eigs, p, [BATH], n_levels=n_levels)
+    with pytest.raises(rs.InvalidParameterError):
+        rs.transition_rates(eigs, p, [], n_levels=6)
+
+
 def test_parity_selection_rules_zero_weights():
     rng = np.random.default_rng(17)
     for _ in range(6):

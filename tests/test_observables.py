@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import rabistark as rs
+from rabistark.observables import ZERO_FLUX_THRESHOLD
 
 from conftest import (
     build_eigs, composite_annihilation, composite_states, gaps, gibbs_state, observables_pipeline,
@@ -37,6 +38,16 @@ def test_detection_operator_structure():
             for k in range(j + 1, 12):
                 if eigs.parities[j] == eigs.parities[k]:
                     assert abs(x.xplus[j, k]) < 1e-10
+
+
+def test_detection_operator_needs_an_integer_level_count():
+    eigs = build_eigs(rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=10))
+    assert rs.detection_operator(eigs).n_levels == eigs.dim
+    assert rs.detection_operator(eigs, np.int64(6)).n_levels == 6
+    # A negative count would slice from the top: -1 gave all levels but one.
+    for n_levels in (2.5, 6.0, math.nan, math.inf, 0, -1):
+        with pytest.raises(rs.InvalidParameterError):
+            rs.detection_operator(eigs, n_levels)
 
 
 def test_detection_operator_decoupled_entries():
@@ -237,6 +248,69 @@ def test_squeezed_region_exists_at_strong_coupling():
     eigs, table, ss, x = observables_pipeline(model, BATH)
     xi = rs.squeezing_factor(ss, eigs)
     assert xi < 1.0
+
+
+def same_rows(stacked, alone):
+    """Row b of a stacked result is the 1-D result on row b, bit for bit
+    (==, with NaN equal to NaN)."""
+    assert np.shape(stacked) == (len(alone),)
+    assert np.array_equal(stacked, np.array(alone, dtype=float), equal_nan=True)
+
+
+TEMPERATURE = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_tr=st.integers(2, 40),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    r=st.floats(0.0, 2.0),
+    u=st.floats(-0.9, 0.9),
+    temps=st.lists(st.tuples(TEMPERATURE, TEMPERATURE), min_size=1, max_size=9),
+    n_levels=st.integers(4, 60),
+)
+@example(n_tr=2, g=1.5, r=1.0, u=0.0, temps=[(0.07, 0.07), (0.0, 0.0), (0.2, 0.0)], n_levels=6)
+@example(n_tr=40, g=0.4, r=0.2, u=0.2, temps=[(1e-4, 1e-4), (0.07, 0.07)], n_levels=8)  # P1 floor
+def test_stacked_observables_equal_each_row_alone(n_tr, g, r, u, temps, n_levels):
+    # On a real rate table with unequal reservoirs, every observable of a
+    # stack of steady states gives, in row b, the bits of the same function
+    # on row b's state alone.
+    model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    eigs = build_eigs(model)
+    baths = [rs.BathParams(alpha_q=2e-3, alpha_c=5e-4, kt_q=kq, kt_c=kc) for kq, kc in temps]
+    states = rs.steady_populations(rs.transition_rates(eigs, model, baths, n_levels=n_levels))
+    rows = [b for b, err in enumerate(states.errors) if err is None]
+    assume(rows)
+    stack = rs.SteadyState(states.populations[rows])
+    alone = [states.of_bath(b) for b in rows]
+    x = rs.detection_operator(eigs, stack.n_levels)
+
+    same_rows(rs.flux_proxy(x, stack), [rs.flux_proxy(x, ss) for ss in alone])
+    moments = rs.field_moments(stack, eigs)
+    singles = [rs.field_moments(ss, eigs) for ss in alone]
+    assert moments[0] == 0.0
+    for k in (1, 2):
+        same_rows(moments[k], [m[k] for m in singles])
+    same_rows(rs.squeezing_factor(stack, eigs, moments=moments),
+              [rs.squeezing_factor(ss, eigs) for ss in alone])
+    g2a, eta1, eta2 = rs.approx_g2(eigs, x, stack)
+    same_rows(g2a, [rs.approx_g2(eigs, x, ss)[0] for ss in alone])
+    assert (eta1, eta2) == rs.approx_g2(eigs, x, alone[0])[1:]
+
+    # The correlations and G3's approximant need a flux and a temperature.
+    emitting = [k for k, ss in enumerate(alone) if rs.flux_proxy(x, ss) >= ZERO_FLUX_THRESHOLD]
+    if len(emitting) < len(rows):
+        with pytest.raises(rs.ZeroFluxError):
+            rs.correlation_g_n(x, stack, 2)
+    assume(emitting)
+    lit = rs.SteadyState(stack.populations[emitting])
+    for n in (2, 3):
+        same_rows(rs.correlation_g_n(x, lit, n),
+                  [rs.correlation_g_n(x, alone[k], n) for k in emitting])
+    kt = [baths[rows[k]].kt_c or baths[rows[k]].kt_q for k in emitting]
+    g3a, eta3 = rs.approx_g3(eigs, x, kt)
+    same_rows(g3a, [rs.approx_g3(eigs, x, t)[0] for t in kt])
+    assert eta3 == rs.approx_g3(eigs, x, kt[0])[1]
 
 
 moment = st.floats(-3.0, 3.0)

@@ -271,7 +271,7 @@ def test_find_crossings_validation():
         rs.find_crossings(p, 0.1, 1.0, steps=16, levels=((21, 22),))  # 22 levels at n_tr=10
     # A repeated pair would report its crossings again; no pair, no scan; a
     # fractional step count is not rounded for the caller.
-    for levels in (((0, 1), (0, 1)), ((0, 1), (1, 2), (0, 1)), ()):
+    for levels in (((0, 1), (0, 1)), ((0, 1), (1, 2), (0, 1)), (), ((0.5, 1.5),)):
         with pytest.raises(rs.InvalidParameterError):
             rs.find_crossings(p, 0.1, 1.0, steps=16, levels=levels)
     for steps in (10.7, 16.0, True):
@@ -286,6 +286,7 @@ def test_find_crossings_validation():
     bad_scans = [dict(g_min=1.0, g_max=0.5), dict(g_min=0.5, g_max=0.5), dict(count=4),
                  dict(count=10.5), dict(count=16.0), dict(pairs=((0, 2),)),
                  dict(pairs=((-1, 0),)), dict(pairs=((0, 1), (0, 1))), dict(pairs=()),
+                 dict(pairs=((0.5, 1.5),)),
                  dict(n_levels=1), dict(n_levels=8.5), dict(g_min=-0.1), dict(g_max=math.inf)]
     for bad in bad_scans:
         with pytest.raises(rs.InvalidParameterError):
@@ -334,6 +335,18 @@ def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, e
     same = all(np.sum((longer.energies < sigma) & (longer.parities == label))
                == np.sum((e < sigma) & (eigs.parities == label)) for label in (1.0, -1.0))
     assert keeps_lowest_levels(p, eigs, n_levels, extra) == same
+
+
+def test_lowest_levels_rejects_a_bad_count_before_lapack(monkeypatch):
+    # k = 0 would reach dstebz as il=1, iu=0, which LAPACK rejects on stderr.
+    def no_lapack(*args):
+        raise AssertionError("dstebz was called")
+
+    monkeypatch.setattr(rs.spectrum, "dstebz", no_lapack)
+    p = rs.ModelParams(delta=1.0, g=0.5, r=0.2, u=0.2, n_tr=10)
+    for k in (0, -1, 2.5, 4.0, math.nan, None):
+        with pytest.raises(rs.InvalidParameterError):
+            rs.spectrum.lowest_levels(p, k)
 
 
 def test_bisection_failure_is_a_numeric_failure(monkeypatch):

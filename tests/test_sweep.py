@@ -206,6 +206,13 @@ def test_overflowing_hamiltonian_is_invalid_params():
     assert pt.report is None
 
 
+@pytest.mark.parametrize("n_levels", [1, 2.5, 20.0, math.nan, math.inf])
+def test_invalid_level_count_is_error_code_4(n_levels):
+    # Not cut to an integer, and not an uncaught ValueError or OverflowError.
+    pt = evaluate_point(BASE_MODEL, BASE_BATH, n_levels=n_levels)
+    assert (pt.error_code, pt.report, pt.converged) == (ERR_INVALID_PARAMS, None, False)
+
+
 def test_zero_temperature_points_are_zero_flux():
     spec = SweepSpec(
         model=BASE_MODEL,
@@ -511,6 +518,28 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
     # A re-solved slot fails the edge certificate before the level check.
     assert len(checked) == len(set(checked)) and set(checked) == (set() if resolves else models)
     assert len(powers) == 3 * len(models) and len({id(x) for x in powers}) == len(models)
+
+
+@pytest.mark.parametrize("n_tr, n_levels, resolves", [(40, 20, False), (6, 14, True)])
+def test_observables_run_once_per_group(monkeypatch, n_tr, n_levels, resolves):
+    # A 7-bath group, one bath at kT=0: the observables are one pass over the
+    # emitting baths' rows, and the field diagonals are taken once per solved
+    # spectrum (the group's, and the n_tr+40 one when its baths miss the
+    # certificate), not once per bath.  No bath is taken out of the stack.
+    diagonals = counting(monkeypatch, "field_diagonals", observables)
+    passes = counting(monkeypatch, "_report")
+
+    def of_bath(self, b):
+        raise AssertionError("evaluate_group took a bath out of the stack")
+
+    monkeypatch.setattr(dissipation.SteadyState, "of_bath", of_bath)
+    baths = [replace(BASE_BATH, kt_q=kt, kt_c=kt) for kt in (0.0, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2)]
+    results = evaluate_group(replace(BASE_MODEL, n_tr=n_tr), baths, n_levels=n_levels)
+    assert [pt.error_code for pt in results] == [ERR_ZERO_FLUX] + [ERR_OK] * 6
+    assert all(pt.converged is not None for pt in results)
+    assert len(passes) == 1
+    assert len(diagonals) == len({id(e) for e in diagonals}) == (2 if resolves else 1)
+    assert diagonals[0] is passes[0]
 
 
 def test_empty_group_has_no_results():
