@@ -8,7 +8,8 @@ matrix element the pipeline needs is taken on the chains.  Crossings of
 adjacent levels are located by tracking the swap of the energy-sorted
 parity labels along a coupling scan and refining with bisection; the scan
 reads only the lowest chain eigenvalues, never eigenvectors, solves each
-coupling once, and bisects them with LAPACK dstebz called directly.  Its
+coupling once, and bisects them with LAPACK dstebz called directly.  It
+builds each chain once and scales its off-diagonal per coupling.  Its
 result is one list of crossings, ascending in the coupling.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
@@ -117,18 +118,19 @@ class EigenSystem:
 
 
 def _parity_chain(p: ModelParams, odd: int):
-    """H on one parity chain: diagonal and off-diagonal.
+    """H on one parity chain at g = 1: diagonal and off-diagonal.
 
     The chain basis is |n, q(n)>, n = 0..n_tr, with qubit q (1 = excited)
     fixed by the parity: q = (n + odd) mod 2, so odd=0 is P=+1 and odd=1 is
     P=-1.  The rotating hop |n, e> -> |n+1, g> has weight g*sqrt(n+1), the
-    counter-rotating hop |n, g> -> |n+1, e> carries the extra factor r.
+    counter-rotating hop |n, g> -> |n+1, e> carries the extra factor r.  Only
+    the hops depend on g, so the chain at coupling g is (diag, g * off).
     """
     n = np.arange(p.n_tr + 1)
     q = (n + odd) % 2
-    diag = (0.5 * p.delta + p.u * n) * (2 * q - 1) + p.omega0 * n
-    off = p.g * (np.sqrt(n[1:]) * np.where(q[:-1] == 1, 1.0, p.r))
-    return diag, off
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = (0.5 * p.delta + p.u * n) * (2 * q - 1) + p.omega0 * n
+    return diag, np.sqrt(n[1:]) * np.where(q[:-1] == 1, 1.0, p.r)
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -138,41 +140,42 @@ def _bisect(diag: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarray:
     dstebz gets the arguments scipy's eigvalsh_tridiagonal(select='i')
     passes it (index range, tol 0, order E), so the eigenvalues are the
     same bits, without the wrapper's validation on every call.  The callers
-    check that diag and off are finite first.
+    check that diag and off are finite first; a LAPACK failure is a
+    NumericFailureError.
     """
     if diag.size == 1:       # f2py rejects the empty off-diagonal of a 1x1 matrix
         return diag.copy()
     m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
     if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed (LAPACK info={info})")
+        raise NumericFailureError(f"eigensolver failed: dstebz failed (LAPACK info={info})")
     return w[:m]
 
 
-def _solve_chains(p: ModelParams, solve) -> list:
-    """solve(diag, off) on the P=+1 chain, then on the P=-1 chain.
+def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
+    """Both chains (diag, g * off) at coupling g from parts, the g = 1 chains
+    [_parity_chain(p, 0), _parity_chain(p, 1)], and an upper bound of the
+    spectral span of the two.
 
     Coefficients whose Gershgorin bound overflows are rejected as invalid
-    parameters before LAPACK sees them, and a LAPACK failure becomes a
-    NumericFailureError.
+    parameters before LAPACK sees them.
     """
-    out = []
-    for odd in (0, 1):
+    chains, span_hi = [], 0.0
+    for diag, unit in parts:
         with np.errstate(over="ignore", invalid="ignore"):
-            diag, off = _parity_chain(p, odd)
+            off = g * unit
             # Gershgorin: every eigenvalue lies within +/- bound, so a finite
-            # 2*bound keeps the coefficients and the spectral span finite.
+            # 2*bound keeps the coefficients and the spectral span finite, and
+            # 4*bound, kept finite, bounds the span with room for rounding.
             bound = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
             finite = np.isfinite(2.0 * bound)
+            span_hi = max(span_hi, min(4.0 * bound, np.finfo(float).max))
         if not finite:
             raise InvalidParameterError(
                 f"chain coefficients or spectral span overflow at n_tr={p.n_tr}: "
-                f"g={p.g}, omega0={p.omega0}"
+                f"g={g}, omega0={p.omega0}"
             )
-        try:
-            out.append(solve(diag, off))
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"eigensolver failed: {exc}") from None
-    return out
+        chains.append((diag, off))
+    return chains, span_hi
 
 
 def _level_order(energies: np.ndarray, parities: np.ndarray, span: float) -> np.ndarray:
@@ -195,7 +198,11 @@ def eigensystem(p: ModelParams) -> EigenSystem:
     its largest component is made positive.
     """
     m = p.n_tr + 1
-    chains = _solve_chains(p, eigh_tridiagonal)
+    chains, _ = _coupled(p, [_parity_chain(p, odd) for odd in (0, 1)], p.g)
+    try:
+        chains = [eigh_tridiagonal(diag, off) for diag, off in chains]
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailureError(f"eigensolver failed: {exc}") from None
     energies = np.concatenate([e for e, _ in chains])
     parities = np.repeat([1.0, -1.0], m)
     order = _level_order(energies, parities, float(energies.max() - energies.min()))
@@ -211,27 +218,34 @@ def eigensystem(p: ModelParams) -> EigenSystem:
 
 
 def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k energies and parity labels of eigensystem(p), without vectors.
+    """Lowest min(k, dim) energies and parity labels of eigensystem(p),
+    without vectors.
 
     Bisection by LAPACK dstebz, called directly (_bisect), gives each chain's
-    lowest min(k, n_tr+1) eigenvalues and its top one, which fixes the span
-    of the level-order rule.  Energies agree with eigensystem to ~1e-14
-    relative; labels follow the same rule.  find_crossings asks for the
-    max_level + 1 levels its labels and gaps read, once per coupling.
+    lowest min(k, n_tr+1) eigenvalues, and its top one when the span of the
+    level-order rule can change the labels.  Energies agree with eigensystem
+    to ~1e-14 relative; labels follow the same rule.
     """
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"need an integer level count k >= 1, got {k}")
+    return _lowest(p, [_parity_chain(p, odd) for odd in (0, 1)], p.g, k)
+
+
+def _lowest(p: ModelParams, parts: list, g: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """lowest_levels at coupling g, on the g = 1 chains parts of p (see _coupled)."""
     m = p.n_tr + 1
     low = min(k, m)
-
-    def solve(diag, off):
-        return _bisect(diag, off, 0, low - 1), _bisect(diag, off, m - 1, m - 1)
-
-    (e_even, top_even), (e_odd, top_odd) = _solve_chains(p, solve)
-    energies = np.concatenate([e_even, e_odd])
+    chains, span_hi = _coupled(p, parts, g)
+    energies = np.concatenate([_bisect(diag, off, 0, low - 1) for diag, off in chains])
     parities = np.repeat([1.0, -1.0], low)
-    span = float(max(top_even[0], top_odd[0]) - min(e_even[0], e_odd[0]))
-    order = _level_order(energies, parities, span)
+    order = np.argsort(energies, kind="stable")
+    # The rule puts odd level i before even level j iff fl(E_i - shift) < E_j,
+    # monotone in shift, and never reorders levels of one parity.  So if no
+    # shift and the shift of span_hi >= span give one order, so does the
+    # shift of the true span, and the top eigenvalues are not needed.
+    if not np.array_equal(order, _level_order(energies, parities, span_hi)):
+        top = max(_bisect(diag, off, m - 1, m - 1)[0] for diag, off in chains)
+        order = _level_order(energies, parities, float(top - min(energies[0], energies[low])))
     return np.sort(energies)[:k], parities[order][:k]
 
 
@@ -287,7 +301,8 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra:
     count below sigma exactly when the Schur complement (H_ext - sigma) -
     h^2 [(H - sigma)^-1]_{n_tr,n_tr} e_1 e_1^T is positive definite
     (Haynsworth inertia additivity).  No level above n_levels-1, a gap below
-    the crossing closure threshold, or extra < 1 is not cleared.
+    the crossing closure threshold, extra < 1 or a failed bisection (dstebz
+    squares the hops, which overflow first) is not cleared.
     """
     e = eigs.energies
     if (extra < 1 or n_levels >= eigs.dim
@@ -297,12 +312,16 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra:
     longer = p.with_n_tr(p.n_tr + extra)
     for odd, label in enumerate((1.0, -1.0)):
         on = eigs.parities == label
+        diag, off = _parity_chain(longer, odd)
         with np.errstate(over="ignore", invalid="ignore"):
-            diag, off = _parity_chain(longer, odd)
+            off = p.g * off
             diag = diag[p.n_tr + 1:] - sigma
             diag[0] -= off[p.n_tr] ** 2 * np.sum(eigs.states[-1, on] ** 2 / (e[on] - sigma))
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()
-                and _bisect(diag, off[p.n_tr + 1:], 0, 0)[0] > 0):
+        try:
+            if not (np.isfinite(diag).all() and np.isfinite(off).all()
+                    and _bisect(diag, off[p.n_tr + 1:], 0, 0)[0] > 0):
+                return False
+        except NumericFailureError:
             return False
     return True
 
@@ -389,11 +408,12 @@ def find_crossings(
             f"tracked level {max_level} is beyond the {p.dim} levels at n_tr={p.n_tr}")
     closure = GAP_CLOSURE_FRACTION * p.omega0
     grid = np.linspace(g_min, g_max, steps)
+    parts = [_parity_chain(p, odd) for odd in (0, 1)]
     solved: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def solve(g: float):
         if g not in solved:
-            solved[g] = lowest_levels(replace(p, g=float(g)), max_level + 1)
+            solved[g] = _lowest(p, parts, float(g), max_level + 1)
         return solved[g]
 
     labels = [solve(g)[1] for g in grid]

@@ -17,7 +17,8 @@ def chain_matrix(p):
     h = np.zeros((p.dim, p.dim))
     for odd in (0, 1):
         index = chain_index(p.n_tr, 1 - 2 * odd)
-        diag, off = _parity_chain(p, odd)
+        diag, unit = _parity_chain(p, odd)
+        off = p.g * unit
         h[index, index] = diag
         h[index[:-1], index[1:]] = off
         h[index[1:], index[:-1]] = off

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -254,9 +255,16 @@ def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
         assert values == sorted(values)
         ground = [(g, half) for pair, g, half in crossings if pair == (0, 1)]
         assert cp.gc_numeric == (ground[0] if ground else None)
-    monkeypatch.setattr(rs.spectrum, "lowest_levels", eigensystem_levels)
+    oracle = []
+
+    def levels_of_eigensystem(model, parts, g, k):
+        oracle.append(g)
+        return eigensystem_levels(replace(model, g=g), k)
+
+    monkeypatch.setattr(rs.spectrum, "_lowest", levels_of_eigensystem)
     for steps, cp in scans.items():
         assert cp == rs.find_crossings(p, 0.05, 2.0, steps=steps)
+    assert len(oracle) > 41 + 9       # the grids and the refinements
 
 
 def test_find_crossings_validation():
@@ -296,21 +304,84 @@ def test_find_crossings_validation():
 def test_find_crossings_solves_each_coupling_once(monkeypatch):
     # At the ground crossing level 1 swaps in the same grid interval as
     # level 0, so the (1, 2) refinement meets the (0, 1) one's couplings;
-    # each is solved once, with the max_level + 1 levels the scan reads.
-    calls = []
-    solve = rs.spectrum.lowest_levels
+    # each is solved once, with the max_level + 1 levels the scan reads, on
+    # the two parity chains built once per scan: no model per coupling.
+    calls, builds, models = [], [], []
+    solve, chain = rs.spectrum._lowest, rs.spectrum._parity_chain
+    check = rs.ModelParams.__post_init__
 
-    def counted(p, k):
-        calls.append((p.g, k))
-        return solve(p, k)
+    def counted(p, parts, g, k):
+        calls.append((g, k))
+        return solve(p, parts, g, k)
 
-    monkeypatch.setattr(rs.spectrum, "lowest_levels", counted)
+    def built(p, odd):
+        builds.append(odd)
+        return chain(p, odd)
+
     p = rs.ModelParams(delta=1.0, g=0.0, r=0.2, u=0.2, n_tr=30)
+    monkeypatch.setattr(rs.spectrum, "_lowest", counted)
+    monkeypatch.setattr(rs.spectrum, "_parity_chain", built)
+    monkeypatch.setattr(rs.ModelParams, "__post_init__",
+                        lambda model: models.append(model) or check(model))
     cp = rs.find_crossings(p, 0.05, 2.0, steps=41)
     assert cp.gc_numeric is not None
     couplings = [g for g, _ in calls]
     assert len(couplings) == len(set(couplings))
     assert {k for _, k in calls} == {4}     # default pairs up to (2, 3)
+    assert builds == [0, 1]
+    assert models == []
+
+
+def test_top_bisection_runs_only_where_the_level_order_rule_acts(monkeypatch):
+    # At g = 1.5491904 the ground gap (2.45e-8) is below the rule's threshold,
+    # so the span is needed and the odd level comes first; a generic point
+    # reads its labels off the energies alone.
+    tops = []
+    bisect = rs.spectrum._bisect
+
+    def recorded(diag, off, lo, hi):
+        if lo == diag.size - 1:
+            tops.append(diag.size)
+        return bisect(diag, off, lo, hi)
+
+    monkeypatch.setattr(rs.spectrum, "_bisect", recorded)
+    model = rs.ModelParams(delta=1.0, g=1.5491904, r=1.0, u=0.2, n_tr=200)
+    assert list(rs.spectrum.lowest_levels(model, 4)[1][:2]) == [-1.0, 1.0]
+    assert tops == [201, 201]
+    tops.clear()
+    rs.spectrum.lowest_levels(replace(model, g=0.7), 4)
+    assert tops == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.floats(0.0, 2.0),
+    u=st.floats(-0.9, 0.9),
+    n_tr=st.integers(10, 120),
+    k=st.integers(1, 8),
+    dg=st.floats(-1e-5, 1e-5),
+)
+@example(r=1.0, u=0.2, n_tr=200, k=4, dg=1.5491904 - 1.549193338482)
+def test_lowest_levels_match_eigensystem_at_the_ground_crossing(r, u, n_tr, k, dg):
+    # Where the level-order rule can act: within 1e-5 of the ground crossing.
+    gc = rs.spectrum.gc_analytic(rs.ModelParams(delta=1.0, r=r, u=u))
+    assume(gc is not None and gc < 3.0)
+    p = rs.ModelParams(delta=1.0, g=gc + dg, r=r, u=u, n_tr=n_tr)
+    assert np.array_equal(rs.spectrum.lowest_levels(p, k)[1], eigensystem_levels(p, k)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.floats(0.0, 1e6), r=st.floats(0.0, 1e3), n_tr=st.integers(2, 300))
+def test_scaled_chain_is_the_chain_at_g(g, r, n_tr):
+    # The scan scales the g = 1 hops: the same bits as the hops written at g,
+    # and the same Gershgorin bound, since rounding is monotone and g >= 0.
+    p = rs.ModelParams(delta=1.0, g=g, r=r, u=0.3, n_tr=n_tr)
+    n = np.arange(n_tr + 1)
+    for odd in (0, 1):
+        q = (n + odd) % 2
+        _, unit = rs.spectrum._parity_chain(p, odd)
+        assert np.array_equal(g * unit, g * (np.sqrt(n[1:]) * np.where(q[:-1] == 1, 1.0, r)))
+        assert np.max(np.abs(g * unit)) == g * np.max(np.abs(unit))
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,6 +418,23 @@ def test_lowest_levels_rejects_a_bad_count_before_lapack(monkeypatch):
     for k in (0, -1, 2.5, 4.0, math.nan, None):
         with pytest.raises(rs.InvalidParameterError):
             rs.spectrum.lowest_levels(p, k)
+
+
+def test_keeps_lowest_levels_does_not_clear_a_failed_bisection(monkeypatch):
+    # off[n_tr]**2 is finite here, but dstebz squares the longer chain's hops,
+    # which overflow (LAPACK info=4): not cleared, and no LinAlgError.
+    infos = []
+    dstebz = rs.spectrum.dstebz
+
+    def recorded(*args):
+        out = dstebz(*args)
+        infos.append(out[-1])
+        return out
+
+    monkeypatch.setattr(rs.spectrum, "dstebz", recorded)
+    p = rs.ModelParams(delta=1.0, g=2.16e153, r=1.0, u=0.2, n_tr=30)
+    assert keeps_lowest_levels(p, rs.eigensystem(p), 10, 40) is False
+    assert infos == [4]
 
 
 def test_bisection_failure_is_a_numeric_failure(monkeypatch):
