@@ -3,10 +3,10 @@
 Both the qubit and the cavity couple to independent Ohmic baths.  Rates are
 built in the eigenbasis of the full Hamiltonian, so they stay valid deep into
 the ultrastrong-coupling regime; parity conservation zeroes every matrix
-element between equal-parity eigenstates, which shows up here as vanishing
-rates.  A bath's two reservoirs act on the same levels, so the table keeps
-one rate matrix per bath, their sum, and that matrix is all the steady state
-reads.
+element between equal-parity eigenstates, so only the pairs of opposite
+parity get a rate.  A bath's two reservoirs act on the same levels, so the
+table keeps one rate matrix per bath, their sum, and that matrix is all the
+steady state reads.
 """
 
 from __future__ import annotations
@@ -128,14 +128,14 @@ def transition_rates(
     """Build the regularized rate table of each bath over the lowest n_levels
     eigenstates, stacked in the order of baths."""
     if not baths or not _is_int(n_levels) or n_levels < 2:
-        raise InvalidParameterError(
-            f"need baths and an integer n_levels >= 2, got {len(baths)} baths, n_levels={n_levels}")
+        raise InvalidParameterError("need baths and an integer n_levels >= 2, got "
+                                    f"{'' if baths else 'no baths, '}n_levels={n_levels}")
     L = min(n_levels, eigs.dim)
     energies = eigs.energies[:L]
     m_q, m_c = parity_odd_elements(eigs, L)
-    # The pairs (k, j), k > j: their gaps, and their squared qubit and cavity
-    # matrix elements <j|.|k>^2 stacked as (2, 1, pairs).
-    lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
+    # The opposite-parity pairs (k, j), k > j, the only ones with a rate: their
+    # gaps, and squared qubit and cavity elements <j|.|k>^2 as (2, 1, pairs).
+    lower = np.tril(eigs.parities[:L, None] != eigs.parities[None, :L], k=-1)
     gap = (energies[:, None] - energies[None, :])[lower]
     melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]
 

@@ -4,9 +4,11 @@ Each grid point runs spectrum -> rates -> steady state -> observables;
 failing points are recorded with an error code instead of aborting the
 sweep.  The bath enters only through the rates, so grid points that share
 (g, r, u, n_tr) share one spectrum and what is built from it alone:
-run_sweep groups them, and evaluate_group solves each spectrum once, the
-group's baths as stacked arrays, and their observables in one pass over
-the stack.  Results land in row-major slots, the same for any worker count.
+run_sweep groups them and packs runs of groups into tasks of up to
+STACK_BATHS baths.  A task solves each spectrum once, the baths of all its
+groups as one stacked GTH elimination, and each group's observables in one
+pass over its rows.  Results land in row-major slots, the same for any
+worker count.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .dissipation import (
     DEFAULT_N_LEVELS,
     BathParams,
     SteadyState,
+    TransitionTable,
     steady_populations,
     transition_rates,
 )
@@ -61,7 +64,7 @@ NEAR_DEGENERACY_FRACTION = 1e-4
 CONVERGENCE_DELTA_NTR = 40
 CONVERGENCE_TOL = 1e-6
 CERTIFY_TOL = 1e-4 * CONVERGENCE_TOL
-STACK_BATHS = 64   # baths per stacked solve: ~100 KB each at 40 levels
+STACK_BATHS = 32   # baths per stacked solve and per sweep task (see README)
 
 ERR_OK = 0
 ERR_ZERO_FLUX = 1
@@ -146,9 +149,13 @@ class SweepSpec:
 
     def point_params(self, i: int, j: int) -> tuple[ModelParams, BathParams]:
         """Model/bath parameters at grid slot (i, j), overriding the base."""
-        overrides = {self.axis1.name: float(self.axis1.values()[i])}
+        return self._params(self.axis1.values()[i], self.axis2.values()[j] if self.axis2 else None)
+
+    def _params(self, v1: float, v2: Optional[float]) -> tuple[ModelParams, BathParams]:
+        """Model/bath parameters with axis1 at v1 and axis2 (if any) at v2."""
+        overrides = {self.axis1.name: float(v1)}
         if self.axis2 is not None:
-            overrides[self.axis2.name] = float(self.axis2.values()[j])
+            overrides[self.axis2.name] = float(v2)
         model, bath = self.model, self.bath
         model_kw = {k: v for k, v in overrides.items() if k in ("g", "r", "u")}
         if model_kw:
@@ -224,22 +231,39 @@ def _report(eigs: EigenSystem, x: DetectionOperator, ss: SteadyState, baths: Seq
         [a_mean] * len(baths), a_sq.tolist(), flux.tolist())]
 
 
-def _stacked_states(eigs: EigenSystem, model: ModelParams, baths: Sequence[BathParams],
-                    n_levels: int) -> SteadyState:
-    """Steady states of baths on one spectrum, solved STACK_BATHS at a time so
-    that memory stays bounded on a long bath axis."""
-    parts = [steady_populations(transition_rates(eigs, model, baths[k:k + STACK_BATHS],
-                                                 n_levels=n_levels))
-             for k in range(0, len(baths), STACK_BATHS)]
-    return SteadyState(populations=np.concatenate([part.populations for part in parts]),
-                       errors=sum((part.errors for part in parts), ()))
+def _stacked_states(groups: Sequence, n_levels: int) -> list:
+    """Steady states of the baths of each (eigs, model, baths) group sharing
+    n_tr, as one stack solved STACK_BATHS rows at a time across the groups; a
+    row's bits do not depend on its stack.  A group whose spectrum (eigs is
+    then the exception) or rate table failed adds no rows, and its
+    SteadyState has that error for each bath and no levels."""
+    failed = {k: eigs for k, (eigs, _, _) in enumerate(groups) if isinstance(eigs, Exception)}
+    rows = [(k, b) for k, (_, _, baths) in enumerate(groups) if k not in failed for b in baths]
+    solved = [[] for _ in groups]
+    for at in range(0, len(rows), STACK_BATHS):
+        tables, owners = [], []
+        for k, run in itertools.groupby(rows[at:at + STACK_BATHS], key=lambda row: row[0]):
+            eigs, model, _ = groups[k]
+            try:
+                tables.append(transition_rates(eigs, model, [b for _, b in run], n_levels=n_levels))
+                owners += [k] * tables[-1].kt_q.size
+            except tuple(_ERROR_CODES) as exc:
+                failed[k] = exc
+        if tables:
+            state = steady_populations(TransitionTable(tables[0].n_levels, *(
+                np.concatenate([getattr(t, f) for t in tables]) for f in ("rate", "kt_q", "kt_c"))))
+            for k, p, err in zip(owners, state.populations, state.errors):
+                solved[k].append((p, err))
+    return [SteadyState(np.empty((len(baths), 0)), (failed[k],) * len(baths)) if k in failed
+            else SteadyState(np.array([p for p, _ in got]), tuple(err for _, err in got))
+            for k, ((_, _, baths), got) in enumerate(zip(groups, solved))]
 
 
 def _n_photon_at(model: ModelParams, baths: list, n_levels: int) -> list:
     """Photon number of each bath's steady state at model's truncation, None
     for a bath with no steady state."""
     eigs = eigensystem(model)
-    states = _stacked_states(eigs, model, baths, n_levels)
+    [states] = _stacked_states([(eigs, model, baths)], n_levels)
     n_photon = field_moments(states, eigs)[1].tolist()
     return [None if err is not None else n for n, err in zip(n_photon, states.errors)]
 
@@ -282,57 +306,62 @@ def evaluate_group(
     numbers must agree within CONVERGENCE_TOL, relative, or absolute when
     both are below 1e-6.
     """
-    if not baths:
-        return []
-    near_degenerate = False
-    try:
-        eigs = eigensystem(model)
-        near_degenerate = (
-            eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
-        )
-        states = _stacked_states(eigs, model, baths, n_levels)
-    except tuple(_ERROR_CODES) as exc:
-        return [_failure(model, bath, exc, near_degenerate, check_convergence) for bath in baths]
+    return _evaluate_groups(([(model, baths)], n_levels, check_convergence)) if baths else []
 
-    L = states.n_levels
-    errors, reports = list(states.errors), {}
-    if None in errors:
-        x = detection_operator(eigs, L)
-        flux = flux_proxy(x, states)
-        for b in np.flatnonzero(flux < ZERO_FLUX_THRESHOLD):   # a failed bath's flux is NaN
-            errors[b] = ZeroFluxError(flux[b], ZERO_FLUX_THRESHOLD)
-        emitting = [b for b, err in enumerate(errors) if err is None]
+
+def _evaluate_groups(task) -> list:
+    """A sweep task (groups, n_levels, check_convergence): evaluate_group of
+    each (model, baths) group sharing n_tr, the results in one list.  Each
+    spectrum is solved once, all groups' baths as one stack (_stacked_states),
+    then each group's observables and convergence on its own rows."""
+    groups, n_levels, check_convergence = task
+    solved, out = [], []
+    for model, baths in groups:
         try:
-            if emitting:
-                reports = dict(zip(emitting, _report(
-                    eigs, x, SteadyState(states.populations[emitting]), [baths[b] for b in emitting])))
+            eigs = eigensystem(model)
+            near = eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
         except tuple(_ERROR_CODES) as exc:
-            errors = [exc if err is None else err for err in errors]
-    results = [PointResult(model, bath, reports[b], None, near_degenerate, ERR_OK) if err is None
-               else _failure(model, bath, err, near_degenerate, check_convergence)
-               for b, (bath, err) in enumerate(zip(baths, errors))]
-    if not check_convergence:
-        return results
-
-    solved = [b for b, pt in enumerate(results) if pt.error_code == ERR_OK]
-    resid = edge_residuals(model, eigs, L) if solved else None
-    # A NaN or inf certificate fails the test and falls through to the re-solve.
-    certified = [b for b in solved
-                 if (model.n_tr + 1) * float(states.populations[b] @ resid) <= CERTIFY_TOL]
-    if certified and keeps_lowest_levels(model, eigs, L, CONVERGENCE_DELTA_NTR):
-        for b in certified:
-            results[b].converged = True
-    pending = [b for b in solved if results[b].converged is None]
-    if pending:
-        try:
-            bigger = _n_photon_at(model.with_n_tr(model.n_tr + CONVERGENCE_DELTA_NTR),
-                                  [baths[b] for b in pending], L)
-        except RabiStarkError:
-            bigger = [None] * len(pending)
-        for b, n_photon in zip(pending, bigger):
-            results[b].converged = n_photon is not None and _agrees(
-                results[b].report.n_photon, n_photon)
-    return results
+            eigs, near = exc, False
+        solved.append((eigs, model, baths, near))
+    all_states = _stacked_states([group[:3] for group in solved], n_levels)
+    for (eigs, model, baths, near), states in zip(solved, all_states):
+        L = states.n_levels
+        errors, reports = list(states.errors), {}
+        if None in errors:
+            x = detection_operator(eigs, L)
+            flux = flux_proxy(x, states)
+            for b in np.flatnonzero(flux < ZERO_FLUX_THRESHOLD):   # a failed bath's flux is NaN
+                errors[b] = ZeroFluxError(flux[b], ZERO_FLUX_THRESHOLD)
+            emitting = [b for b, err in enumerate(errors) if err is None]
+            try:
+                if emitting:
+                    reports = dict(zip(emitting, _report(eigs, x, SteadyState(
+                        states.populations[emitting]), [baths[b] for b in emitting])))
+            except tuple(_ERROR_CODES) as exc:
+                errors = [exc if err is None else err for err in errors]
+        results = [PointResult(model, bath, reports[b], None, near, ERR_OK) if err is None
+                   else _failure(model, bath, err, near, check_convergence)
+                   for b, (bath, err) in enumerate(zip(baths, errors))]
+        out += results
+        ok = [b for b, pt in enumerate(results) if check_convergence and pt.error_code == ERR_OK]
+        resid = edge_residuals(model, eigs, L) if ok else None
+        # A NaN or inf certificate fails the test and falls through to the re-solve.
+        certified = [b for b in ok
+                     if (model.n_tr + 1) * float(states.populations[b] @ resid) <= CERTIFY_TOL]
+        if certified and keeps_lowest_levels(model, eigs, L, CONVERGENCE_DELTA_NTR):
+            for b in certified:
+                results[b].converged = True
+        pending = [b for b in ok if results[b].converged is None]
+        if pending:
+            try:
+                bigger = _n_photon_at(model.with_n_tr(model.n_tr + CONVERGENCE_DELTA_NTR),
+                                      [baths[b] for b in pending], L)
+            except RabiStarkError:
+                bigger = [None] * len(pending)
+            for b, n_photon in zip(pending, bigger):
+                results[b].converged = n_photon is not None and _agrees(
+                    results[b].report.n_photon, n_photon)
+    return out
 
 
 def evaluate_point(
@@ -346,59 +375,54 @@ def evaluate_point(
                           check_convergence=check_convergence)[0]
 
 
-def _evaluate_group(args) -> list:
-    """Pool task: evaluate_group over the (flat, bath) slots of one model."""
-    spec, model, slots = args
-    flats, baths = zip(*slots)
-    return list(zip(flats, evaluate_group(model, baths, n_levels=spec.n_levels,
-                                          check_convergence=spec.check_convergence)))
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the pipeline over the grid; output is worker-count independent.
 
     The bath enters only through the rates, so slots that share a model
-    (g, r, u, n_tr) are grouped, and each group is one evaluate_group task.
-    Slots whose parameters are invalid get error code 4 before grouping.
-    When there are fewer groups than workers, each group is split into
-    contiguous pieces so every worker gets work; a piece is a group of its own.
+    (g, r, u, n_tr) are grouped.  Slots whose parameters are invalid get
+    error code 4 before grouping.  When there are fewer groups than workers,
+    each group is split into contiguous pieces so every worker gets work; a
+    piece is a group of its own.  A task is a run of consecutive groups
+    (_evaluate_groups) holding at most STACK_BATHS baths, and at most an even
+    share of them per worker; a larger group is a task of its own.
     """
     if not _is_int(workers) or workers < 1:
         raise InvalidParameterError(f"workers must be an integer >= 1, got {workers}")
-    rows, cols = spec.shape
-    slots: list = [None] * (rows * cols)
+    axis1 = spec.axis1.values()
+    axis2 = spec.axis2.values() if spec.axis2 else None
+    slots: list = [None] * (spec.shape[0] * spec.shape[1])
     groups: dict = {}
-    for i in range(rows):
-        for j in range(cols):
-            flat = i * cols + j
-            try:
-                model, bath = spec.point_params(i, j)
-            except InvalidParameterError as exc:
-                # Grid point itself is unphysical (e.g. |u| >= omega0).
-                slots[flat] = _failure(None, None, exc, False, spec.check_convergence)
-                continue
-            groups.setdefault(model, []).append((flat, bath))
+    for flat, (v1, v2) in enumerate(itertools.product(axis1, [None] if axis2 is None else axis2)):
+        try:
+            model, bath = spec._params(v1, v2)
+        except InvalidParameterError as exc:
+            # Grid point itself is unphysical (e.g. |u| >= omega0).
+            slots[flat] = _failure(None, None, exc, False, spec.check_convergence)
+            continue
+        groups.setdefault(model, []).append((flat, bath))
 
     pieces = -(-workers // max(len(groups), 1))
+    cap = min(STACK_BATHS, -(-sum(map(len, groups.values())) // workers))
     tasks = []
     for model, members in groups.items():
         size = -(-len(members) // pieces)
-        tasks += [(spec, model, members[k:k + size]) for k in range(0, len(members), size)]
+        for k in range(0, len(members), size):
+            piece = [bath for _, bath in members[k:k + size]]
+            if not tasks or sum(len(baths) for _, baths in tasks[-1][0]) + len(piece) > cap:
+                tasks.append(([], spec.n_levels, spec.check_convergence))
+            tasks[-1][0].append((model, piece))
     # Under the fork start method the pool starts all of its workers at the
     # first submit: start no more than there are tasks.
     workers = min(workers, len(tasks))
     if workers <= 1:
-        done = [_evaluate_group(task) for task in tasks]
+        done = [_evaluate_groups(task) for task in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_evaluate_group, tasks, chunksize=chunk))
-    for flat, result in itertools.chain.from_iterable(done):
+            done = list(pool.map(_evaluate_groups, tasks, chunksize=chunk))
+    # Results come in the order of the groups and their slots.
+    for (flat, _), result in zip(itertools.chain.from_iterable(groups.values()),
+                                 itertools.chain.from_iterable(done)):
         slots[flat] = result
 
-    return SweepResult(
-        spec=spec,
-        axis1_values=spec.axis1.values(),
-        axis2_values=spec.axis2.values() if spec.axis2 else None,
-        points=slots,
-    )
+    return SweepResult(spec=spec, axis1_values=axis1, axis2_values=axis2, points=slots)

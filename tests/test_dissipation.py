@@ -448,6 +448,49 @@ def test_stacked_populations_equal_the_reference(n_tr, n_levels, g, r, u, temps,
     event(", ".join(sorted(errors)))
 
 
+def _all_pairs_rates(eigs, model, baths, n_levels):
+    """The rate table from every pair (k, j), k > j, equal parities included:
+    the pair weights of their matrix elements, zero or not."""
+    L = min(n_levels, eigs.dim)
+    m_q, m_c = parity_odd_elements(eigs, L)
+    lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
+    gap = (eigs.energies[:L, None] - eigs.energies[None, :L])[lower]
+    melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]
+    alpha, kt = np.array([[(b.alpha_q, b.kt_q), (b.alpha_c, b.kt_c)] for b in baths]).T[..., None]
+    cutoff = np.array([[b.omega_cutoff] for b in baths])
+    omega_ref = np.array([model.delta, model.omega0])[:, None, None]
+    down, up = _pair_weights(alpha, gap, omega_ref, cutoff, melem_sq, kt,
+                             dissipation.GAP_EPSILON_FRACTION * model.omega0)
+    rate = np.zeros((len(baths), L, L))
+    rate[:, lower] = down[0] + down[1]
+    np.swapaxes(rate, -1, -2)[:, lower] = up[0] + up[1]
+    return rate
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_tr=st.integers(8, 79),
+    n_levels=st.integers(2, 40),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 2.5)),
+    r=st.floats(0.0, 2.0),
+    u=st.floats(-0.9, 0.9),
+    baths=st.lists(st.tuples(TEMPERATURES, TEMPERATURES, st.floats(1e-4, 1e-2),
+                             st.floats(1e-4, 1e-2), st.floats(0.5, 20.0)), min_size=1, max_size=4),
+)
+def test_rate_table_equals_the_all_pairs_formula(n_tr, n_levels, g, r, u, baths):
+    # Only opposite-parity pairs get a rate; the table is bit for bit the one
+    # from every pair, and each equal-parity entry is exactly +0.0.
+    model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    eigs = build_eigs(model)
+    baths = [rs.BathParams(kt_q=kq, kt_c=kc, alpha_q=aq, alpha_c=ac, omega_cutoff=wc)
+             for kq, kc, aq, ac, wc in baths]
+    table = rs.transition_rates(eigs, model, baths, n_levels=n_levels)
+    assert np.array_equal(table.rate, _all_pairs_rates(eigs, model, baths, n_levels))
+    parities = eigs.parities[:table.n_levels]
+    same = table.rate[:, parities[:, None] == parities[None, :]]
+    assert not same.any() and not np.signbit(same).any()
+
+
 def test_failing_baths_leave_the_stack_alone():
     model = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
     warm, cold = rs.BathParams(kt_q=0.05, kt_c=0.2), rs.BathParams(kt_q=0.0, kt_c=0.0)

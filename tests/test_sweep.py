@@ -607,3 +607,101 @@ def test_resolve_uses_the_levels_of_the_base_solve(monkeypatch):
     pt = evaluate_point(model, rs.BathParams(), n_levels=40)
     assert pt.error_code == ERR_OK and pt.converged is not None
     assert solved == [(12, 26), (52, 26)]
+
+
+def _task_groups(n_tr, drawn):
+    """(model, baths) groups sharing n_tr, from drawn (g, r, u, [(kt_q, kt_c)])."""
+    return [(rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr),
+             [rs.BathParams(kt_q=kt_q, kt_c=kt_c) for kt_q, kt_c in temps])
+            for g, r, u, temps in drawn]
+
+
+def _spectrum(model):
+    """The model's EigenSystem, or the error its eigensolve raised."""
+    try:
+        return rs.eigensystem(model)
+    except rs.RabiStarkError as exc:
+        return exc
+
+
+# Groups of a task: warm and kT=0 baths, unequal reservoirs, and couplings
+# with no steady state (1e300) or no spectrum (1e308, its chain overflows).
+TASK_GROUPS = st.lists(st.tuples(
+    st.one_of(st.floats(0.0, 2.0), st.sampled_from([1e300, 1e308])),
+    st.floats(0.0, 2.0),
+    st.floats(-0.9, 0.9),
+    st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+                       st.one_of(st.just(0.0), st.floats(0.0, 0.5))), min_size=1, max_size=6),
+), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_tr=st.integers(4, 30), n_levels=st.integers(4, 40), stack=st.integers(1, 6),
+       drawn=TASK_GROUPS)
+def test_stacked_populations_equal_per_group_solves(n_tr, n_levels, stack, drawn):
+    # Stacks of 1-6 rows straddle the groups; each group's populations and
+    # errors are those of its own table solved alone, and a group with no
+    # spectrum has its error on every bath and no rows.
+    task = [(_spectrum(model), model, baths) for model, baths in _task_groups(n_tr, drawn)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "STACK_BATHS", stack)
+        states = sweep._stacked_states(task, n_levels)
+    for (eigs, model, baths), state in zip(task, states, strict=True):
+        if isinstance(eigs, Exception):
+            assert state.errors == (eigs,) * len(baths)
+            assert state.populations.shape == (len(baths), 0)
+            continue
+        alone = rs.steady_populations(rs.transition_rates(eigs, model, baths, n_levels=n_levels))
+        assert np.array_equal(state.populations, alone.populations, equal_nan=True)
+        assert [repr(err) for err in state.errors] == [repr(err) for err in alone.errors]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_tr=st.integers(4, 24), n_levels=st.integers(4, 30), stack=st.integers(3, 5),
+       drawn=TASK_GROUPS, check=st.booleans())
+@example(n_tr=8, n_levels=12, stack=3, check=True, drawn=[
+    (0.5, 0.5, 0.1, [(0.0, 0.0), (0.07, 0.07)]), (1e300, 0.0, 0.0, [(0.07, 0.07), (0.2, 0.0)]),
+    (1e308, 0.0, 0.0, [(0.1, 0.1)]), (1.2, 1.0, -0.3, [(0.05, 0.3), (0.0, 0.0), (0.1, 0.1)])])
+@example(n_tr=8, n_levels=2.5, stack=3, check=True, drawn=[     # every rate table fails
+    (0.5, 0.5, 0.1, [(0.07, 0.07)] * 4), (1e308, 0.0, 0.0, [(0.1, 0.1)]), (0.9, 0.2, 0.2, [(0.1, 0.1)])])
+def test_task_results_equal_each_group_alone(n_tr, n_levels, stack, drawn, check):
+    # A task of several groups, solved in stacks of 3-5 that straddle them:
+    # every result is the one evaluate_group gives its group on its own.
+    groups = _task_groups(n_tr, drawn)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "STACK_BATHS", stack)
+        got = sweep._evaluate_groups((groups, n_levels, check))
+    want = [pt for model, baths in groups
+            for pt in evaluate_group(model, baths, n_levels=n_levels, check_convergence=check)]
+    assert [repr(pt) for pt in got] == [repr(pt) for pt in want]
+    event(", ".join(sorted({f"error {pt.error_code}" for pt in got})))
+
+
+def test_gkt_grid_solves_one_elimination_per_task(monkeypatch):
+    # The (g, kT) grid of the benchmark: 16 models of 8 baths, a kT=0 column
+    # among them, all cleared by the certificate.  The groups pack into tasks
+    # of up to STACK_BATHS baths, so a task holds the spectra of one stack,
+    # one elimination each, and each model's spectrum is solved once.
+    solved = counting(monkeypatch, "eigensystem")
+    stacks = counting(monkeypatch, "steady_populations")
+    tasks = counting(monkeypatch, "_evaluate_groups")
+    spec = SweepSpec(model=rs.ModelParams(delta=1.0, r=0.2, u=0.2, n_tr=60), bath=BASE_BATH,
+                     axis1=AxisSpec("g", 0.05, 1.2, 16), axis2=AxisSpec("kt", 0.0, 0.2, 8))
+    result = run_sweep(spec, workers=1)
+    assert [pt.error_code for pt in result.points].count(ERR_ZERO_FLUX) == 16
+    models = {pt.model for pt in result.points}
+    assert len(solved) == len(models) == 16 and set(solved) == models
+    rows = [table.rate.shape[0] for table in stacks]
+    assert len(rows) == math.ceil(128 / sweep.STACK_BATHS)
+    assert sum(rows) == 128 and max(rows) <= sweep.STACK_BATHS
+    assert [sum(len(baths) for _, baths in groups) for groups, _, _ in tasks] == rows
+
+
+def test_sweep_takes_each_axis_once(monkeypatch):
+    # point_params builds both axes for its one slot; run_sweep builds each
+    # axis once for the whole grid.
+    grids = counting(monkeypatch, "linspace", np)
+    axes = counting(monkeypatch, "values", AxisSpec)
+    result = run_sweep(small_spec(axis2=AxisSpec("kt", 0.02, 0.2, 4)), workers=1)
+    assert len(result.points) == 12
+    assert len(grids) == len(axes) == 2
