@@ -16,7 +16,6 @@ import math
 import sys
 import time
 from dataclasses import replace
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -26,48 +25,41 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, RabiStarkError
 from .heatmap import emit_heatmap
 from .spectrum import eigensystem, find_crossings
-from .sweep import OBSERVABLE_NAMES, PointResult, SweepResult, evaluate_point, run_sweep
+from .sweep import PointResult, SweepResult, evaluate_point, run_sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-OBSERVABLE_COLUMNS = (
-    "g2", "g3", "xi_b2", "n_photon", "flux_proxy", "eta1", "eta2", "eta3"
-)
-# observable name -> CSV columns it fills
-_COLUMN_SOURCES = {
-    "g2": ("g2",),
-    "g3": ("g3",),
-    "g2_approx": ("eta1", "eta2"),
-    "g3_approx": ("eta3",),
-    "xi_b2": ("xi_b2",),
-    "n_photon": ("n_photon",),
-    "flux_proxy": ("flux_proxy",),
+# The observable CSV columns in order, each with the observable that fills it.
+OBSERVABLE_COLUMNS = {
+    "g2": "g2", "g3": "g3", "xi_b2": "xi_b2", "n_photon": "n_photon", "flux_proxy": "flux_proxy",
+    "eta1": "g2_approx", "eta2": "g2_approx", "eta3": "g3_approx",
 }
 
 
 def format_number(x: float) -> str:
-    """Pinned numeric formatting: 12 significant digits, '.' separator,
-    scientific notation only beyond |x| of 1e+-6."""
+    """Pinned numeric formatting: x rounded to 12 significant digits, '.'
+    separator.  Fixed point for 1e-6 <= |x| < 1e6, with trailing zeros and a
+    trailing '.' stripped; otherwise d.ddde+XX (mantissa zeros stripped, at
+    least two exponent digits).  Both zeros give "0"; NaN, +-inf and None
+    give an empty field."""
     if x is None or (isinstance(x, float) and not math.isfinite(x)):
         return ""
     if x == 0:
         return "0"
-    mantissa = f"{x:.11e}"
-    d = Decimal(mantissa)
-    a = abs(x)
-    if 1e-6 <= a < 1e6:
-        text = format(d, "f")
-        if "." in text:
-            text = text.rstrip("0").rstrip(".")
-        return text
-    sign, digits, exponent = d.as_tuple()
-    coeff = digits[0:1] + (".",) + digits[1:] if len(digits) > 1 else digits
-    coeff_text = "".join(str(c) for c in coeff).rstrip("0").rstrip(".")
-    exp10 = exponent + len(digits) - 1
-    return f"{'-' if sign else ''}{coeff_text}e{exp10:+03d}"
+    mantissa, exp = f"{x:.11e}".split("e")
+    exp = int(exp)
+    if 1e-6 <= abs(x) < 1e6:
+        # 11 - exp decimals keep the mantissa's 12 significant digits.
+        return f"{x:.{11 - exp}f}".rstrip("0").rstrip(".")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exp:+03d}"
+
+
+def _csv(lines) -> str:
+    """CSV text of header and row lines: LF endings, a final newline."""
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -110,7 +102,7 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
         cells += [format_number(float(e)) for e in eigs.energies[:k]]
         cells += [str(int(p)) for p in eigs.parities[:k]]
         lines.append(",".join(cells))
-    _write_text(out_dir / "spectrum.csv", "\n".join(lines) + "\n")
+    _write_text(out_dir / "spectrum.csv", _csv(lines))
     return ["spectrum.csv"]
 
 
@@ -129,25 +121,21 @@ def cmd_critical(config: RunConfig, out_dir: Path) -> list[str]:
         lines.append(
             f"crossing,{lo},{hi},{format_number(value)},{format_number(half)}"
         )
-    _write_text(out_dir / "critical.csv", "\n".join(lines) + "\n")
+    _write_text(out_dir / "critical.csv", _csv(lines))
     return ["critical.csv"]
 
 
-def _point_cells(coords: dict, pt: PointResult, requested) -> list[str]:
-    """CSV cells of one point: coordinates from coords, observables, converged.
+def _point_cells(coords: dict, pt: PointResult, filled: set[str]) -> list[str]:
+    """CSV cells of one point: coordinates from coords, the filled observable
+    columns, converged.
 
     converged is empty when the convergence check did not run.
     """
     cells = [format_number(coords[name]) for name in ("g", "r", "u", "kt")]
     cells.append(str(coords["n_tr"]))
-    filled = set()
-    for name in requested:
-        filled.update(_COLUMN_SOURCES.get(name, ()))
-    for col in OBSERVABLE_COLUMNS:
-        if pt.report is None or col not in filled:
-            cells.append("")
-        else:
-            cells.append(format_number(getattr(pt.report, col)))
+    report = pt.report
+    cells += ["" if report is None or col not in filled else format_number(getattr(report, col))
+              for col in OBSERVABLE_COLUMNS]
     cells.append("" if pt.converged is None else str(int(pt.converged)))
     return cells
 
@@ -164,10 +152,10 @@ SWEEP_HEADER = ("g,r,u,kt,n_tr," + ",".join(OBSERVABLE_COLUMNS)
 def cmd_observables(config: RunConfig, out_dir: Path) -> list[str]:
     """Evaluate the full pipeline at the configured single point."""
     pt = evaluate_point(config.model, config.bath)
-    requested = set(OBSERVABLE_NAMES)
-    cells = _point_cells(_base_coords(config.model, config.bath), pt, requested)
+    # Every observable is computed, so every column is filled.
+    cells = _point_cells(_base_coords(config.model, config.bath), pt, set(OBSERVABLE_COLUMNS))
     cells.append(str(pt.error_code))
-    _write_text(out_dir / "observables.csv", OBS_HEADER + "\n" + ",".join(cells) + "\n")
+    _write_text(out_dir / "observables.csv", _csv([OBS_HEADER, ",".join(cells)]))
     return ["observables.csv"]
 
 
@@ -175,20 +163,18 @@ def sweep_csv(result: SweepResult) -> str:
     """Sweep table; each row's coordinates are read from the grid, so a
     point with invalid parameters still reports where it sits."""
     spec = result.spec
-    requested = set(spec.observables)
+    filled = {col for col, name in OBSERVABLE_COLUMNS.items() if name in spec.observables}
     lines = [SWEEP_HEADER]
-    cols = spec.shape[1]
-    for flat, pt in enumerate(result.points):
-        i, j = divmod(flat, cols)
+    for (i, j), pt in zip(np.ndindex(spec.shape), result.points):
         coords = _base_coords(spec.model, spec.bath)
         coords[spec.axis1.name] = float(result.axis1_values[i])
         if result.is_2d:
             coords[spec.axis2.name] = float(result.axis2_values[j])
-        cells = _point_cells(coords, pt, requested)
+        cells = _point_cells(coords, pt, filled)
         cells.append(str(int(pt.near_degenerate)))
         cells.append(str(pt.error_code))
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(lines)
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool) -> list[str]:
@@ -207,16 +193,10 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool) -> lis
 
     if plot:
         spec = result.spec
-        column = config.column
-        values = result.column(column).reshape(spec.shape)
-        svg = emit_heatmap(
-            values,
-            axis1=(spec.axis1.name, spec.axis1.min, spec.axis1.max),
-            axis2=(spec.axis2.name, spec.axis2.min, spec.axis2.max),
-            label=column,
-            scale=config.scale,
-        )
-        name = f"heatmap_{column}.svg"
+        axes = [(axis.name, axis.min, axis.max) for axis in (spec.axis1, spec.axis2)]
+        svg = emit_heatmap(result.column(config.column).reshape(spec.shape), *axes,
+                           label=config.column, scale=config.scale)
+        name = f"heatmap_{config.column}.svg"
         _write_text(out_dir / name, svg)
         outputs.append(name)
     return outputs

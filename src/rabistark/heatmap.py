@@ -64,6 +64,13 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
+def _element(tag: str, body: str | None = None, **attrs) -> str:
+    """One SVG element, attributes in the order given ('_' in a name is
+    written '-'); self-closing when there is no body."""
+    head = tag + "".join(f' {name.replace("_", "-")}="{value}"' for name, value in attrs.items())
+    return f"<{head}/>" if body is None else f"<{head}>{body}</{tag}>"
+
+
 def emit_heatmap(
     values: np.ndarray,
     axis1: tuple[str, float, float],
@@ -88,18 +95,11 @@ def emit_heatmap(
     bar_x = MARGIN_LEFT + plot_w + 24
     bar_w = 14
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-    )
-    out.append("<defs><linearGradient id=\"cbar\" x1=\"0\" y1=\"1\" x2=\"0\" y2=\"0\">")
-    for t, (r, g, b) in COLOR_STOPS:
-        out.append(
-            f'<stop offset="{_fmt(t * 100)}%" stop-color="#{r:02X}{g:02X}{b:02X}"/>'
-        )
-    out.append("</linearGradient></defs>")
-    out.append(f'<rect width="{width}" height="{height}" fill="#FFFFFF"/>')
+    stops = [_element("stop", offset=f"{_fmt(t * 100)}%", stop_color=color_at(t))
+             for t, _ in COLOR_STOPS]
+    gradient = _element("linearGradient", "\n".join(["", *stops, ""]),
+                        id="cbar", x1="0", y1="1", x2="0", y2="0")
+    out = [_element("defs", gradient), _element("rect", width=width, height=height, fill="#FFFFFF")]
 
     for i in range(n1):
         for j in range(n2):
@@ -107,59 +107,42 @@ def emit_heatmap(
             fill = MISSING_COLOR if math.isnan(t) else color_at(t)
             x = MARGIN_LEFT + i * CELL
             y = MARGIN_TOP + (n2 - 1 - j) * CELL
-            out.append(f'<rect x="{x}" y="{y}" width="{CELL}" height="{CELL}" fill="{fill}"/>')
+            out.append(_element("rect", x=x, y=y, width=CELL, height=CELL, fill=fill))
 
     # Axis labels: parameter names plus range endpoints.
     name1, min1, max1 = axis1
     name2, min2, max2 = axis2
     y_axis_text = MARGIN_TOP + plot_h
-    out.append(
-        f'<text x="{MARGIN_LEFT + plot_w // 2}" y="{y_axis_text + 34}" '
-        f'text-anchor="middle" font-size="12">{name1}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT}" y="{y_axis_text + 16}" text-anchor="middle" '
-        f'font-size="10">{_fmt(min1)}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT + plot_w}" y="{y_axis_text + 16}" '
-        f'text-anchor="middle" font-size="10">{_fmt(max1)}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT - 10}" y="{MARGIN_TOP + plot_h // 2}" text-anchor="middle" '
-        f'font-size="12" transform="rotate(-90 {MARGIN_LEFT - 10} {MARGIN_TOP + plot_h // 2})">'
-        f"{name2}</text>"
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT - 6}" y="{y_axis_text}" text-anchor="end" '
-        f'font-size="10">{_fmt(min2)}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN_LEFT - 6}" y="{MARGIN_TOP + 8}" text-anchor="end" '
-        f'font-size="10">{_fmt(max2)}</text>'
-    )
+    out += [
+        _element("text", x=MARGIN_LEFT + plot_w // 2, y=y_axis_text + 34,
+                 text_anchor="middle", font_size="12", body=name1),
+        _element("text", x=MARGIN_LEFT, y=y_axis_text + 16,
+                 text_anchor="middle", font_size="10", body=_fmt(min1)),
+        _element("text", x=MARGIN_LEFT + plot_w, y=y_axis_text + 16,
+                 text_anchor="middle", font_size="10", body=_fmt(max1)),
+        _element("text", x=MARGIN_LEFT - 10, y=MARGIN_TOP + plot_h // 2,
+                 text_anchor="middle", font_size="12",
+                 transform=f"rotate(-90 {MARGIN_LEFT - 10} {MARGIN_TOP + plot_h // 2})",
+                 body=name2),
+        _element("text", x=MARGIN_LEFT - 6, y=y_axis_text,
+                 text_anchor="end", font_size="10", body=_fmt(min2)),
+        _element("text", x=MARGIN_LEFT - 6, y=MARGIN_TOP + 8,
+                 text_anchor="end", font_size="10", body=_fmt(max2)),
+    ]
 
     # Vertical colorbar with five tick labels in data units.
-    out.append(
-        f'<rect x="{bar_x}" y="{MARGIN_TOP}" width="{bar_w}" height="{plot_h}" '
-        f'fill="url(#cbar)" stroke="#000000" stroke-width="0.5"/>'
-    )
+    out.append(_element("rect", x=bar_x, y=MARGIN_TOP, width=bar_w, height=plot_h,
+                        fill="url(#cbar)", stroke="#000000", stroke_width="0.5"))
     for t, _ in COLOR_STOPS:
         y = MARGIN_TOP + plot_h - t * plot_h
         data_val = lo + t * (hi - lo)
         if scale == "log10":
             data_val = 10.0**data_val
-        out.append(
-            f'<line x1="{bar_x + bar_w}" y1="{_fmt(y)}" x2="{bar_x + bar_w + 4}" '
-            f'y2="{_fmt(y)}" stroke="#000000" stroke-width="0.5"/>'
-        )
-        out.append(
-            f'<text x="{bar_x + bar_w + 6}" y="{_fmt(y + 3)}" font-size="9">'
-            f"{_fmt(data_val)}</text>"
-        )
-    out.append(
-        f'<text x="{bar_x + bar_w // 2}" y="{MARGIN_TOP - 8}" text-anchor="middle" '
-        f'font-size="11">{label}</text>'
-    )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        out.append(_element("line", x1=bar_x + bar_w, y1=_fmt(y), x2=bar_x + bar_w + 4,
+                            y2=_fmt(y), stroke="#000000", stroke_width="0.5"))
+        out.append(_element("text", x=bar_x + bar_w + 6, y=_fmt(y + 3), font_size="9",
+                            body=_fmt(data_val)))
+    out.append(_element("text", x=bar_x + bar_w // 2, y=MARGIN_TOP - 8,
+                        text_anchor="middle", font_size="11", body=label))
+    return _element("svg", "\n".join(["", *out, ""]), xmlns="http://www.w3.org/2000/svg",
+                    width=width, height=height, viewBox=f"0 0 {width} {height}") + "\n"

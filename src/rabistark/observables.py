@@ -115,7 +115,7 @@ def approx_g2(eigs: EigenSystem, x: DetectionOperator, ss: SteadyState) -> tuple
     eta1 = d10 - d21
     eta2 = d10 - d31
     p = ss.populations
-    ax = np.abs(x.xmat)
+    ax = np.abs(x.xmat[:4, :4])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         numer = (
             (d20**2 * ax[0, 2] ** 2 + d21**2 * ax[1, 2] ** 2) * d32**2 * ax[2, 3] ** 2 * p[..., 3]
@@ -142,7 +142,7 @@ def approx_g3(eigs: EigenSystem, x: DetectionOperator, kt) -> tuple:
     e = eigs.energies
     d10, d21, d32 = e[1] - e[0], e[2] - e[1], e[3] - e[2]
     eta3 = 2.0 * d10 - d21 - d32
-    ax = np.abs(x.xmat)
+    ax = np.abs(x.xmat[:4, :4])
     denom = d10**4 * ax[0, 1] ** 4
     # exp(eta3/kt) is inf beyond eta3/kt ~ 709, and NaN times a zero amplitude.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -1,10 +1,11 @@
 import json
 import math
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
@@ -44,6 +45,57 @@ def test_format_number_rules():
     assert format_number(6.24875341415258e-07) == "6.24875341415e-07"
     assert format_number(float("nan")) == ""
     assert format_number(float("inf")) == ""
+
+
+def reference_format_number(x):
+    """The CSV number format computed through decimal.Decimal: the reference
+    that format_number must equal."""
+    if x is None or (isinstance(x, float) and not math.isfinite(x)):
+        return ""
+    if x == 0:
+        return "0"
+    mantissa = f"{x:.11e}"
+    d = Decimal(mantissa)
+    a = abs(x)
+    if 1e-6 <= a < 1e6:
+        text = format(d, "f")
+        if "." in text:
+            text = text.rstrip("0").rstrip(".")
+        return text
+    sign, digits, exponent = d.as_tuple()
+    coeff = digits[0:1] + (".",) + digits[1:] if len(digits) > 1 else digits
+    coeff_text = "".join(str(c) for c in coeff).rstrip("0").rstrip(".")
+    exp10 = exponent + len(digits) - 1
+    return f"{'-' if sign else ''}{coeff_text}e{exp10:+03d}"
+
+
+signs = st.sampled_from((1.0, -1.0))
+# Any float, log-uniform magnitudes over 1e-8..1e8, and 12 significant digits
+# followed by a 5: a tie in decimal, just above or below one in binary.
+numbers = st.one_of(
+    st.floats(),
+    st.builds(lambda s, m, e: s * m * 10.0**e, signs, st.floats(1.0, 10.0), st.integers(-8, 7)),
+    st.builds(lambda s, d, e: s * float(f"{d}5e{e}"), signs,
+              st.integers(10**11, 10**12 - 1), st.integers(-20, -4)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(numbers)
+@example(999999.9999995)
+@example(999999.99999949)
+@example(999999.9999996)       # rounds up to 1e6 but stays fixed point
+@example(1e6)
+@example(1e-6)
+@example(9.999999999995e-7)
+@example(9.9999999999996e-7)   # rounds up to 1e-06 but stays scientific
+@example(5e-324)
+@example(-0.0)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_format_number_matches_decimal_reference(x):
+    assert format_number(x) == reference_format_number(x)
 
 
 # ------------------------------------------------------------------- config
@@ -452,10 +504,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 4
 
+    # Malformed JSON, bytes that are not UTF-8, and nesting deeper than the
+    # parser's recursion limit are all config errors, not tracebacks.
     not_json = tmp_path / "broken.json"
-    not_json.write_text("{not json")
-    assert main(["spectrum", "--config", str(not_json),
-                 "--out", str(tmp_path / "x")]) == 2
+    for data in (b"{not json", b'{"model": {"g": 0.5\xff}}', b"[" * 200_000 + b"]" * 200_000):
+        not_json.write_bytes(data)
+        assert main(["spectrum", "--config", str(not_json),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
 
     no_sweep = write_config(tmp_path, {"model": {"delta": 1.0, "n_tr": 20}},
                             name="nosweep.json")

@@ -1,10 +1,17 @@
+import math
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rabistark as rs
 from rabistark.heatmap import COLOR_STOPS, MISSING_COLOR, color_at, emit_heatmap
 
 AXES = (("g", 0.0, 1.0), ("r", 0.0, 2.0))
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 def cell_fills(svg):
@@ -67,3 +74,24 @@ def test_deterministic_output_and_labels():
     assert ">g<" in one and ">r<" in one and ">g2<" in one
     assert "0</text>" in one  # axis endpoint labels present
     assert one.count("<stop") == 5
+
+
+tables = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(lambda shape: hnp.arrays(
+    float, shape, elements=st.one_of(st.just(math.nan), st.floats(-1e3, 1e3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=tables, scale=st.sampled_from(("linear", "log10")))
+def test_svg_parses_with_every_element(values, scale):
+    root = ET.fromstring(emit_heatmap(values, *AXES, label="g2", scale=scale))
+    assert root.tag == f"{SVG}svg"
+    rects = root.findall(f"{SVG}rect")
+    cells = [r for r in rects if r.get("width") == r.get("height") == "10"]
+    assert len(cells) == values.size
+    assert len(rects) == values.size + 2  # plus the background and the colorbar
+    assert len(root.findall(f"{SVG}defs/{SVG}linearGradient/{SVG}stop")) == 5
+    assert len(root.findall(f"{SVG}line")) == 5
+    # Six axis labels, five tick labels and the column label.
+    texts = root.findall(f"{SVG}text")
+    assert len(texts) == 12 and texts[-1].text == "g2"
+    assert {t.text for t in texts[:6]} >= {"g", "r"}
