@@ -8,9 +8,10 @@ matrix element the pipeline needs is taken on the chains.  Crossings of
 adjacent levels are located by tracking the swap of the energy-sorted
 parity labels along a coupling scan and refining with bisection; the scan
 reads only the lowest chain eigenvalues, never eigenvectors, solves each
-coupling once, and bisects them with LAPACK dstebz called directly.  It
-builds each chain once and scales its off-diagonal per coupling.  Its
-result is one list of crossings, ascending in the coupling.
+coupling once for the levels its tests read there, and bisects them with
+LAPACK dstebz called directly.  It builds each chain once and scales its
+off-diagonal per coupling.  Its result is one list of crossings, ascending
+in the coupling.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -133,48 +134,56 @@ def _parity_chain(p: ModelParams, odd: int):
     return diag, np.sqrt(n[1:]) * np.where(q[:-1] == 1, 1.0, p.r)
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _parts(p: ModelParams) -> list:
+    """The g = 1 chains of p, (diag, unit, max|diag|, max|unit|) per parity."""
+    return [(diag, unit, float(np.max(np.abs(diag))), float(np.max(np.abs(unit))))
+            for diag, unit in (_parity_chain(p, odd) for odd in (0, 1))]
+
+
+def _bisect(diag: np.ndarray, off: np.ndarray, bound: float, lo: int, hi: int) -> np.ndarray:
     """Eigenvalues lo..hi (0-based, ascending) of the symmetric tridiagonal
-    matrix with diagonal diag and off-diagonal off, by LAPACK bisection.
+    matrix with diagonal diag, off-diagonal off and Gershgorin bound bound,
+    by LAPACK bisection.
 
     dstebz gets the arguments scipy's eigvalsh_tridiagonal(select='i')
     passes it (index range, tol 0, order E), so the eigenvalues are the
-    same bits, without the wrapper's validation on every call.  The callers
-    check that diag and off are finite first; a LAPACK failure is a
-    NumericFailureError.
+    same bits, without the wrapper's validation on every call.  dstebz
+    squares the hops, so it sees the matrix divided by a power of two at or
+    above bound, and the eigenvalues are scaled back: both steps are exact.
+    The callers check that diag and off are finite first; a LAPACK failure
+    is a NumericFailureError.
     """
     if diag.size == 1:       # f2py rejects the empty off-diagonal of a 1x1 matrix
         return diag.copy()
-    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+    scale = math.ldexp(1.0, math.frexp(bound)[1])
+    m, w, _, _, info = dstebz(diag / scale, off / scale, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
     if info != 0:
         raise NumericFailureError(f"eigensolver failed: dstebz failed (LAPACK info={info})")
-    return w[:m]
+    return w[:m] * scale
 
 
 def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
-    """Both chains (diag, g * off) at coupling g from parts, the g = 1 chains
-    [_parity_chain(p, 0), _parity_chain(p, 1)], and an upper bound of the
+    """Both chains (diag, g * unit, bound) at coupling g, with their
+    Gershgorin bounds, from parts = _parts(p), and an upper bound of the
     spectral span of the two.
 
     Coefficients whose Gershgorin bound overflows are rejected as invalid
     parameters before LAPACK sees them.
     """
     chains, span_hi = [], 0.0
-    for diag, unit in parts:
-        with np.errstate(over="ignore", invalid="ignore"):
-            off = g * unit
-            # Gershgorin: every eigenvalue lies within +/- bound, so a finite
-            # 2*bound keeps the coefficients and the spectral span finite, and
-            # 4*bound, kept finite, bounds the span with room for rounding.
-            bound = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
-            finite = np.isfinite(2.0 * bound)
-            span_hi = max(span_hi, min(4.0 * bound, np.finfo(float).max))
-        if not finite:
+    for diag, unit, dmax, umax in parts:
+        # Gershgorin: every eigenvalue lies within +/- bound, so a finite
+        # 2*bound keeps the coefficients and the spectral span finite, and
+        # 4*bound, kept finite, bounds the span with room for rounding.
+        # max|g * unit| is g * umax, since g >= 0 and rounding is monotone.
+        bound = dmax + 2.0 * (float(g) * umax)
+        if not math.isfinite(2.0 * bound):
             raise InvalidParameterError(
                 f"chain coefficients or spectral span overflow at n_tr={p.n_tr}: "
                 f"g={g}, omega0={p.omega0}"
             )
-        chains.append((diag, off))
+        span_hi = max(span_hi, min(4.0 * bound, np.finfo(float).max))
+        chains.append((diag, g * unit, bound))
     return chains, span_hi
 
 
@@ -198,9 +207,9 @@ def eigensystem(p: ModelParams) -> EigenSystem:
     its largest component is made positive.
     """
     m = p.n_tr + 1
-    chains, _ = _coupled(p, [_parity_chain(p, odd) for odd in (0, 1)], p.g)
+    chains, _ = _coupled(p, _parts(p), p.g)
     try:
-        chains = [eigh_tridiagonal(diag, off) for diag, off in chains]
+        chains = [eigh_tridiagonal(diag, off) for diag, off, _ in chains]
     except np.linalg.LinAlgError as exc:
         raise NumericFailureError(f"eigensolver failed: {exc}") from None
     energies = np.concatenate([e for e, _ in chains])
@@ -228,15 +237,15 @@ def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"need an integer level count k >= 1, got {k}")
-    return _lowest(p, [_parity_chain(p, odd) for odd in (0, 1)], p.g, k)
+    return _lowest(p, _parts(p), p.g, k)
 
 
 def _lowest(p: ModelParams, parts: list, g: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """lowest_levels at coupling g, on the g = 1 chains parts of p (see _coupled)."""
+    """lowest_levels at coupling g, on the g = 1 chains parts = _parts(p)."""
     m = p.n_tr + 1
     low = min(k, m)
     chains, span_hi = _coupled(p, parts, g)
-    energies = np.concatenate([_bisect(diag, off, 0, low - 1) for diag, off in chains])
+    energies = np.concatenate([_bisect(*chain, 0, low - 1) for chain in chains])
     parities = np.repeat([1.0, -1.0], low)
     order = np.argsort(energies, kind="stable")
     # The rule puts odd level i before even level j iff fl(E_i - shift) < E_j,
@@ -244,7 +253,7 @@ def _lowest(p: ModelParams, parts: list, g: float, k: int) -> tuple[np.ndarray, 
     # shift and the shift of span_hi >= span give one order, so does the
     # shift of the true span, and the top eigenvalues are not needed.
     if not np.array_equal(order, _level_order(energies, parities, span_hi)):
-        top = max(_bisect(diag, off, m - 1, m - 1)[0] for diag, off in chains)
+        top = max(_bisect(*chain, m - 1, m - 1)[0] for chain in chains)
         order = _level_order(energies, parities, float(top - min(energies[0], energies[low])))
     return np.sort(energies)[:k], parities[order][:k]
 
@@ -301,8 +310,8 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra:
     count below sigma exactly when the Schur complement (H_ext - sigma) -
     h^2 [(H - sigma)^-1]_{n_tr,n_tr} e_1 e_1^T is positive definite
     (Haynsworth inertia additivity).  No level above n_levels-1, a gap below
-    the crossing closure threshold, extra < 1 or a failed bisection (dstebz
-    squares the hops, which overflow first) is not cleared.
+    the crossing closure threshold, extra < 1 or a failed bisection is not
+    cleared.
     """
     e = eigs.energies
     if (extra < 1 or n_levels >= eigs.dim
@@ -317,9 +326,10 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra:
             off = p.g * off
             diag = diag[p.n_tr + 1:] - sigma
             diag[0] -= off[p.n_tr] ** 2 * np.sum(eigs.states[-1, on] ** 2 / (e[on] - sigma))
+            bound = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
         try:
             if not (np.isfinite(diag).all() and np.isfinite(off).all()
-                    and _bisect(diag, off[p.n_tr + 1:], 0, 0)[0] > 0):
+                    and _bisect(diag, off[p.n_tr + 1:], bound, 0, 0)[0] > 0):
                 return False
         except NumericFailureError:
             return False
@@ -398,8 +408,11 @@ def find_crossings(
 
     Each coupling is solved once per call (a ground crossing swaps level 1
     too, so the (1, 2) bisection meets the (0, 1) one's couplings again),
-    and each solve bisects max_level + 1 levels per chain, the most the
-    labels and gaps read.
+    for only the levels read there: a grid coupling for the labels up to
+    the highest lower level of the pairs; in an interval where the pairs S
+    swap, a bisection midpoint for the labels up to max(n) over S, and a
+    bracket centre for one level more, the gap E_{n+1} - E_n.  A coupling
+    held with fewer levels than asked is solved again.
     """
     _check_scan(g_min, g_max, steps, levels)
     max_level = max(hi for _, hi in levels)
@@ -408,31 +421,31 @@ def find_crossings(
             f"tracked level {max_level} is beyond the {p.dim} levels at n_tr={p.n_tr}")
     closure = GAP_CLOSURE_FRACTION * p.omega0
     grid = np.linspace(g_min, g_max, steps)
-    parts = [_parity_chain(p, odd) for odd in (0, 1)]
+    parts = _parts(p)
     solved: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def solve(g: float):
-        if g not in solved:
-            solved[g] = _lowest(p, parts, float(g), max_level + 1)
+    def solve(g: float, k: int):
+        if g not in solved or solved[g][0].size < k:
+            solved[g] = _lowest(p, parts, float(g), k)
         return solved[g]
 
-    labels = [solve(g)[1] for g in grid]
+    labels = [solve(g, max_level)[1] for g in grid]    # up to the highest lower level
     crossings = []
     for i in range(len(grid) - 1):
-        for pair in levels:
+        swapped = [pair for pair in levels if labels[i + 1][pair[0]] != labels[i][pair[0]]]
+        k = max((n + 1 for n, _ in swapped), default=0)
+        for pair in swapped:
             n = pair[0]
             ref = labels[i][n]
-            if labels[i + 1][n] == ref:
-                continue
             lo, hi = float(grid[i]), float(grid[i + 1])
             for _ in range(BISECTION_DEPTH):
                 mid = 0.5 * (lo + hi)
-                if solve(mid)[1][n] == ref:
+                if solve(mid, k)[1][n] == ref:
                     lo = mid
                 else:
                     hi = mid
             center = 0.5 * (lo + hi)
-            energies = solve(center)[0]
+            energies = solve(center, k + 1)[0]
             if energies[n + 1] - energies[n] < closure:
                 crossings.append((pair, center, 0.5 * (hi - lo)))
     crossings.sort(key=lambda item: item[1])

@@ -149,20 +149,23 @@ class SweepSpec:
 
     def point_params(self, i: int, j: int) -> tuple[ModelParams, BathParams]:
         """Model/bath parameters at grid slot (i, j), overriding the base."""
-        return self._params(self.axis1.values()[i], self.axis2.values()[j] if self.axis2 else None)
+        return self._params(self.axis1.values()[i],
+                            self.axis2.values()[j] if self.axis2 else None, {})
 
-    def _params(self, v1: float, v2: Optional[float]) -> tuple[ModelParams, BathParams]:
-        """Model/bath parameters with axis1 at v1 and axis2 (if any) at v2."""
+    def _params(self, v1: float, v2: Optional[float], made: dict) -> tuple[ModelParams, BathParams]:
+        """Model/bath parameters with axis1 at v1 and axis2 (if any) at v2.
+        made, kept by the caller across slots, holds each valid model (by
+        its overrides) and bath (by its kT) already built."""
         overrides = {self.axis1.name: float(v1)}
         if self.axis2 is not None:
             overrides[self.axis2.name] = float(v2)
-        model, bath = self.model, self.bath
-        model_kw = {k: v for k, v in overrides.items() if k in ("g", "r", "u")}
-        if model_kw:
-            model = replace(model, **model_kw)
-        if "kt" in overrides:
-            bath = replace(bath, kt_q=overrides["kt"], kt_c=overrides["kt"])
-        return model, bath
+        model_kw = tuple((k, v) for k, v in overrides.items() if k != "kt")
+        kt = overrides.get("kt")
+        if model_kw not in made:
+            made[model_kw] = replace(self.model, **dict(model_kw)) if model_kw else self.model
+        if kt not in made:
+            made[kt] = self.bath if kt is None else replace(self.bath, kt_q=kt, kt_c=kt)
+        return made[model_kw], made[kt]
 
 
 @dataclass
@@ -379,22 +382,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the pipeline over the grid; output is worker-count independent.
 
     The bath enters only through the rates, so slots that share a model
-    (g, r, u, n_tr) are grouped.  Slots whose parameters are invalid get
-    error code 4 before grouping.  When there are fewer groups than workers,
-    each group is split into contiguous pieces so every worker gets work; a
-    piece is a group of its own.  A task is a run of consecutive groups
-    (_evaluate_groups) holding at most STACK_BATHS baths, and at most an even
-    share of them per worker; a larger group is a task of its own.
+    (g, r, u, n_tr) are grouped.  Each distinct model and bath is built
+    once; slots whose parameters are invalid get error code 4 before
+    grouping.  When there are fewer groups than workers, each group is split
+    into contiguous pieces so every worker gets work; a piece is a group of
+    its own.  A task is a run of consecutive groups (_evaluate_groups)
+    holding at most STACK_BATHS baths, and at most an even share of them per
+    worker; a larger group is a task of its own.
     """
     if not _is_int(workers) or workers < 1:
         raise InvalidParameterError(f"workers must be an integer >= 1, got {workers}")
     axis1 = spec.axis1.values()
     axis2 = spec.axis2.values() if spec.axis2 else None
     slots: list = [None] * (spec.shape[0] * spec.shape[1])
-    groups: dict = {}
+    groups, made = {}, {}
     for flat, (v1, v2) in enumerate(itertools.product(axis1, [None] if axis2 is None else axis2)):
         try:
-            model, bath = spec._params(v1, v2)
+            model, bath = spec._params(v1, v2, made)
         except InvalidParameterError as exc:
             # Grid point itself is unphysical (e.g. |u| >= omega0).
             slots[flat] = _failure(None, None, exc, False, spec.check_convergence)

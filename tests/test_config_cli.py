@@ -368,6 +368,19 @@ def test_cli_critical_anchor_point(tmp_path):
         assert any(abs(v - center) < tol for v in found), (center, found)
 
 
+def test_cli_critical_past_squared_hop_overflow(tmp_path):
+    # g sqrt(n_tr) above ~1e154 overflows the squared hops of an unscaled
+    # bisection; the scan solves it, with no crossing at such couplings.
+    config = write_config(tmp_path, {
+        "model": {"delta": 1.0, "r": 0.2, "u": 0.2, "n_tr": 30},
+        "scan": {"g_min": 1e154, "g_max": 2e154},
+    })
+    out = tmp_path / "huge"
+    assert main(["critical", "--config", config, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "critical.csv")
+    assert [row[0] for row in rows] == ["analytic"]
+
+
 def test_cli_observables_squeezed_point(tmp_path):
     config = write_config(tmp_path, {
         "model": {"delta": 1.0, "g": 0.8, "r": 0.5, "u": 0.0, "n_tr": 80},

@@ -301,11 +301,33 @@ def test_find_crossings_validation():
             ScanConfig(**bad)
 
 
+@pytest.mark.parametrize("r, u", [(0.2, 0.2), (1.0, 0.2), (0.5, -0.4)])
+def test_find_crossings_equals_the_scan_at_max_level(monkeypatch, r, u):
+    # Solving each coupling for only the levels read there moves no
+    # crossing: the scan equals the one that bisects max_level + 1 levels
+    # per chain at every coupling, on the benchmark families +/- 0.01.
+    lowest = rs.spectrum._lowest
+    level_sets = (((0, 1), (1, 2), (2, 3)), ((2, 3), (0, 1), (1, 2)), ((1, 2), (4, 5)))
+    cases = [(rs.ModelParams(delta=1.0, r=r + d, u=u + d, n_tr=n_tr), steps, levels)
+             for d in (-0.01, 0.0, 0.01) for n_tr in (16, 30) for steps in (41, 81)
+             for levels in level_sets]
+    scans = [rs.find_crossings(p, 0.05, 2.0, steps, levels=levels) for p, steps, levels in cases]
+    assert sum(len(cp.crossings) for cp in scans) > len(cases)
+    for (p, steps, levels), cp in zip(cases, scans):
+        top = max(hi for _, hi in levels) + 1
+        monkeypatch.setattr(rs.spectrum, "_lowest",
+                            lambda model, parts, g, k: lowest(model, parts, g, top))
+        assert rs.find_crossings(p, 0.05, 2.0, steps, levels=levels) == cp
+
+
 def test_find_crossings_solves_each_coupling_once(monkeypatch):
     # At the ground crossing level 1 swaps in the same grid interval as
     # level 0, so the (1, 2) refinement meets the (0, 1) one's couplings;
-    # each is solved once, with the max_level + 1 levels the scan reads, on
-    # the two parity chains built once per scan: no model per coupling.
+    # each is solved once, on the two parity chains built once per scan: no
+    # model per coupling.  A solve bisects the levels read there: the grid
+    # the labels up to level 2 (the highest lower level of the pairs), the
+    # ground interval's midpoints up to level 1, a (2, 3) interval's up to
+    # level 2, and each bracket centre one level more, for its gap.
     calls, builds, models = [], [], []
     solve, chain = rs.spectrum._lowest, rs.spectrum._parity_chain
     check = rs.ModelParams.__post_init__
@@ -324,10 +346,11 @@ def test_find_crossings_solves_each_coupling_once(monkeypatch):
     monkeypatch.setattr(rs.ModelParams, "__post_init__",
                         lambda model: models.append(model) or check(model))
     cp = rs.find_crossings(p, 0.05, 2.0, steps=41)
-    assert cp.gc_numeric is not None
+    assert [pair for pair, _, _ in cp.crossings] == [(2, 3), (0, 1), (2, 3)]
     couplings = [g for g, _ in calls]
     assert len(couplings) == len(set(couplings))
-    assert {k for _, k in calls} == {4}     # default pairs up to (2, 3)
+    assert calls[:41] == [(g, 3) for g in np.linspace(0.05, 2.0, 41).tolist()]
+    assert [k for _, k in calls[41:]] == [3] * 14 + [4] + [2] * 14 + [3] + [3] * 14 + [4]
     assert builds == [0, 1]
     assert models == []
 
@@ -339,10 +362,10 @@ def test_top_bisection_runs_only_where_the_level_order_rule_acts(monkeypatch):
     tops = []
     bisect = rs.spectrum._bisect
 
-    def recorded(diag, off, lo, hi):
+    def recorded(diag, off, bound, lo, hi):
         if lo == diag.size - 1:
             tops.append(diag.size)
-        return bisect(diag, off, lo, hi)
+        return bisect(diag, off, bound, lo, hi)
 
     monkeypatch.setattr(rs.spectrum, "_bisect", recorded)
     model = rs.ModelParams(delta=1.0, g=1.5491904, r=1.0, u=0.2, n_tr=200)
@@ -421,20 +444,35 @@ def test_lowest_levels_rejects_a_bad_count_before_lapack(monkeypatch):
 
 
 def test_keeps_lowest_levels_does_not_clear_a_failed_bisection(monkeypatch):
-    # off[n_tr]**2 is finite here, but dstebz squares the longer chain's hops,
-    # which overflow (LAPACK info=4): not cleared, and no LinAlgError.
-    infos = []
-    dstebz = rs.spectrum.dstebz
+    # A point the inertia test clears is not cleared when LAPACK fails, and
+    # the failure raises no LinAlgError.
+    p = rs.ModelParams(delta=1.0, g=0.5, r=0.2, u=0.2, n_tr=30)
+    eigs = rs.eigensystem(p)
+    assert keeps_lowest_levels(p, eigs, 10, 40) is True
+    monkeypatch.setattr(rs.spectrum, "dstebz", lambda *args: (0, np.empty(1), None, None, 4))
+    assert keeps_lowest_levels(p, eigs, 10, 40) is False
 
-    def recorded(*args):
-        out = dstebz(*args)
-        infos.append(out[-1])
-        return out
 
-    monkeypatch.setattr(rs.spectrum, "dstebz", recorded)
-    p = rs.ModelParams(delta=1.0, g=2.16e153, r=1.0, u=0.2, n_tr=30)
-    assert keeps_lowest_levels(p, rs.eigensystem(p), 10, 40) is False
-    assert infos == [4]
+@pytest.mark.parametrize("g", [2.16e153, 1e154, 1e200])
+def test_bisection_solves_past_squared_hop_overflow(g):
+    # dstebz squares the hops, which overflow once g sqrt(n_tr) passes ~1e154
+    # (LAPACK info=4 on the unscaled chains); the chains scaled by a power of
+    # two solve like eigensystem, the inertia test's longer chains agree with
+    # a count on the longer spectrum, and the scan runs.
+    p = rs.ModelParams(delta=1.0, g=g, r=0.2, u=0.2, n_tr=30)
+    energies, labels = rs.spectrum.lowest_levels(p, 8)
+    want_e, want_p = eigensystem_levels(p, 8)
+    assert np.array_equal(labels, want_p)
+    assert np.allclose(energies, want_e, rtol=0.0, atol=1e-14 * np.max(np.abs(want_e)))
+    eigs, longer = rs.eigensystem(p), rs.eigensystem(p.with_n_tr(70))
+    sigma = 0.5 * (eigs.energies[9] + eigs.energies[10])
+
+    def below(spectrum, label):
+        return np.sum((spectrum.energies < sigma) & (spectrum.parities == label))
+
+    same = all(below(eigs, label) == below(longer, label) for label in (1.0, -1.0))
+    assert keeps_lowest_levels(p, eigs, 10, 40) == same
+    assert rs.find_crossings(p, g, 2.0 * g, 9).crossings == []
 
 
 def test_bisection_failure_is_a_numeric_failure(monkeypatch):

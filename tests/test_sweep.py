@@ -705,3 +705,27 @@ def test_sweep_takes_each_axis_once(monkeypatch):
     result = run_sweep(small_spec(axis2=AxisSpec("kt", 0.02, 0.2, 4)), workers=1)
     assert len(result.points) == 12
     assert len(grids) == len(axes) == 2
+
+
+def test_sweep_builds_each_model_and_bath_once(monkeypatch):
+    # A (g, kT) grid of 16 x 8 slots holds 16 models and 8 baths, each built
+    # (and validated) once.  An invalid model is built again at each of its
+    # slots and fails there: error code 4 with its own message.
+    built = counting(monkeypatch, "replace")
+    model = rs.ModelParams(delta=1.0, r=0.2, u=0.2, n_tr=8)
+    spec = SweepSpec(model=model, bath=BASE_BATH, axis1=AxisSpec("g", 0.05, 1.2, 16),
+                     axis2=AxisSpec("kt", 0.0, 0.2, 8), n_levels=8, check_convergence=False)
+    result = run_sweep(spec, workers=1)
+    assert len(result.points) == 128 and len({pt.model for pt in result.points}) == 16
+    assert built.count(model) == 16 and built.count(BASE_BATH) == 8
+    built.clear()
+    spec = SweepSpec(model=model, bath=BASE_BATH, axis1=AxisSpec("u", -1.2, 1.2, 5),
+                     axis2=AxisSpec("kt", 0.05, 0.15, 3), n_levels=8, check_convergence=False)
+    result = run_sweep(spec, workers=1)
+    with pytest.raises(rs.InvalidParameterError) as low:
+        replace(model, u=-1.2)
+    codes = [pt.error_code for pt in result.points]
+    assert codes[:3] == codes[-3:] == [ERR_INVALID_PARAMS] * 3
+    assert ERR_INVALID_PARAMS not in codes[3:-3]
+    assert {pt.error_message for pt in result.points[:3]} == {str(low.value)}
+    assert built.count(model) == 6 + 3 and built.count(BASE_BATH) == 3
