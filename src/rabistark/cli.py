@@ -97,7 +97,7 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
              + ",".join(f"p{i}" for i in range(k))]
     for g in np.linspace(scan.g_min, scan.g_max, scan.count):
         model = replace(config.model, g=float(g))
-        eigs = eigensystem(model)
+        eigs = eigensystem(model, k)
         cells = [format_number(float(g))]
         cells += [format_number(float(e)) for e in eigs.energies[:k]]
         cells += [str(int(p)) for p in eigs.parities[:k]]
@@ -111,16 +111,12 @@ def cmd_critical(config: RunConfig, out_dir: Path) -> list[str]:
     ground critical coupling."""
     scan = config.scan
     _require_levels(config, max(hi for _, hi in scan.pairs), "scan.pairs")
-    points = find_crossings(
-        config.model, scan.g_min, scan.g_max, scan.count, levels=scan.pairs
-    )
+    points = find_crossings(config.model, scan.g_min, scan.g_max, scan.count, levels=scan.pairs)
     lines = ["kind,level_low,level_high,g,half_width"]
     ga = "" if points.gc_analytic is None else format_number(points.gc_analytic)
     lines.append(f"analytic,0,1,{ga},")
-    for (lo, hi), value, half in points.all_crossings():
-        lines.append(
-            f"crossing,{lo},{hi},{format_number(value)},{format_number(half)}"
-        )
+    lines += [f"crossing,{lo},{hi},{format_number(value)},{format_number(half)}"
+              for (lo, hi), value, half in points.crossings]
     _write_text(out_dir / "critical.csv", _csv(lines))
     return ["critical.csv"]
 

@@ -126,11 +126,11 @@ def transition_rates(
     n_levels: int = DEFAULT_N_LEVELS,
 ) -> TransitionTable:
     """Build the regularized rate table of each bath over the lowest n_levels
-    eigenstates, stacked in the order of baths."""
+    eigenstates eigs holds, stacked in the order of baths."""
     if not baths or not _is_int(n_levels) or n_levels < 2:
         raise InvalidParameterError("need baths and an integer n_levels >= 2, got "
                                     f"{'' if baths else 'no baths, '}n_levels={n_levels}")
-    L = min(n_levels, eigs.dim)
+    L = min(n_levels, eigs.states.shape[1])
     energies = eigs.energies[:L]
     m_q, m_c = parity_odd_elements(eigs, L)
     # The opposite-parity pairs (k, j), k > j, the only ones with a rate: their

@@ -52,14 +52,14 @@ class DetectionOperator:
 
 
 def detection_operator(eigs: EigenSystem, n_levels: Optional[int] = None) -> DetectionOperator:
-    """Build the detection operator over the lowest n_levels eigenstates.
+    """Build the detection operator over the lowest n_levels (all if None) states eigs holds.
 
     The result is strictly upper triangular in the energy-sorted basis and
     annihilates the ground state.
     """
     if not (n_levels is None or _is_int(n_levels) and n_levels >= 1):
         raise InvalidParameterError(f"n_levels must be an integer >= 1 or None, got {n_levels}")
-    L = eigs.dim if n_levels is None else min(n_levels, eigs.dim)
+    L = min(n_levels or eigs.dim, eigs.states.shape[1])
     _, xmat = parity_odd_elements(eigs, L)
     gap = eigs.energies[:L][None, :] - eigs.energies[:L][:, None]  # gap[j,k] = E_k - E_j
     xplus = np.triu(gap * xmat, k=1)
@@ -153,7 +153,7 @@ def approx_g3(eigs: EigenSystem, x: DetectionOperator, kt) -> tuple:
 
 def field_moments(ss: SteadyState, eigs: EigenSystem) -> tuple:
     """Steady-state field moments (<a>, <a^dag a>, <a^2>); <a> = 0 by parity."""
-    L = min(ss.n_levels, eigs.dim)
+    L = min(ss.n_levels, eigs.states.shape[1])
     n_diag, a2_diag = field_diagonals(eigs, L)
     p = ss.populations[..., :L]
     return 0.0, _rows((p * n_diag).sum(axis=-1)), _rows((p * a2_diag).sum(axis=-1))

@@ -32,6 +32,8 @@ from .errors import InvalidParameterError, NumericFailureError
 DEGENERACY_FRACTION = 1e-10    # level-order threshold, fraction of spectral span
 GAP_CLOSURE_FRACTION = 1e-3    # crossing accepted when gap < this * omega0
 BISECTION_DEPTH = 14
+_FLOAT_MAX = np.finfo(float).max
+_SAFMIN = np.finfo(float).tiny   # LAPACK's safe minimum, the unit of the pivot guard
 
 
 def _is_finite(value) -> bool:
@@ -101,12 +103,12 @@ class ModelParams:
 class EigenSystem:
     """Sorted eigenvalues, chain-form eigenvectors, and parity labels.
 
-    energies  ascending real eigenvalues
-    states    (n_tr+1, 2(n_tr+1)) real chain amplitudes: column k is level
-              k's eigenvector on the chain of its parity, entry n the
-              amplitude of |n, q(n)> (see _parity_chain); columns follow
-              energies up to the level-order rule of eigensystem
-    parities  +1/-1 label of the parity sector of each state
+    energies  all 2(n_tr+1) real eigenvalues, ascending
+    states    (n_tr+1, n) real chain amplitudes of the lowest n levels (see
+              eigensystem): column k is level k's eigenvector on the chain of
+              its parity, entry n the amplitude of |n, q(n)> (_parity_chain);
+              columns follow energies up to the level-order rule
+    parities  +1/-1 label of the parity sector of every level
     """
 
     energies: np.ndarray
@@ -153,8 +155,6 @@ def _bisect(diag: np.ndarray, off: np.ndarray, bound: float, lo: int, hi: int) -
     The callers check that diag and off are finite first; a LAPACK failure
     is a NumericFailureError.
     """
-    if diag.size == 1:       # f2py rejects the empty off-diagonal of a 1x1 matrix
-        return diag.copy()
     scale = math.ldexp(1.0, math.frexp(bound)[1])
     m, w, _, _, info = dstebz(diag / scale, off / scale, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
     if info != 0:
@@ -182,7 +182,7 @@ def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
                 f"chain coefficients or spectral span overflow at n_tr={p.n_tr}: "
                 f"g={g}, omega0={p.omega0}"
             )
-        span_hi = max(span_hi, min(4.0 * bound, np.finfo(float).max))
+        span_hi = max(span_hi, min(4.0 * bound, _FLOAT_MAX))
         chains.append((diag, g * unit, bound))
     return chains, span_hi
 
@@ -200,12 +200,15 @@ def _level_order(energies: np.ndarray, parities: np.ndarray, span: float) -> np.
     return np.argsort(energies - shift * (parities < 0), kind="stable")
 
 
-def eigensystem(p: ModelParams) -> EigenSystem:
-    """Full spectrum of the model, solved as two tridiagonal parity chains.
+def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
+    """Full spectrum of the model, solved as two tridiagonal parity chains,
+    with the state columns of the lowest n_levels levels (all when None).
 
     Each eigenvector stays on its own chain, so its parity label is exact;
     its largest component is made positive.
     """
+    if not (n_levels is None or _is_int(n_levels) and n_levels >= 1):
+        raise InvalidParameterError(f"n_levels must be an integer >= 1 or None, got {n_levels}")
     m = p.n_tr + 1
     chains, _ = _coupled(p, _parts(p), p.g)
     try:
@@ -215,14 +218,15 @@ def eigensystem(p: ModelParams) -> EigenSystem:
     energies = np.concatenate([e for e, _ in chains])
     parities = np.repeat([1.0, -1.0], m)
     order = _level_order(energies, parities, float(energies.max() - energies.min()))
-    # Each chain's vectors go straight to their levels' columns: one
+    kept = order[:n_levels]
+    # Each chain's kept vectors go straight to their levels' columns: one
     # column-major array, the layout LAPACK returns, written once.
-    rank = np.empty_like(order)
-    rank[order] = np.arange(2 * m)
-    states = np.empty((m, 2 * m), order="F")
+    states = np.empty((m, kept.size), order="F")
     for k, (_, v) in enumerate(chains):
-        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(m)])
-        states[:, rank[k * m:(k + 1) * m]] = v
+        at = np.flatnonzero(kept // m == k)
+        v = v[:, kept[at] - k * m]
+        v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(at.size)])
+        states[:, at] = v
     return EigenSystem(energies=np.sort(energies), states=states, parities=parities[order])
 
 
@@ -302,37 +306,36 @@ def edge_residuals(p: ModelParams, eigs: EigenSystem, n_levels: int) -> np.ndarr
 
 
 def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra: int) -> bool:
-    """Whether growing each chain of eigs = eigensystem(p) by extra sites adds
-    no eigenvalue below sigma, the midpoint of the gap above level n_levels-1.
+    """Whether growing each chain of p by extra sites adds no eigenvalue below
+    sigma, the midpoint of the gap above level n_levels-1 of eigs.energies.
 
-    The residual bound keeps every old level but cannot rule out new ones
-    (at g=0 the sites past n_tr are levels of their own).  A chain keeps its
-    count below sigma exactly when the Schur complement (H_ext - sigma) -
-    h^2 [(H - sigma)^-1]_{n_tr,n_tr} e_1 e_1^T is positive definite
-    (Haynsworth inertia additivity).  No level above n_levels-1, a gap below
-    the crossing closure threshold, extra < 1 or a failed bisection is not
-    cleared.
+    The residual bound cannot rule out new levels (at g=0 the sites past
+    n_tr are levels of their own).  The LDL^T pivots d_i = (a_i - sigma) -
+    b_{i-1}^2 / d_{i-1} of H_ext - sigma count its eigenvalues below sigma
+    (Sylvester); those past n_tr, the old chain's Schur complement, are all
+    positive iff the count is kept.  A pivot below pivmin is -pivmin, as in
+    LAPACK dstebz, and the count is reliable in IEEE arithmetic (Kahan 1966;
+    Demmel, Dhillon and Ren, ETNA 3, 1995).  Not cleared: extra < 1, no level
+    above n_levels-1, a gap below the closure threshold, an overflowing chain.
     """
     e = eigs.energies
     if (extra < 1 or n_levels >= eigs.dim
             or e[n_levels] - e[n_levels - 1] < GAP_CLOSURE_FRACTION * p.omega0):
         return False
     sigma = 0.5 * (e[n_levels - 1] + e[n_levels])
-    longer = p.with_n_tr(p.n_tr + extra)
-    for odd, label in enumerate((1.0, -1.0)):
-        on = eigs.parities == label
-        diag, off = _parity_chain(longer, odd)
+    for odd in (0, 1):
+        diag, off = _parity_chain(p.with_n_tr(p.n_tr + extra), odd)
         with np.errstate(over="ignore", invalid="ignore"):
-            off = p.g * off
-            diag = diag[p.n_tr + 1:] - sigma
-            diag[0] -= off[p.n_tr] ** 2 * np.sum(eigs.states[-1, on] ** 2 / (e[on] - sigma))
-            bound = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
-        try:
-            if not (np.isfinite(diag).all() and np.isfinite(off).all()
-                    and _bisect(diag, off[p.n_tr + 1:], bound, 0, 0)[0] > 0):
-                return False
-        except NumericFailureError:
+            shifted, hops = diag - sigma, np.square(p.g * off)
+        if not (np.isfinite(shifted).all() and np.isfinite(hops).all()):
             return False
+        pivmin, d = _SAFMIN * max(1.0, float(hops.max())), 1.0
+        for i, (a, b2) in enumerate(zip(shifted.tolist(), [0.0] + hops.tolist())):
+            d = a - b2 / d
+            if -pivmin < d < pivmin:
+                d = -pivmin
+            if d < 0.0 and i > p.n_tr:
+                return False
     return True
 
 

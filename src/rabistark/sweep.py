@@ -218,11 +218,11 @@ def _failure(model, bath, exc, near_degenerate: bool, check_convergence: bool) -
     return PointResult(model, bath, None, converged, near_degenerate, code, str(exc))
 
 
-def _report(eigs: EigenSystem, x: DetectionOperator, ss: SteadyState, baths: Sequence) -> list:
-    """Every observable of each bath of baths, row b of the stack ss for
-    baths[b], with x over their levels: one ObservableReport per bath."""
+def _report(eigs: EigenSystem, x: DetectionOperator, ss: SteadyState, baths: Sequence,
+            flux: np.ndarray) -> list:
+    """Every observable of each bath of baths, row b of the stack ss and flux
+    flux[b] for baths[b], with x over their levels: one ObservableReport per bath."""
     a_mean, n_photon, a_sq = moments = field_moments(ss, eigs)
-    flux = flux_proxy(x, ss)
     g2 = correlation_g_n(x, ss, 2)
     g3 = correlation_g_n(x, ss, 3)
     g2_a, eta1, eta2 = approx_g2(eigs, x, ss)
@@ -265,7 +265,7 @@ def _stacked_states(groups: Sequence, n_levels: int) -> list:
 def _n_photon_at(model: ModelParams, baths: list, n_levels: int) -> list:
     """Photon number of each bath's steady state at model's truncation, None
     for a bath with no steady state."""
-    eigs = eigensystem(model)
+    eigs = eigensystem(model, n_levels)
     [states] = _stacked_states([(eigs, model, baths)], n_levels)
     n_photon = field_moments(states, eigs)[1].tolist()
     return [None if err is not None else n for n, err in zip(n_photon, states.errors)]
@@ -321,7 +321,7 @@ def _evaluate_groups(task) -> list:
     solved, out = [], []
     for model, baths in groups:
         try:
-            eigs = eigensystem(model)
+            eigs = eigensystem(model, n_levels)
             near = eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
         except tuple(_ERROR_CODES) as exc:
             eigs, near = exc, False
@@ -339,7 +339,8 @@ def _evaluate_groups(task) -> list:
             try:
                 if emitting:
                     reports = dict(zip(emitting, _report(eigs, x, SteadyState(
-                        states.populations[emitting]), [baths[b] for b in emitting])))
+                        states.populations[emitting]), [baths[b] for b in emitting],
+                        flux[emitting])))
             except tuple(_ERROR_CODES) as exc:
                 errors = [exc if err is None else err for err in errors]
         results = [PointResult(model, bath, reports[b], None, near, ERR_OK) if err is None

@@ -70,7 +70,7 @@ def test_criterion_2_critical_points_anchor():
     elapsed = time.perf_counter() - start
 
     ok_analytic = cp.gc_analytic is not None and abs(cp.gc_analytic - 0.9066) < 0.0005
-    crossings = [value for _, value, _ in cp.all_crossings()]
+    crossings = [value for _, value, _ in cp.crossings]
     windows = ((0.91, 0.01), (0.38, 0.02), (1.59, 0.02))
     hits = [any(abs(c - center) < tol for c in crossings) for center, tol in windows]
     ok = ok_analytic and all(hits) and elapsed < 60.0
@@ -93,7 +93,7 @@ def test_criterion_3_gc_formula_vs_numeric():
             lo = max(0.01, expected - 0.3)
             cp = rs.find_crossings(model, lo, expected + 0.3, steps=16,
                                    levels=((0, 1),))
-            values = [v for (pair, v, _) in cp.all_crossings() if pair == (0, 1)]
+            values = [v for (pair, v, _) in cp.crossings if pair == (0, 1)]
             assert values, f"no ground crossing found near gc={expected:.3f} at r={r}, u={u}"
             worst = max(worst, min(abs(v - expected) for v in values))
     report("C3 analytic vs numeric critical coupling", worst < 0.01 and checked == 25,

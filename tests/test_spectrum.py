@@ -189,7 +189,7 @@ def test_find_crossings_qrm_has_no_ground_crossing():
     cp = rs.find_crossings(p, 0.05, 2.0, steps=17, levels=((0, 1),))
     assert cp.gc_numeric is None
     assert cp.gc_analytic is None
-    assert cp.all_crossings() == []
+    assert cp.crossings == []
 
 
 def test_gc_numeric_matches_analytic_within_refined_width():
@@ -246,11 +246,11 @@ def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
     p = rs.ModelParams(delta=1.0, g=0.0, r=r, u=u, n_tr=30)
     scans = {steps: rs.find_crossings(p, 0.05, 2.0, steps=steps) for steps in (41, 9)}
     for steps, cp in scans.items():
-        crossings = cp.all_crossings()
+        crossings = cp.crossings
         assert crossings
         shuffled = rs.find_crossings(p, 0.05, 2.0, steps=steps,
                                      levels=((2, 3), (0, 1), (1, 2)))
-        assert shuffled.all_crossings() == crossings
+        assert shuffled.crossings == crossings
         values = [g for _, g, _ in crossings]
         assert values == sorted(values)
         ground = [(g, half) for pair, g, half in crossings if pair == (0, 1)]
@@ -407,18 +407,21 @@ def test_scaled_chain_is_the_chain_at_g(g, r, n_tr):
         assert np.max(np.abs(g * unit)) == g * np.max(np.abs(unit))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    g=st.floats(0.0, 2.0),
+    g=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 2.0)),
     r=st.floats(0.0, 2.0),
     u=st.floats(-0.9, 0.9),
-    n_tr=st.integers(2, 20),
+    n_tr=st.integers(2, 60),
     n_levels=st.integers(1, 12),
-    extra=st.integers(1, 3),
+    extra=st.one_of(st.integers(1, 3), st.just(40)),
 )
+@example(g=0.0, r=1.547, u=-0.766, n_tr=16, n_levels=12, extra=40)
+@example(g=1.23, r=1.57, u=-0.04, n_tr=7, n_levels=8, extra=1)   # last old pivot < 0, cleared
 def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, extra):
-    # The inertia test against a count on the longer spectrum, per parity,
-    # down to one added site (a 1x1 Schur complement).
+    # The pivot count against a count on the longer spectrum, per parity,
+    # down to one added site (a 1x1 Schur complement), and at g = 0, where
+    # the added sites are levels of their own.
     p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
     eigs = rs.eigensystem(p)
     e = eigs.energies
@@ -443,14 +446,80 @@ def test_lowest_levels_rejects_a_bad_count_before_lapack(monkeypatch):
             rs.spectrum.lowest_levels(p, k)
 
 
-def test_keeps_lowest_levels_does_not_clear_a_failed_bisection(monkeypatch):
-    # A point the inertia test clears is not cleared when LAPACK fails, and
-    # the failure raises no LinAlgError.
-    p = rs.ModelParams(delta=1.0, g=0.5, r=0.2, u=0.2, n_tr=30)
+def test_keeps_lowest_levels_guards_an_exact_zero_pivot():
+    # At g = 0 the pivots are a_i - sigma.  u = -0.625 puts the first grown
+    # site of the even chain, |31, e>, at 0.5 + 0.375 * 31 = 12.125, exactly
+    # the midpoint of the gap (11.75, 12.5) above level 38: its pivot is 0,
+    # which the guard makes -pivmin (a level at sigma is not cleared) before
+    # the next pivot divides by it.
+    p = rs.ModelParams(delta=1.0, g=0.0, r=0.5, u=-0.625, n_tr=30)
     eigs = rs.eigensystem(p)
-    assert keeps_lowest_levels(p, eigs, 10, 40) is True
-    monkeypatch.setattr(rs.spectrum, "dstebz", lambda *args: (0, np.empty(1), None, None, 4))
-    assert keeps_lowest_levels(p, eigs, 10, 40) is False
+    assert eigs.energies[38:40].tolist() == [11.75, 12.5]
+    assert rs.spectrum._parity_chain(p.with_n_tr(70), 0)[0][31] == 12.125
+    assert keeps_lowest_levels(p, eigs, 39, 40) is False
+    # With hops, sigma = -1/2 between two made-up levels is a_0 of the even
+    # chain, a zero first pivot; the decision is the count on the spectra.
+    p = replace(p, g=0.3, u=0.2)
+    made = rs.spectrum.EigenSystem(np.array([-1.0, 0.0, 1.0]), np.empty((31, 0)), np.ones(3))
+    assert rs.spectrum._parity_chain(p, 0)[0][0] == -0.5
+
+    def below(spectrum, label):
+        return np.sum((spectrum.energies < -0.5) & (spectrum.parities == label))
+
+    old, longer = rs.eigensystem(p), rs.eigensystem(p.with_n_tr(70))
+    same = all(below(old, label) == below(longer, label) for label in (1.0, -1.0))
+    assert keeps_lowest_levels(p, made, 1, 40) == same
+
+
+def test_keeps_lowest_levels_does_not_clear_non_finite_squared_hops():
+    # g sqrt(n) passes ~1.34e154, where its square overflows, only on the
+    # grown sites: the old chains square finite, the grown ones do not, and
+    # the point is not cleared, with no overflow warning.
+    p = rs.ModelParams(delta=1.0, g=1.8e153, r=0.2, u=0.2, n_tr=30)
+    for odd in (0, 1):
+        _, off = rs.spectrum._parity_chain(p.with_n_tr(70), odd)
+        with np.errstate(over="ignore"):
+            hops = (p.g * off) * (p.g * off)
+        assert np.isfinite(hops[:30]).all() and not np.isfinite(hops).all()
+    assert keeps_lowest_levels(p, rs.eigensystem(p), 10, 40) is False
+
+
+@pytest.mark.parametrize("n_levels", [1, 7, 40, 82])
+def test_eigensystem_keeps_the_lowest_columns(n_levels):
+    # All energies and labels, and the lowest n_levels columns of the full
+    # solve, bit for bit (82 is every level at n_tr = 40).
+    p = rs.ModelParams(delta=1.0, g=0.7, r=0.4, u=0.2, n_tr=40)
+    full, kept = rs.eigensystem(p), rs.eigensystem(p, n_levels)
+    assert np.array_equal(kept.energies, full.energies)
+    assert np.array_equal(kept.parities, full.parities)
+    assert kept.states.shape == (41, n_levels)
+    assert np.array_equal(kept.states, full.states[:, :n_levels])
+
+
+def test_readers_take_the_levels_a_spectrum_holds():
+    # Asked for more levels than eigensystem(p, 10) holds states of, the rate
+    # table, X+ and the moments use those 10: the full spectrum's at 10.
+    p = rs.ModelParams(delta=1.0, g=0.7, r=0.4, u=0.2, n_tr=20)
+    kept, full = rs.eigensystem(p, 10), rs.eigensystem(p)
+    got, want = (rs.transition_rates(e, p, [rs.BathParams()], n_levels=n)
+                 for e, n in ((kept, 40), (full, 10)))
+    assert np.array_equal(got.rate, want.rate)
+    for n_levels in (40, None):
+        assert np.array_equal(rs.detection_operator(kept, n_levels).xplus,
+                              rs.detection_operator(full, 10).xplus)
+    wide = rs.steady_populations(rs.transition_rates(full, p, [rs.BathParams()], n_levels=40))
+    cut = rs.SteadyState(wide.populations[:, :10])
+    for a, b in zip(rs.observables.field_moments(wide, kept), rs.observables.field_moments(cut, full)):
+        assert np.array_equal(a, b)
+
+
+def test_eigensystem_rejects_a_bad_level_count():
+    p = rs.ModelParams(delta=1.0, g=0.7, r=0.4, u=0.2, n_tr=10)
+    for n_levels in (0, -1, 2.5, 4.0, math.nan, "4"):
+        with pytest.raises(rs.InvalidParameterError):
+            rs.eigensystem(p, n_levels)
+    [pt] = rs.evaluate_group(p, [rs.BathParams()], n_levels=4.0)
+    assert pt.error_code == rs.sweep.ERR_INVALID_PARAMS
 
 
 @pytest.mark.parametrize("g", [2.16e153, 1e154, 1e200])

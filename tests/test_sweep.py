@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -525,9 +526,11 @@ def test_observables_run_once_per_group(monkeypatch, n_tr, n_levels, resolves):
     # A 7-bath group, one bath at kT=0: the observables are one pass over the
     # emitting baths' rows, and the field diagonals are taken once per solved
     # spectrum (the group's, and the n_tr+40 one when its baths miss the
-    # certificate), not once per bath.  No bath is taken out of the stack.
+    # certificate), not once per bath; the flux once, for the zero-flux
+    # test and the pass.  No bath is taken out of the stack.
     diagonals = counting(monkeypatch, "field_diagonals", observables)
     passes = counting(monkeypatch, "_report")
+    fluxes = counting(monkeypatch, "flux_proxy")
 
     def of_bath(self, b):
         raise AssertionError("evaluate_group took a bath out of the stack")
@@ -537,7 +540,7 @@ def test_observables_run_once_per_group(monkeypatch, n_tr, n_levels, resolves):
     results = evaluate_group(replace(BASE_MODEL, n_tr=n_tr), baths, n_levels=n_levels)
     assert [pt.error_code for pt in results] == [ERR_ZERO_FLUX] + [ERR_OK] * 6
     assert all(pt.converged is not None for pt in results)
-    assert len(passes) == 1
+    assert len(passes) == len(fluxes) == 1
     assert len(diagonals) == len({id(e) for e in diagonals}) == (2 if resolves else 1)
     assert diagonals[0] is passes[0]
 
@@ -695,6 +698,32 @@ def test_gkt_grid_solves_one_elimination_per_task(monkeypatch):
     assert len(rows) == math.ceil(128 / sweep.STACK_BATHS)
     assert sum(rows) == 128 and max(rows) <= sweep.STACK_BATHS
     assert [sum(len(baths) for _, baths in groups) for groups, _, _ in tasks] == rows
+
+
+def test_one_bath_sweep_task_holds_only_the_levels_in_use(monkeypatch):
+    # 33 one-bath groups at n_tr = 200: the first task holds 32 spectra at
+    # once.  Each keeps the 40 state columns the pipeline reads, not all
+    # 402, so the sweep peaks near 4 MB where full spectra took ~22 MB.
+    kept = []
+    real = sweep.eigensystem
+
+    def wrapper(*args):
+        eigs = real(*args)
+        kept.append(eigs.states.shape[1])
+        return eigs
+
+    monkeypatch.setattr(sweep, "eigensystem", wrapper)
+    spec = SweepSpec(model=rs.ModelParams(delta=1.0, r=0.7, u=0.2, n_tr=200), bath=BASE_BATH,
+                     axis1=AxisSpec("g", 0.1, 1.5, 33), n_levels=40)
+    tracemalloc.start()
+    try:
+        result = run_sweep(spec, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [pt.error_code for pt in result.points] == [ERR_OK] * 33
+    assert len(kept) >= 33 and set(kept) == {40}
+    assert peak < 13e6
 
 
 def test_sweep_takes_each_axis_once(monkeypatch):
