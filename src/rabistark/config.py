@@ -15,10 +15,10 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from types import SimpleNamespace
 from typing import Optional
 
-from .dissipation import DEFAULT_N_LEVELS, BathParams
+from .dissipation import BathParams
 from .errors import ConfigError, InvalidParameterError
 from .spectrum import ModelParams, _check_scan, _is_finite, _is_int
-from .sweep import OBSERVABLE_NAMES, AxisSpec, SweepSpec
+from .sweep import DEFAULT_N_LEVELS, OBSERVABLE_NAMES, AxisSpec, SweepSpec
 
 SECTIONS = ("model", "bath", "scan", "sweep", "output")
 

@@ -22,10 +22,9 @@ from .errors import (
     MultipleSteadyStateError,
     NumericFailureError,
 )
-from .spectrum import EigenSystem, ModelParams, _is_finite, _is_int, parity_odd_elements
+from .spectrum import EigenSystem, ModelParams, _is_finite, parity_odd_elements
 
 GAP_EPSILON_FRACTION = 1e-9   # |gap| below this * omega0 uses the degenerate limit
-DEFAULT_N_LEVELS = 40
 WEIGHT_FLOOR = 1e-300         # connectivity cutoff for the transition graph
 
 
@@ -81,17 +80,20 @@ def bose_occupation(gap, kt):
 class TransitionTable:
     """Total transition rates of a batch of baths over one spectrum's levels.
 
-    rate is (B, n_levels, n_levels), one table per bath, and kt_q, kt_c are
-    (B,).  rate[b, k, j] is bath b's rate from level k to level j, the qubit
-    and cavity reservoirs summed: below the diagonal (k > j) the emission
-    rate Gamma*(1+n), above it the absorption rate Gamma*n.  The diagonal
-    is zero.
+    rate is (B, L, L), one table per bath over the L = n_levels levels of
+    the spectrum, and kt_q, kt_c are (B,).  rate[b, k, j] is bath b's rate
+    from level k to level j, the qubit and cavity reservoirs summed: below
+    the diagonal (k > j) the emission rate Gamma*(1+n), above it the
+    absorption rate Gamma*n.  The diagonal is zero.
     """
 
-    n_levels: int
     rate: np.ndarray
     kt_q: np.ndarray
     kt_c: np.ndarray
+
+    @property
+    def n_levels(self) -> int:
+        return self.rate.shape[-1]
 
     def flow_matrix(self) -> np.ndarray:
         """flow[b, m, k] = total transition rate of bath b from level k into
@@ -123,16 +125,15 @@ def transition_rates(
     eigs: EigenSystem,
     model: ModelParams,
     baths: Sequence[BathParams],
-    n_levels: int = DEFAULT_N_LEVELS,
 ) -> TransitionTable:
-    """Build the regularized rate table of each bath over the lowest n_levels
-    eigenstates eigs holds, stacked in the order of baths."""
-    if not baths or not _is_int(n_levels) or n_levels < 2:
-        raise InvalidParameterError("need baths and an integer n_levels >= 2, got "
-                                    f"{'' if baths else 'no baths, '}n_levels={n_levels}")
-    L = min(n_levels, eigs.states.shape[1])
+    """Build the regularized rate table of each bath over the eigs.n_levels
+    levels eigs holds, stacked in the order of baths."""
+    L = eigs.n_levels
+    if not baths or L < 2:
+        raise InvalidParameterError("need baths and a spectrum of 2 or more levels, got "
+                                    f"{'' if baths else 'no baths, '}n_levels={L}")
     energies = eigs.energies[:L]
-    m_q, m_c = parity_odd_elements(eigs, L)
+    m_q, m_c = parity_odd_elements(eigs)
     # The opposite-parity pairs (k, j), k > j, the only ones with a rate: their
     # gaps, and squared qubit and cavity elements <j|.|k>^2 as (2, 1, pairs).
     lower = np.tril(eigs.parities[:L, None] != eigs.parities[None, :L], k=-1)
@@ -149,7 +150,7 @@ def transition_rates(
     rate = np.zeros((len(baths), L, L))
     rate[:, lower] = down[0] + down[1]
     np.swapaxes(rate, -1, -2)[:, lower] = up[0] + up[1]
-    return TransitionTable(n_levels=L, rate=rate, kt_q=kt[0, :, 0], kt_c=kt[1, :, 0])
+    return TransitionTable(rate=rate, kt_q=kt[0, :, 0], kt_c=kt[1, :, 0])
 
 
 @dataclass
@@ -181,20 +182,9 @@ def _graph_components(linked: np.ndarray) -> list:
     Each component lists its levels in ascending order; components are
     ordered by their lowest level.
     """
-    adj = linked | linked.T
-    unseen = np.ones(adj.shape[0], dtype=bool)
-    components = []
-    while unseen.any():
-        reach = np.zeros_like(unseen)
-        reach[np.argmax(unseen)] = True
-        while True:
-            grown = reach | adj[reach].any(axis=0)
-            if np.array_equal(grown, reach):
-                break
-            reach = grown
-        components.append(np.flatnonzero(reach).tolist())
-        unseen &= ~reach
-    return components
+    from scipy.sparse.csgraph import connected_components   # only a failed bath needs it
+    count, labels = connected_components(linked, directed=True, connection="weak")
+    return [np.flatnonzero(labels == k).tolist() for k in range(count)]
 
 
 def _no_steady_state(linked: np.ndarray, n: int):

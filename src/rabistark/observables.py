@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError, ZeroFluxError
+from .errors import InvalidInputError, ZeroFluxError
 from .dissipation import SteadyState
-from .spectrum import EigenSystem, _is_int, field_diagonals, parity_odd_elements
+from .spectrum import EigenSystem, field_diagonals, parity_odd_elements
 
 ZERO_FLUX_THRESHOLD = 1e-30
 P1_FLOOR = 1e-300
@@ -51,17 +51,15 @@ class DetectionOperator:
         return self.xplus.shape[0]
 
 
-def detection_operator(eigs: EigenSystem, n_levels: Optional[int] = None) -> DetectionOperator:
-    """Build the detection operator over the lowest n_levels (all if None) states eigs holds.
+def detection_operator(eigs: EigenSystem) -> DetectionOperator:
+    """Build the detection operator over the eigs.n_levels levels eigs holds.
 
     The result is strictly upper triangular in the energy-sorted basis and
     annihilates the ground state.
     """
-    if not (n_levels is None or _is_int(n_levels) and n_levels >= 1):
-        raise InvalidParameterError(f"n_levels must be an integer >= 1 or None, got {n_levels}")
-    L = min(n_levels or eigs.dim, eigs.states.shape[1])
-    _, xmat = parity_odd_elements(eigs, L)
-    gap = eigs.energies[:L][None, :] - eigs.energies[:L][:, None]  # gap[j,k] = E_k - E_j
+    _, xmat = parity_odd_elements(eigs)
+    e = eigs.energies[:eigs.n_levels]
+    gap = e[None, :] - e[:, None]  # gap[j,k] = E_k - E_j
     xplus = np.triu(gap * xmat, k=1)
     return DetectionOperator(xplus=xplus, xmat=xmat)
 
@@ -71,11 +69,15 @@ def _rows(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _check_levels(ss: SteadyState, n_levels: int, of: str) -> None:
+    """Raise InvalidInputError unless ss spans the n_levels levels of of."""
+    if ss.n_levels != n_levels:
+        raise InvalidInputError(f"steady state has {ss.n_levels} levels, {of} {n_levels}")
+
+
 def _emission(x: DetectionOperator, ss: SteadyState, n: int):
     """<X^-n X^+n> in the steady state ss, which must span the levels of x."""
-    if ss.n_levels != x.n_levels:
-        raise InvalidInputError(
-            f"steady state has {ss.n_levels} levels, the detection operator {x.n_levels}")
+    _check_levels(ss, x.n_levels, "the detection operator")
     # An empty level adds 0 even where its norm overflowed to inf (0 * inf).
     p = ss.populations
     return (p * np.where(p != 0.0, x.norms[n - 1], 0.0)).sum(axis=-1)
@@ -152,10 +154,11 @@ def approx_g3(eigs: EigenSystem, x: DetectionOperator, kt) -> tuple:
 
 
 def field_moments(ss: SteadyState, eigs: EigenSystem) -> tuple:
-    """Steady-state field moments (<a>, <a^dag a>, <a^2>); <a> = 0 by parity."""
-    L = min(ss.n_levels, eigs.states.shape[1])
-    n_diag, a2_diag = field_diagonals(eigs, L)
-    p = ss.populations[..., :L]
+    """Steady-state field moments (<a>, <a^dag a>, <a^2>) of ss, which must
+    span the levels of eigs; <a> = 0 by parity."""
+    _check_levels(ss, eigs.n_levels, "the spectrum")
+    n_diag, a2_diag = field_diagonals(eigs)
+    p = ss.populations
     return 0.0, _rows((p * n_diag).sum(axis=-1)), _rows((p * a2_diag).sum(axis=-1))
 
 

@@ -104,10 +104,11 @@ class EigenSystem:
     """Sorted eigenvalues, chain-form eigenvectors, and parity labels.
 
     energies  all 2(n_tr+1) real eigenvalues, ascending
-    states    (n_tr+1, n) real chain amplitudes of the lowest n levels (see
-              eigensystem): column k is level k's eigenvector on the chain of
-              its parity, entry n the amplitude of |n, q(n)> (_parity_chain);
-              columns follow energies up to the level-order rule
+    states    (n_tr+1, L) real chain amplitudes of the lowest L = n_levels
+              levels, the levels every reader takes (see eigensystem): column
+              k is level k's eigenvector on the chain of its parity, entry n
+              the amplitude of |n, q(n)> (_parity_chain); columns follow
+              energies up to the level-order rule
     parities  +1/-1 label of the parity sector of every level
     """
 
@@ -118,6 +119,10 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return self.energies.shape[0]
+
+    @property
+    def n_levels(self) -> int:
+        return self.states.shape[1]
 
 
 def _parity_chain(p: ModelParams, odd: int):
@@ -202,7 +207,9 @@ def _level_order(energies: np.ndarray, parities: np.ndarray, span: float) -> np.
 
 def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
     """Full spectrum of the model, solved as two tridiagonal parity chains,
-    with the state columns of the lowest n_levels levels (all when None).
+    with the state columns of the lowest n_levels levels (all when None):
+    the one place the level count L is chosen.  Every reader takes L from
+    the spectrum it is given (EigenSystem.n_levels).
 
     Each eigenvector stays on its own chain, so its parity label is exact;
     its largest component is made positive.
@@ -262,8 +269,8 @@ def _lowest(p: ModelParams, parts: list, g: float, k: int) -> tuple[np.ndarray, 
     return np.sort(energies)[:k], parities[order][:k]
 
 
-def parity_odd_elements(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """<j|sigma_x|k> and <j|a + a^dag|k> over the lowest n_levels levels.
+def parity_odd_elements(eigs: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
+    """<j|sigma_x|k> and <j|a + a^dag|k> over the eigs.n_levels levels eigs holds.
 
     Both operators flip parity, so elements between equal labels are zero.
     sigma_x maps |n, q> to |n, 1-q>, the same chain index on the other
@@ -271,29 +278,29 @@ def parity_odd_elements(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, n
     sqrt(n) |n-1, q>, index n-1 on the other chain, so a + a^dag acts as the
     symmetric shift S + S^T with S[n-1, n] = sqrt(n).
     """
-    c = eigs.states[:, :n_levels]
+    c, L = eigs.states, eigs.n_levels
     root = np.sqrt(np.arange(1.0, c.shape[0]))[:, None]
     shifted = np.zeros_like(c)
     shifted[:-1] = root * c[1:]
     shifted[1:] += root * c[:-1]
-    flips = eigs.parities[:n_levels, None] != eigs.parities[None, :n_levels]
+    flips = eigs.parities[:L, None] != eigs.parities[None, :L]
     return np.where(flips, c.T @ c, 0.0), np.where(flips, c.T @ shifted, 0.0)
 
 
-def field_diagonals(eigs: EigenSystem, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """<k|a^dag a|k> and <k|a^2|k> over the lowest n_levels levels.
+def field_diagonals(eigs: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
+    """<k|a^dag a|k> and <k|a^2|k> over the eigs.n_levels levels eigs holds.
 
     Both keep the chain: a^dag a is n on it and a^2 the shift by two with
     weight sqrt(n(n-1)).  <k|a|k> vanishes by parity.
     """
-    c = eigs.states[:, :n_levels]
+    c = eigs.states
     n = np.arange(float(c.shape[0]))
     pair = np.sqrt(n[2:] * (n[2:] - 1.0))
     return n @ c**2, pair @ (c[:-2] * c[2:])
 
 
-def edge_residuals(p: ModelParams, eigs: EigenSystem, n_levels: int) -> np.ndarray:
-    """|h v_k[n_tr]| for the lowest n_levels levels of eigs = eigensystem(p).
+def edge_residuals(p: ModelParams, eigs: EigenSystem) -> np.ndarray:
+    """|h v_k[n_tr]| for the eigs.n_levels levels of eigs = eigensystem(p, L).
 
     Extending a chain past n_tr adds the hop h = g sqrt(n_tr+1) (times r on
     one chain, so max(1, r) bounds both), and (E_k, [v_k; 0]) keeps one
@@ -302,12 +309,12 @@ def edge_residuals(p: ModelParams, eigs: EigenSystem, n_levels: int) -> np.ndarr
     Eigenvalue Problem, ch. 4).
     """
     h = p.g * math.sqrt(p.n_tr + 1) * max(1.0, p.r)
-    return h * np.abs(eigs.states[-1, :n_levels])
+    return h * np.abs(eigs.states[-1])
 
 
-def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra: int) -> bool:
+def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     """Whether growing each chain of p by extra sites adds no eigenvalue below
-    sigma, the midpoint of the gap above level n_levels-1 of eigs.energies.
+    sigma, the midpoint of the gap above level L-1, L = eigs.n_levels.
 
     The residual bound cannot rule out new levels (at g=0 the sites past
     n_tr are levels of their own).  The LDL^T pivots d_i = (a_i - sigma) -
@@ -316,13 +323,12 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, n_levels: int, extra:
     positive iff the count is kept.  A pivot below pivmin is -pivmin, as in
     LAPACK dstebz, and the count is reliable in IEEE arithmetic (Kahan 1966;
     Demmel, Dhillon and Ren, ETNA 3, 1995).  Not cleared: extra < 1, no level
-    above n_levels-1, a gap below the closure threshold, an overflowing chain.
+    above L-1, a gap below the closure threshold, an overflowing chain.
     """
-    e = eigs.energies
-    if (extra < 1 or n_levels >= eigs.dim
-            or e[n_levels] - e[n_levels - 1] < GAP_CLOSURE_FRACTION * p.omega0):
+    e, L = eigs.energies, eigs.n_levels
+    if extra < 1 or L >= eigs.dim or e[L] - e[L - 1] < GAP_CLOSURE_FRACTION * p.omega0:
         return False
-    sigma = 0.5 * (e[n_levels - 1] + e[n_levels])
+    sigma = 0.5 * (e[L - 1] + e[L])
     for odd in (0, 1):
         diag, off = _parity_chain(p.with_n_tr(p.n_tr + extra), odd)
         with np.errstate(over="ignore", invalid="ignore"):

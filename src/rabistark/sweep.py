@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dissipation import (
-    DEFAULT_N_LEVELS,
     BathParams,
     SteadyState,
     TransitionTable,
@@ -65,6 +64,7 @@ CONVERGENCE_DELTA_NTR = 40
 CONVERGENCE_TOL = 1e-6
 CERTIFY_TOL = 1e-4 * CONVERGENCE_TOL
 STACK_BATHS = 32   # baths per stacked solve and per sweep task (see README)
+DEFAULT_N_LEVELS = 40   # dressed levels L of the master equation (eigensystem)
 
 ERR_OK = 0
 ERR_ZERO_FLUX = 1
@@ -195,9 +195,7 @@ class SweepResult:
     points: list = field(default_factory=list)
 
     def __getitem__(self, idx: tuple[int, int]) -> PointResult:
-        i, j = idx
-        cols = self.axis2_values.shape[0] if self.axis2_values is not None else 1
-        return self.points[i * cols + j]
+        return self.points[np.ravel_multi_index(idx, self.spec.shape)]
 
     @property
     def is_2d(self) -> bool:
@@ -234,12 +232,12 @@ def _report(eigs: EigenSystem, x: DetectionOperator, ss: SteadyState, baths: Seq
         [a_mean] * len(baths), a_sq.tolist(), flux.tolist())]
 
 
-def _stacked_states(groups: Sequence, n_levels: int) -> list:
+def _stacked_states(groups: Sequence) -> list:
     """Steady states of the baths of each (eigs, model, baths) group sharing
-    n_tr, as one stack solved STACK_BATHS rows at a time across the groups; a
-    row's bits do not depend on its stack.  A group whose spectrum (eigs is
-    then the exception) or rate table failed adds no rows, and its
-    SteadyState has that error for each bath and no levels."""
+    n_tr and level count, as one stack solved STACK_BATHS rows at a time
+    across the groups; a row's bits do not depend on its stack.  A group
+    whose spectrum (eigs is then the exception) or rate table failed adds no
+    rows, and its SteadyState has that error for each bath and no levels."""
     failed = {k: eigs for k, (eigs, _, _) in enumerate(groups) if isinstance(eigs, Exception)}
     rows = [(k, b) for k, (_, _, baths) in enumerate(groups) if k not in failed for b in baths]
     solved = [[] for _ in groups]
@@ -248,12 +246,12 @@ def _stacked_states(groups: Sequence, n_levels: int) -> list:
         for k, run in itertools.groupby(rows[at:at + STACK_BATHS], key=lambda row: row[0]):
             eigs, model, _ = groups[k]
             try:
-                tables.append(transition_rates(eigs, model, [b for _, b in run], n_levels=n_levels))
+                tables.append(transition_rates(eigs, model, [b for _, b in run]))
                 owners += [k] * tables[-1].kt_q.size
             except tuple(_ERROR_CODES) as exc:
                 failed[k] = exc
         if tables:
-            state = steady_populations(TransitionTable(tables[0].n_levels, *(
+            state = steady_populations(TransitionTable(*(
                 np.concatenate([getattr(t, f) for t in tables]) for f in ("rate", "kt_q", "kt_c"))))
             for k, p, err in zip(owners, state.populations, state.errors):
                 solved[k].append((p, err))
@@ -266,7 +264,7 @@ def _n_photon_at(model: ModelParams, baths: list, n_levels: int) -> list:
     """Photon number of each bath's steady state at model's truncation, None
     for a bath with no steady state."""
     eigs = eigensystem(model, n_levels)
-    [states] = _stacked_states([(eigs, model, baths)], n_levels)
+    [states] = _stacked_states([(eigs, model, baths)])
     n_photon = field_moments(states, eigs)[1].tolist()
     return [None if err is not None else n for n, err in zip(n_photon, states.errors)]
 
@@ -289,8 +287,9 @@ def evaluate_group(
     """Run the full pipeline for one model against each bath of baths.
 
     Returns one PointResult per bath, in order.  The spectrum is solved once
-    for the group, the baths' rate tables and steady states as stacks of up
-    to STACK_BATHS (transition_rates, steady_populations), and, when some
+    for the group, keeping the n_levels levels every later stage reads; the
+    baths' rate tables and steady states as stacks of up to STACK_BATHS
+    (transition_rates, steady_populations), and, when some
     bath has a steady state, the detection operator once and the observables
     of the emitting baths in one pass over their rows (_report).  Errors
     stay per bath: zero flux and no steady state become that bath's error
@@ -326,12 +325,11 @@ def _evaluate_groups(task) -> list:
         except tuple(_ERROR_CODES) as exc:
             eigs, near = exc, False
         solved.append((eigs, model, baths, near))
-    all_states = _stacked_states([group[:3] for group in solved], n_levels)
+    all_states = _stacked_states([group[:3] for group in solved])
     for (eigs, model, baths, near), states in zip(solved, all_states):
-        L = states.n_levels
         errors, reports = list(states.errors), {}
         if None in errors:
-            x = detection_operator(eigs, L)
+            x = detection_operator(eigs)
             flux = flux_proxy(x, states)
             for b in np.flatnonzero(flux < ZERO_FLUX_THRESHOLD):   # a failed bath's flux is NaN
                 errors[b] = ZeroFluxError(flux[b], ZERO_FLUX_THRESHOLD)
@@ -348,18 +346,18 @@ def _evaluate_groups(task) -> list:
                    for b, (bath, err) in enumerate(zip(baths, errors))]
         out += results
         ok = [b for b, pt in enumerate(results) if check_convergence and pt.error_code == ERR_OK]
-        resid = edge_residuals(model, eigs, L) if ok else None
+        resid = edge_residuals(model, eigs) if ok else None
         # A NaN or inf certificate fails the test and falls through to the re-solve.
         certified = [b for b in ok
                      if (model.n_tr + 1) * float(states.populations[b] @ resid) <= CERTIFY_TOL]
-        if certified and keeps_lowest_levels(model, eigs, L, CONVERGENCE_DELTA_NTR):
+        if certified and keeps_lowest_levels(model, eigs, CONVERGENCE_DELTA_NTR):
             for b in certified:
                 results[b].converged = True
         pending = [b for b in ok if results[b].converged is None]
         if pending:
             try:
                 bigger = _n_photon_at(model.with_n_tr(model.n_tr + CONVERGENCE_DELTA_NTR),
-                                      [baths[b] for b in pending], L)
+                                      [baths[b] for b in pending], eigs.n_levels)
             except RabiStarkError:
                 bigger = [None] * len(pending)
             for b, n_photon in zip(pending, bigger):

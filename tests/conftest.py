@@ -76,13 +76,19 @@ def chain_index(n_tr, parity):
 
 
 def composite_states(eigs):
-    """Scatter the chain-form eigenvectors into the composite basis."""
+    """Scatter the chain-form eigenvectors eigs holds into the composite basis."""
     n_tr = eigs.states.shape[0] - 1
-    out = np.zeros((eigs.dim, eigs.dim))
+    out = np.zeros((eigs.dim, eigs.n_levels))
     for parity in (1.0, -1.0):
-        cols = np.flatnonzero(eigs.parities == parity)
+        cols = np.flatnonzero(eigs.parities[:eigs.n_levels] == parity)
         out[np.ix_(chain_index(n_tr, parity), cols)] = eigs.states[:, cols]
     return out
+
+
+def cut_levels(eigs, n_levels):
+    """The spectrum eigs with only its lowest n_levels state columns, as
+    eigensystem(p, n_levels) keeps them."""
+    return rs.EigenSystem(eigs.energies, eigs.states[:, :n_levels], eigs.parities)
 
 
 def eigensystem_levels(p, k):
@@ -93,9 +99,10 @@ def eigensystem_levels(p, k):
 
 
 def steady_pipeline(model, bath, n_levels=40):
-    """Diagonalize, build the rate table of one bath, and solve its steady state."""
-    eigs = build_eigs(model)
-    table = rs.transition_rates(eigs, model, [bath], n_levels=n_levels)
+    """Diagonalize over the lowest n_levels levels, build the rate table of
+    one bath, and solve its steady state."""
+    eigs = build_eigs(model, n_levels)
+    table = rs.transition_rates(eigs, model, [bath])
     ss = rs.steady_populations(table).of_bath(0)
     return eigs, table, ss
 
@@ -130,7 +137,7 @@ def reference_populations(table, b):
 def observables_pipeline(model, bath, n_levels=40):
     """Full chain up to the detection operator."""
     eigs, table, ss = steady_pipeline(model, bath, n_levels=n_levels)
-    x = rs.detection_operator(eigs, n_levels=table.n_levels)
+    x = rs.detection_operator(eigs)
     return eigs, table, ss, x
 
 

@@ -112,12 +112,12 @@ def test_criterion_4_parity_selection():
             u=float(rng.uniform(-0.8, 0.8)),
             n_tr=60,
         )
-        eigs = build_eigs(model)
-        table = rs.transition_rates(eigs, model, [BATH], n_levels=16)
+        eigs = build_eigs(model, 16)
+        table = rs.transition_rates(eigs, model, [BATH])
         same = np.equal.outer(eigs.parities[:16], eigs.parities[:16])
         off = ~np.eye(16, dtype=bool)
         mask = same & off
-        m_q, m_c = parity_odd_elements(eigs, 16)
+        m_q, m_c = parity_odd_elements(eigs)
         worst_elem = max(worst_elem,
                          float(np.max(np.abs(m_q[mask]))),
                          float(np.max(np.abs(m_c[mask]))))

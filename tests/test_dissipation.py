@@ -15,7 +15,7 @@ from rabistark.dissipation import (
 from rabistark.spectrum import parity_odd_elements
 
 from conftest import (
-    StepSizeError, build_eigs, evolve_density, gibbs_state, random_model,
+    StepSizeError, build_eigs, cut_levels, evolve_density, gibbs_state, random_model,
     reference_populations, steady_pipeline,
 )
 
@@ -74,26 +74,25 @@ def test_bath_params_validation():
         rs.BathParams(kt_c=-0.1)
 
 
-def test_rate_table_needs_baths_and_an_integer_level_count():
-    # A fractional count is not cut for the caller; NaN and inf are not
-    # counts either, and no bath is no table.
+def test_rate_table_needs_baths_and_two_levels():
+    # The table spans the levels its spectrum holds; a one-level spectrum
+    # has no transition, and no bath is no table.
     p = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=10)
-    eigs = build_eigs(p)
-    assert rs.transition_rates(eigs, p, [BATH], n_levels=np.int64(6)).n_levels == 6
-    for n_levels in (1, 0, 2.5, 6.0, math.nan, math.inf, None):
+    assert rs.transition_rates(build_eigs(p, np.int64(6)), p, [BATH]).n_levels == 6
+    for eigs in (build_eigs(p, 1), cut_levels(build_eigs(p), 0)):
         with pytest.raises(rs.InvalidParameterError):
-            rs.transition_rates(eigs, p, [BATH], n_levels=n_levels)
+            rs.transition_rates(eigs, p, [BATH])
     with pytest.raises(rs.InvalidParameterError):
-        rs.transition_rates(eigs, p, [], n_levels=6)
+        rs.transition_rates(build_eigs(p, 6), p, [])
 
 
 def test_parity_selection_rules_zero_weights():
     rng = np.random.default_rng(17)
     for _ in range(6):
         p = random_model(rng, n_tr=30)
-        eigs = build_eigs(p)
-        table = rs.transition_rates(eigs, p, [BATH], n_levels=14)
-        m_q, m_c = parity_odd_elements(eigs, table.n_levels)
+        eigs = build_eigs(p, 14)
+        table = rs.transition_rates(eigs, p, [BATH])
+        m_q, m_c = parity_odd_elements(eigs)
         for k in range(1, table.n_levels):
             for j in range(k):
                 if eigs.parities[k] == eigs.parities[j]:
@@ -107,8 +106,8 @@ def test_weights_nonnegative_and_detailed_balance():
     rng = np.random.default_rng(29)
     for _ in range(4):
         p = random_model(rng, n_tr=30)
-        eigs = build_eigs(p)
-        table = rs.transition_rates(eigs, p, [BATH], n_levels=12)
+        eigs = build_eigs(p, 12)
+        table = rs.transition_rates(eigs, p, [BATH])
         assert np.all(table.rate >= 0.0)
         # Both reservoirs sit at kT = 0.07, so their summed rates obey it too.
         rate = table.rate[0]
@@ -125,9 +124,9 @@ def test_cavity_rate_matches_decoupled_hand_value():
     # state, so Gamma_c = alpha_c * 1 * exp(-1/omega_c) * |<0|(a+a+)|1>|^2,
     # and the qubit reservoir adds a rate of relative order g^2.
     p = rs.ModelParams(delta=1.3, g=1e-6, r=0.2, u=0.0, n_tr=20)
-    eigs = build_eigs(p)
-    table = rs.transition_rates(eigs, p, [BATH], n_levels=6)
-    assert parity_odd_elements(eigs, 6)[0][0, 1] ** 2 < 1e-10
+    eigs = build_eigs(p, 6)
+    table = rs.transition_rates(eigs, p, [BATH])
+    assert parity_odd_elements(eigs)[0][0, 1] ** 2 < 1e-10
     n_th = rs.bose_occupation(1.0, 0.07)
     gamma_c = table.rate[0, 1, 0] / (1.0 + n_th)
     assert gamma_c == pytest.approx(1e-3 * math.exp(-0.1), rel=1e-6)
@@ -206,10 +205,10 @@ def test_transition_tables_match_scalar_formula():
              rs.BathParams(alpha_q=3e-3, alpha_c=5e-4, omega_cutoff=2.5, kt_q=0.02, kt_c=0.3))
     for _ in range(3):
         p = random_model(rng, n_tr=30)
-        eigs = build_eigs(p)
-        table = rs.transition_rates(eigs, p, baths, n_levels=16)
+        eigs = build_eigs(p, 16)
+        table = rs.transition_rates(eigs, p, baths)
         assert table.rate.shape == (len(baths), 16, 16)
-        m_q, m_c = parity_odd_elements(eigs, 16)
+        m_q, m_c = parity_odd_elements(eigs)
         eps = 1e-9 * p.omega0
         for b, bath in enumerate(baths):
             for k in range(1, table.n_levels):
@@ -227,8 +226,8 @@ def test_transition_tables_match_scalar_formula():
 def test_zero_temperature_freeze_and_up_weights():
     cold = rs.BathParams(kt_q=0.0, kt_c=0.0)
     p = rs.ModelParams(delta=1.0, g=0.4, r=0.5, u=0.1, n_tr=30)
-    eigs = build_eigs(p)
-    table = rs.transition_rates(eigs, p, [cold], n_levels=10)
+    eigs = build_eigs(p, 10)
+    table = rs.transition_rates(eigs, p, [cold])
     assert np.all(np.triu(table.rate[0]) == 0.0)
     ss = rs.steady_populations(table).of_bath(0)
     assert ss.populations[0] == 1.0
@@ -281,8 +280,8 @@ def _cut(table, b, k, one_way):
 
 def test_disconnected_graph_raises_with_components():
     p = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
-    eigs = build_eigs(p)
-    table = rs.transition_rates(eigs, p, [BATH], n_levels=4)
+    eigs = build_eigs(p, 4)
+    table = rs.transition_rates(eigs, p, [BATH])
     _cut(table, 0, 2, one_way=False)  # sever {0,1} from {2,3}
     with pytest.raises(rs.MultipleSteadyStateError) as err:
         rs.steady_populations(table).of_bath(0)
@@ -292,7 +291,7 @@ def test_disconnected_graph_raises_with_components():
 
 def _four_level_table():
     p = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
-    return rs.transition_rates(build_eigs(p), p, [BATH], n_levels=4)
+    return rs.transition_rates(build_eigs(p, 4), p, [BATH])
 
 
 def test_one_way_closed_block_is_numeric_failure():
@@ -317,7 +316,7 @@ def test_link_at_weight_floor_counts_as_severed():
 def test_linked_pair_keeps_its_rate_below_the_floor():
     # The emission rate links the pair, so the absorption rate, below
     # WEIGHT_FLOOR, still feeds level 1.
-    table = TransitionTable(n_levels=2, rate=np.array([[[0.0, 1e-305], [1.0, 0.0]]]),
+    table = TransitionTable(rate=np.array([[[0.0, 1e-305], [1.0, 0.0]]]),
                             kt_q=np.array([0.07]), kt_c=np.array([0.07]))
     populations = rs.steady_populations(table).of_bath(0).populations
     assert populations[1] == pytest.approx(1e-305, rel=1e-12, abs=0.0)
@@ -357,7 +356,7 @@ def severed_tables(draw):
     across = draw(hnp.arrays(float, (n, n), elements=weak))
     rate = np.where(same, inside, across)
     np.fill_diagonal(rate, 0.0)
-    return TransitionTable(n_levels=n, rate=rate[None], kt_q=np.array([0.07]),
+    return TransitionTable(rate=rate[None], kt_q=np.array([0.07]),
                            kt_c=np.array([0.07]))
 
 
@@ -434,11 +433,11 @@ def test_stacked_populations_equal_the_reference(n_tr, n_levels, g, r, u, temps,
     # Every bath of a stack solves bit for bit as its own table; a bath cut
     # by a severed or one-way-closed block fails alone, with the reference's error.
     model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
-    eigs = build_eigs(model)
+    eigs = build_eigs(model, n_levels)
     baths = [rs.BathParams(kt_q=kq, kt_c=kc) for kq, kc in temps]
-    table = rs.transition_rates(eigs, model, baths, n_levels=n_levels)
+    table = rs.transition_rates(eigs, model, baths)
     for b, bath in enumerate(baths):
-        alone = rs.transition_rates(eigs, model, [bath], n_levels=n_levels)
+        alone = rs.transition_rates(eigs, model, [bath])
         assert np.array_equal(table.rate[b], alone.rate[0])
     for b, k, one_way in cuts:
         _cut(table, b % len(baths), 1 + k % (table.n_levels - 1), one_way)
@@ -448,11 +447,11 @@ def test_stacked_populations_equal_the_reference(n_tr, n_levels, g, r, u, temps,
     event(", ".join(sorted(errors)))
 
 
-def _all_pairs_rates(eigs, model, baths, n_levels):
+def _all_pairs_rates(eigs, model, baths):
     """The rate table from every pair (k, j), k > j, equal parities included:
     the pair weights of their matrix elements, zero or not."""
-    L = min(n_levels, eigs.dim)
-    m_q, m_c = parity_odd_elements(eigs, L)
+    L = eigs.n_levels
+    m_q, m_c = parity_odd_elements(eigs)
     lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
     gap = (eigs.energies[:L, None] - eigs.energies[None, :L])[lower]
     melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]
@@ -481,11 +480,11 @@ def test_rate_table_equals_the_all_pairs_formula(n_tr, n_levels, g, r, u, baths)
     # Only opposite-parity pairs get a rate; the table is bit for bit the one
     # from every pair, and each equal-parity entry is exactly +0.0.
     model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
-    eigs = build_eigs(model)
+    eigs = build_eigs(model, n_levels)
     baths = [rs.BathParams(kt_q=kq, kt_c=kc, alpha_q=aq, alpha_c=ac, omega_cutoff=wc)
              for kq, kc, aq, ac, wc in baths]
-    table = rs.transition_rates(eigs, model, baths, n_levels=n_levels)
-    assert np.array_equal(table.rate, _all_pairs_rates(eigs, model, baths, n_levels))
+    table = rs.transition_rates(eigs, model, baths)
+    assert np.array_equal(table.rate, _all_pairs_rates(eigs, model, baths))
     parities = eigs.parities[:table.n_levels]
     same = table.rate[:, parities[:, None] == parities[None, :]]
     assert not same.any() and not np.signbit(same).any()
@@ -494,8 +493,7 @@ def test_rate_table_equals_the_all_pairs_formula(n_tr, n_levels, g, r, u, baths)
 def test_failing_baths_leave_the_stack_alone():
     model = rs.ModelParams(delta=1.0, g=0.4, r=0.3, u=0.1, n_tr=30)
     warm, cold = rs.BathParams(kt_q=0.05, kt_c=0.2), rs.BathParams(kt_q=0.0, kt_c=0.0)
-    table = rs.transition_rates(build_eigs(model), model, [warm, BATH, cold, BATH, warm, BATH],
-                                n_levels=8)
+    table = rs.transition_rates(build_eigs(model, 8), model, [warm, BATH, cold, BATH, warm, BATH])
     _cut(table, 1, 3, one_way=False)
     _cut(table, 3, 3, one_way=True)
     _cut(table, 2, 3, one_way=False)    # the ground-state branch reads no rates

@@ -11,8 +11,8 @@ import rabistark as rs
 from rabistark.observables import ZERO_FLUX_THRESHOLD
 
 from conftest import (
-    build_eigs, composite_annihilation, composite_states, gaps, gibbs_state, observables_pipeline,
-    random_model,
+    build_eigs, composite_annihilation, composite_states, cut_levels, gaps, gibbs_state,
+    observables_pipeline, random_model,
 )
 
 BATH = rs.BathParams()
@@ -28,8 +28,8 @@ def test_detection_operator_structure():
     rng = np.random.default_rng(7)
     for _ in range(4):
         p = random_model(rng, n_tr=30)
-        eigs = build_eigs(p)
-        x = rs.detection_operator(eigs, n_levels=12)
+        eigs = build_eigs(p, 12)
+        x = rs.detection_operator(eigs)
         assert np.max(np.abs(np.tril(x.xplus))) == 0.0
         ground = np.zeros(12)
         ground[0] = 1.0
@@ -40,14 +40,11 @@ def test_detection_operator_structure():
                     assert abs(x.xplus[j, k]) < 1e-10
 
 
-def test_detection_operator_needs_an_integer_level_count():
-    eigs = build_eigs(rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=10))
-    assert rs.detection_operator(eigs).n_levels == eigs.dim
-    assert rs.detection_operator(eigs, np.int64(6)).n_levels == 6
-    # A negative count would slice from the top: -1 gave all levels but one.
-    for n_levels in (2.5, 6.0, math.nan, math.inf, 0, -1):
-        with pytest.raises(rs.InvalidParameterError):
-            rs.detection_operator(eigs, n_levels)
+def test_detection_operator_spans_the_levels_of_its_spectrum():
+    # The spectrum fixes the level count; eigensystem validates it.
+    p = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=10)
+    assert rs.detection_operator(build_eigs(p)).n_levels == p.dim
+    assert rs.detection_operator(build_eigs(p, np.int64(6))).n_levels == 6
 
 
 def test_detection_operator_decoupled_entries():
@@ -55,8 +52,8 @@ def test_detection_operator_decoupled_entries():
     # omega0 and the quadrature elements are sqrt(n), so the nonzero
     # entries are omega0 * sqrt(n).
     p = rs.ModelParams(delta=1.3, g=1e-6, r=0.2, u=0.0, n_tr=20)
-    eigs = build_eigs(p)
-    x = rs.detection_operator(eigs, n_levels=8)
+    eigs = build_eigs(p, 8)
+    x = rs.detection_operator(eigs)
     entries = np.abs(x.xplus)
     nonzero = entries[entries > 1e-4]
     a = composite_annihilation(p.n_tr)
@@ -98,8 +95,9 @@ def test_emission_needs_the_levels_of_the_detection_operator():
     # another level count is rejected rather than cut to fit.
     model = rs.ModelParams(delta=1.0, g=0.6, r=0.3, u=0.1, n_tr=40)
     eigs, table, ss, x = observables_pipeline(model, BATH, n_levels=16)
-    for other in (rs.detection_operator(eigs, n_levels=12),
-                  rs.detection_operator(eigs, n_levels=20)):
+    full = build_eigs(model)
+    for other in (rs.detection_operator(cut_levels(full, 12)),
+                  rs.detection_operator(cut_levels(full, 20))):
         with pytest.raises(rs.InvalidInputError, match="levels"):
             rs.flux_proxy(other, ss)
         with pytest.raises(rs.InvalidInputError, match="levels"):
@@ -142,8 +140,8 @@ def test_approx_g2_eta_definitions():
 
 def test_approx_g2_underflow_flag():
     model = rs.ModelParams(delta=1.0, g=0.4, r=0.2, u=0.2, n_tr=40)
-    eigs = build_eigs(model)
-    x = rs.detection_operator(eigs, n_levels=8)
+    eigs = build_eigs(model, 8)
+    x = rs.detection_operator(eigs)
     frozen = gibbs_state(eigs, 1e-4, n_levels=8)  # P1 underflows to zero
     value, eta1, eta2 = rs.approx_g2(eigs, x, frozen)
     assert math.isnan(value)
@@ -276,14 +274,14 @@ def test_stacked_observables_equal_each_row_alone(n_tr, g, r, u, temps, n_levels
     # stack of steady states gives, in row b, the bits of the same function
     # on row b's state alone.
     model = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
-    eigs = build_eigs(model)
+    eigs = build_eigs(model, n_levels)
     baths = [rs.BathParams(alpha_q=2e-3, alpha_c=5e-4, kt_q=kq, kt_c=kc) for kq, kc in temps]
-    states = rs.steady_populations(rs.transition_rates(eigs, model, baths, n_levels=n_levels))
+    states = rs.steady_populations(rs.transition_rates(eigs, model, baths))
     rows = [b for b, err in enumerate(states.errors) if err is None]
     assume(rows)
     stack = rs.SteadyState(states.populations[rows])
     alone = [states.of_bath(b) for b in rows]
-    x = rs.detection_operator(eigs, stack.n_levels)
+    x = rs.detection_operator(eigs)
 
     same_rows(rs.flux_proxy(x, stack), [rs.flux_proxy(x, ss) for ss in alone])
     moments = rs.field_moments(stack, eigs)

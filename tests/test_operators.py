@@ -130,16 +130,16 @@ def test_chain_elements_match_dense_products(g, r, u, n_tr):
     # sigma_x, a + a^dag, a^dag a and a^2 taken on the parity chains equal
     # states^T @ op @ states with the Kronecker operators of the oracle.
     p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
-    eigs = rs.eigensystem(p)
-    L = min(40, p.dim)
-    states = composite_states(eigs)[:, :L]
+    eigs = rs.eigensystem(p, 40)
+    L = eigs.n_levels
+    states = composite_states(eigs)
     a = composite_annihilation(n_tr)
 
     def dense(op):
         return states.T @ (op @ states)
 
-    sigma_x, position = parity_odd_elements(eigs, L)
-    number, a_sq = field_diagonals(eigs, L)
+    sigma_x, position = parity_odd_elements(eigs)
+    number, a_sq = field_diagonals(eigs)
     scale = max(1.0, n_tr)
     assert np.max(np.abs(sigma_x - dense(composite_sigma_x(n_tr)))) <= 1e-13
     assert np.max(np.abs(position - dense(composite_position(n_tr)))) <= 1e-13 * scale

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 import rabistark as rs
 from rabistark.config import ScanConfig
 from rabistark.spectrum import (
-    DEGENERACY_FRACTION, GAP_CLOSURE_FRACTION, keeps_lowest_levels, parity_odd_elements,
+    DEGENERACY_FRACTION, GAP_CLOSURE_FRACTION, edge_residuals, field_diagonals,
+    keeps_lowest_levels, parity_odd_elements,
 )
 
 from conftest import (
-    build_eigs, composite_states, dense_hamiltonian, eigensystem_levels, gaps, observables_pipeline,
+    build_eigs, composite_states, cut_levels, dense_hamiltonian, eigensystem_levels, gaps,
+    observables_pipeline,
     parity_diagonal, random_model,
 )
 
@@ -128,7 +130,7 @@ def test_phase_fixing_largest_component_real_positive():
 def test_pipeline_arrays_are_real():
     p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=10)
     eigs, table, ss, x = observables_pipeline(p, rs.BathParams(), n_levels=12)
-    arrays = (eigs.states, *parity_odd_elements(eigs, table.n_levels), table.rate,
+    arrays = (eigs.states, *parity_odd_elements(eigs), table.rate,
               ss.populations, x.xplus, x.xmat)
     assert all(arr.dtype == np.float64 for arr in arrays)
     assert all(isinstance(m, float) for m in rs.field_moments(ss, eigs))
@@ -431,7 +433,7 @@ def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, e
     assume(np.min(np.abs(longer.energies - sigma)) > 1e-9)
     same = all(np.sum((longer.energies < sigma) & (longer.parities == label))
                == np.sum((e < sigma) & (eigs.parities == label)) for label in (1.0, -1.0))
-    assert keeps_lowest_levels(p, eigs, n_levels, extra) == same
+    assert keeps_lowest_levels(p, cut_levels(eigs, n_levels), extra) == same
 
 
 def test_lowest_levels_rejects_a_bad_count_before_lapack(monkeypatch):
@@ -456,11 +458,11 @@ def test_keeps_lowest_levels_guards_an_exact_zero_pivot():
     eigs = rs.eigensystem(p)
     assert eigs.energies[38:40].tolist() == [11.75, 12.5]
     assert rs.spectrum._parity_chain(p.with_n_tr(70), 0)[0][31] == 12.125
-    assert keeps_lowest_levels(p, eigs, 39, 40) is False
+    assert keeps_lowest_levels(p, cut_levels(eigs, 39), 40) is False
     # With hops, sigma = -1/2 between two made-up levels is a_0 of the even
     # chain, a zero first pivot; the decision is the count on the spectra.
     p = replace(p, g=0.3, u=0.2)
-    made = rs.spectrum.EigenSystem(np.array([-1.0, 0.0, 1.0]), np.empty((31, 0)), np.ones(3))
+    made = rs.spectrum.EigenSystem(np.array([-1.0, 0.0, 1.0]), np.zeros((31, 1)), np.ones(3))
     assert rs.spectrum._parity_chain(p, 0)[0][0] == -0.5
 
     def below(spectrum, label):
@@ -468,7 +470,7 @@ def test_keeps_lowest_levels_guards_an_exact_zero_pivot():
 
     old, longer = rs.eigensystem(p), rs.eigensystem(p.with_n_tr(70))
     same = all(below(old, label) == below(longer, label) for label in (1.0, -1.0))
-    assert keeps_lowest_levels(p, made, 1, 40) == same
+    assert keeps_lowest_levels(p, made, 40) == same
 
 
 def test_keeps_lowest_levels_does_not_clear_non_finite_squared_hops():
@@ -481,7 +483,7 @@ def test_keeps_lowest_levels_does_not_clear_non_finite_squared_hops():
         with np.errstate(over="ignore"):
             hops = (p.g * off) * (p.g * off)
         assert np.isfinite(hops[:30]).all() and not np.isfinite(hops).all()
-    assert keeps_lowest_levels(p, rs.eigensystem(p), 10, 40) is False
+    assert keeps_lowest_levels(p, rs.eigensystem(p, 10), 40) is False
 
 
 @pytest.mark.parametrize("n_levels", [1, 7, 40, 82])
@@ -497,20 +499,47 @@ def test_eigensystem_keeps_the_lowest_columns(n_levels):
 
 
 def test_readers_take_the_levels_a_spectrum_holds():
-    # Asked for more levels than eigensystem(p, 10) holds states of, the rate
-    # table, X+ and the moments use those 10: the full spectrum's at 10.
+    # eigensystem(p, 10) and the full spectrum cut to its lowest 10 columns
+    # give the same rate table, X+ and moments, bit for bit.
     p = rs.ModelParams(delta=1.0, g=0.7, r=0.4, u=0.2, n_tr=20)
-    kept, full = rs.eigensystem(p, 10), rs.eigensystem(p)
-    got, want = (rs.transition_rates(e, p, [rs.BathParams()], n_levels=n)
-                 for e, n in ((kept, 40), (full, 10)))
+    kept, cut = rs.eigensystem(p, 10), cut_levels(rs.eigensystem(p), 10)
+    got, want = (rs.transition_rates(e, p, [rs.BathParams()]) for e in (kept, cut))
     assert np.array_equal(got.rate, want.rate)
-    for n_levels in (40, None):
-        assert np.array_equal(rs.detection_operator(kept, n_levels).xplus,
-                              rs.detection_operator(full, 10).xplus)
-    wide = rs.steady_populations(rs.transition_rates(full, p, [rs.BathParams()], n_levels=40))
-    cut = rs.SteadyState(wide.populations[:, :10])
-    for a, b in zip(rs.observables.field_moments(wide, kept), rs.observables.field_moments(cut, full)):
+    assert np.array_equal(rs.detection_operator(kept).xplus, rs.detection_operator(cut).xplus)
+    states = rs.steady_populations(got)
+    for a, b in zip(rs.field_moments(states, kept), rs.field_moments(states, cut)):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_tr=st.integers(2, 30),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    r=st.floats(0.0, 2.0),
+    u=st.floats(-0.9, 0.9),
+    kt=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    data=st.data(),
+)
+def test_everything_built_from_a_spectrum_spans_its_levels(n_tr, g, r, u, kt, data):
+    # The level count is chosen once, by eigensystem(p, L): the rate table,
+    # X+, the steady state, the moments and the edge residuals all span L,
+    # and the moments reject a steady state over another count.
+    p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    L = data.draw(st.integers(2, p.dim), label="L")
+    eigs = rs.eigensystem(p, L)
+    assert eigs.n_levels == L
+    table = rs.transition_rates(eigs, p, [rs.BathParams(kt_q=kt[0], kt_c=kt[1])])
+    assert table.n_levels == L and table.rate.shape == (1, L, L)
+    x = rs.detection_operator(eigs)
+    assert x.n_levels == L and x.xplus.shape == (L, L)
+    states = rs.steady_populations(table)
+    assert states.n_levels == L
+    assert all(d.shape == (L,) for d in field_diagonals(eigs))
+    rs.field_moments(states, eigs)
+    assert edge_residuals(p, eigs).shape == (L,)
+    other = data.draw(st.integers(1, p.dim + 1).filter(lambda n: n != L), label="other")
+    with pytest.raises(rs.InvalidInputError, match="levels"):
+        rs.field_moments(rs.SteadyState(np.full(other, 1.0 / other)), eigs)
 
 
 def test_eigensystem_rejects_a_bad_level_count():
@@ -540,7 +569,7 @@ def test_bisection_solves_past_squared_hop_overflow(g):
         return np.sum((spectrum.energies < sigma) & (spectrum.parities == label))
 
     same = all(below(eigs, label) == below(longer, label) for label in (1.0, -1.0))
-    assert keeps_lowest_levels(p, eigs, 10, 40) == same
+    assert keeps_lowest_levels(p, cut_levels(eigs, 10), 40) == same
     assert rs.find_crossings(p, g, 2.0 * g, 9).crossings == []
 
 

@@ -79,6 +79,17 @@ def test_grid_is_row_major():
             assert pt.error_code == ERR_OK
 
 
+def test_grid_index_is_bounds_checked():
+    # An index past an axis is an error, never another slot of the grid.
+    line = run_sweep(small_spec(axis2=None), workers=1)
+    assert line[2, 0].model.g == 1.0
+    grid = run_sweep(small_spec(axis2=AxisSpec("kt", 0.05, 0.1, 2)), workers=1)
+    assert grid[2, 1] is grid.points[5]
+    for result, idx in ((line, (0, 1)), (line, (3, 0)), (grid, (0, 2)), (grid, (3, 0))):
+        with pytest.raises(ValueError):
+            result[idx]
+
+
 def test_worker_counts_agree_exactly():
     spec = small_spec()
     serial = run_sweep(spec, workers=1)
@@ -305,10 +316,10 @@ def test_certified_points_pass_the_resolve(n_tr, g, r, u, kt, n_levels):
     event("re-solved" if resolved else f"error {pt.error_code}" if pt.error_code else "certified")
     if pt.error_code != ERR_OK or resolved:
         return
-    eigs = rs.eigensystem(model)
-    table = rs.transition_rates(eigs, model, [bath], n_levels=n_levels)
+    eigs = rs.eigensystem(model, n_levels)
+    table = rs.transition_rates(eigs, model, [bath])
     populations = rs.steady_populations(table).populations[0]
-    w = (n_tr + 1) * float(populations @ edge_residuals(model, eigs, populations.size))
+    w = (n_tr + 1) * float(populations @ edge_residuals(model, eigs))
     assert w <= CERTIFY_TOL
     assert pt.converged is True
     [bigger] = sweep._n_photon_at(model.with_n_tr(n_tr + 40), [bath], populations.size)
@@ -322,9 +333,9 @@ def test_decoupled_chain_is_not_certified_by_the_edge_alone(monkeypatch):
     # moves the photon number; the level count keeps the point uncertified.
     model = rs.ModelParams(delta=1.0, g=0.0, r=1.547, u=-0.766, n_tr=16)
     bath = rs.BathParams(kt_q=0.45, kt_c=0.45)
-    eigs = rs.eigensystem(model)
-    assert not edge_residuals(model, eigs, 20).any()
-    assert not keeps_lowest_levels(model, eigs, 20, 40)
+    eigs = rs.eigensystem(model, 20)
+    assert not edge_residuals(model, eigs).any()
+    assert not keeps_lowest_levels(model, eigs, 40)
     resolved = counting(monkeypatch, "_n_photon_at")
     pt = evaluate_point(model, bath, n_levels=40)
     assert resolved and pt.converged is False
@@ -343,20 +354,20 @@ def test_non_finite_certificate_falls_back_to_the_resolve(monkeypatch):
     # the residuals stay finite, the level count declines, and a certificate
     # overflowing to inf, or a NaN one, counts as uncertified.
     huge = rs.ModelParams(delta=1.0, g=1e300, n_tr=40)
-    eigs = rs.eigensystem(huge)
-    assert np.isfinite(edge_residuals(huge, eigs, 20)).all()
-    assert not keeps_lowest_levels(huge, eigs, 20, 40)
+    eigs = rs.eigensystem(huge, 20)
+    assert np.isfinite(edge_residuals(huge, eigs)).all()
+    assert not keeps_lowest_levels(huge, eigs, 40)
     failed = evaluate_point(huge, BASE_BATH, n_levels=20)
     assert failed.error_code == ERR_NO_STEADY_STATE and failed.converged is False
     wide = rs.ModelParams(delta=1.0, g=1e306, n_tr=200)
     populations = np.full(20, 0.05)    # evaluate_point's sum, in Python floats
-    w = (wide.n_tr + 1) * float(populations @ edge_residuals(wide, rs.eigensystem(wide), 20))
+    w = (wide.n_tr + 1) * float(populations @ edge_residuals(wide, rs.eigensystem(wide, 20)))
     assert w == math.inf and not w <= CERTIFY_TOL
 
     model = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=40)
     resolved = counting(monkeypatch, "_n_photon_at")
     for bad in (math.nan, math.inf):
-        monkeypatch.setattr(sweep, "edge_residuals", lambda p, e, n: np.full(n, bad))
+        monkeypatch.setattr(sweep, "edge_residuals", lambda p, e: np.full(e.n_levels, bad))
         assert evaluate_point(model, BASE_BATH, n_levels=20).converged is True
     assert len(resolved) == 2
 
@@ -600,8 +611,8 @@ def test_resolve_uses_the_levels_of_the_base_solve(monkeypatch):
     # level is in use, so the point is not certified) keeps the same 26.
     solved, real = [], sweep.transition_rates
 
-    def recording(eigs, model, baths, n_levels):
-        table = real(eigs, model, baths, n_levels=n_levels)
+    def recording(eigs, model, baths):
+        table = real(eigs, model, baths)
         solved.append((model.n_tr, table.n_levels))
         return table
 
@@ -619,10 +630,11 @@ def _task_groups(n_tr, drawn):
             for g, r, u, temps in drawn]
 
 
-def _spectrum(model):
-    """The model's EigenSystem, or the error its eigensolve raised."""
+def _spectrum(model, n_levels):
+    """The model's EigenSystem over n_levels levels, or the error its
+    eigensolve raised."""
     try:
-        return rs.eigensystem(model)
+        return rs.eigensystem(model, n_levels)
     except rs.RabiStarkError as exc:
         return exc
 
@@ -645,16 +657,17 @@ def test_stacked_populations_equal_per_group_solves(n_tr, n_levels, stack, drawn
     # Stacks of 1-6 rows straddle the groups; each group's populations and
     # errors are those of its own table solved alone, and a group with no
     # spectrum has its error on every bath and no rows.
-    task = [(_spectrum(model), model, baths) for model, baths in _task_groups(n_tr, drawn)]
+    task = [(_spectrum(model, n_levels), model, baths)
+            for model, baths in _task_groups(n_tr, drawn)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "STACK_BATHS", stack)
-        states = sweep._stacked_states(task, n_levels)
+        states = sweep._stacked_states(task)
     for (eigs, model, baths), state in zip(task, states, strict=True):
         if isinstance(eigs, Exception):
             assert state.errors == (eigs,) * len(baths)
             assert state.populations.shape == (len(baths), 0)
             continue
-        alone = rs.steady_populations(rs.transition_rates(eigs, model, baths, n_levels=n_levels))
+        alone = rs.steady_populations(rs.transition_rates(eigs, model, baths))
         assert np.array_equal(state.populations, alone.populations, equal_nan=True)
         assert [repr(err) for err in state.errors] == [repr(err) for err in alone.errors]
 
@@ -665,7 +678,7 @@ def test_stacked_populations_equal_per_group_solves(n_tr, n_levels, stack, drawn
 @example(n_tr=8, n_levels=12, stack=3, check=True, drawn=[
     (0.5, 0.5, 0.1, [(0.0, 0.0), (0.07, 0.07)]), (1e300, 0.0, 0.0, [(0.07, 0.07), (0.2, 0.0)]),
     (1e308, 0.0, 0.0, [(0.1, 0.1)]), (1.2, 1.0, -0.3, [(0.05, 0.3), (0.0, 0.0), (0.1, 0.1)])])
-@example(n_tr=8, n_levels=2.5, stack=3, check=True, drawn=[     # every rate table fails
+@example(n_tr=8, n_levels=2.5, stack=3, check=True, drawn=[     # every spectrum fails
     (0.5, 0.5, 0.1, [(0.07, 0.07)] * 4), (1e308, 0.0, 0.0, [(0.1, 0.1)]), (0.9, 0.2, 0.2, [(0.1, 0.1)])])
 def test_task_results_equal_each_group_alone(n_tr, n_levels, stack, drawn, check):
     # A task of several groups, solved in stacks of 3-5 that straddle them:
