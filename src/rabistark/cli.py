@@ -24,7 +24,7 @@ from . import __version__
 from .config import RunConfig, load_config
 from .errors import ConfigError, RabiStarkError
 from .heatmap import emit_heatmap
-from .spectrum import eigensystem, find_crossings
+from .spectrum import find_crossings, lowest_levels
 from .sweep import PointResult, SweepResult, evaluate_point, run_sweep
 
 EXIT_OK = 0
@@ -96,12 +96,9 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
     lines = ["g," + ",".join(f"e{i}" for i in range(k)) + ","
              + ",".join(f"p{i}" for i in range(k))]
     for g in np.linspace(scan.g_min, scan.g_max, scan.count):
-        model = replace(config.model, g=float(g))
-        eigs = eigensystem(model, k)
-        cells = [format_number(float(g))]
-        cells += [format_number(float(e)) for e in eigs.energies[:k]]
-        cells += [str(int(p)) for p in eigs.parities[:k]]
-        lines.append(",".join(cells))
+        energies, parities = lowest_levels(replace(config.model, g=float(g)), k)
+        cells = [format_number(float(g))] + [format_number(float(e)) for e in energies]
+        lines.append(",".join(cells + [str(int(p)) for p in parities]))
     _write_text(out_dir / "spectrum.csv", _csv(lines))
     return ["spectrum.csv"]
 

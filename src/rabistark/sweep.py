@@ -5,15 +5,16 @@ failing points are recorded with an error code instead of aborting the
 sweep.  The bath enters only through the rates, so grid points that share
 (g, r, u, n_tr) share one spectrum and what is built from it alone:
 run_sweep groups them and packs runs of groups into tasks of up to
-STACK_BATHS baths.  A task solves each spectrum once, the baths of all its
-groups as one stacked GTH elimination, and each group's observables in one
-pass over its rows.  Results land in row-major slots, the same for any
-worker count.
+STACK_BATHS baths.  A task solves each spectrum once, all its groups' baths
+as one stacked GTH elimination, each group's observables in one pass over
+its rows, and the baths that miss the truncation certificate again, as one
+more stack.  Results land in row-major slots, the same for any worker count.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -32,7 +33,6 @@ from .errors import (
     InvalidParameterError,
     MultipleSteadyStateError,
     NumericFailureError,
-    RabiStarkError,
     ZeroFluxError,
 )
 from .observables import (
@@ -232,46 +232,46 @@ def _report(eigs: EigenSystem, x: DetectionOperator, ss: SteadyState, baths: Seq
         [a_mean] * len(baths), a_sq.tolist(), flux.tolist())]
 
 
-def _stacked_states(groups: Sequence) -> list:
-    """Steady states of the baths of each (eigs, model, baths) group sharing
-    n_tr and level count, as one stack solved STACK_BATHS rows at a time
-    across the groups; a row's bits do not depend on its stack.  A group
-    whose spectrum (eigs is then the exception) or rate table failed adds no
-    rows, and its SteadyState has that error for each bath and no levels."""
-    failed = {k: eigs for k, (eigs, _, _) in enumerate(groups) if isinstance(eigs, Exception)}
-    rows = [(k, b) for k, (_, _, baths) in enumerate(groups) if k not in failed for b in baths]
-    solved = [[] for _ in groups]
+def _solve_stage(groups: Sequence, n_levels: int) -> tuple[list, list]:
+    """The solve stage of a sweep task on (model, baths) groups sharing n_tr:
+    each group's spectrum over n_levels levels, then the baths of the groups
+    whose spectrum solved as one stack, STACK_BATHS rows at a time; a row's
+    bits do not depend on its stack.  Returns two lists: (k, eigs, states)
+    for each group k that solved, (k, error) for each whose eigensolve raised."""
+    spectra, failed = {}, []
+    for k, (model, _) in enumerate(groups):
+        try:
+            spectra[k] = eigensystem(model, n_levels)
+        except tuple(_ERROR_CODES) as exc:
+            failed.append((k, exc))
+    rows = [(k, b) for k in spectra for b in groups[k][1]]
+    got = {k: [] for k in spectra}
     for at in range(0, len(rows), STACK_BATHS):
         tables, owners = [], []
         for k, run in itertools.groupby(rows[at:at + STACK_BATHS], key=lambda row: row[0]):
-            eigs, model, _ = groups[k]
-            try:
-                tables.append(transition_rates(eigs, model, [b for _, b in run]))
-                owners += [k] * tables[-1].kt_q.size
-            except tuple(_ERROR_CODES) as exc:
-                failed[k] = exc
-        if tables:
-            state = steady_populations(TransitionTable(*(
-                np.concatenate([getattr(t, f) for t in tables]) for f in ("rate", "kt_q", "kt_c"))))
-            for k, p, err in zip(owners, state.populations, state.errors):
-                solved[k].append((p, err))
-    return [SteadyState(np.empty((len(baths), 0)), (failed[k],) * len(baths)) if k in failed
-            else SteadyState(np.array([p for p, _ in got]), tuple(err for _, err in got))
-            for k, ((_, _, baths), got) in enumerate(zip(groups, solved))]
+            tables.append(transition_rates(spectra[k], groups[k][0], [b for _, b in run]))
+            owners += [k] * tables[-1].kt_q.size
+        state = steady_populations(TransitionTable(*(
+            np.concatenate([getattr(t, f) for t in tables]) for f in ("rate", "kt_q", "kt_c"))))
+        for k, p, err in zip(owners, state.populations, state.errors):
+            got[k].append((p, err))
+    return [(k, eigs, SteadyState(np.array([p for p, _ in got[k]]), tuple(e for _, e in got[k])))
+            for k, eigs in spectra.items()], failed
 
 
-def _n_photon_at(model: ModelParams, baths: list, n_levels: int) -> list:
-    """Photon number of each bath's steady state at model's truncation, None
-    for a bath with no steady state."""
-    eigs = eigensystem(model, n_levels)
-    [states] = _stacked_states([(eigs, model, baths)])
-    n_photon = field_moments(states, eigs)[1].tolist()
-    return [None if err is not None else n for n, err in zip(n_photon, states.errors)]
+def _n_photon_at(groups: Sequence, n_levels: int) -> list:
+    """The task's re-solve, the solve stage's second pass: per (model, baths)
+    group, each bath's steady-state photon number, NaN for a bath with no
+    steady state (its populations are NaN) or whose spectrum failed."""
+    n_photon = [[np.nan] * len(baths) for _, baths in groups]
+    for k, eigs, states in _solve_stage(groups, n_levels)[0]:
+        n_photon[k] = field_moments(states, eigs)[1].tolist()
+    return n_photon
 
 
 def _agrees(n_photon: float, bigger: float) -> bool:
     """Photon numbers equal within CONVERGENCE_TOL, relative, or absolute
-    when both are below 1e-6."""
+    when both are below 1e-6; NaN agrees with nothing."""
     scale = max(abs(n_photon), abs(bigger))
     if scale < 1e-6:
         return abs(bigger - n_photon) < CONVERGENCE_TOL
@@ -286,16 +286,16 @@ def evaluate_group(
 ) -> list:
     """Run the full pipeline for one model against each bath of baths.
 
-    Returns one PointResult per bath, in order.  The spectrum is solved once
-    for the group, keeping the n_levels levels every later stage reads; the
-    baths' rate tables and steady states as stacks of up to STACK_BATHS
-    (transition_rates, steady_populations), and, when some
+    Returns one PointResult per bath, in order: a sweep task of one group.
+    The spectrum is solved once, keeping the n_levels levels every later
+    stage reads; the baths' rate tables and steady states as stacks of up
+    to STACK_BATHS (transition_rates, steady_populations), and, when some
     bath has a steady state, the detection operator once and the observables
     of the emitting baths in one pass over their rows (_report).  Errors
     stay per bath: zero flux and no steady state become that bath's error
-    code with an empty report, never raised; a failure before the baths
-    part (the spectrum, say) is every bath's error, and one in the
-    observables pass every emitting bath's.
+    code with an empty report, never raised.  A level count that is not an
+    integer >= 4 is every bath's error code 4, a failed spectrum every
+    bath's error, and a failure in the observables pass every emitting bath's.
 
     The convergence flag says the photon number is stable under n_tr ->
     n_tr + CONVERGENCE_DELTA_NTR; it is None when check_convergence is off.
@@ -308,25 +308,26 @@ def evaluate_group(
     numbers must agree within CONVERGENCE_TOL, relative, or absolute when
     both are below 1e-6.
     """
-    return _evaluate_groups(([(model, baths)], n_levels, check_convergence)) if baths else []
+    return _evaluate_groups([(model, baths)], n_levels, check_convergence) if baths else []
 
 
-def _evaluate_groups(task) -> list:
-    """A sweep task (groups, n_levels, check_convergence): evaluate_group of
-    each (model, baths) group sharing n_tr, the results in one list.  Each
-    spectrum is solved once, all groups' baths as one stack (_stacked_states),
-    then each group's observables and convergence on its own rows."""
-    groups, n_levels, check_convergence = task
-    solved, out = [], []
-    for model, baths in groups:
-        try:
-            eigs = eigensystem(model, n_levels)
-            near = eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
-        except tuple(_ERROR_CODES) as exc:
-            eigs, near = exc, False
-        solved.append((eigs, model, baths, near))
-    all_states = _stacked_states([group[:3] for group in solved])
-    for (eigs, model, baths, near), states in zip(solved, all_states):
+def _evaluate_groups(groups: Sequence, n_levels: int, check_convergence: bool) -> list:
+    """A sweep task: evaluate_group of each (model, baths) group sharing
+    n_tr, the results in one list.  The level count is checked once, by
+    SweepSpec's rule; the solve stage runs on the groups (_solve_stage),
+    then each group's observables and certificate on its own rows, then the
+    stage again on the baths of every group that missed the certificate."""
+    if not _is_int(n_levels) or n_levels < 4:
+        exc = InvalidParameterError(f"n_levels must be an integer >= 4, got {n_levels}")
+        return [_failure(model, bath, exc, False, check_convergence)
+                for model, baths in groups for bath in baths]
+    solved, failed = _solve_stage(groups, n_levels)
+    results = {k: [_failure(groups[k][0], bath, exc, False, check_convergence)
+                   for bath in groups[k][1]] for k, exc in failed}
+    resolve = []   # the results of each group's uncertified baths
+    for k, eigs, states in solved:
+        model, baths = groups[k]
+        near = eigs.energies[1] - eigs.energies[0] < NEAR_DEGENERACY_FRACTION * model.omega0
         errors, reports = list(states.errors), {}
         if None in errors:
             x = detection_operator(eigs)
@@ -341,29 +342,26 @@ def _evaluate_groups(task) -> list:
                         flux[emitting])))
             except tuple(_ERROR_CODES) as exc:
                 errors = [exc if err is None else err for err in errors]
-        results = [PointResult(model, bath, reports[b], None, near, ERR_OK) if err is None
-                   else _failure(model, bath, err, near, check_convergence)
-                   for b, (bath, err) in enumerate(zip(baths, errors))]
-        out += results
-        ok = [b for b, pt in enumerate(results) if check_convergence and pt.error_code == ERR_OK]
+        results[k] = [PointResult(model, bath, reports[b], None, near, ERR_OK) if err is None
+                      else _failure(model, bath, err, near, check_convergence)
+                      for b, (bath, err) in enumerate(zip(baths, errors))]
+        ok = [b for b, pt in enumerate(results[k]) if check_convergence and pt.error_code == ERR_OK]
         resid = edge_residuals(model, eigs) if ok else None
         # A NaN or inf certificate fails the test and falls through to the re-solve.
         certified = [b for b in ok
                      if (model.n_tr + 1) * float(states.populations[b] @ resid) <= CERTIFY_TOL]
         if certified and keeps_lowest_levels(model, eigs, CONVERGENCE_DELTA_NTR):
             for b in certified:
-                results[b].converged = True
-        pending = [b for b in ok if results[b].converged is None]
+                results[k][b].converged = True
+        pending = [results[k][b] for b in ok if results[k][b].converged is None]
         if pending:
-            try:
-                bigger = _n_photon_at(model.with_n_tr(model.n_tr + CONVERGENCE_DELTA_NTR),
-                                      [baths[b] for b in pending], eigs.n_levels)
-            except RabiStarkError:
-                bigger = [None] * len(pending)
-            for b, n_photon in zip(pending, bigger):
-                results[b].converged = n_photon is not None and _agrees(
-                    results[b].report.n_photon, n_photon)
-    return out
+            resolve.append(pending)
+    if resolve:   # every spectrum of the task keeps eigs.n_levels levels, and so does the re-solve
+        bigger = _n_photon_at([(pts[0].model.with_n_tr(pts[0].model.n_tr + CONVERGENCE_DELTA_NTR),
+                                [pt.bath for pt in pts]) for pts in resolve], eigs.n_levels)
+        for pt, n_photon in zip(itertools.chain(*resolve), itertools.chain(*bigger)):
+            pt.converged = _agrees(pt.report.n_photon, n_photon)
+    return [pt for k in range(len(groups)) for pt in results[k]]
 
 
 def evaluate_point(
@@ -411,18 +409,20 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         size = -(-len(members) // pieces)
         for k in range(0, len(members), size):
             piece = [bath for _, bath in members[k:k + size]]
-            if not tasks or sum(len(baths) for _, baths in tasks[-1][0]) + len(piece) > cap:
-                tasks.append(([], spec.n_levels, spec.check_convergence))
-            tasks[-1][0].append((model, piece))
+            if not tasks or sum(len(baths) for _, baths in tasks[-1]) + len(piece) > cap:
+                tasks.append([])
+            tasks[-1].append((model, piece))
+    run = partial(_evaluate_groups, n_levels=spec.n_levels,
+                  check_convergence=spec.check_convergence)
     # Under the fork start method the pool starts all of its workers at the
     # first submit: start no more than there are tasks.
     workers = min(workers, len(tasks))
     if workers <= 1:
-        done = [_evaluate_groups(task) for task in tasks]
+        done = [run(groups) for groups in tasks]
     else:
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_evaluate_groups, tasks, chunksize=chunk))
+            done = list(pool.map(run, tasks, chunksize=chunk))
     # Results come in the order of the groups and their slots.
     for (flat, _), result in zip(itertools.chain.from_iterable(groups.values()),
                                  itertools.chain.from_iterable(done)):

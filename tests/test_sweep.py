@@ -218,7 +218,7 @@ def test_overflowing_hamiltonian_is_invalid_params():
     assert pt.report is None
 
 
-@pytest.mark.parametrize("n_levels", [1, 2.5, 20.0, math.nan, math.inf])
+@pytest.mark.parametrize("n_levels", [1, 2, 3, 2.5, 20.0, math.nan, math.inf])
 def test_invalid_level_count_is_error_code_4(n_levels):
     # Not cut to an integer, and not an uncaught ValueError or OverflowError.
     pt = evaluate_point(BASE_MODEL, BASE_BATH, n_levels=n_levels)
@@ -285,7 +285,7 @@ def test_convergence_flag(monkeypatch):
         BASE_BATH, n_levels=6, check_convergence=True,
     )
     assert not rough.converged
-    assert [m.n_tr for m in resolved] == [22]
+    assert [[m.n_tr for m, _ in groups] for groups in resolved] == [[22]]
 
     # A truncation that does not grow is never certified, only re-solved.
     monkeypatch.setattr(sweep, "CONVERGENCE_DELTA_NTR", 0)
@@ -293,7 +293,8 @@ def test_convergence_flag(monkeypatch):
         rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.0, n_tr=60),
         BASE_BATH, n_levels=20, check_convergence=True,
     )
-    assert same.converged and [m.n_tr for m in resolved] == [22, 60]
+    assert same.converged
+    assert [[m.n_tr for m, _ in groups] for groups in resolved] == [[22], [60]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,7 +323,7 @@ def test_certified_points_pass_the_resolve(n_tr, g, r, u, kt, n_levels):
     w = (n_tr + 1) * float(populations @ edge_residuals(model, eigs))
     assert w <= CERTIFY_TOL
     assert pt.converged is True
-    [bigger] = sweep._n_photon_at(model.with_n_tr(n_tr + 40), [bath], populations.size)
+    [[bigger]] = sweep._n_photon_at([(model.with_n_tr(n_tr + 40), [bath])], populations.size)
     scale = max(abs(pt.report.n_photon), abs(bigger))
     assert abs(bigger - pt.report.n_photon) < CONVERGENCE_TOL * (scale if scale >= 1e-6 else 1.0)
 
@@ -483,16 +484,26 @@ def test_sweep_solves_each_spectrum_once(monkeypatch, check):
 
 
 def test_uncertified_slots_solve_the_larger_spectrum_once(monkeypatch):
-    # At n_tr=6 all 14 levels are in use, so no slot is certified and each
-    # group solves its n_tr+40 spectrum once for all of its baths.
+    # The grid of golden case n_tr_6_resolved: at n_tr=6 all 14 levels are in
+    # use, so no slot is certified and each group solves its n_tr+40
+    # spectrum once for all of its baths.  The task re-solves the 12 baths
+    # of its 3 groups together: one _n_photon_at call, and one n_tr=46
+    # elimination of 12 rows after the n_tr=6 one.
     solved = counting(monkeypatch, "eigensystem")
+    resolved = counting(monkeypatch, "_n_photon_at")
+    rates = counting(monkeypatch, "transition_rates")
+    stacks = counting(monkeypatch, "steady_populations")
     spec = small_spec(model=replace(BASE_MODEL, n_tr=6), n_levels=14,
                       axis2=AxisSpec("kt", 0.02, 0.2, 4), check_convergence=True)
     result = run_sweep(spec, workers=1)
     assert all(pt.error_code == ERR_OK for pt in result.points)
+    assert all(pt.converged is not None for pt in result.points)
     models = {pt.model for pt in result.points}
     expected = models | {m.with_n_tr(m.n_tr + 40) for m in models}
     assert len(solved) == len(expected) == 6 and set(solved) == expected
+    assert [[m.n_tr for m, _ in groups] for groups in resolved] == [[46] * 3]
+    assert [eigs.dim for eigs in rates] == [14] * 3 + [94] * 3   # 2 (n_tr + 1) levels
+    assert [table.rate.shape[0] for table in stacks] == [12, 12]
 
 
 def test_one_dimensional_kt_sweep_is_worker_independent():
@@ -509,7 +520,7 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
     # elements once each (an n_tr+40 spectrum builds no X+), the truncation
     # check runs at most once per group, and X+^n (n = 1, 2, 3) once per
     # solved spectrum.  At n_tr=6 every warm slot misses the certificate;
-    # each group re-solves its three together.
+    # the task re-solves all nine together, in one call.
     rates = counting(monkeypatch, "parity_odd_elements", dissipation)
     detection = counting(monkeypatch, "parity_odd_elements", observables)
     checked = counting(monkeypatch, "keeps_lowest_levels")
@@ -522,8 +533,8 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
     assert [pt.error_code for pt in result.points].count(ERR_OK) == 9
     models = {pt.model for pt in result.points if pt.model is not None}
     assert len(models) == 3
-    assert len(resolved) == (len(models) if resolves else 0)
-    spectra = len(models) + len(resolved)
+    assert [len(groups) for groups in resolved] == ([len(models)] if resolves else [])
+    spectra = len(models) * (2 if resolves else 1)
     assert len(rates) == len({id(e) for e in rates}) == spectra
     assert len(detection) == len({id(e) for e in detection}) == len(models)
     assert {id(e) for e in detection} <= {id(e) for e in rates}
@@ -630,15 +641,6 @@ def _task_groups(n_tr, drawn):
             for g, r, u, temps in drawn]
 
 
-def _spectrum(model, n_levels):
-    """The model's EigenSystem over n_levels levels, or the error its
-    eigensolve raised."""
-    try:
-        return rs.eigensystem(model, n_levels)
-    except rs.RabiStarkError as exc:
-        return exc
-
-
 # Groups of a task: warm and kT=0 baths, unequal reservoirs, and couplings
 # with no steady state (1e300) or no spectrum (1e308, its chain overflows).
 TASK_GROUPS = st.lists(st.tuples(
@@ -655,18 +657,15 @@ TASK_GROUPS = st.lists(st.tuples(
        drawn=TASK_GROUPS)
 def test_stacked_populations_equal_per_group_solves(n_tr, n_levels, stack, drawn):
     # Stacks of 1-6 rows straddle the groups; each group's populations and
-    # errors are those of its own table solved alone, and a group with no
-    # spectrum has its error on every bath and no rows.
-    task = [(_spectrum(model, n_levels), model, baths)
-            for model, baths in _task_groups(n_tr, drawn)]
+    # errors are those of its own table solved alone.  A group with no
+    # spectrum is returned as failed and adds no rows to the stack.
+    groups = _task_groups(n_tr, drawn)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "STACK_BATHS", stack)
-        states = sweep._stacked_states(task)
-    for (eigs, model, baths), state in zip(task, states, strict=True):
-        if isinstance(eigs, Exception):
-            assert state.errors == (eigs,) * len(baths)
-            assert state.populations.shape == (len(baths), 0)
-            continue
+        solved, failed = sweep._solve_stage(groups, n_levels)
+    assert sorted([k for k, _, _ in solved] + [k for k, _ in failed]) == list(range(len(groups)))
+    for k, eigs, state in solved:
+        model, baths = groups[k]
         alone = rs.steady_populations(rs.transition_rates(eigs, model, baths))
         assert np.array_equal(state.populations, alone.populations, equal_nan=True)
         assert [repr(err) for err in state.errors] == [repr(err) for err in alone.errors]
@@ -678,7 +677,7 @@ def test_stacked_populations_equal_per_group_solves(n_tr, n_levels, stack, drawn
 @example(n_tr=8, n_levels=12, stack=3, check=True, drawn=[
     (0.5, 0.5, 0.1, [(0.0, 0.0), (0.07, 0.07)]), (1e300, 0.0, 0.0, [(0.07, 0.07), (0.2, 0.0)]),
     (1e308, 0.0, 0.0, [(0.1, 0.1)]), (1.2, 1.0, -0.3, [(0.05, 0.3), (0.0, 0.0), (0.1, 0.1)])])
-@example(n_tr=8, n_levels=2.5, stack=3, check=True, drawn=[     # every spectrum fails
+@example(n_tr=8, n_levels=2.5, stack=3, check=True, drawn=[   # the level count fails
     (0.5, 0.5, 0.1, [(0.07, 0.07)] * 4), (1e308, 0.0, 0.0, [(0.1, 0.1)]), (0.9, 0.2, 0.2, [(0.1, 0.1)])])
 def test_task_results_equal_each_group_alone(n_tr, n_levels, stack, drawn, check):
     # A task of several groups, solved in stacks of 3-5 that straddle them:
@@ -686,7 +685,7 @@ def test_task_results_equal_each_group_alone(n_tr, n_levels, stack, drawn, check
     groups = _task_groups(n_tr, drawn)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep, "STACK_BATHS", stack)
-        got = sweep._evaluate_groups((groups, n_levels, check))
+        got = sweep._evaluate_groups(groups, n_levels, check)
     want = [pt for model, baths in groups
             for pt in evaluate_group(model, baths, n_levels=n_levels, check_convergence=check)]
     assert [repr(pt) for pt in got] == [repr(pt) for pt in want]
@@ -710,7 +709,7 @@ def test_gkt_grid_solves_one_elimination_per_task(monkeypatch):
     rows = [table.rate.shape[0] for table in stacks]
     assert len(rows) == math.ceil(128 / sweep.STACK_BATHS)
     assert sum(rows) == 128 and max(rows) <= sweep.STACK_BATHS
-    assert [sum(len(baths) for _, baths in groups) for groups, _, _ in tasks] == rows
+    assert [sum(len(baths) for _, baths in groups) for groups in tasks] == rows
 
 
 def test_one_bath_sweep_task_holds_only_the_levels_in_use(monkeypatch):
