@@ -22,9 +22,9 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, load_config
-from .errors import ConfigError, RabiStarkError
+from .errors import ConfigError, InvalidParameterError, RabiStarkError
 from .heatmap import emit_heatmap
-from .spectrum import find_crossings, lowest_levels
+from .spectrum import _check_window, find_crossings, lowest_levels
 from .sweep import PointResult, SweepResult, evaluate_point, run_sweep
 
 EXIT_OK = 0
@@ -88,11 +88,20 @@ def _require_levels(config: RunConfig, top: int, field: str) -> None:
             f"{config.model.dim} levels", [field])
 
 
+def _require_window(config: RunConfig) -> None:
+    """Reject, before any solve, a scan window whose chains overflow at scan.g_max."""
+    try:
+        _check_window(config.model, config.scan.g_max)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), ["scan.g_max"]) from None
+
+
 def cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
     """Scan the coupling axis and tabulate low-lying energies and parities."""
     scan = config.scan
     k = scan.n_levels
     _require_levels(config, k - 1, "scan.n_levels")
+    _require_window(config)
     lines = ["g," + ",".join(f"e{i}" for i in range(k)) + ","
              + ",".join(f"p{i}" for i in range(k))]
     for g in np.linspace(scan.g_min, scan.g_max, scan.count):
@@ -108,6 +117,7 @@ def cmd_critical(config: RunConfig, out_dir: Path) -> list[str]:
     ground critical coupling."""
     scan = config.scan
     _require_levels(config, max(hi for _, hi in scan.pairs), "scan.pairs")
+    _require_window(config)
     points = find_crossings(config.model, scan.g_min, scan.g_max, scan.count, levels=scan.pairs)
     lines = ["kind,level_low,level_high,g,half_width"]
     ga = "" if points.gc_analytic is None else format_number(points.gc_analytic)

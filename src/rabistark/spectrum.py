@@ -10,8 +10,12 @@ parity labels along a coupling scan and refining with bisection; the scan
 reads only the lowest chain eigenvalues, never eigenvectors, solves each
 coupling once for the levels its tests read there, and bisects them with
 LAPACK dstebz called directly.  It builds each chain once and scales its
-off-diagonal per coupling.  Its result is one list of crossings, ascending
-in the coupling.
+off-diagonal per coupling.  Grid couplings need only the label order, so
+their eigenvalues are bisected to the absolute tolerance GRID_TOL, and the
+order is taken when the brackets certify it (_grid_labels); the bisection
+midpoints and bracket centres, whose energies feed the gap test and the
+solve cache, stay at tolerance 0.  Its result is one list of crossings,
+ascending in the coupling.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -32,6 +36,7 @@ from .errors import InvalidParameterError, NumericFailureError
 DEGENERACY_FRACTION = 1e-10    # level-order threshold, fraction of spectral span
 GAP_CLOSURE_FRACTION = 1e-3    # crossing accepted when gap < this * omega0
 BISECTION_DEPTH = 14
+GRID_TOL = 2.0**-24            # dstebz tolerance of the scan's grid labels, in units of scale
 _FLOAT_MAX = np.finfo(float).max
 _SAFMIN = np.finfo(float).tiny   # LAPACK's safe minimum, the unit of the pivot guard
 
@@ -147,30 +152,31 @@ def _parts(p: ModelParams) -> list:
             for diag, unit in (_parity_chain(p, odd) for odd in (0, 1))]
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, bound: float, lo: int, hi: int) -> np.ndarray:
+def _bisect(diag: np.ndarray, off: np.ndarray, scale: float, lo: int, hi: int,
+            tol: float = 0.0) -> np.ndarray:
     """Eigenvalues lo..hi (0-based, ascending) of the symmetric tridiagonal
-    matrix with diagonal diag, off-diagonal off and Gershgorin bound bound,
-    by LAPACK bisection.
+    matrix with diagonal diag and off-diagonal off, by LAPACK bisection to
+    the absolute tolerance tol in units of scale, a power of two at or above
+    the matrix's Gershgorin bound (_coupled).
 
-    dstebz gets the arguments scipy's eigvalsh_tridiagonal(select='i')
-    passes it (index range, tol 0, order E), so the eigenvalues are the
-    same bits, without the wrapper's validation on every call.  dstebz
-    squares the hops, so it sees the matrix divided by a power of two at or
-    above bound, and the eigenvalues are scaled back: both steps are exact.
-    The callers check that diag and off are finite first; a LAPACK failure
-    is a NumericFailureError.
+    At tol 0 dstebz gets the arguments scipy's eigvalsh_tridiagonal(select='i')
+    passes it (index range, order E), so the eigenvalues are the same bits,
+    without the wrapper's validation on every call.  dstebz squares the hops,
+    so it sees the matrix divided by scale, and the eigenvalues are scaled
+    back: both steps are exact.  The callers check that diag and off are
+    finite first; a LAPACK failure is a NumericFailureError.
     """
-    scale = math.ldexp(1.0, math.frexp(bound)[1])
-    m, w, _, _, info = dstebz(diag / scale, off / scale, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+    m, w, _, _, info = dstebz(diag / scale, off / scale, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "E")
     if info != 0:
         raise NumericFailureError(f"eigensolver failed: dstebz failed (LAPACK info={info})")
     return w[:m] * scale
 
 
 def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
-    """Both chains (diag, g * unit, bound) at coupling g, with their
-    Gershgorin bounds, from parts = _parts(p), and an upper bound of the
-    spectral span of the two.
+    """Both chains (diag, g * unit, scale) at coupling g from parts =
+    _parts(p), each with the power of two at or above its Gershgorin bound
+    that _bisect divides it by, and an upper bound of the spectral span of
+    the two.
 
     Coefficients whose Gershgorin bound overflows are rejected as invalid
     parameters before LAPACK sees them.
@@ -188,7 +194,7 @@ def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
                 f"g={g}, omega0={p.omega0}"
             )
         span_hi = max(span_hi, min(4.0 * bound, _FLOAT_MAX))
-        chains.append((diag, g * unit, bound))
+        chains.append((diag, g * unit, math.ldexp(1.0, math.frexp(bound)[1])))
     return chains, span_hi
 
 
@@ -267,6 +273,57 @@ def _lowest(p: ModelParams, parts: list, g: float, k: int) -> tuple[np.ndarray, 
         top = max(_bisect(*chain, m - 1, m - 1)[0] for chain in chains)
         order = _level_order(energies, parities, float(top - min(energies[0], energies[low])))
     return np.sort(energies)[:k], parities[order][:k]
+
+
+def _radius(tol: float) -> float:
+    """How far a value _bisect returns at tolerance tol may lie from the
+    eigenvalue of its index, in units of the chain's scale (_grid_labels)."""
+    return 2.0 * max(tol, 2.0**-50) + 2.0**-51
+
+
+_GRID_RADIUS = _radius(GRID_TOL) + _radius(0.0)
+
+
+def _grid_labels(p: ModelParams, parts: list, g: float, k: int) -> np.ndarray:
+    """The labels of _lowest(p, parts, g, k), read off a bisection to
+    GRID_TOL where that bisection certifies them, else _lowest's own.
+
+    Radius.  _bisect gives dstebz the chain divided by its scale, so the
+    Gershgorin interval and every bracket [a, b] lie within +/-2, and the
+    hops are below 1.  dstebz narrows a bracket until b - a < max(atol,
+    pivmin, 2 ulp max(|a|, |b|)): atol is tol, or ulp times the Gershgorin
+    bound at tol 0, ulp = 2^-52 and pivmin the safe minimum, so b - a < w =
+    max(tol, 2^-50).  It returns fl((a + b) / 2), within w/2 + 2^-52 of the
+    eigenvalue in the bracket.  In index mode it then drops the values past
+    index hi, and of two brackets closer than w at the top of the range it
+    may drop the lower: a kept value lies within 2 w + 2^-51 of the
+    eigenvalue of its index, _radius(tol) in units of scale.
+
+    Certificate.  Both bisections count with the same floating-point Sturm
+    sequence on the same scaled chain, which is monotone in IEEE arithmetic
+    with LAPACK's pivmin guard (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3,
+    1995), so they bracket the same eigenvalues: the value _lowest returns
+    lies within _radius(GRID_TOL) + _radius(0) of the coarse one.  Where
+    every even/odd pair of coarse values lies farther apart than those radii
+    of both, the level-order shift at span_hi and a few ulps, the
+    tolerance-0 values are in the coarse order with no even/odd pair within
+    the shift, so _lowest returns that plain energy order, with no chain top
+    bisected.  Otherwise, or when dstebz fails or returns fewer values,
+    _lowest gives the labels, and raises its own errors.
+    """
+    low = min(k, p.n_tr + 1)
+    chains, span_hi = _coupled(p, parts, g)
+    try:
+        even, odd = (_bisect(*chain, 0, low - 1, GRID_TOL) for chain in chains)
+    except NumericFailureError:
+        return _lowest(p, parts, g, k)[1]
+    scales = chains[0][2] + chains[1][2]
+    shift = DEGENERACY_FRACTION * max(span_hi, 1.0)
+    margin = _GRID_RADIUS * scales + shift + 2.0**-48 * (scales + shift)
+    if even.size < low or odd.size < low or np.abs(np.subtract.outer(even, odd)).min() <= margin:
+        return _lowest(p, parts, g, k)[1]
+    order = np.argsort(np.concatenate([even, odd]), kind="stable")[:k]
+    return np.where(order < low, 1.0, -1.0)
 
 
 def parity_odd_elements(eigs: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -383,6 +440,13 @@ class CriticalPoints:
         return self.crossings
 
 
+def _check_window(p: ModelParams, g_max: float) -> None:
+    """Reject a coupling window of p whose chains overflow at its top g_max
+    (_coupled) as an InvalidParameterError.  The chains' Gershgorin bound
+    grows with g, so the top decides for every coupling below it."""
+    _coupled(p, _parts(p), g_max)
+
+
 def _check_scan(g_min: float, g_max: float, steps: int, levels: Sequence) -> None:
     """The scan rules of find_crossings and config.ScanConfig: finite bounds
     with 0 <= g_min < g_max, an integer step count >= 8, and one or more
@@ -422,6 +486,17 @@ def find_crossings(
     swap, a bisection midpoint for the labels up to max(n) over S, and a
     bracket centre for one level more, the gap E_{n+1} - E_n.  A coupling
     held with fewer levels than asked is solved again.
+
+    A grid coupling reads labels only: each chain is bisected to GRID_TOL
+    (2^-24 of its power-of-two scale), and the plain energy order is taken
+    when every even/odd pair lies farther apart than both values' radii
+    (set by the bracket width dstebz stops at, at GRID_TOL and at 0),
+    the level-order shift at the span bound and a few ulps; such an order
+    is the one the tolerance-0 solve gives.  Elsewhere (near a crossing or
+    a degeneracy, or when dstebz fails) the coupling is solved at tolerance
+    0 as a midpoint is.  Grid labels are not kept for the refinement, whose
+    energies must be the tolerance-0 ones.  A window whose chains overflow
+    at g_max is rejected before any solve.
     """
     _check_scan(g_min, g_max, steps, levels)
     max_level = max(hi for _, hi in levels)
@@ -431,6 +506,7 @@ def find_crossings(
     closure = GAP_CLOSURE_FRACTION * p.omega0
     grid = np.linspace(g_min, g_max, steps)
     parts = _parts(p)
+    _coupled(p, parts, g_max)    # the chains' bound grows with g: reject before any solve
     solved: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def solve(g: float, k: int):
@@ -438,7 +514,7 @@ def find_crossings(
             solved[g] = _lowest(p, parts, float(g), k)
         return solved[g]
 
-    labels = [solve(g, max_level)[1] for g in grid]    # up to the highest lower level
+    labels = [_grid_labels(p, parts, g, max_level) for g in grid.tolist()]
     crossings = []
     for i in range(len(grid) - 1):
         swapped = [pair for pair in levels if labels[i + 1][pair[0]] != labels[i][pair[0]]]

@@ -553,6 +553,24 @@ def test_cli_rejects_negative_scan_start(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_cli_rejects_scan_window_past_chain_overflow(tmp_path, capsys, monkeypatch):
+    # The chains' Gershgorin bound grows with g: a window whose chains overflow
+    # at scan.g_max is a config error, found before any coupling is solved.
+    solves, bisect = [], rs.spectrum._bisect
+    monkeypatch.setattr(rs.spectrum, "_bisect", lambda *args: solves.append(args) or bisect(*args))
+    config = write_config(tmp_path, {"model": {"n_tr": 30}, "scan": {"g_max": 1e307}})
+    for command in ("spectrum", "critical"):
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "scan.g_max" in err
+        assert not (out / f"{command}.csv").exists()
+    assert solves == []
+    with pytest.raises(rs.InvalidParameterError):
+        rs.find_crossings(rs.ModelParams(delta=1.0, n_tr=30), 0.0, 1e307, 9)
+    assert solves == []
+
+
 def test_cli_plot_rejects_unrequested_column_before_running(tmp_path, capsys):
     # The CSV leaves an unrequested observable blank, so the heatmap may not plot it.
     config = write_config(tmp_path, {

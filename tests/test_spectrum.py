@@ -264,6 +264,8 @@ def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
         return eigensystem_levels(replace(model, g=g), k)
 
     monkeypatch.setattr(rs.spectrum, "_lowest", levels_of_eigensystem)
+    monkeypatch.setattr(rs.spectrum, "_grid_labels",
+                        lambda model, parts, g, k: levels_of_eigensystem(model, parts, g, k)[1])
     for steps, cp in scans.items():
         assert cp == rs.find_crossings(p, 0.05, 2.0, steps=steps)
     assert len(oracle) > 41 + 9       # the grids and the refinements
@@ -326,16 +328,22 @@ def test_find_crossings_solves_each_coupling_once(monkeypatch):
     # At the ground crossing level 1 swaps in the same grid interval as
     # level 0, so the (1, 2) refinement meets the (0, 1) one's couplings;
     # each is solved once, on the two parity chains built once per scan: no
-    # model per coupling.  A solve bisects the levels read there: the grid
-    # the labels up to level 2 (the highest lower level of the pairs), the
-    # ground interval's midpoints up to level 1, a (2, 3) interval's up to
-    # level 2, and each bracket centre one level more, for its gap.
-    calls, builds, models = [], [], []
-    solve, chain = rs.spectrum._lowest, rs.spectrum._parity_chain
+    # model per coupling.  A grid coupling takes the labels up to level 2
+    # (the highest lower level of the pairs) from _grid_labels, which hands
+    # it to _lowest only where its order is in doubt.  A refinement solve
+    # bisects the levels read there: the ground interval's midpoints up to
+    # level 1, a (2, 3) interval's up to level 2, and each bracket centre
+    # one level more, for its gap.
+    grid_calls, fallbacks, calls, builds, models = [], [], [], [], []
+    solve, label, chain = rs.spectrum._lowest, rs.spectrum._grid_labels, rs.spectrum._parity_chain
     check = rs.ModelParams.__post_init__
 
+    def labelled(p, parts, g, k):
+        grid_calls.append((g, k))
+        return label(p, parts, g, k)
+
     def counted(p, parts, g, k):
-        calls.append((g, k))
+        (fallbacks if grid_calls and grid_calls[-1] == (g, k) else calls).append((g, k))
         return solve(p, parts, g, k)
 
     def built(p, odd):
@@ -343,18 +351,96 @@ def test_find_crossings_solves_each_coupling_once(monkeypatch):
         return chain(p, odd)
 
     p = rs.ModelParams(delta=1.0, g=0.0, r=0.2, u=0.2, n_tr=30)
+    monkeypatch.setattr(rs.spectrum, "_grid_labels", labelled)
     monkeypatch.setattr(rs.spectrum, "_lowest", counted)
     monkeypatch.setattr(rs.spectrum, "_parity_chain", built)
     monkeypatch.setattr(rs.ModelParams, "__post_init__",
                         lambda model: models.append(model) or check(model))
     cp = rs.find_crossings(p, 0.05, 2.0, steps=41)
     assert [pair for pair, _, _ in cp.crossings] == [(2, 3), (0, 1), (2, 3)]
+    grid = np.linspace(0.05, 2.0, 41).tolist()
+    assert grid_calls == [(g, 3) for g in grid]
+    assert set(fallbacks) <= set(grid_calls)
     couplings = [g for g, _ in calls]
-    assert len(couplings) == len(set(couplings))
-    assert calls[:41] == [(g, 3) for g in np.linspace(0.05, 2.0, 41).tolist()]
-    assert [k for _, k in calls[41:]] == [3] * 14 + [4] + [2] * 14 + [3] + [3] * 14 + [4]
+    assert len(couplings) == len(set(couplings)) and not set(couplings) & set(grid)
+    assert [k for _, k in calls] == [3] * 14 + [4] + [2] * 14 + [3] + [3] * 14 + [4]
     assert builds == [0, 1]
     assert models == []
+
+
+def _labels_and_fallbacks(p, g, k):
+    """_grid_labels(p, ..., g, k), the (g, k) it handed to _lowest, and the
+    labels of _lowest itself."""
+    fallbacks, solve = [], rs.spectrum._lowest
+    parts = rs.spectrum._parts(p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rs.spectrum, "_lowest",
+                      lambda *args: fallbacks.append(args[2:]) or solve(*args))
+        labels = rs.spectrum._grid_labels(p, parts, g, k)
+    return labels, fallbacks, solve(p, parts, g, k)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    where=st.sampled_from(["zero", "tiny", "window", "crossing", "huge"]),
+    x=st.floats(0.0, 1.0),
+    r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+    u=st.floats(-0.9, 0.9),
+    n_tr=st.integers(2, 150),
+    k=st.integers(1, 8),
+)
+def test_grid_labels_equal_the_full_precision_labels(where, x, r, u, n_tr, k):
+    # The coarse bisection's labels are those of _lowest wherever they are
+    # certified; elsewhere _lowest gives them.  Couplings: g = 0, tiny, the
+    # scan window, within 1e-5 of the ground crossing, and around the
+    # coupling where the unscaled chain's squared hops would overflow.
+    gc = rs.spectrum.gc_analytic(rs.ModelParams(delta=1.0, r=r, u=u))
+    assume(where != "crossing" or gc is not None)
+    g = {"zero": 0.0, "tiny": 1e-12 * 1e6**x, "window": 3.0 * x,
+         "crossing": gc + (2.0 * x - 1.0) * 1e-5 if gc else 0.0,
+         "huge": 10.0 ** (146.0 + 10.0 * x) / math.sqrt(n_tr)}[where]
+    p = rs.ModelParams(delta=1.0, r=r, u=u, n_tr=n_tr)
+    labels, fallbacks, want = _labels_and_fallbacks(p, g, k)
+    assert np.array_equal(labels, want)
+    assert fallbacks in ([], [(g, k)])
+
+
+@pytest.mark.parametrize("model, g, k, doubt", [
+    # A generic coupling is certified.
+    (dict(delta=1.0, r=1.0, u=0.2, n_tr=200), 0.7, 4, False),
+    # The ground gap (2.45e-8) is inside the level-order shift (~1.1e-7):
+    # _lowest puts the odd level first.
+    (dict(delta=1.0, r=1.0, u=0.2, n_tr=200), 1.5491904, 4, True),
+    # Levels 2 and 3 are an exact even/odd degeneracy at g = 0.
+    (dict(delta=2.0, r=0.5, u=0.0, n_tr=10), 0.0, 4, True),
+    # The ground gap (-1.59e-5) is inside the coarse radii (~6e-5), and the
+    # coarse values are in the wrong order.
+    (dict(delta=1.0, r=1.0, u=0.2, n_tr=200), 1.5473073, 2, True),
+    # At a small energy unit the radii (2.9e-11) are inside the shift
+    # (1e-10): a ground gap of -5.8e-11 is certified by the radii alone, but
+    # _lowest puts the odd level first.
+    (dict(delta=1e-5, omega0=1e-5, r=0.5, u=0.0, n_tr=4), 1.158271e-05, 2, True),
+])
+def test_grid_labels_fall_back_where_the_order_is_in_doubt(model, g, k, doubt):
+    p = rs.ModelParams(**model)
+    labels, fallbacks, want = _labels_and_fallbacks(p, g, k)
+    assert np.array_equal(labels, want)
+    assert fallbacks == ([(g, k)] if doubt else [])
+
+
+def test_grid_labels_fall_back_on_a_bisection_failure(monkeypatch):
+    # A failed or short coarse bisection goes to _lowest, which raises as before.
+    p = rs.ModelParams(delta=1.0, g=0.5, r=0.2, u=0.2, n_tr=10)
+    bisect = rs.spectrum.dstebz
+    for failure in ((0, np.empty(3), None, None, 1), (2, np.zeros(3), None, None, 0)):
+        def coarse_fails(*args, failure=failure):
+            return failure if args[7] > 0.0 else bisect(*args)
+        monkeypatch.setattr(rs.spectrum, "dstebz", coarse_fails)
+        labels, fallbacks, want = _labels_and_fallbacks(p, 0.5, 3)
+        assert np.array_equal(labels, want) and fallbacks == [(0.5, 3)]
+    monkeypatch.setattr(rs.spectrum, "dstebz", lambda *args: (0, np.empty(3), None, None, 1))
+    with pytest.raises(rs.NumericFailureError):
+        rs.find_crossings(p, 0.1, 1.0, 9)
 
 
 def test_top_bisection_runs_only_where_the_level_order_rule_acts(monkeypatch):
@@ -364,10 +450,10 @@ def test_top_bisection_runs_only_where_the_level_order_rule_acts(monkeypatch):
     tops = []
     bisect = rs.spectrum._bisect
 
-    def recorded(diag, off, bound, lo, hi):
+    def recorded(diag, off, scale, lo, hi):
         if lo == diag.size - 1:
             tops.append(diag.size)
-        return bisect(diag, off, bound, lo, hi)
+        return bisect(diag, off, scale, lo, hi)
 
     monkeypatch.setattr(rs.spectrum, "_bisect", recorded)
     model = rs.ModelParams(delta=1.0, g=1.5491904, r=1.0, u=0.2, n_tr=200)
