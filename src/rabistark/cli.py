@@ -1,11 +1,14 @@
 """Command-line front end: spectrum, critical, observables, and sweep runs.
 
-Every subcommand reads one strict JSON config, writes CSV (fixed header,
-12 significant digits, LF endings) plus a JSON metadata sidecar into the
-output directory, and exits 0 on success, 2 on config or usage errors, 3 on
-numeric failures, and 4 on I/O failures.  Error-coded sweep cells become
-empty CSV fields with an integer error_code column, so a failing grid point
-never aborts a run.
+Every subcommand reads one strict JSON config and returns its files: CSV
+(fixed header, 12 significant digits, LF endings), plus an SVG for
+`sweep --plot`.  Only then does `main` create the output directory and write
+them with a JSON metadata sidecar, so an unwritable one is found after the
+computation.  It exits 0 on success, 2 on config or usage errors, 3 on
+numeric failures (out of memory among them), and 4 on I/O failures; an exit
+2 or 3 creates no directory.  Error-coded sweep cells become empty CSV
+fields with an integer error_code column, so a failing grid point never
+aborts a run.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def _require_window(config: RunConfig) -> None:
         raise ConfigError(str(exc), ["scan.g_max"]) from None
 
 
-def cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
+def cmd_spectrum(config: RunConfig) -> dict[str, str]:
     """Scan the coupling axis and tabulate low-lying energies and parities."""
     scan = config.scan
     k = scan.n_levels
@@ -108,11 +111,10 @@ def cmd_spectrum(config: RunConfig, out_dir: Path) -> list[str]:
         energies, parities = lowest_levels(replace(config.model, g=float(g)), k)
         cells = [format_number(float(g))] + [format_number(float(e)) for e in energies]
         lines.append(",".join(cells + [str(int(p)) for p in parities]))
-    _write_text(out_dir / "spectrum.csv", _csv(lines))
-    return ["spectrum.csv"]
+    return {"spectrum.csv": _csv(lines)}
 
 
-def cmd_critical(config: RunConfig, out_dir: Path) -> list[str]:
+def cmd_critical(config: RunConfig) -> dict[str, str]:
     """Locate level crossings on the scan window and report the analytic
     ground critical coupling."""
     scan = config.scan
@@ -124,8 +126,7 @@ def cmd_critical(config: RunConfig, out_dir: Path) -> list[str]:
     lines.append(f"analytic,0,1,{ga},")
     lines += [f"crossing,{lo},{hi},{format_number(value)},{format_number(half)}"
               for (lo, hi), value, half in points.crossings]
-    _write_text(out_dir / "critical.csv", _csv(lines))
-    return ["critical.csv"]
+    return {"critical.csv": _csv(lines)}
 
 
 def _point_cells(coords: dict, pt: PointResult, filled: set[str]) -> list[str]:
@@ -152,14 +153,13 @@ SWEEP_HEADER = ("g,r,u,kt,n_tr," + ",".join(OBSERVABLE_COLUMNS)
                 + ",converged,near_degenerate,error_code")
 
 
-def cmd_observables(config: RunConfig, out_dir: Path) -> list[str]:
+def cmd_observables(config: RunConfig) -> dict[str, str]:
     """Evaluate the full pipeline at the configured single point."""
     pt = evaluate_point(config.model, config.bath)
     # Every observable is computed, so every column is filled.
     cells = _point_cells(_base_coords(config.model, config.bath), pt, set(OBSERVABLE_COLUMNS))
     cells.append(str(pt.error_code))
-    _write_text(out_dir / "observables.csv", _csv([OBS_HEADER, ",".join(cells)]))
-    return ["observables.csv"]
+    return {"observables.csv": _csv([OBS_HEADER, ",".join(cells)])}
 
 
 def sweep_csv(result: SweepResult) -> str:
@@ -180,7 +180,7 @@ def sweep_csv(result: SweepResult) -> str:
     return _csv(lines)
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool) -> list[str]:
+def cmd_sweep(config: RunConfig, workers: int, plot: bool) -> dict[str, str]:
     """Run the grid sweep; optionally render an SVG heatmap of one column."""
     if config.sweep is None:
         raise ConfigError("sweep subcommand needs a 'sweep' config section",
@@ -191,18 +191,14 @@ def cmd_sweep(config: RunConfig, out_dir: Path, workers: int, plot: bool) -> lis
         raise ConfigError(f"--plot column {config.column!r} is not in sweep.observables",
                           ["output.column"])
     result = run_sweep(config.sweep, workers=workers)
-    outputs = ["sweep.csv"]
-    _write_text(out_dir / "sweep.csv", sweep_csv(result))
-
+    files = {"sweep.csv": sweep_csv(result)}
     if plot:
         spec = result.spec
         axes = [(axis.name, axis.min, axis.max) for axis in (spec.axis1, spec.axis2)]
-        svg = emit_heatmap(result.column(config.column).reshape(spec.shape), *axes,
-                           label=config.column, scale=config.scale)
-        name = f"heatmap_{config.column}.svg"
-        _write_text(out_dir / name, svg)
-        outputs.append(name)
-    return outputs
+        files[f"heatmap_{config.column}.svg"] = emit_heatmap(
+            result.column(config.column).reshape(spec.shape), *axes,
+            label=config.column, scale=config.scale)
+    return files
 
 
 def main(argv=None) -> int:
@@ -243,30 +239,30 @@ def main(argv=None) -> int:
     if args.command == "sweep" and args.scale is not None:
         config = replace(config, scale=args.scale)   # so meta.json echoes it
 
-    try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
-
     start = time.perf_counter()
     try:
         if args.command == "spectrum":
-            outputs = cmd_spectrum(config, out_dir)
+            files = cmd_spectrum(config)
         elif args.command == "critical":
-            outputs = cmd_critical(config, out_dir)
+            files = cmd_critical(config)
         elif args.command == "observables":
-            outputs = cmd_observables(config, out_dir)
+            files = cmd_observables(config)
         else:
-            outputs = cmd_sweep(config, out_dir, args.workers, args.plot)
-        _write_sidecar(out_dir, args.command, config, outputs,
+            files = cmd_sweep(config, args.workers, args.plot)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            _write_text(out_dir / name, text)
+        _write_sidecar(out_dir, args.command, config, list(files),
                        time.perf_counter() - start)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RabiStarkError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)

@@ -505,11 +505,10 @@ def test_cli_plot_rejects_1d_sweep_before_running(tmp_path, capsys):
     out = tmp_path / "plot1d"
     assert main(["sweep", "--config", config, "--out", str(out), "--plot"]) == 2
     assert "axis2" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
-    assert not (out / "sweep.meta.json").exists()
+    assert not out.exists()
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     bad = write_config(tmp_path, {"model": {"n_tr": -3}})
     assert main(["spectrum", "--config", bad, "--out", str(tmp_path / "x")]) == 2
     assert "n_tr" in capsys.readouterr().err
@@ -528,7 +527,28 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     no_sweep = write_config(tmp_path, {"model": {"delta": 1.0, "n_tr": 20}},
                             name="nosweep.json")
-    assert main(["sweep", "--config", no_sweep, "--out", str(tmp_path / "x")]) == 2
+    out = tmp_path / "nosweep"
+    assert main(["sweep", "--config", no_sweep, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+    # An --out that names a regular file is an I/O failure; the file is kept.
+    small = write_config(tmp_path, {"model": {"n_tr": 4}}, name="small.json")
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    assert main(["observables", "--config", small, "--out", str(taken)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O failure:") and "Traceback" not in err
+    assert taken.read_bytes() == b"not a directory\n"
+
+    def fail(*args, **kwargs):
+        raise rs.NumericFailureError("no crossing bracket")
+
+    monkeypatch.setattr(rs.cli, "find_crossings", fail)
+    out = tmp_path / "critical"
+    assert main(["critical", "--config", small, "--out", str(out)]) == 3
+    assert "numeric failure: no crossing bracket" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_scan_beyond_spectrum(tmp_path, capsys):
@@ -540,7 +560,7 @@ def test_cli_rejects_scan_beyond_spectrum(tmp_path, capsys):
         out = tmp_path / command
         assert main([command, "--config", config, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
-        assert not (out / f"{command}.csv").exists()
+        assert not out.exists()
 
 
 def test_cli_rejects_negative_scan_start(tmp_path, capsys):
@@ -564,7 +584,7 @@ def test_cli_rejects_scan_window_past_chain_overflow(tmp_path, capsys, monkeypat
         assert main([command, "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "scan.g_max" in err
-        assert not (out / f"{command}.csv").exists()
+        assert not out.exists()
     assert solves == []
     with pytest.raises(rs.InvalidParameterError):
         rs.find_crossings(rs.ModelParams(delta=1.0, n_tr=30), 0.0, 1e307, 9)
@@ -582,8 +602,26 @@ def test_cli_plot_rejects_unrequested_column_before_running(tmp_path, capsys):
     out = tmp_path / "plot-g2"
     assert main(["sweep", "--config", config, "--out", str(out), "--plot"]) == 2
     assert "output.column" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
-    assert not list(out.glob("*.svg"))
+    assert not out.exists()
+
+
+def test_cli_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # An input too large to allocate exits 3 with one line, not a traceback.
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(rs.cli, "run_sweep", exhaust)
+    monkeypatch.setattr(rs.cli, "evaluate_point", exhaust)
+    config = write_config(tmp_path, {
+        "model": {"n_tr": 20},
+        "sweep": {"axis1": {"name": "g", "min": 0.1, "max": 0.5, "count": 3}},
+    })
+    for command in ("sweep", "observables"):
+        out = tmp_path / command
+        assert main([command, "--config", config, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric failure: out of memory: Unable to allocate 7.28 TiB\n"
+        assert not out.exists()
 
 
 def test_cli_rejects_non_finite_config(tmp_path, capsys):
