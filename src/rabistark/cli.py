@@ -5,8 +5,8 @@ Every subcommand reads one strict JSON config and returns its files: CSV
 `sweep --plot`.  Only then does `main` create the output directory and write
 them with a JSON metadata sidecar, so an unwritable one is found after the
 computation.  It exits 0 on success, 2 on config or usage errors, 3 on
-numeric failures (out of memory among them), and 4 on I/O failures; an exit
-2 or 3 creates no directory.  Error-coded sweep cells become empty CSV
+numeric failures (out of memory or a size numpy refuses among them), and 4
+on I/O failures; an exit 2 or 3 creates no directory.  Error-coded sweep cells become empty CSV
 fields with an integer error_code column, so a failing grid point never
 aborts a run.
 """
@@ -263,6 +263,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except MemoryError as exc:
         print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ValueError as exc:    # numpy's refusal of a size past intp
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)

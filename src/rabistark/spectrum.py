@@ -38,7 +38,6 @@ GAP_CLOSURE_FRACTION = 1e-3    # crossing accepted when gap < this * omega0
 BISECTION_DEPTH = 14
 GRID_TOL = 2.0**-24            # dstebz tolerance of the scan's grid labels, in units of scale
 _FLOAT_MAX = np.finfo(float).max
-_SAFMIN = np.finfo(float).tiny   # LAPACK's safe minimum, the unit of the pivot guard
 
 
 def _is_finite(value) -> bool:
@@ -170,6 +169,18 @@ def _bisect(diag: np.ndarray, off: np.ndarray, scale: float, lo: int, hi: int,
     if info != 0:
         raise NumericFailureError(f"eigensolver failed: dstebz failed (LAPACK info={info})")
     return w[:m] * scale
+
+
+def _count(diag: np.ndarray, off: np.ndarray, scale: float, sigma: float) -> int:
+    """Number of eigenvalues at or below sigma of a chain (diag, off, scale)
+    of _coupled, by dstebz's Sturm count over (-2, sigma/scale], which holds
+    every scaled eigenvalue; the tolerance 4 stops the bisection before it
+    starts.  The pivmin guard counts an eigenvalue at sigma, reliably in IEEE
+    arithmetic (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995)."""
+    m, _, _, _, info = dstebz(diag / scale, off / scale, 1, -2.0, sigma / scale, 0, 0, 4.0, "E")
+    if info != 0:
+        raise NumericFailureError(f"Sturm count failed: dstebz failed (LAPACK info={info})")
+    return m
 
 
 def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
@@ -370,36 +381,25 @@ def edge_residuals(p: ModelParams, eigs: EigenSystem) -> np.ndarray:
 
 
 def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
-    """Whether growing each chain of p by extra sites adds no eigenvalue below
-    sigma, the midpoint of the gap above level L-1, L = eigs.n_levels.
-
-    The residual bound cannot rule out new levels (at g=0 the sites past
-    n_tr are levels of their own).  The LDL^T pivots d_i = (a_i - sigma) -
-    b_{i-1}^2 / d_{i-1} of H_ext - sigma count its eigenvalues below sigma
-    (Sylvester); those past n_tr, the old chain's Schur complement, are all
-    positive iff the count is kept.  A pivot below pivmin is -pivmin, as in
-    LAPACK dstebz, and the count is reliable in IEEE arithmetic (Kahan 1966;
-    Demmel, Dhillon and Ren, ETNA 3, 1995).  Not cleared: extra < 1, no level
-    above L-1, a gap below the closure threshold, an overflowing chain.
+    """Whether the chains of p grown by extra sites hold exactly L =
+    eigs.n_levels eigenvalues at or below sigma, the midpoint of the gap above
+    level L-1 (_count).  The residual bound cannot rule out new levels (at g=0
+    the sites past n_tr are levels of their own).  The grown count is not read
+    from the pivots past n_tr: at large g a gap of pure rounding passes the
+    closure test, and sigma may split a degenerate pair differently from
+    eigensystem.  Not cleared: extra < 1, no level above L-1, a gap below the
+    closure threshold, an overflowing grown chain (_coupled), a LAPACK failure.
     """
     e, L = eigs.energies, eigs.n_levels
     if extra < 1 or L >= eigs.dim or e[L] - e[L - 1] < GAP_CLOSURE_FRACTION * p.omega0:
         return False
     sigma = 0.5 * (e[L - 1] + e[L])
-    for odd in (0, 1):
-        diag, off = _parity_chain(p.with_n_tr(p.n_tr + extra), odd)
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifted, hops = diag - sigma, np.square(p.g * off)
-        if not (np.isfinite(shifted).all() and np.isfinite(hops).all()):
-            return False
-        pivmin, d = _SAFMIN * max(1.0, float(hops.max())), 1.0
-        for i, (a, b2) in enumerate(zip(shifted.tolist(), [0.0] + hops.tolist())):
-            d = a - b2 / d
-            if -pivmin < d < pivmin:
-                d = -pivmin
-            if d < 0.0 and i > p.n_tr:
-                return False
-    return True
+    grown = p.with_n_tr(p.n_tr + extra)
+    try:
+        chains, _ = _coupled(grown, _parts(grown), p.g)
+        return sum(_count(*chain, sigma) for chain in chains) == L
+    except (InvalidParameterError, NumericFailureError):
+        return False
 
 
 def gc_analytic(p: ModelParams) -> Optional[float]:

@@ -623,6 +623,24 @@ def test_cli_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
         assert err == "numeric failure: out of memory: Unable to allocate 7.28 TiB\n"
         assert not out.exists()
 
+    # numpy refuses a size past intp with a ValueError, before it allocates.
+    axis = {"name": "g", "min": 0.1, "max": 0.5, "count": 1e19}
+    for k, (command, data) in enumerate((
+        ("sweep", {"model": {"n_tr": 12}, "sweep": {"axis1": axis}}),
+        ("spectrum", {"model": {"n_tr": 12}, "scan": {"count": 1e300}}),
+        ("critical", {"model": {"n_tr": 12}, "scan": {"count": 1e300}}),
+        ("observables", {"model": {"n_tr": 1e300}}),
+        ("spectrum", {"model": {"n_tr": 1e300}}),
+        ("critical", {"model": {"n_tr": 1e300}}),
+    )):
+        config = write_config(tmp_path, data, name=f"huge{k}.json")
+        out = tmp_path / f"huge{k}"
+        assert main([command, "--config", config, "--out", str(out)]) == 3, data
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def test_cli_rejects_non_finite_config(tmp_path, capsys):
     axis = {"name": "g", "min": 0.1, "max": 0.5, "count": 3}

@@ -506,8 +506,11 @@ def test_scaled_chain_is_the_chain_at_g(g, r, n_tr):
 )
 @example(g=0.0, r=1.547, u=-0.766, n_tr=16, n_levels=12, extra=40)
 @example(g=1.23, r=1.57, u=-0.04, n_tr=7, n_levels=8, extra=1)   # last old pivot < 0, cleared
+# A gap of pure rounding passes the closure test, and sigma splits a
+# degenerate pair: one even level is added, though no pivot past n_tr is < 0.
+@example(g=9.65e56, r=1.0, u=0.3, n_tr=12, n_levels=5, extra=1)
 def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, extra):
-    # The pivot count against a count on the longer spectrum, per parity,
+    # The Sturm count against a count on the longer spectrum, per parity,
     # down to one added site (a 1x1 Schur complement), and at g = 0, where
     # the added sites are levels of their own.
     p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)

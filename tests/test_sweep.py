@@ -350,6 +350,22 @@ def test_certified_point_solves_no_larger_spectrum(monkeypatch):
     assert solved == [model]
 
 
+def test_failed_level_count_falls_back_to_the_resolve(monkeypatch):
+    # A dstebz failure in the level count leaves the point uncleared, never
+    # raised: the n_tr+40 re-solve decides the flag.  eigensystem calls no
+    # dstebz, so the rest of the row is unchanged.
+    model = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=40)
+    eigs = rs.eigensystem(model, 20)
+    assert keeps_lowest_levels(model, eigs, 40)
+    cleared = evaluate_point(model, BASE_BATH, n_levels=20)
+    monkeypatch.setattr(rs.spectrum, "dstebz", lambda *args: (0, np.empty(3), None, None, 1))
+    assert keeps_lowest_levels(model, eigs, 40) is False
+    resolved = counting(monkeypatch, "_n_photon_at")
+    pt = evaluate_point(model, BASE_BATH, n_levels=20)
+    assert pt.error_code == ERR_OK and pt.converged is True and len(resolved) == 1
+    assert pt.report == cleared.report
+
+
 def test_non_finite_certificate_falls_back_to_the_resolve(monkeypatch):
     # Huge couplings run without a RuntimeWarning (warnings fail the suite):
     # the residuals stay finite, the level count declines, and a certificate
