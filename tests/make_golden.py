@@ -83,6 +83,11 @@ CASES = {
     # Isotropic: plain energy order in spectrum._level_order moves this
     # ground crossing (1.54919119 -> 1.54919268).
     "critical_r1_u02": (["critical"], {"model": {"delta": 1.0, "r": 1.0, "u": 0.2, "n_tr": 120}}),
+    # A long chain and a wide window: three crossings, past the couplings
+    # where the lowest levels fill the leading 32 sites of each chain.
+    "critical_r1_u02_n200_g3": (["critical"],
+                                {"model": {"delta": 1.0, "r": 1.0, "u": 0.2, "n_tr": 200},
+                                 "scan": {"g_max": 3.0}}),
     "spectrum_r05_u01": (
         ["spectrum"],
         {"model": {"delta": 1.0, "r": 0.5, "u": 0.1, "n_tr": 30},
