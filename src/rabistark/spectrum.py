@@ -10,12 +10,15 @@ parity labels along a coupling scan and refining with bisection; the scan
 reads only the lowest chain eigenvalues, never eigenvectors, solves each
 coupling once for the levels its tests read there, and bisects them with
 LAPACK dstebz called directly.  It builds each chain once and scales its
-off-diagonal per coupling.  Grid couplings need only the label order, so
-their eigenvalues are bisected to the absolute tolerance GRID_TOL, and the
-order is taken when the brackets certify it (_grid_labels); the bisection
-midpoints and bracket centres, whose energies feed the gap test and the
-solve cache, stay at tolerance 0.  Its result is one list of crossings,
-ascending in the coupling.
+off-diagonal per coupling.  The low levels occupy a short head of each
+chain, so the scan bisects them on the leading sites only, and one stacked
+Sturm count of the full chains per coupling certifies those values
+(_bracket); grid couplings bisect to the absolute tolerance GRID_TOL,
+bisection midpoints and bracket centres to tolerance 0.  Labels and gap
+decisions are taken from the certified values where their radii settle
+them, else from the full chains (_lowest), so every label is the full
+chains' label.  Its result is one list of crossings, ascending in the
+coupling.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -35,6 +38,7 @@ from .errors import InvalidParameterError, NumericFailureError
 
 DEGENERACY_FRACTION = 1e-10    # level-order threshold, fraction of spectral span
 GAP_CLOSURE_FRACTION = 1e-3    # crossing accepted when gap < this * omega0
+GAP_ROUNDING = 2.0**-44        # a gap below this * max|E| is rounding (keeps_lowest_levels)
 BISECTION_DEPTH = 14
 GRID_TOL = 2.0**-24            # dstebz tolerance of the scan's grid labels, in units of scale
 _FLOAT_MAX = np.finfo(float).max
@@ -171,13 +175,23 @@ def _bisect(diag: np.ndarray, off: np.ndarray, scale: float, lo: int, hi: int,
     return w[:m] * scale
 
 
-def _count(diag: np.ndarray, off: np.ndarray, scale: float, sigma: float) -> int:
-    """Number of eigenvalues at or below sigma of a chain (diag, off, scale)
-    of _coupled, by dstebz's Sturm count over (-2, sigma/scale], which holds
-    every scaled eigenvalue; the tolerance 4 stops the bisection before it
-    starts.  The pivmin guard counts an eigenvalue at sigma, reliably in IEEE
-    arithmetic (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995)."""
-    m, _, _, _, info = dstebz(diag / scale, off / scale, 1, -2.0, sigma / scale, 0, 0, 4.0, "E")
+def _count(diag: np.ndarray, off: np.ndarray, scale: float, sigma) -> int:
+    """Number of eigenvalues at or below sigma of a chain (diag, off) with
+    scale a power of two at or above its Gershgorin bound (_coupled), by one
+    dstebz Sturm count (Sylvester's law of inertia).
+
+    sigma may also be an array of diag's shape: diag and off then hold
+    chains of equal length one after another, joined by zero hops (dstebz
+    splits the matrix there), sigma holds block j's sigma_j on its sites,
+    and the count is the sum over the blocks of block j's count at sigma_j.
+    Each block reaches dstebz shifted by its sigma and divided by scale, so
+    its eigenvalues lie in (-2, 2) once |sigma| < scale, and the count runs
+    over (-4, 0]; the tolerance 4 stops the bisection before it starts.  The
+    pivmin guard counts an eigenvalue at sigma, reliably in IEEE arithmetic
+    (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995): the count is exact
+    for the shifted chain with its diagonal rounded once and its hops
+    changed by a few units of roundoff (_bracket)."""
+    m, _, _, _, info = dstebz((diag - sigma) / scale, off / scale, 1, -4.0, 0.0, 0, 0, 4.0, "E")
     if info != 0:
         raise NumericFailureError(f"Sturm count failed: dstebz failed (LAPACK info={info})")
     return m
@@ -288,53 +302,190 @@ def _lowest(p: ModelParams, parts: list, g: float, k: int) -> tuple[np.ndarray, 
 
 def _radius(tol: float) -> float:
     """How far a value _bisect returns at tolerance tol may lie from the
-    eigenvalue of its index, in units of the chain's scale (_grid_labels)."""
+    eigenvalue of its index, in units of the chain's scale.
+
+    _bisect gives dstebz the chain divided by its scale, so the Gershgorin
+    interval and every bracket [a, b] lie within +/-2, and the hops are below
+    1.  dstebz narrows a bracket until b - a < max(atol, pivmin, 2 ulp
+    max(|a|, |b|)): atol is tol, or ulp times the Gershgorin bound at tol 0,
+    ulp = 2^-52 and pivmin the safe minimum, so b - a < w = max(tol, 2^-50).
+    It returns fl((a + b) / 2), within w/2 + 2^-52 of the eigenvalue in the
+    bracket.  In index mode it then drops the values past index hi, and of
+    two brackets closer than w at the top of the range it may drop the
+    lower: a kept value lies within 2 w + 2^-51 of the eigenvalue of its
+    index.  "Eigenvalue" is that of the floating-point Sturm count, which is
+    monotone in IEEE arithmetic with LAPACK's pivmin guard (Kahan 1966;
+    Demmel, Dhillon and Ren, ETNA 3, 1995): the exact eigenvalue of the
+    chain with its hops changed by a few units of roundoff (_bracket).
+    """
     return 2.0 * max(tol, 2.0**-50) + 2.0**-51
 
 
-_GRID_RADIUS = _radius(GRID_TOL) + _radius(0.0)
+CUT_SITES = 32                 # leading sites per chain the crossing scan first bisects
+_SLACK = 2.0**-48              # backward-error budget of the scan's counts, in units of scale
 
 
-def _grid_labels(p: ModelParams, parts: list, g: float, k: int) -> np.ndarray:
-    """The labels of _lowest(p, parts, g, k), read off a bisection to
-    GRID_TOL where that bisection certifies them, else _lowest's own.
+@dataclass(frozen=True)
+class _Scan:
+    """What find_crossings builds once per scan.
 
-    Radius.  _bisect gives dstebz the chain divided by its scale, so the
-    Gershgorin interval and every bracket [a, b] lie within +/-2, and the
-    hops are below 1.  dstebz narrows a bracket until b - a < max(atol,
-    pivmin, 2 ulp max(|a|, |b|)): atol is tol, or ulp times the Gershgorin
-    bound at tol 0, ulp = 2^-52 and pivmin the safe minimum, so b - a < w =
-    max(tol, 2^-50).  It returns fl((a + b) / 2), within w/2 + 2^-52 of the
-    eigenvalue in the bracket.  In index mode it then drops the values past
-    index hi, and of two brackets closer than w at the top of the range it
-    may drop the lower: a kept value lies within 2 w + 2^-51 of the
-    eigenvalue of its index, _radius(tol) in units of scale.
-
-    Certificate.  Both bisections count with the same floating-point Sturm
-    sequence on the same scaled chain, which is monotone in IEEE arithmetic
-    with LAPACK's pivmin guard (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3,
-    1995), so they bracket the same eigenvalues: the value _lowest returns
-    lies within _radius(GRID_TOL) + _radius(0) of the coarse one.  Where
-    every even/odd pair of coarse values lies farther apart than those radii
-    of both, the level-order shift at span_hi and a few ulps, the
-    tolerance-0 values are in the coarse order with no even/odd pair within
-    the shift, so _lowest returns that plain energy order, with no chain top
-    bisected.  Otherwise, or when dstebz fails or returns fewer values,
-    _lowest gives the labels, and raises its own errors.
+    p      the model
+    parts  _parts(p), the g = 1 chains
+    head   _parts of the leading sites of each chain that are bisected, or
+           parts itself when the scan bisects the whole chains (_head)
+    diag   the full chains' diagonals, tiled as even, odd, even, odd, ...,
+           one copy of each per level the scan reads, for the certificate's
+           count (_bracket)
+    unit   the g = 1 hops tiled in the same blocks, joined by zero hops
     """
+
+    p: ModelParams
+    parts: list
+    head: list
+    diag: np.ndarray
+    unit: np.ndarray
+
+    @property
+    def cut(self) -> bool:
+        return self.head is not self.parts
+
+    @property
+    def sites(self) -> int:
+        return self.head[0][0].size
+
+
+def _head(parts: list, sites: int) -> list:
+    """_parts of the leading sites of each chain of parts, or parts itself
+    when that is the whole chain."""
+    if sites >= parts[0][0].size:
+        return parts
+    return [(d[:sites], u[:sites - 1], float(np.max(np.abs(d[:sites]))),
+             float(np.max(np.abs(u[:sites - 1])))) for d, u, _, _ in parts]
+
+
+def _scan(p: ModelParams, parts: list, sites: int, levels: int) -> _Scan:
+    """The scan of p that bisects the leading sites of each chain of parts =
+    _parts(p) and reads up to levels levels per coupling."""
+    blocks = min(levels, p.n_tr + 1)
+    diag = np.tile(np.concatenate([parts[0][0], parts[1][0]]), blocks)
+    unit = np.tile(np.concatenate([parts[0][1], [0.0], parts[1][1], [0.0]]), blocks)[:-1]
+    return _Scan(p, parts, _head(parts, sites), diag, unit)
+
+
+def _bracket(scan: _Scan, g: float, k: int, tol: float):
+    """Each chain's lowest low = min(k, n_tr+1) eigenvalues at coupling g,
+    bisected to tol on the scan's head; a radius within which every value
+    _lowest returns lies of its own; and the span bound of the full chains.
+    None where the head does not certify them.
+
+    Notation: T is a full chain at g, T' its head of m' sites, s and s' the
+    larger scale (_coupled) of the two full chains and of the two heads
+    (s' <= s), mu_k the value _bisect returns on T' for index k, and r =
+    _radius(tol) s'.
+
+    Certificate.  By Cauchy interlacing lambda_k(T) <= mu_k(T').  Let
+    sigma_k = mu_k - r - slack, slack = _SLACK s.  If a Sturm count of T at
+    sigma_k finds k - 1 eigenvalues, then lambda_k(T) > sigma_k, up to the
+    count's backward error (Sylvester's law of inertia).  All sigma_k of both
+    chains are counted at once (_count, on the tiled chains of the scan).
+    When sigma_k lies above mu_(k-1) + r + slack for every k > 1 of a chain,
+    every count finds at least k - 1, so the sum finds low (low - 1) only
+    when each count finds k - 1; any other sum, or a LAPACK failure, is no
+    certificate.
+
+    Slack.  The counts run on (T - sigma_k)/s and the head's bisection on
+    T'/s', so neither shares the floating-point Sturm sequence of _lowest's
+    bisection on T over its own scale; each is exact for a nearby chain
+    instead.  In units of s: the shift rounds each diagonal entry once,
+    below 2^-52 since |T - sigma_k|/s < 2; the Sturm recurrence is exact for
+    hops changed by 2.5 units of roundoff relative, below 2^-51 in norm since
+    2 max|hop|/s < 1; dstebz splits off a hop below 2^-52 sqrt|d_j d_(j+1)|
+    < 2^-51, at most 2^-50 in norm.  So the count's error is below 2^-49,
+    and those of the two bisections, which shift nothing and see |d| below
+    their scale, below 2^-50 each.  Their sum stays below slack = 2^-48 s.
+
+    Radius.  So lambda_k(T) lies in (sigma_k - 2^-49 s, mu_k + r + 2^-50 s],
+    and _lowest's tolerance-0 value within _radius(0) s + 2^-50 s of it:
+    within r + _radius(0) s + 2 slack of mu_k.  The radius returned adds 2
+    slack more, for the rounding of the comparisons made with it (_labels,
+    _scan_levels).  On the whole chains (no head) no count is needed, and
+    the same radius holds.
+    """
+    p = scan.p
     low = min(k, p.n_tr + 1)
-    chains, span_hi = _coupled(p, parts, g)
+    chains, span_hi = _coupled(p, scan.parts, g)
+    heads = _coupled(p, scan.head, g)[0] if scan.cut else chains
+    if heads[0][0].size < low:
+        return None
     try:
-        even, odd = (_bisect(*chain, 0, low - 1, GRID_TOL) for chain in chains)
+        values = [_bisect(*head, 0, low - 1, tol) for head in heads]
     except NumericFailureError:
-        return _lowest(p, parts, g, k)[1]
-    scales = chains[0][2] + chains[1][2]
+        return None
+    if values[0].size < low or values[1].size < low:
+        return None
+    scale = max(chains[0][2], chains[1][2])
+    below = _radius(tol) * max(heads[0][2], heads[1][2]) + _SLACK * scale
+    if scan.cut:
+        mu = np.array(values)
+        sigma = mu - below
+        if np.any(sigma[:, 1:] <= mu[:, :-1] + below):
+            return None
+        n = 2 * low * (p.n_tr + 1)
+        try:
+            count = _count(scan.diag[:n], g * scan.unit[:n - 1], scale,
+                           np.repeat(sigma.T.ravel(), p.n_tr + 1))
+        except NumericFailureError:
+            return None
+        if count != low * (low - 1):
+            return None
+    return values, below + (_radius(0.0) + 3.0 * _SLACK) * scale, span_hi
+
+
+def _labels(values: list, radius: float, span_hi: float, k: int) -> Optional[np.ndarray]:
+    """_lowest's labels of the lowest k levels, read off the certified values
+    of _bracket, or None where they are in doubt.
+
+    _lowest's values lie within the radius of these, so where every even/odd
+    pair lies farther apart than twice the radius and the level-order shift
+    at span_hi, they are in this energy order with no even/odd pair within
+    the shift, and _lowest returns that plain energy order with no chain top
+    bisected.
+    """
+    even, odd = values
     shift = DEGENERACY_FRACTION * max(span_hi, 1.0)
-    margin = _GRID_RADIUS * scales + shift + 2.0**-48 * (scales + shift)
-    if even.size < low or odd.size < low or np.abs(np.subtract.outer(even, odd)).min() <= margin:
-        return _lowest(p, parts, g, k)[1]
-    order = np.argsort(np.concatenate([even, odd]), kind="stable")[:k]
-    return np.where(order < low, 1.0, -1.0)
+    if np.abs(np.subtract.outer(even, odd)).min() <= 2.0 * radius + shift * (1.0 + 2.0**-48):
+        return None
+    order = np.argsort(np.concatenate(values), kind="stable")[:k]
+    return np.where(order < even.size, 1.0, -1.0)
+
+
+def _grid_labels(scan: _Scan, g: float, k: int) -> np.ndarray:
+    """The labels of _lowest(p, parts, g, k): the head's values bisected to
+    GRID_TOL where _bracket certifies them and _labels decides the order,
+    else _lowest's own (near a crossing or a degeneracy, or where a count or
+    dstebz fails; _lowest raises its own errors)."""
+    found = _bracket(scan, g, k, GRID_TOL)
+    labels = None if found is None else _labels(*found, k)
+    return _lowest(scan.p, scan.parts, g, k)[1] if labels is None else labels
+
+
+def _scan_levels(scan: _Scan, g: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """In place of _lowest(p, parts, g, k) in the scan's refinement: the
+    energies of the head's values bisected at tolerance 0, with _lowest's
+    labels, where _bracket certifies them, _labels decides the order, and
+    every adjacent gap lies farther than twice the radius from the closure
+    threshold, so that each compares with it as _lowest's does (an
+    order statistic of values each within a radius moves by at most that
+    radius).  Elsewhere, and on the whole chains, where the tolerance-0
+    bisection is _lowest's own, _lowest's."""
+    found = _bracket(scan, g, k, 0.0) if scan.cut else None
+    if found is not None:
+        labels = _labels(*found, k)
+        energies = np.sort(np.concatenate(found[0]))[:k]
+        closure = GAP_CLOSURE_FRACTION * scan.p.omega0
+        if labels is not None and np.all(np.abs(np.diff(energies) - closure) > 2.0 * found[1]):
+            return energies, labels
+    return _lowest(scan.p, scan.parts, g, k)
 
 
 def parity_odd_elements(eigs: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -385,13 +536,19 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     eigs.n_levels eigenvalues at or below sigma, the midpoint of the gap above
     level L-1 (_count).  The residual bound cannot rule out new levels (at g=0
     the sites past n_tr are levels of their own).  The grown count is not read
-    from the pivots past n_tr: at large g a gap of pure rounding passes the
-    closure test, and sigma may split a degenerate pair differently from
-    eigensystem.  Not cleared: extra < 1, no level above L-1, a gap below the
-    closure threshold, an overflowing grown chain (_coupled), a LAPACK failure.
+    from the pivots past n_tr: sigma must split the levels as eigensystem did.
+
+    Not cleared: extra < 1, no level above L-1, a gap below the closure
+    threshold or below GAP_ROUNDING max|E| (256 ulps of the spectrum's scale:
+    at large g a gap of pure rounding passes the absolute threshold, and
+    sigma could split a degenerate pair differently from eigensystem), an
+    overflowing grown chain (_coupled), a LAPACK failure.
     """
     e, L = eigs.energies, eigs.n_levels
-    if extra < 1 or L >= eigs.dim or e[L] - e[L - 1] < GAP_CLOSURE_FRACTION * p.omega0:
+    if extra < 1 or L >= eigs.dim:
+        return False
+    floor = max(GAP_CLOSURE_FRACTION * p.omega0, GAP_ROUNDING * max(-e[0], e[-1]))
+    if e[L] - e[L - 1] < floor:
         return False
     sigma = 0.5 * (e[L - 1] + e[L])
     grown = p.with_n_tr(p.n_tr + extra)
@@ -482,21 +639,29 @@ def find_crossings(
     Each coupling is solved once per call (a ground crossing swaps level 1
     too, so the (1, 2) bisection meets the (0, 1) one's couplings again),
     for only the levels read there: a grid coupling for the labels up to
-    the highest lower level of the pairs; in an interval where the pairs S
-    swap, a bisection midpoint for the labels up to max(n) over S, and a
-    bracket centre for one level more, the gap E_{n+1} - E_n.  A coupling
-    held with fewer levels than asked is solved again.
+    the highest lower level of the pairs (_grid_labels); in an interval
+    where the pairs S swap, a bisection midpoint for the labels up to max(n)
+    over S, and a bracket centre for one level more, the gap E_{n+1} - E_n
+    (_scan_levels).  A coupling held with fewer levels than asked is solved
+    again.
 
-    A grid coupling reads labels only: each chain is bisected to GRID_TOL
-    (2^-24 of its power-of-two scale), and the plain energy order is taken
-    when every even/odd pair lies farther apart than both values' radii
-    (set by the bracket width dstebz stops at, at GRID_TOL and at 0),
-    the level-order shift at the span bound and a few ulps; such an order
-    is the one the tolerance-0 solve gives.  Elsewhere (near a crossing or
-    a degeneracy, or when dstebz fails) the coupling is solved at tolerance
-    0 as a midpoint is.  Grid labels are not kept for the refinement, whose
-    energies must be the tolerance-0 ones.  A window whose chains overflow
-    at g_max is rejected before any solve.
+    Each coupling bisects the lowest levels on the leading m' sites of each
+    chain, grid couplings to GRID_TOL (2^-24 of the chain's power-of-two
+    scale) and the refinement to tolerance 0, and one Sturm count of the
+    full chains certifies that every value lies within a radius of the
+    full chains' (_bracket).  m' starts at CUT_SITES and doubles at g_max
+    until the certificate passes there; once m' would pass half of n_tr + 1,
+    and at r = 0, the scan bisects the whole chains as _lowest does, with no
+    count, and its refinement is _lowest's.  The plain energy order gives the
+    labels when every even/odd pair lies farther apart than both radii and
+    the level-order shift at the full chains' span bound, and a gap is
+    decided when it lies farther than the radii from the closure threshold;
+    such labels and decisions are those of the tolerance-0 solve of the
+    full chains.  Elsewhere (near a crossing or a degeneracy, where the
+    certificate fails, or where dstebz fails) the coupling is solved on the
+    full chains at tolerance 0 (_lowest).  Grid labels are not kept for the
+    refinement.  A window whose chains overflow at g_max is rejected before
+    any solve.
     """
     _check_scan(g_min, g_max, steps, levels)
     max_level = max(hi for _, hi in levels)
@@ -507,14 +672,23 @@ def find_crossings(
     grid = np.linspace(g_min, g_max, steps)
     parts = _parts(p)
     _coupled(p, parts, g_max)    # the chains' bound grows with g: reject before any solve
+    # The shortest head of CUT_SITES * 2^j sites whose levels are certified
+    # at g_max (occupation grows with g); each coupling is certified on its
+    # own, so the head decides only the cost.  It pays only where it is at
+    # most half the chains, and not at r = 0, where the chains fall apart
+    # into 2 x 2 blocks that dstebz bisects whole at little cost.
+    scan = _scan(p, parts, CUT_SITES if p.r > 0 else p.n_tr + 1, max_level + 1)
+    while scan.cut and (2 * scan.sites > p.n_tr + 1
+                        or _bracket(scan, g_max, max_level + 1, GRID_TOL) is None):
+        scan = replace(scan, head=_head(parts, 2 * scan.sites))
     solved: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def solve(g: float, k: int):
         if g not in solved or solved[g][0].size < k:
-            solved[g] = _lowest(p, parts, float(g), k)
+            solved[g] = _scan_levels(scan, float(g), k)
         return solved[g]
 
-    labels = [_grid_labels(p, parts, g, max_level) for g in grid.tolist()]
+    labels = [_grid_labels(scan, g, max_level) for g in grid.tolist()]
     crossings = []
     for i in range(len(grid) - 1):
         swapped = [pair for pair in levels if labels[i + 1][pair[0]] != labels[i][pair[0]]]

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -549,6 +552,68 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["critical", "--config", small, "--out", str(out)]) == 3
     assert "numeric failure: no crossing bracket" in capsys.readouterr().err
     assert not out.exists()
+
+
+# One field of a critical config and a value the config rules reject there.
+CRITICAL_BREAKS = [("model", "delta", 0.0), ("model", "delta", -1.0), ("model", "u", 1.0),
+                   ("model", "u", -1.0), ("model", "n_tr", 1), ("model", "n_tr", 2.5),
+                   ("model", "n_tr", "12"), ("scan", "g_min", -0.1), ("scan", "g_max", 1e308),
+                   ("scan", "count", 7), ("scan", "count", 8.5), ("scan", "count", True),
+                   ("scan", "pairs", [[0, 2]]), ("scan", "pairs", [[170, 171]]),
+                   ("scan", "pairs", [])]
+
+
+@st.composite
+def critical_configs(draw):
+    """Tiny `critical` configs near the validity edges: n_tr from 2, |u| next
+    to omega0, g = 0, a window up to near the chain overflow, the fewest
+    steps; in about one of three, one field broken (CRITICAL_BREAKS)."""
+    model = {
+        "delta": draw(st.one_of(st.sampled_from([1.0, 1e-6]), st.floats(0.05, 3.0))),
+        "r": draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0))),
+        "u": draw(st.one_of(st.sampled_from([-0.999999, 0.999999]), st.floats(-0.99, 0.99))),
+        "n_tr": draw(st.integers(2, 80)),
+    }
+    g_min = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    g_max = draw(st.one_of(st.floats(1e-6, 4.0).map(lambda w: g_min + w),
+                           st.sampled_from([1e150, 1e305])))
+    scan = {"g_min": g_min, "g_max": g_max, "count": draw(st.integers(8, 24)),
+            "pairs": draw(st.sampled_from([[[0, 1]], [[0, 1], [1, 2], [2, 3]],
+                                           [[1, 2], [4, 5]], [[2, 3], [0, 1]]]))}
+    config = {"model": model, "scan": scan}
+    broken = draw(st.one_of(st.just(None), st.just(None), st.sampled_from(CRITICAL_BREAKS)))
+    if broken is not None:
+        section, key, value = broken
+        config[section][key] = value
+    return config
+
+
+@settings(max_examples=500, deadline=None)
+@given(critical_configs())
+@example({"model": {"delta": 1.0, "r": 1.0, "u": 0.2, "n_tr": 80},
+          "scan": {"g_min": 0.0, "g_max": 3.0, "count": 24, "pairs": [[0, 1], [1, 2], [2, 3]]}})
+def test_cli_critical_property(config):
+    # Any critical config exits 0, 2 or 3 with no traceback, and an exit 2
+    # or 3 leaves no --out.  On exit 0 the crossings are ascending, inside the
+    # window, and refined to a half-width of at most (g_max - g_min) / 2^14.
+    # n_tr up to 80 runs the scan on a head of the chains.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out, err = Path(tmp) / "config.json", Path(tmp) / "out", io.StringIO()
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with contextlib.redirect_stderr(err):
+            code = main(["critical", "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert not out.exists()
+            return
+        _, rows = read_csv(out / "critical.csv")
+    scan = config["scan"]
+    width = scan["g_max"] - scan["g_min"]
+    values = [float(row[3]) for row in rows if row[0] == "crossing"]
+    assert values == sorted(values)
+    assert all(scan["g_min"] * (1 - 1e-11) <= g <= scan["g_max"] * (1 + 1e-11) for g in values)
+    assert all(float(row[4]) <= width / 2**14 * (1 + 1e-11) for row in rows if row[0] == "crossing")
 
 
 def test_cli_rejects_scan_beyond_spectrum(tmp_path, capsys):

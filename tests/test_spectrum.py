@@ -244,10 +244,12 @@ def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
     # one list ascending in g that the pair order does not change, and the
     # numeric ground crossing is its first (0, 1) entry.  At 9 steps one
     # interval of the (0.5, -0.4) scan holds a (2, 3) crossing below the
-    # (0, 1) one.
-    p = rs.ModelParams(delta=1.0, g=0.0, r=r, u=u, n_tr=30)
-    scans = {steps: rs.find_crossings(p, 0.05, 2.0, steps=steps) for steps in (41, 9)}
-    for steps, cp in scans.items():
+    # (0, 1) one.  At n_tr = 30 the scan bisects the whole chains; at
+    # n_tr = 120 it bisects a head of 32 sites and certifies it.
+    models = [rs.ModelParams(delta=1.0, g=0.0, r=r, u=u, n_tr=n_tr) for n_tr in (30, 120)]
+    scans = {(p, steps): rs.find_crossings(p, 0.05, 2.0, steps=steps)
+             for p in models for steps in (41, 9)}
+    for (p, steps), cp in scans.items():
         crossings = cp.crossings
         assert crossings
         shuffled = rs.find_crossings(p, 0.05, 2.0, steps=steps,
@@ -257,18 +259,24 @@ def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
         assert values == sorted(values)
         ground = [(g, half) for pair, g, half in crossings if pair == (0, 1)]
         assert cp.gc_numeric == (ground[0] if ground else None)
+    # Every label source, the grid's, the refinement's and their fallback,
+    # replaced by the eigensystem's.
     oracle = []
 
-    def levels_of_eigensystem(model, parts, g, k):
+    def levels_of_eigensystem(model, g, k):
         oracle.append(g)
         return eigensystem_levels(replace(model, g=g), k)
 
-    monkeypatch.setattr(rs.spectrum, "_lowest", levels_of_eigensystem)
+    monkeypatch.setattr(rs.spectrum, "_lowest",
+                        lambda model, parts, g, k: levels_of_eigensystem(model, g, k))
+    monkeypatch.setattr(rs.spectrum, "_scan_levels",
+                        lambda scan, g, k: levels_of_eigensystem(scan.p, g, k))
     monkeypatch.setattr(rs.spectrum, "_grid_labels",
-                        lambda model, parts, g, k: levels_of_eigensystem(model, parts, g, k)[1])
-    for steps, cp in scans.items():
+                        lambda scan, g, k: levels_of_eigensystem(scan.p, g, k)[1])
+    for (p, steps), cp in scans.items():
+        oracle.clear()
         assert cp == rs.find_crossings(p, 0.05, 2.0, steps=steps)
-    assert len(oracle) > 41 + 9       # the grids and the refinements
+        assert len(oracle) > steps       # the grid and the refinements
 
 
 def test_find_crossings_validation():
@@ -308,19 +316,20 @@ def test_find_crossings_validation():
 @pytest.mark.parametrize("r, u", [(0.2, 0.2), (1.0, 0.2), (0.5, -0.4)])
 def test_find_crossings_equals_the_scan_at_max_level(monkeypatch, r, u):
     # Solving each coupling for only the levels read there moves no
-    # crossing: the scan equals the one that bisects max_level + 1 levels
-    # per chain at every coupling, on the benchmark families +/- 0.01.
+    # crossing: the scan equals the one whose refinement bisects the whole
+    # chains for max_level + 1 levels per chain at every coupling, on the
+    # benchmark families +/- 0.01 (at n_tr = 120 on a head of the chains).
     lowest = rs.spectrum._lowest
     level_sets = (((0, 1), (1, 2), (2, 3)), ((2, 3), (0, 1), (1, 2)), ((1, 2), (4, 5)))
     cases = [(rs.ModelParams(delta=1.0, r=r + d, u=u + d, n_tr=n_tr), steps, levels)
-             for d in (-0.01, 0.0, 0.01) for n_tr in (16, 30) for steps in (41, 81)
+             for d in (-0.01, 0.0, 0.01) for n_tr in (16, 30, 120) for steps in (41, 81)
              for levels in level_sets]
     scans = [rs.find_crossings(p, 0.05, 2.0, steps, levels=levels) for p, steps, levels in cases]
     assert sum(len(cp.crossings) for cp in scans) > len(cases)
     for (p, steps, levels), cp in zip(cases, scans):
         top = max(hi for _, hi in levels) + 1
-        monkeypatch.setattr(rs.spectrum, "_lowest",
-                            lambda model, parts, g, k: lowest(model, parts, g, top))
+        monkeypatch.setattr(rs.spectrum, "_scan_levels",
+                            lambda scan, g, k: lowest(scan.p, scan.parts, g, top))
         assert rs.find_crossings(p, 0.05, 2.0, steps, levels=levels) == cp
 
 
@@ -329,54 +338,70 @@ def test_find_crossings_solves_each_coupling_once(monkeypatch):
     # level 0, so the (1, 2) refinement meets the (0, 1) one's couplings;
     # each is solved once, on the two parity chains built once per scan: no
     # model per coupling.  A grid coupling takes the labels up to level 2
-    # (the highest lower level of the pairs) from _grid_labels, which hands
-    # it to _lowest only where its order is in doubt.  A refinement solve
-    # bisects the levels read there: the ground interval's midpoints up to
-    # level 1, a (2, 3) interval's up to level 2, and each bracket centre
-    # one level more, for its gap.
-    grid_calls, fallbacks, calls, builds, models = [], [], [], [], []
-    solve, label, chain = rs.spectrum._lowest, rs.spectrum._grid_labels, rs.spectrum._parity_chain
-    check = rs.ModelParams.__post_init__
+    # (the highest lower level of the pairs) from _grid_labels, and a
+    # refinement solve bisects the levels read there (_scan_levels): the
+    # ground interval's midpoints up to level 1, a (2, 3) interval's up to
+    # level 2, and each bracket centre one level more, for its gap.  On a
+    # head (n_tr = 120) both hand a coupling to _lowest only where their
+    # values leave it in doubt.
+    for n_tr in (30, 120):
+        grid_calls, calls, fallbacks, builds, models = [], [], [], [], []
+        label, levels = rs.spectrum._grid_labels, rs.spectrum._scan_levels
+        solve, chain = rs.spectrum._lowest, rs.spectrum._parity_chain
+        check = rs.ModelParams.__post_init__
 
-    def labelled(p, parts, g, k):
-        grid_calls.append((g, k))
-        return label(p, parts, g, k)
+        def labelled(scan, g, k):
+            grid_calls.append((g, k))
+            return label(scan, g, k)
 
-    def counted(p, parts, g, k):
-        (fallbacks if grid_calls and grid_calls[-1] == (g, k) else calls).append((g, k))
-        return solve(p, parts, g, k)
+        def refined(scan, g, k):
+            calls.append((g, k))
+            return levels(scan, g, k)
 
-    def built(p, odd):
-        builds.append(odd)
-        return chain(p, odd)
+        def fallback(p, parts, g, k):
+            fallbacks.append((g, k))
+            assert (g, k) in (grid_calls[-1:] + calls[-1:])
+            return solve(p, parts, g, k)
 
-    p = rs.ModelParams(delta=1.0, g=0.0, r=0.2, u=0.2, n_tr=30)
-    monkeypatch.setattr(rs.spectrum, "_grid_labels", labelled)
-    monkeypatch.setattr(rs.spectrum, "_lowest", counted)
-    monkeypatch.setattr(rs.spectrum, "_parity_chain", built)
-    monkeypatch.setattr(rs.ModelParams, "__post_init__",
-                        lambda model: models.append(model) or check(model))
-    cp = rs.find_crossings(p, 0.05, 2.0, steps=41)
-    assert [pair for pair, _, _ in cp.crossings] == [(2, 3), (0, 1), (2, 3)]
-    grid = np.linspace(0.05, 2.0, 41).tolist()
-    assert grid_calls == [(g, 3) for g in grid]
-    assert set(fallbacks) <= set(grid_calls)
-    couplings = [g for g, _ in calls]
-    assert len(couplings) == len(set(couplings)) and not set(couplings) & set(grid)
-    assert [k for _, k in calls] == [3] * 14 + [4] + [2] * 14 + [3] + [3] * 14 + [4]
-    assert builds == [0, 1]
-    assert models == []
+        def built(p, odd):
+            builds.append(odd)
+            return chain(p, odd)
+
+        p = rs.ModelParams(delta=1.0, g=0.0, r=0.2, u=0.2, n_tr=n_tr)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rs.spectrum, "_grid_labels", labelled)
+            patch.setattr(rs.spectrum, "_scan_levels", refined)
+            patch.setattr(rs.spectrum, "_lowest", fallback)
+            patch.setattr(rs.spectrum, "_parity_chain", built)
+            patch.setattr(rs.ModelParams, "__post_init__",
+                          lambda model: models.append(model) or check(model))
+            cp = rs.find_crossings(p, 0.05, 2.0, steps=41)
+        assert [pair for pair, _, _ in cp.crossings] == [(2, 3), (0, 1), (2, 3)]
+        grid = np.linspace(0.05, 2.0, 41).tolist()
+        assert grid_calls == [(g, 3) for g in grid]
+        couplings = [g for g, _ in calls]
+        assert len(couplings) == len(set(couplings)) and not set(couplings) & set(grid)
+        assert [k for _, k in calls] == [3] * 14 + [4] + [2] * 14 + [3] + [3] * 14 + [4]
+        if n_tr == 30:
+            # The whole chains: every refinement solve is _lowest's.
+            assert set(calls) <= set(fallbacks)
+        else:
+            assert len(fallbacks) < len(grid_calls + calls) // 10
+        assert builds == [0, 1]
+        assert models == []
 
 
-def _labels_and_fallbacks(p, g, k):
-    """_grid_labels(p, ..., g, k), the (g, k) it handed to _lowest, and the
-    labels of _lowest itself."""
+def _labels_and_fallbacks(p, g, k, sites=None):
+    """_grid_labels at (g, k) of the scan of p that bisects the leading sites
+    of each chain (the whole chains when None), the (g, k) it handed to
+    _lowest, and the labels of _lowest itself."""
     fallbacks, solve = [], rs.spectrum._lowest
     parts = rs.spectrum._parts(p)
+    scan = rs.spectrum._scan(p, parts, sites or p.n_tr + 1, k)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rs.spectrum, "_lowest",
                       lambda *args: fallbacks.append(args[2:]) or solve(*args))
-        labels = rs.spectrum._grid_labels(p, parts, g, k)
+        labels = rs.spectrum._grid_labels(scan, g, k)
     return labels, fallbacks, solve(p, parts, g, k)[1]
 
 
@@ -391,18 +416,20 @@ def _labels_and_fallbacks(p, g, k):
 )
 def test_grid_labels_equal_the_full_precision_labels(where, x, r, u, n_tr, k):
     # The coarse bisection's labels are those of _lowest wherever they are
-    # certified; elsewhere _lowest gives them.  Couplings: g = 0, tiny, the
-    # scan window, within 1e-5 of the ground crossing, and around the
-    # coupling where the unscaled chain's squared hops would overflow.
+    # certified; elsewhere _lowest gives them, on the whole chains and on a
+    # head of 32 sites.  Couplings: g = 0, tiny, the scan window, within
+    # 1e-5 of the ground crossing, and around the coupling where the
+    # unscaled chain's squared hops would overflow.
     gc = rs.spectrum.gc_analytic(rs.ModelParams(delta=1.0, r=r, u=u))
     assume(where != "crossing" or gc is not None)
     g = {"zero": 0.0, "tiny": 1e-12 * 1e6**x, "window": 3.0 * x,
          "crossing": gc + (2.0 * x - 1.0) * 1e-5 if gc else 0.0,
          "huge": 10.0 ** (146.0 + 10.0 * x) / math.sqrt(n_tr)}[where]
     p = rs.ModelParams(delta=1.0, r=r, u=u, n_tr=n_tr)
-    labels, fallbacks, want = _labels_and_fallbacks(p, g, k)
-    assert np.array_equal(labels, want)
-    assert fallbacks in ([], [(g, k)])
+    for sites in (None, 32):
+        labels, fallbacks, want = _labels_and_fallbacks(p, g, k, sites)
+        assert np.array_equal(labels, want)
+        assert fallbacks in ([], [(g, k)])
 
 
 @pytest.mark.parametrize("model, g, k, doubt", [
@@ -426,6 +453,91 @@ def test_grid_labels_fall_back_where_the_order_is_in_doubt(model, g, k, doubt):
     labels, fallbacks, want = _labels_and_fallbacks(p, g, k)
     assert np.array_equal(labels, want)
     assert fallbacks == ([(g, k)] if doubt else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    where=st.sampled_from(["zero", "window", "crossing", "wide"]),
+    x=st.floats(0.0, 1.0),
+    r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+    u=st.one_of(st.sampled_from([-0.999, -0.99, 0.99, 0.999]), st.floats(-0.95, 0.95)),
+    n_tr=st.integers(40, 250),
+    k=st.integers(1, 6),
+)
+@example(where="crossing", x=0.5, r=1.0, u=0.2, n_tr=200, k=4)
+@example(where="wide", x=1.0, r=1.0, u=0.2, n_tr=200, k=4)
+def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, n_tr, k):
+    # On a head of 32 sites, wherever _bracket certifies the lowest levels,
+    # the tolerance-0 values of the whole chains lie within its radius of the
+    # head's, at both tolerances; the labels and the gap decisions the scan
+    # takes from them (_grid_labels, _scan_levels) are _lowest's.  Couplings:
+    # g = 0, the scan window, within 1e-5 of the ground crossing, and up to
+    # g = 4, where the levels fill more than the head.
+    gc = rs.spectrum.gc_analytic(rs.ModelParams(delta=1.0, r=r, u=u))
+    assume(where != "crossing" or gc is not None)
+    g = {"zero": 0.0, "window": 2.0 * x, "wide": 4.0 * x,
+         "crossing": gc + (2.0 * x - 1.0) * 1e-5 if gc else 0.0}[where]
+    p = rs.ModelParams(delta=1.0, r=r, u=u, n_tr=n_tr)
+    parts = rs.spectrum._parts(p)
+    scan = rs.spectrum._scan(p, parts, 32, k + 1)
+    assert scan.cut
+    low = min(k, p.n_tr + 1)
+    chains, _ = rs.spectrum._coupled(p, parts, g)
+    whole = [rs.spectrum._bisect(*chain, 0, low - 1) for chain in chains]
+    for tol in (0.0, rs.spectrum.GRID_TOL):
+        found = rs.spectrum._bracket(scan, g, k, tol)
+        if found is not None:
+            values, radius, _ = found
+            for got, want in zip(values, whole):
+                assert np.all(np.abs(got - want) <= radius)
+    energies, labels = rs.spectrum._lowest(p, parts, g, k)
+    assert np.array_equal(rs.spectrum._grid_labels(scan, g, k), labels)
+    got_e, got_labels = rs.spectrum._scan_levels(scan, g, k)
+    assert np.array_equal(got_labels, labels)
+    closure = GAP_CLOSURE_FRACTION * p.omega0
+    assert np.array_equal(np.diff(got_e) < closure, np.diff(energies) < closure)
+
+
+@pytest.mark.parametrize("fault", ["count", "info"])
+def test_failed_head_certificate_falls_back_to_the_whole_chains(monkeypatch, fault):
+    # A stacked count that finds a wrong number of eigenvalues, or that
+    # LAPACK reports as failed, certifies nothing: every coupling after the
+    # one that chose the head goes to _lowest, and the crossings are the
+    # same.  Failing from the start, the scan takes the whole chains.
+    p = rs.ModelParams(delta=1.0, g=0.0, r=1.0, u=0.2, n_tr=120)
+    want = rs.find_crossings(p, 0.05, 2.0, 41)
+    assert want.crossings
+    lapack, lowest = rs.spectrum.dstebz, rs.spectrum._lowest
+    counts, fallbacks, heads = [], [], []
+
+    def faulty(d, e, mode, *args):
+        m, w, block, split, info = lapack(d, e, mode, *args)
+        if mode != 1:                 # a bisection, not a count
+            return m, w, block, split, info
+        counts.append(d.size)
+        if len(counts) <= passing:
+            return m, w, block, split, info
+        return (m + 1, w, block, split, info) if fault == "count" else (m, w, block, split, 1)
+
+    def counted(p, parts, g, k):
+        fallbacks.append((g, k))
+        return lowest(p, parts, g, k)
+
+    monkeypatch.setattr(rs.spectrum, "dstebz", faulty)
+    monkeypatch.setattr(rs.spectrum, "_lowest", counted)
+    scan = rs.spectrum._scan
+    monkeypatch.setattr(rs.spectrum, "_scan", lambda *args: heads.append(args[2]) or scan(*args))
+    for passing in (1, 0):
+        counts.clear(), fallbacks.clear(), heads.clear()
+        assert rs.find_crossings(p, 0.05, 2.0, 41) == want
+        assert heads == [32]
+        if passing:
+            # 41 grid couplings and every refinement solve.
+            assert len(fallbacks) == len(counts) - 1 > 41
+        else:
+            # The head would double to 64 sites, more than half the chain:
+            # the scan bisects the whole chains and counts nothing more.
+            assert len(counts) == 1
 
 
 def test_grid_labels_fall_back_on_a_bisection_failure(monkeypatch):
@@ -523,6 +635,40 @@ def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, e
     same = all(np.sum((longer.energies < sigma) & (longer.parities == label))
                == np.sum((e < sigma) & (eigs.parities == label)) for label in (1.0, -1.0))
     assert keeps_lowest_levels(p, cut_levels(eigs, n_levels), extra) == same
+
+
+def test_find_crossings_bisects_the_whole_chains_where_a_head_does_not_pay(monkeypatch):
+    # A head of more than half the chain, or chains that fall apart into
+    # blocks of one or two sites (r = 0), gain nothing from the cut: those
+    # scans count nothing, and their refinement is _lowest's.
+    def no_count(*args):
+        raise AssertionError("_count was called")
+
+    lowest, refined = rs.spectrum._lowest, []
+    monkeypatch.setattr(rs.spectrum, "_count", no_count)
+    monkeypatch.setattr(rs.spectrum, "_lowest",
+                        lambda *args: refined.append(args[2:]) or lowest(*args))
+    for r, n_tr in ((0.0, 120), (0.2, 40)):
+        p = rs.ModelParams(delta=1.0, r=r, u=0.2, n_tr=n_tr)
+        refined.clear()
+        assert rs.find_crossings(p, 0.05, 2.0, 41).crossings
+        assert len(refined) > 14
+
+
+def test_keeps_lowest_levels_refuses_a_gap_of_rounding(monkeypatch):
+    # At g = 9.65e56 the gap above level 4 is 4e-16 of the spectrum's scale,
+    # pure rounding of a degenerate pair, though far above the absolute
+    # closure threshold: the point is not cleared, and no count runs.
+    p = rs.ModelParams(delta=1.0, g=9.65e56, r=1.0, u=0.3, n_tr=12)
+    eigs = rs.eigensystem(p, 5)
+    e = eigs.energies
+    assert GAP_CLOSURE_FRACTION < e[5] - e[4] < 1e-15 * np.max(np.abs(e))
+
+    def no_count(*args):
+        raise AssertionError("_count was called")
+
+    monkeypatch.setattr(rs.spectrum, "_count", no_count)
+    assert keeps_lowest_levels(p, eigs, 1) is False
 
 
 def test_lowest_levels_rejects_a_bad_count_before_lapack(monkeypatch):
