@@ -4,7 +4,10 @@ The Hamiltonian conserves parity exp(i pi (a^dag a + (sigma_z + 1)/2)), and
 within each parity sector it is a tridiagonal chain (Braak, PRL 107, 100401
 (2011)), so the spectrum is solved chain by chain and every eigenvector
 carries an exact label +/-1.  Eigenvectors stay in chain form, and every
-matrix element the pipeline needs is taken on the chains.  Crossings of
+matrix element the pipeline needs is taken on the chains.  The levels the
+pipeline reads occupy a short head of each chain, so eigensystem solves
+the leading sites only, where a residual bound and one Sturm count of the
+full chains certify it (_certified_head).  Crossings of
 adjacent levels are located by tracking the swap of the energy-sorted
 parity labels along a coupling scan and refining with bisection; the scan
 reads only the lowest chain eigenvalues, never eigenvectors, solves each
@@ -31,8 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dstebz, dstevd
 
 from .errors import InvalidParameterError, NumericFailureError
 
@@ -41,6 +43,9 @@ GAP_CLOSURE_FRACTION = 1e-3    # crossing accepted when gap < this * omega0
 GAP_ROUNDING = 2.0**-44        # a gap below this * max|E| is rounding (keeps_lowest_levels)
 BISECTION_DEPTH = 14
 GRID_TOL = 2.0**-24            # dstebz tolerance of the scan's grid labels, in units of scale
+HEAD_SITES = 64                # leading sites per chain eigensystem first solves (at least 2L)
+HEAD_RESIDUAL = 2.0**-52       # largest edge residual of a head's level, in units of scale
+HEAD_GAP = 2.0**-32            # least distance of sigma from a head's levels, in units of scale
 _FLOAT_MAX = np.finfo(float).max
 
 
@@ -109,24 +114,25 @@ class ModelParams:
 
 @dataclass
 class EigenSystem:
-    """Sorted eigenvalues, chain-form eigenvectors, and parity labels.
+    """Lowest eigenvalues, chain-form eigenvectors, and parity labels.
 
-    energies  all 2(n_tr+1) real eigenvalues, ascending
-    states    (n_tr+1, L) real chain amplitudes of the lowest L = n_levels
-              levels, the levels every reader takes (see eigensystem): column
-              k is level k's eigenvector on the chain of its parity, entry n
-              the amplitude of |n, q(n)> (_parity_chain); columns follow
-              energies up to the level-order rule
-    parities  +1/-1 label of the parity sector of every level
+    energies  the lowest min(L+1, dim) real eigenvalues, ascending: the L
+              levels every reader takes (see eigensystem) and the one above
+    states    (m', L) real chain amplitudes of the lowest L = n_levels
+              levels on the m' sites solved (n_tr+1, or a certified head):
+              column k is level k's eigenvector on the chain of its parity,
+              entry n the amplitude of |n, q(n)> (_parity_chain); columns
+              follow energies up to the level-order rule
+    parities  +1/-1 label of the parity sector of each level in energies
+    dim       number of levels of the model, 2(n_tr+1)
+    top       its highest eigenvalue
     """
 
     energies: np.ndarray
     states: np.ndarray
     parities: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
+    dim: int
+    top: float
 
     @property
     def n_levels(self) -> int:
@@ -236,36 +242,121 @@ def _level_order(energies: np.ndarray, parities: np.ndarray, span: float) -> np.
     return np.argsort(energies - shift * (parities < 0), kind="stable")
 
 
-def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
-    """Full spectrum of the model, solved as two tridiagonal parity chains,
-    with the state columns of the lowest n_levels levels (all when None):
-    the one place the level count L is chosen.  Every reader takes L from
-    the spectrum it is given (EigenSystem.n_levels).
+def _head(parts: list, sites: int) -> list:
+    """_parts of the leading sites of each chain of parts, or parts itself
+    when that is the whole chain."""
+    if sites >= parts[0][0].size:
+        return parts
+    return [(d[:sites], u[:sites - 1], float(np.max(np.abs(d[:sites]))),
+             float(np.max(np.abs(u[:sites - 1])))) for d, u, _, _ in parts]
 
-    Each eigenvector stays on its own chain, so its parity label is exact;
-    its largest component is made positive.
+
+def _heads(parts: list, sites: int):
+    """The heads eigensystem and find_crossings try, shortest first: _head of
+    sites * 2^j sites of each chain of parts while that is at most half the
+    chain.  Past that a head no longer pays, and the whole chains are solved."""
+    while 2 * sites <= parts[0][0].size:
+        yield _head(parts, sites)
+        sites *= 2
+
+
+def _solve(chains: list) -> list:
+    """(eigenvalues, eigenvectors) of each chain of _coupled, which has checked
+    them finite, by LAPACK dstevd: eigh_tridiagonal's driver, called directly."""
+    solved = [dstevd(diag, off) for diag, off, _ in chains]
+    for *_, info in solved:
+        if info != 0:
+            raise NumericFailureError(f"eigensolver failed: dstevd failed (LAPACK info={info})")
+    return [(w, v) for w, v, _ in solved]
+
+
+def _certified_head(p: ModelParams, chains: list, head: list, levels: int):
+    """eigensystem's solve of the head of each chain, (solved, top), where a
+    certificate proves that its lowest levels = L+1 levels are the full
+    chains' lowest; else None.  chains are the full chains at p.g
+    (_coupled), and top is their highest eigenvalue, bisected (_bisect).
+
+    Notation: T is a full chain, T' its head of m' sites, s the larger scale
+    of the two full chains, (theta_k, v_k) the eigenpairs dstevd returns on
+    T', and sigma the midpoint of the gap above level L of both heads.
+
+    Certificate.  [v_k; 0] leaves one residual entry in T, the hop past
+    site m'-1 times v_k[m'-1], below h |v_k[m'-1]| (edge_residuals' h).
+    Each level at or below sigma must have h |v_k[m'-1]| <= HEAD_RESIDUAL
+    times its chain's scale.  By the residual bound for an orthonormal set
+    (Kahan; Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 11), the j
+    such levels of T' then have j eigenvalues of T within sqrt(j) times that
+    plus dstevd's own backward error, a few m' ulps of s.  sigma lies
+    farther than HEAD_GAP s from every theta_k, which covers both and the
+    count's error (2^-49 s, _bracket), so those j eigenvalues lie below
+    sigma.  One Sturm count of both full chains at sigma (_count, the chains
+    stacked as blocks joined by a zero hop) finds at least their sum, and
+    finds exactly levels only when each chain holds no further eigenvalue at
+    or below sigma: then the heads' lowest levels are the full chains'.
+    sigma also lies farther than the level-order shift from both neighbours,
+    so the rule never moves a level across it.  A LAPACK failure certifies
+    nothing.
+    """
+    m = p.n_tr + 1
+    try:
+        solved = _solve(_coupled(p, head, p.g)[0])
+        top = max(_bisect(*chain, m - 1, m - 1)[0] for chain in chains)
+        energies = np.sort(np.concatenate([w for w, _ in solved]))
+        scale = max(chains[0][2], chains[1][2])
+        margin = max(DEGENERACY_FRACTION * max(top - energies[0], 1.0), HEAD_GAP * scale)
+        if energies[levels] - energies[levels - 1] <= 2.0 * margin:
+            return None
+        sigma = 0.5 * (energies[levels - 1] + energies[levels])
+        h = p.g * math.sqrt(head[0][0].size) * max(1.0, p.r)
+        for (w, v), (_, _, s) in zip(solved, chains):
+            if np.any(h * np.abs(v[-1, :np.searchsorted(w, sigma)]) > HEAD_RESIDUAL * s):
+                return None
+        diag = np.concatenate([chains[0][0], chains[1][0]])
+        off = np.concatenate([chains[0][1], [0.0], chains[1][1]])
+        return (solved, top) if _count(diag, off, scale, sigma) == levels else None
+    except NumericFailureError:
+        return None
+
+
+def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
+    """The lowest levels of the model, solved as two tridiagonal parity
+    chains, with the state columns of the lowest L = n_levels levels (all
+    when None): the one place the level count L is chosen.  Every reader
+    takes L from the spectrum it is given (EigenSystem.n_levels).
+
+    The chains are solved on the leading m' sites only where a certificate
+    proves that their lowest L+1 levels are the full chains' (_certified_head);
+    m' starts at max(HEAD_SITES, 2L) and doubles (_heads), and past half the
+    chain the whole chains are solved.  Each eigenvector stays on its own
+    chain, so its parity label is exact; its largest component is made
+    positive.
     """
     if not (n_levels is None or _is_int(n_levels) and n_levels >= 1):
         raise InvalidParameterError(f"n_levels must be an integer >= 1 or None, got {n_levels}")
-    m = p.n_tr + 1
-    chains, _ = _coupled(p, _parts(p), p.g)
-    try:
-        chains = [eigh_tridiagonal(diag, off) for diag, off, _ in chains]
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"eigensolver failed: {exc}") from None
-    energies = np.concatenate([e for e, _ in chains])
-    parities = np.repeat([1.0, -1.0], m)
-    order = _level_order(energies, parities, float(energies.max() - energies.min()))
-    kept = order[:n_levels]
+    L = p.dim if n_levels is None else min(n_levels, p.dim)
+    parts = _parts(p)
+    chains, _ = _coupled(p, parts, p.g)
+    found = next(filter(None, (_certified_head(p, chains, head, L + 1)
+                               for head in _heads(parts, max(HEAD_SITES, 2 * L)))), None)
+    if found is None:
+        solved = _solve(chains)
+        found = solved, max(w[-1] for w, _ in solved)
+    solved, top = found
+    rows = solved[0][0].size
+    energies = np.concatenate([w for w, _ in solved])
+    parities = np.repeat([1.0, -1.0], rows)
+    order = _level_order(energies, parities, float(top - energies.min()))
+    kept = order[:L]
     # Each chain's kept vectors go straight to their levels' columns: one
     # column-major array, the layout LAPACK returns, written once.
-    states = np.empty((m, kept.size), order="F")
-    for k, (_, v) in enumerate(chains):
-        at = np.flatnonzero(kept // m == k)
-        v = v[:, kept[at] - k * m]
+    states = np.empty((rows, kept.size), order="F")
+    for k, (_, v) in enumerate(solved):
+        at = np.flatnonzero(kept // rows == k)
+        v = v[:, kept[at] - k * rows]
         v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(at.size)])
         states[:, at] = v
-    return EigenSystem(energies=np.sort(energies), states=states, parities=parities[order])
+    return EigenSystem(np.sort(energies)[:L + 1], states, parities[order][:L + 1],
+                       p.dim, float(top))
 
 
 def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -348,19 +439,6 @@ class _Scan:
     @property
     def cut(self) -> bool:
         return self.head is not self.parts
-
-    @property
-    def sites(self) -> int:
-        return self.head[0][0].size
-
-
-def _head(parts: list, sites: int) -> list:
-    """_parts of the leading sites of each chain of parts, or parts itself
-    when that is the whole chain."""
-    if sites >= parts[0][0].size:
-        return parts
-    return [(d[:sites], u[:sites - 1], float(np.max(np.abs(d[:sites]))),
-             float(np.max(np.abs(u[:sites - 1])))) for d, u, _, _ in parts]
 
 
 def _scan(p: ModelParams, parts: list, sites: int, levels: int) -> _Scan:
@@ -519,15 +597,16 @@ def field_diagonals(eigs: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def edge_residuals(p: ModelParams, eigs: EigenSystem) -> np.ndarray:
-    """|h v_k[n_tr]| for the eigs.n_levels levels of eigs = eigensystem(p, L).
+    """|h v_k[m'-1]| for the eigs.n_levels levels of eigs = eigensystem(p, L),
+    m' the rows of its states (n_tr+1, or a certified head).
 
-    Extending a chain past n_tr adds the hop h = g sqrt(n_tr+1) (times r on
-    one chain, so max(1, r) bounds both), and (E_k, [v_k; 0]) keeps one
-    nonzero residual entry, h v_k[n_tr].  The longer chain thus has an
-    eigenvalue within that residual of E_k (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4).
+    Extending a chain past site m'-1 adds the hop h = g sqrt(m') (times r on
+    one chain, so max(1, r) bounds both), and (E_k, [v_k; 0])
+    keeps one nonzero residual entry, h v_k[m'-1], in any longer chain.  The
+    longer chain thus has an eigenvalue within that residual of E_k
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
     """
-    h = p.g * math.sqrt(p.n_tr + 1) * max(1.0, p.r)
+    h = p.g * math.sqrt(eigs.states.shape[0]) * max(1.0, p.r)
     return h * np.abs(eigs.states[-1])
 
 
@@ -539,15 +618,16 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     from the pivots past n_tr: sigma must split the levels as eigensystem did.
 
     Not cleared: extra < 1, no level above L-1, a gap below the closure
-    threshold or below GAP_ROUNDING max|E| (256 ulps of the spectrum's scale:
-    at large g a gap of pure rounding passes the absolute threshold, and
-    sigma could split a degenerate pair differently from eigensystem), an
-    overflowing grown chain (_coupled), a LAPACK failure.
+    threshold or below GAP_ROUNDING max|E| (256 ulps of the spectrum's scale,
+    max|E| from E_0 and eigs.top: at large g a gap of pure rounding passes
+    the absolute threshold, and sigma could split a degenerate pair
+    differently from eigensystem), an overflowing grown chain (_coupled), a
+    LAPACK failure.
     """
     e, L = eigs.energies, eigs.n_levels
-    if extra < 1 or L >= eigs.dim:
+    if extra < 1 or L >= p.dim:
         return False
-    floor = max(GAP_CLOSURE_FRACTION * p.omega0, GAP_ROUNDING * max(-e[0], e[-1]))
+    floor = max(GAP_CLOSURE_FRACTION * p.omega0, GAP_ROUNDING * max(-e[0], eigs.top))
     if e[L] - e[L - 1] < floor:
         return False
     sigma = 0.5 * (e[L - 1] + e[L])
@@ -650,9 +730,10 @@ def find_crossings(
     scale) and the refinement to tolerance 0, and one Sturm count of the
     full chains certifies that every value lies within a radius of the
     full chains' (_bracket).  m' starts at CUT_SITES and doubles at g_max
-    until the certificate passes there; once m' would pass half of n_tr + 1,
-    and at r = 0, the scan bisects the whole chains as _lowest does, with no
-    count, and its refinement is _lowest's.  The plain energy order gives the
+    until the certificate passes there (_heads, eigensystem's rule); once m'
+    would pass half of n_tr + 1, and at r = 0, the scan bisects the whole
+    chains as _lowest does, with no count, and its refinement is _lowest's.
+    The plain energy order gives the
     labels when every even/odd pair lies farther apart than both radii and
     the level-order shift at the full chains' span bound, and a gap is
     decided when it lies farther than the radii from the closure threshold;
@@ -675,12 +756,13 @@ def find_crossings(
     # The shortest head of CUT_SITES * 2^j sites whose levels are certified
     # at g_max (occupation grows with g); each coupling is certified on its
     # own, so the head decides only the cost.  It pays only where it is at
-    # most half the chains, and not at r = 0, where the chains fall apart
-    # into 2 x 2 blocks that dstebz bisects whole at little cost.
-    scan = _scan(p, parts, CUT_SITES if p.r > 0 else p.n_tr + 1, max_level + 1)
-    while scan.cut and (2 * scan.sites > p.n_tr + 1
-                        or _bracket(scan, g_max, max_level + 1, GRID_TOL) is None):
-        scan = replace(scan, head=_head(parts, 2 * scan.sites))
+    # most half the chains (_heads), and not at r = 0, where the chains fall
+    # apart into 2 x 2 blocks that dstebz bisects whole at little cost.
+    sites = CUT_SITES if p.r > 0 else p.n_tr + 1
+    scan = _scan(p, parts, sites, max_level + 1)
+    scan = next((cut for cut in (replace(scan, head=head) for head in _heads(parts, sites))
+                 if _bracket(cut, g_max, max_level + 1, GRID_TOL) is not None),
+                replace(scan, head=parts))
     solved: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def solve(g: float, k: int):

@@ -300,7 +300,7 @@ def evaluate_group(
     The convergence flag says the photon number is stable under n_tr ->
     n_tr + CONVERGENCE_DELTA_NTR; it is None when check_convergence is off.
     It is True without a re-solve when the edge certificate w = sum_k p_k
-    (n_tr+1) |h v_k[n_tr]| (see edge_residuals) is at most CERTIFY_TOL and
+    (n_tr+1) |h v_k[m'-1]| (see edge_residuals) is at most CERTIFY_TOL and
     the longer chains add no level below the ones in use
     (keeps_lowest_levels, run once for the group if some bath passes the
     edge test).  The baths that miss it are re-solved together on the

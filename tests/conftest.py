@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 import rabistark as rs
 from rabistark.dissipation import WEIGHT_FLOOR, _graph_components
@@ -86,9 +88,28 @@ def composite_states(eigs):
 
 
 def cut_levels(eigs, n_levels):
-    """The spectrum eigs with only its lowest n_levels state columns, as
-    eigensystem(p, n_levels) keeps them."""
-    return rs.EigenSystem(eigs.energies, eigs.states[:, :n_levels], eigs.parities)
+    """The spectrum eigs with only its lowest n_levels state columns, and the
+    energies and labels of one level more, as eigensystem(p, n_levels) keeps
+    them."""
+    return replace(eigs, energies=eigs.energies[:n_levels + 1], states=eigs.states[:, :n_levels],
+                   parities=eigs.parities[:n_levels + 1])
+
+
+def full_chain_eigensystem(p, n_levels=None):
+    """eigensystem solved on the whole chains, by scipy's eigh_tridiagonal:
+    every energy and label, and the lowest n_levels state columns on all
+    n_tr+1 sites.  The oracle for the head solve of rs.eigensystem."""
+    m = p.n_tr + 1
+    solved = [eigh_tridiagonal(diag, p.g * unit)
+              for diag, unit in (rs.spectrum._parity_chain(p, odd) for odd in (0, 1))]
+    energies = np.concatenate([w for w, _ in solved])
+    parities = np.repeat([1.0, -1.0], m)
+    order = rs.spectrum._level_order(energies, parities, float(energies.max() - energies.min()))
+    states = np.empty((m, order[:n_levels].size))
+    for col, level in enumerate(order[:n_levels]):
+        v = solved[level // m][1][:, level % m]
+        states[:, col] = v * np.sign(v[np.argmax(np.abs(v))])
+    return rs.EigenSystem(np.sort(energies), states, parities[order], 2 * m, float(energies.max()))
 
 
 def eigensystem_levels(p, k):

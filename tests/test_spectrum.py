@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
@@ -14,7 +14,8 @@ from rabistark.spectrum import (
 )
 
 from conftest import (
-    build_eigs, composite_states, cut_levels, dense_hamiltonian, eigensystem_levels, gaps,
+    build_eigs, composite_states, cut_levels, dense_hamiltonian, eigensystem_levels,
+    full_chain_eigensystem, gaps,
     observables_pipeline,
     parity_diagonal, random_model,
 )
@@ -697,7 +698,8 @@ def test_keeps_lowest_levels_guards_an_exact_zero_pivot():
     # With hops, sigma = -1/2 between two made-up levels is a_0 of the even
     # chain, a zero first pivot; the decision is the count on the spectra.
     p = replace(p, g=0.3, u=0.2)
-    made = rs.spectrum.EigenSystem(np.array([-1.0, 0.0, 1.0]), np.zeros((31, 1)), np.ones(3))
+    made = rs.spectrum.EigenSystem(np.array([-1.0, 0.0, 1.0]), np.zeros((31, 1)), np.ones(3),
+                                   p.dim, 1.0)
     assert rs.spectrum._parity_chain(p, 0)[0][0] == -0.5
 
     def below(spectrum, label):
@@ -723,14 +725,142 @@ def test_keeps_lowest_levels_does_not_clear_non_finite_squared_hops():
 
 @pytest.mark.parametrize("n_levels", [1, 7, 40, 82])
 def test_eigensystem_keeps_the_lowest_columns(n_levels):
-    # All energies and labels, and the lowest n_levels columns of the full
-    # solve, bit for bit (82 is every level at n_tr = 40).
+    # The lowest n_levels + 1 energies and labels, and the lowest n_levels
+    # columns of the full solve, bit for bit (82 is every level at n_tr = 40).
     p = rs.ModelParams(delta=1.0, g=0.7, r=0.4, u=0.2, n_tr=40)
     full, kept = rs.eigensystem(p), rs.eigensystem(p, n_levels)
-    assert np.array_equal(kept.energies, full.energies)
-    assert np.array_equal(kept.parities, full.parities)
+    assert np.array_equal(kept.energies, full.energies[:n_levels + 1])
+    assert np.array_equal(kept.parities, full.parities[:n_levels + 1])
+    assert (kept.dim, kept.top) == (full.dim, full.top) == (82, full.energies[-1])
     assert kept.states.shape == (41, n_levels)
     assert np.array_equal(kept.states, full.states[:, :n_levels])
+
+
+def _heads_tried(mp):
+    """Log (m', certified) for each head eigensystem tries, via mp."""
+    tried, real = [], rs.spectrum._certified_head
+
+    def logged(p, chains, head, levels):
+        found = real(p, chains, head, levels)
+        tried.append((head[0][0].size, found is not None))
+        return found
+
+    mp.setattr(rs.spectrum, "_certified_head", logged)
+    return tried
+
+
+def _chain_apply(diag, off, v):
+    """The chain (diag, off) times v."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_tr=st.integers(64, 400),
+    g=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 3.0)),
+    r=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    u=st.one_of(st.sampled_from([-0.9, 0.9]), st.floats(-0.9, 0.9)),
+    n_levels=st.integers(4, 40),
+)
+@example(n_tr=400, g=2.5, r=2.0, u=-0.8, n_levels=40)   # both heads refused
+@example(n_tr=400, g=2.5, r=1.0, u=-0.8, n_levels=40)   # certified at m' = 160
+@example(n_tr=200, g=0.0, r=1.0, u=0.0, n_levels=40)    # g = 0, resonant: degenerate pairs
+def test_head_solve_matches_the_full_chains(n_tr, g, r, u, n_levels):
+    # The spectrum on a certified head against the whole-chain oracle: equal
+    # labels, energies to 1e-12 relative, and each state column, padded with
+    # zeros, within the residuals of both solves over the level's gap in its
+    # chain.  The states keep the head's rows, and edge_residuals bounds the
+    # residual entry that the padded vector leaves past them.
+    p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
+    with pytest.MonkeyPatch.context() as mp:
+        tried = _heads_tried(mp)
+        eigs = rs.eigensystem(p, n_levels)
+    want = full_chain_eigensystem(p, n_levels)
+    certified = [sites for sites, ok in tried if ok]
+    rows = certified[0] if certified else n_tr + 1
+    event("head" if certified else "whole chains")
+    L, m = n_levels, n_tr + 1
+    assert eigs.states.shape == (rows, L) and (eigs.dim, eigs.n_levels) == (2 * m, L)
+    assert np.array_equal(eigs.parities, want.parities[:L + 1])
+    e = want.energies[:L + 1]
+    assert np.all(np.abs(eigs.energies - e) <= 1e-12 * np.maximum(1.0, np.abs(e)))
+    assert abs(eigs.top - want.top) <= 1e-12 * max(1.0, abs(want.top))
+    edge = edge_residuals(p, eigs)
+    chains = {label: rs.spectrum._parity_chain(p, odd) for label, odd in ((1.0, 0), (-1.0, 1))}
+    spectra = {label: np.sort(want.energies[want.parities == label]) for label in chains}
+    for k in range(L):
+        diag, unit = chains[eigs.parities[k]]
+        off = g * unit
+        v = np.zeros(m)
+        v[:rows] = eigs.states[:, k]
+        if rows < m:
+            assert abs(off[rows - 1] * v[rows - 1]) <= edge[k] * (1.0 + 2.0**-50)
+        theta = v @ _chain_apply(diag, off, v)
+        others = spectra[eigs.parities[k]]
+        gap = np.sort(np.abs(others - theta))[1]
+        scale = np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off))
+        residual = sum(np.linalg.norm(_chain_apply(diag, off, x) - (x @ _chain_apply(diag, off, x)) * x)
+                       for x in (v, want.states[:, k])) + 2.0**-40 * scale
+        distance = min(np.linalg.norm(v - want.states[:, k]), np.linalg.norm(v + want.states[:, k]))
+        assert distance * gap <= 2.0 * residual
+
+
+def test_head_too_short_for_its_levels_is_refused(monkeypatch):
+    # At g = 2.5, r = 2, u = -0.8 the lowest 41 levels reach past 160 of the
+    # 401 sites: heads of 80 and 160 sites are refused, and the whole chains
+    # give the oracle's spectrum bit for bit (dstevd called directly is
+    # scipy's eigh_tridiagonal).
+    p = rs.ModelParams(delta=1.0, g=2.5, r=2.0, u=-0.8, n_tr=400)
+    tried = _heads_tried(monkeypatch)
+    got, want = rs.eigensystem(p, 40), full_chain_eigensystem(p, 40)
+    assert tried == [(80, False), (160, False)]
+    assert np.array_equal(got.energies, want.energies[:41])
+    assert np.array_equal(got.parities, want.parities[:41])
+    assert np.array_equal(got.states, want.states) and got.top == want.top
+
+
+def test_level_past_the_head_is_found_by_the_count(monkeypatch):
+    # A made-up even chain with one site far past the head, at site 300, below
+    # every level: at g = 0 the head's residuals are all 0, so only the count
+    # of the whole chains sees that level.  The head is refused, and the
+    # spectrum is the whole chains'.
+    chain = rs.spectrum._parity_chain
+
+    def deep(p, odd):
+        diag, unit = chain(p, odd)
+        if odd == 0:
+            diag = diag.copy()
+            diag[300] = -100.0
+        return diag, unit
+
+    monkeypatch.setattr(rs.spectrum, "_parity_chain", deep)
+    p = rs.ModelParams(delta=1.0, g=0.0, r=1.0, u=0.2, n_tr=400)
+    tried = _heads_tried(monkeypatch)
+    got, want = rs.eigensystem(p, 40), full_chain_eigensystem(p, 40)
+    assert [ok for _, ok in tried] == [False, False]
+    assert got.energies[0] == -100.0
+    assert np.array_equal(got.energies, want.energies[:41])
+    assert np.array_equal(got.states, want.states)
+
+
+def test_lapack_failure_on_a_head_falls_back_to_the_whole_chains(monkeypatch):
+    # A Sturm count that LAPACK reports as failed certifies no head: the
+    # spectrum is the whole chains', bit for bit, and nothing is raised.
+    p = rs.ModelParams(delta=1.0, g=0.9, r=0.6, u=0.2, n_tr=200)
+    lapack = rs.spectrum.dstebz
+
+    def failing(d, e, mode, *args):
+        return (0, np.empty(0), None, None, 1) if mode == 1 else lapack(d, e, mode, *args)
+
+    monkeypatch.setattr(rs.spectrum, "dstebz", failing)
+    tried = _heads_tried(monkeypatch)
+    got, want = rs.eigensystem(p, 40), full_chain_eigensystem(p, 40)
+    assert tried == [(80, False)]
+    assert np.array_equal(got.energies, want.energies[:41])
+    assert np.array_equal(got.states, want.states)
 
 
 def test_readers_take_the_levels_a_spectrum_holds():

@@ -299,7 +299,7 @@ def test_convergence_flag(monkeypatch):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n_tr=st.integers(8, 80),
+    n_tr=st.integers(8, 300),   # past 158, eigensystem tries a head of the chains
     g=st.one_of(st.just(0.0), st.floats(0.0, 2.5)),
     r=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
     u=st.floats(-0.9, 0.9),
@@ -318,6 +318,7 @@ def test_certified_points_pass_the_resolve(n_tr, g, r, u, kt, n_levels):
     if pt.error_code != ERR_OK or resolved:
         return
     eigs = rs.eigensystem(model, n_levels)
+    event("certified on a head" if eigs.states.shape[0] < n_tr + 1 else "certified, whole chains")
     table = rs.transition_rates(eigs, model, [bath])
     populations = rs.steady_populations(table).populations[0]
     w = (n_tr + 1) * float(populations @ edge_residuals(model, eigs))
