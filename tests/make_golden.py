@@ -88,6 +88,9 @@ CASES = {
     "critical_r1_u02_n200_g3": (["critical"],
                                 {"model": {"delta": 1.0, "r": 1.0, "u": 0.2, "n_tr": 200},
                                  "scan": {"g_max": 3.0}}),
+    # Jaynes-Cummings limit: at r = 0 the scan bisects the whole chains at
+    # every coupling, however long they are.
+    "critical_r0_u02": (["critical"], {"model": {"delta": 1.0, "r": 0.0, "u": 0.2, "n_tr": 120}}),
     "spectrum_r05_u01": (
         ["spectrum"],
         {"model": {"delta": 1.0, "r": 0.5, "u": 0.1, "n_tr": 30},
