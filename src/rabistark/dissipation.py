@@ -211,8 +211,10 @@ def steady_populations(table: TransitionTable) -> SteadyState:
     flow means some closed set of levels does not hold level 0.  Only for
     such a bath are the components of its transition graph computed:
     several give MultipleSteadyStateError, one (a set closed in one
-    direction only) NumericFailureError.  The error is kept in errors[b],
-    for SteadyState.of_bath to raise, and the bath's row is NaN.
+    direction only) NumericFailureError.  A bath whose rates overflow the
+    elimination (an inf or NaN escape rate or population) gets a
+    NumericFailureError too.  The error is kept in errors[b], for
+    SteadyState.of_bath to raise, and the bath's row is NaN.
     """
     B, L = table.rate.shape[0], table.n_levels
     pops = np.zeros((B, L))
@@ -229,13 +231,16 @@ def steady_populations(table: TransitionTable) -> SteadyState:
 
     # Fold states from the top down; record the escape rate and the inflow
     # column of each state at its elimination time for back-substitution.
-    # A bath that meets a zero escape s divides by it from there on: its
-    # slice turns NaN without touching the others, and is judged after the
-    # loops, at its first (highest) such level.
+    # A bath that meets a zero escape s divides by it from there on, and one
+    # whose rates overflow meets inf: its slice turns NaN or inf without
+    # touching the others.  After the loops an inf or NaN escape or
+    # normalisation sum marks it (GTH makes no subtractions, so a finite sum
+    # means finite populations), and a zero escape is judged at its first
+    # (highest) such level.
     escape = [None] * L
     p = np.zeros((rate.shape[0], 1, L))
     p[:, :, 0] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for n in range(L - 1, 0, -1):
             row = rate[:, n, None, :n]
             escape[n] = s = row.sum(axis=-1, keepdims=True)
@@ -243,13 +248,19 @@ def steady_populations(table: TransitionTable) -> SteadyState:
             block += rate[:, :n, n, None] * row / s
         for n in range(1, L):
             np.divide(p[:, :, :n] @ rate[:, :n, n, None], escape[n], out=p[:, :, n, None])
-        pops[live] = p[:, 0] / p[:, 0].sum(axis=-1, keepdims=True)
+        total = p[:, 0].sum(axis=-1)
+        pops[live] = p[:, 0] / total[:, None]
 
-    stuck = np.concatenate(escape[1:], axis=1) <= 0.0
-    if stuck.any():
+    escapes = np.concatenate(escape[1:], axis=1)
+    stuck = escapes <= 0.0
+    failed = ~(np.isfinite(escapes).all(axis=(1, 2)) & np.isfinite(total))
+    if failed.any():
         at = np.flatnonzero(live)
-        for k in np.flatnonzero(stuck.any(axis=(1, 2))):
-            errors[at[k]] = _no_steady_state(linked[k], 1 + np.flatnonzero(stuck[k])[-1])
+        for k in np.flatnonzero(failed):
+            levels = np.flatnonzero(stuck[k])
+            errors[at[k]] = (_no_steady_state(linked[k], 1 + levels[-1]) if levels.size else
+                             NumericFailureError("steady-state elimination overflowed: "
+                                                 "rates out of floating-point range"))
             pops[at[k]] = np.nan
     return SteadyState(populations=pops, errors=tuple(errors))
 

@@ -14,14 +14,15 @@ reads only the lowest chain eigenvalues, never eigenvectors, solves each
 coupling once for the levels its tests read there, and bisects them with
 LAPACK dstebz called directly.  It builds each chain once and scales its
 off-diagonal per coupling.  The low levels occupy a short head of each
-chain, so the scan bisects them on the leading sites only, and one stacked
-Sturm count of the full chains per coupling certifies those values
-(_bracket); grid couplings bisect to the absolute tolerance GRID_TOL,
-bisection midpoints and bracket centres to tolerance 0.  Labels and gap
-decisions are taken from the certified values where their radii settle
-them, else from the full chains (_lowest), so every label is the full
-chains' label.  Its result is one list of crossings, ascending in the
-coupling.
+chain, so the scan bisects them on the leading sites only (or on the whole
+chains where a head does not pay), and one stacked Sturm count of the full
+chains per coupling certifies those values (_bracket).  Every coupling goes
+through one hook, _scan_levels: grid couplings bisect to the absolute
+tolerance GRID_TOL, bisection midpoints and bracket centres to tolerance
+0.  Labels and gap decisions are taken from the certified values where
+their radii settle them, else from the full chains (_lowest), so every
+label is the full chains' label.  Its result is one list of crossings,
+ascending in the coupling.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -295,22 +296,23 @@ def _certified_head(p: ModelParams, chains: list, head: list, levels: int):
     or below sigma: then the heads' lowest levels are the full chains'.
     sigma also lies farther than the level-order shift from both neighbours,
     so the rule never moves a level across it.  A LAPACK failure certifies
-    nothing.
+    nothing.  The residual test runs first, on the head's solve alone, so a
+    head it refuses costs no top bisection and no count.
     """
     m = p.n_tr + 1
     try:
         solved = _solve(_coupled(p, head, p.g)[0])
-        top = max(_bisect(*chain, m - 1, m - 1)[0] for chain in chains)
         energies = np.sort(np.concatenate([w for w, _ in solved]))
-        scale = max(chains[0][2], chains[1][2])
-        margin = max(DEGENERACY_FRACTION * max(top - energies[0], 1.0), HEAD_GAP * scale)
-        if energies[levels] - energies[levels - 1] <= 2.0 * margin:
-            return None
         sigma = 0.5 * (energies[levels - 1] + energies[levels])
         h = p.g * math.sqrt(head[0][0].size) * max(1.0, p.r)
         for (w, v), (_, _, s) in zip(solved, chains):
             if np.any(h * np.abs(v[-1, :np.searchsorted(w, sigma)]) > HEAD_RESIDUAL * s):
                 return None
+        top = max(_bisect(*chain, m - 1, m - 1)[0] for chain in chains)
+        scale = max(chains[0][2], chains[1][2])
+        margin = max(DEGENERACY_FRACTION * max(top - energies[0], 1.0), HEAD_GAP * scale)
+        if energies[levels] - energies[levels - 1] <= 2.0 * margin:
+            return None
         diag = np.concatenate([chains[0][0], chains[1][0]])
         off = np.concatenate([chains[0][1], [0.0], chains[1][1]])
         return (solved, top) if _count(diag, off, scale, sigma) == levels else None
@@ -485,9 +487,9 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     Radius.  So lambda_k(T) lies in (sigma_k - 2^-49 s, mu_k + r + 2^-50 s],
     and _lowest's tolerance-0 value within _radius(0) s + 2^-50 s of it:
     within r + _radius(0) s + 2 slack of mu_k.  The radius returned adds 2
-    slack more, for the rounding of the comparisons made with it (_labels,
-    _scan_levels).  On the whole chains (no head) no count is needed, and
-    the same radius holds.
+    slack more, for the rounding of the comparisons made with it
+    (_scan_levels).  On the whole chains (no head) no count is needed, and
+    the same radius holds; at tolerance 0 the values are _lowest's own.
     """
     p = scan.p
     low = min(k, p.n_tr + 1)
@@ -519,50 +521,30 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     return values, below + (_radius(0.0) + 3.0 * _SLACK) * scale, span_hi
 
 
-def _labels(values: list, radius: float, span_hi: float, k: int) -> Optional[np.ndarray]:
-    """_lowest's labels of the lowest k levels, read off the certified values
-    of _bracket, or None where they are in doubt.
-
-    _lowest's values lie within the radius of these, so where every even/odd
-    pair lies farther apart than twice the radius and the level-order shift
-    at span_hi, they are in this energy order with no even/odd pair within
-    the shift, and _lowest returns that plain energy order with no chain top
-    bisected.
+def _scan_levels(scan: _Scan, g: float, k: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """In place of _lowest(p, parts, g, k) in the scan: the head's values
+    bisected to tol, sorted, with their labels, where _bracket certifies
+    them, every even/odd pair lies farther apart than twice the radius and
+    the level-order shift at span_hi, and every adjacent gap lies farther
+    than twice the radius from the closure threshold.  _lowest's values lie
+    within the radius of these, so they are in this energy order with no
+    even/odd pair within the shift, and _lowest returns that plain order
+    with no chain top bisected; and each gap compares with the threshold as
+    _lowest's does (an order statistic of values each within a radius moves
+    by at most that radius).  Elsewhere (near a crossing or a degeneracy, or
+    where a count or dstebz fails; _lowest raises its own errors), _lowest's.
     """
-    even, odd = values
-    shift = DEGENERACY_FRACTION * max(span_hi, 1.0)
-    if np.abs(np.subtract.outer(even, odd)).min() <= 2.0 * radius + shift * (1.0 + 2.0**-48):
-        return None
-    order = np.argsort(np.concatenate(values), kind="stable")[:k]
-    return np.where(order < even.size, 1.0, -1.0)
-
-
-def _grid_labels(scan: _Scan, g: float, k: int) -> np.ndarray:
-    """The labels of _lowest(p, parts, g, k): the head's values bisected to
-    GRID_TOL where _bracket certifies them and _labels decides the order,
-    else _lowest's own (near a crossing or a degeneracy, or where a count or
-    dstebz fails; _lowest raises its own errors)."""
-    found = _bracket(scan, g, k, GRID_TOL)
-    labels = None if found is None else _labels(*found, k)
-    return _lowest(scan.p, scan.parts, g, k)[1] if labels is None else labels
-
-
-def _scan_levels(scan: _Scan, g: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """In place of _lowest(p, parts, g, k) in the scan's refinement: the
-    energies of the head's values bisected at tolerance 0, with _lowest's
-    labels, where _bracket certifies them, _labels decides the order, and
-    every adjacent gap lies farther than twice the radius from the closure
-    threshold, so that each compares with it as _lowest's does (an
-    order statistic of values each within a radius moves by at most that
-    radius).  Elsewhere, and on the whole chains, where the tolerance-0
-    bisection is _lowest's own, _lowest's."""
-    found = _bracket(scan, g, k, 0.0) if scan.cut else None
+    found = _bracket(scan, g, k, tol)
     if found is not None:
-        labels = _labels(*found, k)
-        energies = np.sort(np.concatenate(found[0]))[:k]
-        closure = GAP_CLOSURE_FRACTION * scan.p.omega0
-        if labels is not None and np.all(np.abs(np.diff(energies) - closure) > 2.0 * found[1]):
-            return energies, labels
+        (even, odd), radius, span_hi = found
+        shift = DEGENERACY_FRACTION * max(span_hi, 1.0)
+        if np.abs(np.subtract.outer(even, odd)).min() > 2.0 * radius + shift * (1.0 + 2.0**-48):
+            values = np.concatenate((even, odd))
+            order = np.argsort(values, kind="stable")[:k]
+            energies = values[order]
+            e, closure = energies.tolist(), GAP_CLOSURE_FRACTION * scan.p.omega0
+            if all(abs(b - a - closure) > 2.0 * radius for a, b in zip(e, e[1:])):
+                return energies, np.where(order < even.size, 1.0, -1.0)
     return _lowest(scan.p, scan.parts, g, k)
 
 
@@ -718,12 +700,12 @@ def find_crossings(
 
     Each coupling is solved once per call (a ground crossing swaps level 1
     too, so the (1, 2) bisection meets the (0, 1) one's couplings again),
-    for only the levels read there: a grid coupling for the labels up to
-    the highest lower level of the pairs (_grid_labels); in an interval
-    where the pairs S swap, a bisection midpoint for the labels up to max(n)
-    over S, and a bracket centre for one level more, the gap E_{n+1} - E_n
-    (_scan_levels).  A coupling held with fewer levels than asked is solved
-    again.
+    for only the levels read there, by one hook, _scan_levels(scan, g, k,
+    tol): a grid coupling for the labels up to the highest lower level of
+    the pairs; in an interval where the pairs S swap, a bisection midpoint
+    for the labels up to max(n) over S, and a bracket centre for one level
+    more, the gap E_{n+1} - E_n.  A coupling held with fewer levels than
+    asked is solved again.
 
     Each coupling bisects the lowest levels on the leading m' sites of each
     chain, grid couplings to GRID_TOL (2^-24 of the chain's power-of-two
@@ -732,10 +714,9 @@ def find_crossings(
     full chains' (_bracket).  m' starts at CUT_SITES and doubles at g_max
     until the certificate passes there (_heads, eigensystem's rule); once m'
     would pass half of n_tr + 1, and at r = 0, the scan bisects the whole
-    chains as _lowest does, with no count, and its refinement is _lowest's.
-    The plain energy order gives the
-    labels when every even/odd pair lies farther apart than both radii and
-    the level-order shift at the full chains' span bound, and a gap is
+    chains as _lowest does, with no count.  The plain energy order gives
+    the labels when every even/odd pair lies farther apart than both radii
+    and the level-order shift at the full chains' span bound, and a gap is
     decided when it lies farther than the radii from the closure threshold;
     such labels and decisions are those of the tolerance-0 solve of the
     full chains.  Elsewhere (near a crossing or a degeneracy, where the
@@ -767,10 +748,10 @@ def find_crossings(
 
     def solve(g: float, k: int):
         if g not in solved or solved[g][0].size < k:
-            solved[g] = _scan_levels(scan, float(g), k)
+            solved[g] = _scan_levels(scan, float(g), k, 0.0)
         return solved[g]
 
-    labels = [_grid_labels(scan, g, max_level) for g in grid.tolist()]
+    labels = [_scan_levels(scan, g, max_level, GRID_TOL)[1] for g in grid.tolist()]
     crossings = []
     for i in range(len(grid) - 1):
         swapped = [pair for pair in levels if labels[i + 1][pair[0]] != labels[i][pair[0]]]

@@ -428,6 +428,21 @@ def test_cli_observables_zero_temperature(tmp_path):
         assert row[column] == ""
 
 
+def test_cli_observables_overflowing_elimination(tmp_path):
+    # At omega0 = 1e-300 the rates overflow the steady-state elimination:
+    # error code 3 with the observable cells empty, and no RuntimeWarning
+    # (the suite turns one into an error).
+    config = write_config(tmp_path, {
+        "model": {"delta": 1.0, "g": 0.5, "r": 0.5, "n_tr": 10, "omega0": 1e-300}})
+    out = tmp_path / "overflow"
+    assert main(["observables", "--config", config, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "observables.csv")
+    row = dict(zip(header, rows[0]))
+    assert row["error_code"] == "3"
+    for column in ("g2", "g3", "xi_b2", "n_photon", "flux_proxy"):
+        assert row[column] == ""
+
+
 def test_cli_sweep_deterministic_with_plot(tmp_path):
     config = write_config(tmp_path, {
         "model": {"delta": 1.0, "g": 0.5, "r": 0.2, "u": 0.2, "n_tr": 40},

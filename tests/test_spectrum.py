@@ -260,8 +260,8 @@ def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
         assert values == sorted(values)
         ground = [(g, half) for pair, g, half in crossings if pair == (0, 1)]
         assert cp.gc_numeric == (ground[0] if ground else None)
-    # Every label source, the grid's, the refinement's and their fallback,
-    # replaced by the eigensystem's.
+    # The scan's one hook, on the grid and in the refinement, and its
+    # fallback, replaced by the eigensystem's levels.
     oracle = []
 
     def levels_of_eigensystem(model, g, k):
@@ -271,9 +271,7 @@ def test_find_crossings_equals_eigensystem_labels(monkeypatch, r, u):
     monkeypatch.setattr(rs.spectrum, "_lowest",
                         lambda model, parts, g, k: levels_of_eigensystem(model, g, k))
     monkeypatch.setattr(rs.spectrum, "_scan_levels",
-                        lambda scan, g, k: levels_of_eigensystem(scan.p, g, k))
-    monkeypatch.setattr(rs.spectrum, "_grid_labels",
-                        lambda scan, g, k: levels_of_eigensystem(scan.p, g, k)[1])
+                        lambda scan, g, k, tol: levels_of_eigensystem(scan.p, g, k))
     for (p, steps), cp in scans.items():
         oracle.clear()
         assert cp == rs.find_crossings(p, 0.05, 2.0, steps=steps)
@@ -317,9 +315,10 @@ def test_find_crossings_validation():
 @pytest.mark.parametrize("r, u", [(0.2, 0.2), (1.0, 0.2), (0.5, -0.4)])
 def test_find_crossings_equals_the_scan_at_max_level(monkeypatch, r, u):
     # Solving each coupling for only the levels read there moves no
-    # crossing: the scan equals the one whose refinement bisects the whole
-    # chains for max_level + 1 levels per chain at every coupling, on the
-    # benchmark families +/- 0.01 (at n_tr = 120 on a head of the chains).
+    # crossing: the scan equals the one that bisects the whole chains for
+    # max_level + 1 levels per chain at every coupling, grid and refinement
+    # alike, on the benchmark families +/- 0.01 (at n_tr = 120 on a head of
+    # the chains).
     lowest = rs.spectrum._lowest
     level_sets = (((0, 1), (1, 2), (2, 3)), ((2, 3), (0, 1), (1, 2)), ((1, 2), (4, 5)))
     cases = [(rs.ModelParams(delta=1.0, r=r + d, u=u + d, n_tr=n_tr), steps, levels)
@@ -330,7 +329,7 @@ def test_find_crossings_equals_the_scan_at_max_level(monkeypatch, r, u):
     for (p, steps, levels), cp in zip(cases, scans):
         top = max(hi for _, hi in levels) + 1
         monkeypatch.setattr(rs.spectrum, "_scan_levels",
-                            lambda scan, g, k: lowest(scan.p, scan.parts, g, top))
+                            lambda scan, g, k, tol: lowest(scan.p, scan.parts, g, top))
         assert rs.find_crossings(p, 0.05, 2.0, steps, levels=levels) == cp
 
 
@@ -338,30 +337,27 @@ def test_find_crossings_solves_each_coupling_once(monkeypatch):
     # At the ground crossing level 1 swaps in the same grid interval as
     # level 0, so the (1, 2) refinement meets the (0, 1) one's couplings;
     # each is solved once, on the two parity chains built once per scan: no
-    # model per coupling.  A grid coupling takes the labels up to level 2
-    # (the highest lower level of the pairs) from _grid_labels, and a
-    # refinement solve bisects the levels read there (_scan_levels): the
-    # ground interval's midpoints up to level 1, a (2, 3) interval's up to
-    # level 2, and each bracket centre one level more, for its gap.  On a
-    # head (n_tr = 120) both hand a coupling to _lowest only where their
-    # values leave it in doubt.
+    # model per coupling.  Every solve goes through _scan_levels: a grid
+    # coupling for the labels up to level 2 (the highest lower level of the
+    # pairs) to GRID_TOL, then the refinement at tolerance 0 for the levels
+    # read there: the ground interval's midpoints up to level 1, a (2, 3)
+    # interval's up to level 2, and each bracket centre one level more, for
+    # its gap.  On a head (n_tr = 120) and on the whole chains (n_tr = 30)
+    # alike, it hands a coupling to _lowest only where its values leave it in
+    # doubt.
     for n_tr in (30, 120):
-        grid_calls, calls, fallbacks, builds, models = [], [], [], [], []
-        label, levels = rs.spectrum._grid_labels, rs.spectrum._scan_levels
-        solve, chain = rs.spectrum._lowest, rs.spectrum._parity_chain
-        check = rs.ModelParams.__post_init__
+        calls, cuts, fallbacks, builds, models = [], set(), [], [], []
+        levels, solve = rs.spectrum._scan_levels, rs.spectrum._lowest
+        chain, check = rs.spectrum._parity_chain, rs.ModelParams.__post_init__
 
-        def labelled(scan, g, k):
-            grid_calls.append((g, k))
-            return label(scan, g, k)
-
-        def refined(scan, g, k):
-            calls.append((g, k))
-            return levels(scan, g, k)
+        def hooked(scan, g, k, tol):
+            calls.append((g, k, tol))
+            cuts.add(scan.cut)
+            return levels(scan, g, k, tol)
 
         def fallback(p, parts, g, k):
             fallbacks.append((g, k))
-            assert (g, k) in (grid_calls[-1:] + calls[-1:])
+            assert (g, k) == calls[-1][:2]
             return solve(p, parts, g, k)
 
         def built(p, odd):
@@ -370,39 +366,37 @@ def test_find_crossings_solves_each_coupling_once(monkeypatch):
 
         p = rs.ModelParams(delta=1.0, g=0.0, r=0.2, u=0.2, n_tr=n_tr)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rs.spectrum, "_grid_labels", labelled)
-            patch.setattr(rs.spectrum, "_scan_levels", refined)
+            patch.setattr(rs.spectrum, "_scan_levels", hooked)
             patch.setattr(rs.spectrum, "_lowest", fallback)
             patch.setattr(rs.spectrum, "_parity_chain", built)
             patch.setattr(rs.ModelParams, "__post_init__",
                           lambda model: models.append(model) or check(model))
             cp = rs.find_crossings(p, 0.05, 2.0, steps=41)
         assert [pair for pair, _, _ in cp.crossings] == [(2, 3), (0, 1), (2, 3)]
+        assert cuts == {n_tr == 120}
         grid = np.linspace(0.05, 2.0, 41).tolist()
-        assert grid_calls == [(g, 3) for g in grid]
-        couplings = [g for g, _ in calls]
+        assert calls[:41] == [(g, 3, rs.spectrum.GRID_TOL) for g in grid]
+        refined = calls[41:]
+        couplings = [g for g, _, _ in refined]
         assert len(couplings) == len(set(couplings)) and not set(couplings) & set(grid)
-        assert [k for _, k in calls] == [3] * 14 + [4] + [2] * 14 + [3] + [3] * 14 + [4]
-        if n_tr == 30:
-            # The whole chains: every refinement solve is _lowest's.
-            assert set(calls) <= set(fallbacks)
-        else:
-            assert len(fallbacks) < len(grid_calls + calls) // 10
+        assert [k for _, k, _ in refined] == [3] * 14 + [4] + [2] * 14 + [3] + [3] * 14 + [4]
+        assert {tol for _, _, tol in refined} == {0.0}
+        assert len(fallbacks) < len(calls) // 10
         assert builds == [0, 1]
         assert models == []
 
 
 def _labels_and_fallbacks(p, g, k, sites=None):
-    """_grid_labels at (g, k) of the scan of p that bisects the leading sites
-    of each chain (the whole chains when None), the (g, k) it handed to
-    _lowest, and the labels of _lowest itself."""
+    """The grid's labels at (g, k), _scan_levels at GRID_TOL, of the scan of
+    p that bisects the leading sites of each chain (the whole chains when
+    None), the (g, k) it handed to _lowest, and the labels of _lowest itself."""
     fallbacks, solve = [], rs.spectrum._lowest
     parts = rs.spectrum._parts(p)
     scan = rs.spectrum._scan(p, parts, sites or p.n_tr + 1, k)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rs.spectrum, "_lowest",
                       lambda *args: fallbacks.append(args[2:]) or solve(*args))
-        labels = rs.spectrum._grid_labels(scan, g, k)
+        labels = rs.spectrum._scan_levels(scan, g, k, rs.spectrum.GRID_TOL)[1]
     return labels, fallbacks, solve(p, parts, g, k)[1]
 
 
@@ -471,7 +465,7 @@ def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, n_tr, k):
     # On a head of 32 sites, wherever _bracket certifies the lowest levels,
     # the tolerance-0 values of the whole chains lie within its radius of the
     # head's, at both tolerances; the labels and the gap decisions the scan
-    # takes from them (_grid_labels, _scan_levels) are _lowest's.  Couplings:
+    # takes from them (_scan_levels) are _lowest's, at both.  Couplings:
     # g = 0, the scan window, within 1e-5 of the ground crossing, and up to
     # g = 4, where the levels fill more than the head.
     gc = rs.spectrum.gc_analytic(rs.ModelParams(delta=1.0, r=r, u=u))
@@ -485,18 +479,17 @@ def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, n_tr, k):
     low = min(k, p.n_tr + 1)
     chains, _ = rs.spectrum._coupled(p, parts, g)
     whole = [rs.spectrum._bisect(*chain, 0, low - 1) for chain in chains]
+    energies, labels = rs.spectrum._lowest(p, parts, g, k)
+    closure = GAP_CLOSURE_FRACTION * p.omega0
     for tol in (0.0, rs.spectrum.GRID_TOL):
         found = rs.spectrum._bracket(scan, g, k, tol)
         if found is not None:
             values, radius, _ = found
             for got, want in zip(values, whole):
                 assert np.all(np.abs(got - want) <= radius)
-    energies, labels = rs.spectrum._lowest(p, parts, g, k)
-    assert np.array_equal(rs.spectrum._grid_labels(scan, g, k), labels)
-    got_e, got_labels = rs.spectrum._scan_levels(scan, g, k)
-    assert np.array_equal(got_labels, labels)
-    closure = GAP_CLOSURE_FRACTION * p.omega0
-    assert np.array_equal(np.diff(got_e) < closure, np.diff(energies) < closure)
+        got_e, got_labels = rs.spectrum._scan_levels(scan, g, k, tol)
+        assert np.array_equal(got_labels, labels)
+        assert np.array_equal(np.diff(got_e) < closure, np.diff(energies) < closure)
 
 
 @pytest.mark.parametrize("fault", ["count", "info"])
@@ -641,19 +634,21 @@ def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, e
 def test_find_crossings_bisects_the_whole_chains_where_a_head_does_not_pay(monkeypatch):
     # A head of more than half the chain, or chains that fall apart into
     # blocks of one or two sites (r = 0), gain nothing from the cut: those
-    # scans count nothing, and their refinement is _lowest's.
+    # scans count nothing, and their crossings are those of the scan that
+    # solves every coupling by _lowest alone.
     def no_count(*args):
         raise AssertionError("_count was called")
 
-    lowest, refined = rs.spectrum._lowest, []
+    lowest = rs.spectrum._lowest
     monkeypatch.setattr(rs.spectrum, "_count", no_count)
-    monkeypatch.setattr(rs.spectrum, "_lowest",
-                        lambda *args: refined.append(args[2:]) or lowest(*args))
     for r, n_tr in ((0.0, 120), (0.2, 40)):
         p = rs.ModelParams(delta=1.0, r=r, u=0.2, n_tr=n_tr)
-        refined.clear()
-        assert rs.find_crossings(p, 0.05, 2.0, 41).crossings
-        assert len(refined) > 14
+        cp = rs.find_crossings(p, 0.05, 2.0, 41)
+        assert cp.crossings
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rs.spectrum, "_scan_levels",
+                          lambda scan, g, k, tol: lowest(scan.p, scan.parts, g, k))
+            assert rs.find_crossings(p, 0.05, 2.0, 41) == cp
 
 
 def test_keeps_lowest_levels_refuses_a_gap_of_rounding(monkeypatch):
@@ -820,6 +815,30 @@ def test_head_too_short_for_its_levels_is_refused(monkeypatch):
     assert np.array_equal(got.energies, want.energies[:41])
     assert np.array_equal(got.parities, want.parities[:41])
     assert np.array_equal(got.states, want.states) and got.top == want.top
+
+
+@pytest.mark.parametrize("sites", [80, 160])
+def test_head_refused_on_its_residuals_bisects_and_counts_nothing(monkeypatch, sites):
+    # The same model: on heads of 80 and 160 sites some level below sigma
+    # leaves an edge residual far above HEAD_RESIDUAL of its chain's scale,
+    # so the head is refused before the top bisection and the stacked count.
+    p = rs.ModelParams(delta=1.0, g=2.5, r=2.0, u=-0.8, n_tr=400)
+    parts = rs.spectrum._parts(p)
+    chains, _ = rs.spectrum._coupled(p, parts, p.g)
+    head = rs.spectrum._head(parts, sites)
+    solved = rs.spectrum._solve(rs.spectrum._coupled(p, head, p.g)[0])
+    e = np.sort(np.concatenate([w for w, _ in solved]))
+    sigma = 0.5 * (e[40] + e[41])
+    h = p.g * math.sqrt(sites) * p.r
+    assert max(np.max(h * np.abs(v[-1, w <= sigma])) / s
+               for (w, v), (_, _, s) in zip(solved, chains)) > 1e3 * rs.spectrum.HEAD_RESIDUAL
+
+    def forbidden(*args):
+        raise AssertionError("a refused head was bisected or counted")
+
+    monkeypatch.setattr(rs.spectrum, "_bisect", forbidden)
+    monkeypatch.setattr(rs.spectrum, "_count", forbidden)
+    assert rs.spectrum._certified_head(p, chains, head, 41) is None
 
 
 def test_level_past_the_head_is_found_by_the_count(monkeypatch):

@@ -16,6 +16,7 @@ from rabistark.sweep import (
     CONVERGENCE_TOL,
     ERR_INVALID_PARAMS,
     ERR_NO_STEADY_STATE,
+    ERR_NUMERIC,
     ERR_OK,
     ERR_ZERO_FLUX,
     AxisSpec,
@@ -216,6 +217,42 @@ def test_overflowing_hamiltonian_is_invalid_params():
     pt = evaluate_point(rs.ModelParams(delta=1.0, g=1e308, n_tr=40), BASE_BATH)
     assert pt.error_code == ERR_INVALID_PARAMS
     assert pt.report is None
+
+
+OVERFLOW_MODEL = rs.ModelParams(delta=1.0, g=0.5, r=0.5, n_tr=10)
+OVERFLOW_BATH = rs.BathParams(alpha_q=1e160, alpha_c=1e160)
+
+
+@pytest.mark.parametrize("model, bath", [
+    (OVERFLOW_MODEL, OVERFLOW_BATH),
+    (replace(OVERFLOW_MODEL, omega0=1e-160), rs.BathParams()),
+])
+def test_overflowing_elimination_is_a_numeric_failure(model, bath):
+    # Rates near the top of the float range overflow the GTH elimination to
+    # inf and NaN: the bath has no steady state to report, not an empty row
+    # marked OK.
+    pt = evaluate_point(model, bath, n_levels=12)
+    assert (pt.error_code, pt.report, pt.converged) == (ERR_NUMERIC, None, False)
+    assert "overflow" in pt.error_message
+
+
+def test_overflowing_bath_leaves_its_group_alone():
+    # A normal bath next to an overflowing one keeps its own bits, in either
+    # order, and so do its populations in the stacked elimination.
+    normal = rs.BathParams()
+    alone = evaluate_point(OVERFLOW_MODEL, normal, n_levels=12)
+    assert alone.error_code == ERR_OK
+    for baths in ([normal, OVERFLOW_BATH], [OVERFLOW_BATH, normal]):
+        points = evaluate_group(OVERFLOW_MODEL, baths, n_levels=12)
+        assert [pt.error_code for pt in points] == [
+            ERR_OK if b is normal else ERR_NUMERIC for b in baths]
+        assert points[baths.index(normal)] == alone
+    eigs = rs.eigensystem(OVERFLOW_MODEL, 12)
+    state = rs.steady_populations(rs.transition_rates(eigs, OVERFLOW_MODEL, [normal, OVERFLOW_BATH]))
+    solo = rs.steady_populations(rs.transition_rates(eigs, OVERFLOW_MODEL, [normal]))
+    assert np.array_equal(state.populations[0], solo.populations[0])
+    assert state.errors[0] is None and isinstance(state.errors[1], rs.NumericFailureError)
+    assert np.isnan(state.populations[1]).all()
 
 
 @pytest.mark.parametrize("n_levels", [1, 2, 3, 2.5, 20.0, math.nan, math.inf])
