@@ -156,6 +156,8 @@ SWEEP_HEADER = ("g,r,u,kt,n_tr," + ",".join(OBSERVABLE_COLUMNS)
 def cmd_observables(config: RunConfig) -> dict[str, str]:
     """Evaluate the full pipeline at the configured single point."""
     pt = evaluate_point(config.model, config.bath)
+    if pt.error_code != 0:
+        print(f"point error_code {pt.error_code}: {pt.error_message}", file=sys.stderr)
     # Every observable is computed, so every column is filled.
     cells = _point_cells(_base_coords(config.model, config.bath), pt, set(OBSERVABLE_COLUMNS))
     cells.append(str(pt.error_code))

@@ -31,13 +31,52 @@ temperatures are quoted in units of omega0.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstevd
+import scipy
 
 from .errors import InvalidParameterError, NumericFailureError
+
+
+def _load_flapack(scipy_dirs: Sequence[str]):
+    """scipy's compiled LAPACK module scipy.linalg._flapack, whose routines
+    scipy.linalg.lapack re-exports, without scipy.linalg's package init.
+
+    That init costs about 0.25 s a process, most of it scipy's array-API
+    shim importing numpy's submodules (numpy.f2py among them); the module
+    itself loads in a few ms.  A module already imported is reused.
+    Otherwise the first linalg/_flapack file with an extension suffix under
+    scipy_dirs (the scipy package's folders) is loaded under its real name
+    and registered in sys.modules, so a later `import scipy.linalg` reuses
+    it: scipy.linalg.lapack.dstebz is this module's dstebz.  Where there is
+    no such file (a zipped or frozen install), scipy.linalg.lapack itself is
+    imported.  The caller imports scipy first: on Windows that also
+    registers scipy's DLL directory.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    for folder in scipy_dirs:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = spec_from_file_location(name, path)
+                module = module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+                return module
+    from scipy.linalg import lapack
+    return lapack
+
+
+_flapack = _load_flapack(scipy.__path__)
+dstebz, dstevd = _flapack.dstebz, _flapack.dstevd
 
 DEGENERACY_FRACTION = 1e-10    # level-order threshold, fraction of spectral span
 GAP_CLOSURE_FRACTION = 1e-3    # crossing accepted when gap < this * omega0

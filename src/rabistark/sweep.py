@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -420,6 +419,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers <= 1:
         done = [run(groups) for groups in tasks]
     else:
+        # Imported here, so a serial run skips its ~20 ms of imports.
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run, tasks, chunksize=chunk))

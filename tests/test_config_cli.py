@@ -443,6 +443,20 @@ def test_cli_observables_overflowing_elimination(tmp_path):
         assert row[column] == ""
 
 
+def test_cli_observables_reports_a_point_error_on_stderr(tmp_path, capsys):
+    # An error-coded point still exits 0 with its row written; the reason
+    # goes to stderr, one line.
+    config = write_config(tmp_path, {"model": {"omega0": 1e-300, "n_tr": 12}})
+    out = tmp_path / "overflow"
+    assert main(["observables", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("point error_code 3: steady-state elimination "
+                                       "overflowed: rates out of floating-point range\n")
+    header, rows = read_csv(out / "observables.csv")
+    assert dict(zip(header, rows[0]))["error_code"] == "3"
+    assert json.loads((out / "observables.meta.json").read_text())["outputs"] == [
+        "observables.csv"]
+
+
 def test_cli_sweep_deterministic_with_plot(tmp_path):
     config = write_config(tmp_path, {
         "model": {"delta": 1.0, "g": 0.5, "r": 0.2, "u": 0.2, "n_tr": 40},

@@ -127,7 +127,7 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     spec = small_spec(axis2=AxisSpec("kt", 0.05, 0.1, 2))     # 6 slots, 3 spectra
     assert sweep_csv(run_sweep(spec, workers=5000)) == sweep_csv(run_sweep(spec, workers=1))
     assert sizes == [6]
