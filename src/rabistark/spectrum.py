@@ -4,25 +4,24 @@ The Hamiltonian conserves parity exp(i pi (a^dag a + (sigma_z + 1)/2)), and
 within each parity sector it is a tridiagonal chain (Braak, PRL 107, 100401
 (2011)), so the spectrum is solved chain by chain and every eigenvector
 carries an exact label +/-1.  Eigenvectors stay in chain form, and every
-matrix element the pipeline needs is taken on the chains.  The levels the
-pipeline reads occupy a short head of each chain, so eigensystem solves
-the leading sites only, where a residual bound and one Sturm count of the
-full chains certify it (_certified_head).  Crossings of
-adjacent levels are located by tracking the swap of the energy-sorted
-parity labels along a coupling scan and refining with bisection; the scan
-reads only the lowest chain eigenvalues, never eigenvectors, solves each
-coupling once for the levels its tests read there, and bisects them with
-LAPACK dstebz called directly.  It builds each chain once and scales its
-off-diagonal per coupling.  The low levels occupy a short head of each
-chain, so the scan bisects them on the leading sites only (or on the whole
-chains where a head does not pay), and one stacked Sturm count of the full
-chains per coupling certifies those values (_bracket).  Every coupling goes
-through one hook, _scan_levels: grid couplings bisect to the absolute
-tolerance GRID_TOL, bisection midpoints and bracket centres to tolerance
-0.  Labels and gap decisions are taken from the certified values where
-their radii settle them, else from the full chains (_lowest), so every
-label is the full chains' label.  Its result is one list of crossings,
-ascending in the coupling.
+matrix element the pipeline needs is taken on the chains.  The levels
+read occupy a short head of each chain, so eigensystem and the crossing
+scan solve the leading sites only (or the whole chains where a head does
+not pay).  Three certificates rest on one Sturm count of the full chains
+at a shift, with one error bound (_count): the head solve
+(_certified_head), the scan's values (_bracket) and the truncation check
+(keeps_lowest_levels).  Crossings of adjacent levels are located by
+tracking the swap of the energy-sorted parity labels along a coupling scan
+and refining with bisection; the scan reads only the lowest chain
+eigenvalues, never eigenvectors, solves each coupling once for the levels
+its tests read there, and bisects them with LAPACK dstebz called directly.
+It builds each chain once and scales its off-diagonal per coupling.  Every
+coupling goes through one hook, _scan_levels: grid couplings bisect to the
+absolute tolerance GRID_TOL, bisection midpoints and bracket centres to
+tolerance 0.  Labels and gap decisions are taken from the certified values
+where their radii settle them, else from the full chains (_lowest), so
+every label is the full chains' label.  Its result is one list of
+crossings, ascending in the coupling.
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -98,8 +97,8 @@ def _is_finite(value) -> bool:
 
 
 def _is_int(value) -> bool:
-    """Whether value is a Python or numpy integer; an integral float is not."""
-    return isinstance(value, (int, np.integer))
+    """Whether value is a Python or numpy integer, not a bool or an integral float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -221,26 +220,39 @@ def _bisect(diag: np.ndarray, off: np.ndarray, scale: float, lo: int, hi: int,
     return w[:m] * scale
 
 
-def _count(diag: np.ndarray, off: np.ndarray, scale: float, sigma) -> int:
-    """Number of eigenvalues at or below sigma of a chain (diag, off) with
-    scale a power of two at or above its Gershgorin bound (_coupled), by one
-    dstebz Sturm count (Sylvester's law of inertia).
+def _stack(chains: list, copies: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of copies copies of chains (each a tuple
+    that starts with its diagonal and off-diagonal: _parts, _coupled) laid
+    one after another and joined by zero hops, where dstebz splits the
+    matrix: block c len(chains) + j is chain j of copy c."""
+    hops = [piece for chain in chains for piece in (chain[1], [0.0])] * copies
+    return np.concatenate([chain[0] for chain in chains] * copies), np.concatenate(hops[:-1])
 
-    sigma may also be an array of diag's shape: diag and off then hold
-    chains of equal length one after another, joined by zero hops (dstebz
-    splits the matrix there), sigma holds block j's sigma_j on its sites,
-    and the count is the sum over the blocks of block j's count at sigma_j.
-    Each block reaches dstebz shifted by its sigma and divided by scale, so
-    its eigenvalues lie in (-2, 2) once |sigma| < scale, and the count runs
-    over (-4, 0]; the tolerance 4 stops the bisection before it starts.  The
-    pivmin guard counts an eigenvalue at sigma, reliably in IEEE arithmetic
-    (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3, 1995): the count is exact
-    for the shifted chain with its diagonal rounded once and its hops
-    changed by a few units of roundoff (_bracket)."""
-    m, _, _, _, info = dstebz((diag - sigma) / scale, off / scale, 1, -4.0, 0.0, 0, 0, 4.0, "E")
-    if info != 0:
-        raise NumericFailureError(f"Sturm count failed: dstebz failed (LAPACK info={info})")
-    return m
+
+def _count(diag: np.ndarray, off: np.ndarray, scale: float, sigma) -> Optional[int]:
+    """Number of eigenvalues at or below sigma of the chains stacked in
+    (diag, off) (_stack), by one dstebz Sturm count (Sylvester's law of
+    inertia); None where dstebz fails (info != 0).  sigma is one shift, or
+    one per block where the blocks have equal length, and the count is the
+    sum of block j's count at sigma_j.  scale is a power of two at or above
+    every block's Gershgorin bound (_coupled): each block reaches dstebz
+    shifted and divided by scale, its eigenvalues in (-2, 2) once |sigma| <
+    scale, and the count runs over (-4, 0]; the tolerance 4 stops the
+    bisection before it starts.  The pivmin guard counts an eigenvalue at
+    sigma, reliably in IEEE arithmetic (Kahan 1966; Demmel, Dhillon and
+    Ren, ETNA 3, 1995).
+
+    Error.  The count is exact for a stack within 2^-49 scale of the shifted
+    one in norm, so an eigenvalue farther than that from its block's sigma
+    is counted as in exact arithmetic (Weyl): the shift rounds each diagonal
+    entry once, below 2^-52 since |T - sigma|/scale < 2; the Sturm
+    recurrence is exact for hops changed by 2.5 units of roundoff relative,
+    below 2^-51 in norm since 2 max|hop|/scale < 1; dstebz splits off a hop
+    below 2^-52 sqrt|d_j d_(j+1)| < 2^-51, at most 2^-50 in norm.  The
+    margins of _bracket, _certified_head and keeps_lowest_levels cite this."""
+    shift = np.repeat(sigma, diag.size // sigma.size) if np.ndim(sigma) else sigma
+    m, _, _, _, info = dstebz((diag - shift) / scale, off / scale, 1, -4.0, 0.0, 0, 0, 4.0, "E")
+    return m if info == 0 else None
 
 
 def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
@@ -327,18 +339,17 @@ def _certified_head(p: ModelParams, chains: list, head: list, levels: int):
     (Kahan; Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 11), the j
     such levels of T' then have j eigenvalues of T within sqrt(j) times that
     plus dstevd's own backward error, a few m' ulps of s.  sigma lies
-    farther than HEAD_GAP s from every theta_k, which covers both and the
-    count's error (2^-49 s, _bracket), so those j eigenvalues lie below
-    sigma.  One Sturm count of both full chains at sigma (_count, the chains
-    stacked as blocks joined by a zero hop) finds at least their sum, and
-    finds exactly levels only when each chain holds no further eigenvalue at
-    or below sigma: then the heads' lowest levels are the full chains'.
-    sigma also lies farther than the level-order shift from both neighbours,
-    so the rule never moves a level across it.  A LAPACK failure certifies
-    nothing.  The residual test runs first, on the head's solve alone, so a
-    head it refuses costs no top bisection and no count.
+    farther than HEAD_GAP s = 2^-32 s from every theta_k, which covers both
+    and the count's error, below 2^-49 s (_count), so those j eigenvalues
+    lie below sigma.  One Sturm count of both full chains at sigma (_count
+    on _stack) finds at least their sum, and finds exactly levels only when
+    each chain holds no further eigenvalue at or below sigma: then the
+    heads' lowest levels are the full chains'.  sigma also lies farther than
+    the level-order shift from both neighbours, so the rule never moves a
+    level across it.  A LAPACK failure certifies nothing.  The residual test
+    runs first, on the head's solve alone, so a head it refuses costs no top
+    bisection and no count.
     """
-    m = p.n_tr + 1
     try:
         solved = _solve(_coupled(p, head, p.g)[0])
         energies = np.sort(np.concatenate([w for w, _ in solved]))
@@ -347,16 +358,14 @@ def _certified_head(p: ModelParams, chains: list, head: list, levels: int):
         for (w, v), (_, _, s) in zip(solved, chains):
             if np.any(h * np.abs(v[-1, :np.searchsorted(w, sigma)]) > HEAD_RESIDUAL * s):
                 return None
-        top = max(_bisect(*chain, m - 1, m - 1)[0] for chain in chains)
-        scale = max(chains[0][2], chains[1][2])
-        margin = max(DEGENERACY_FRACTION * max(top - energies[0], 1.0), HEAD_GAP * scale)
-        if energies[levels] - energies[levels - 1] <= 2.0 * margin:
-            return None
-        diag = np.concatenate([chains[0][0], chains[1][0]])
-        off = np.concatenate([chains[0][1], [0.0], chains[1][1]])
-        return (solved, top) if _count(diag, off, scale, sigma) == levels else None
+        top = max(_bisect(*chain, p.n_tr, p.n_tr)[0] for chain in chains)
     except NumericFailureError:
         return None
+    scale = max(chains[0][2], chains[1][2])
+    margin = max(DEGENERACY_FRACTION * max(top - energies[0], 1.0), HEAD_GAP * scale)
+    if energies[levels] - energies[levels - 1] <= 2.0 * margin:
+        return None
+    return (solved, top) if _count(*_stack(chains, 1), scale, sigma) == levels else None
 
 
 def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
@@ -445,10 +454,9 @@ def _radius(tol: float) -> float:
     bracket.  In index mode it then drops the values past index hi, and of
     two brackets closer than w at the top of the range it may drop the
     lower: a kept value lies within 2 w + 2^-51 of the eigenvalue of its
-    index.  "Eigenvalue" is that of the floating-point Sturm count, which is
-    monotone in IEEE arithmetic with LAPACK's pivmin guard (Kahan 1966;
-    Demmel, Dhillon and Ren, ETNA 3, 1995): the exact eigenvalue of the
-    chain with its hops changed by a few units of roundoff (_bracket).
+    index.  "Eigenvalue" is that of the floating-point Sturm count, monotone
+    with LAPACK's pivmin guard: the exact eigenvalue of a chain within 2^-50
+    of this one (_count's argument, with no shift; _bracket).
     """
     return 2.0 * max(tol, 2.0**-50) + 2.0**-51
 
@@ -465,10 +473,8 @@ class _Scan:
     parts  _parts(p), the g = 1 chains
     head   _parts of the leading sites of each chain that are bisected, or
            parts itself when the scan bisects the whole chains (_head)
-    diag   the full chains' diagonals, tiled as even, odd, even, odd, ...,
-           one copy of each per level the scan reads, for the certificate's
-           count (_bracket)
-    unit   the g = 1 hops tiled in the same blocks, joined by zero hops
+    diag   the g = 1 chains stacked (_stack), one copy of both per level
+    unit   the scan reads, for the certificate's count (_bracket)
     """
 
     p: ModelParams
@@ -485,10 +491,7 @@ class _Scan:
 def _scan(p: ModelParams, parts: list, sites: int, levels: int) -> _Scan:
     """The scan of p that bisects the leading sites of each chain of parts =
     _parts(p) and reads up to levels levels per coupling."""
-    blocks = min(levels, p.n_tr + 1)
-    diag = np.tile(np.concatenate([parts[0][0], parts[1][0]]), blocks)
-    unit = np.tile(np.concatenate([parts[0][1], [0.0], parts[1][1], [0.0]]), blocks)[:-1]
-    return _Scan(p, parts, _head(parts, sites), diag, unit)
+    return _Scan(p, parts, _head(parts, sites), *_stack(parts, min(levels, p.n_tr + 1)))
 
 
 def _bracket(scan: _Scan, g: float, k: int, tol: float):
@@ -506,7 +509,7 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     sigma_k = mu_k - r - slack, slack = _SLACK s.  If a Sturm count of T at
     sigma_k finds k - 1 eigenvalues, then lambda_k(T) > sigma_k, up to the
     count's backward error (Sylvester's law of inertia).  All sigma_k of both
-    chains are counted at once (_count, on the tiled chains of the scan).
+    chains are counted at once (_count, on the scan's stacked chains).
     When sigma_k lies above mu_(k-1) + r + slack for every k > 1 of a chain,
     every count finds at least k - 1, so the sum finds low (low - 1) only
     when each count finds k - 1; any other sum, or a LAPACK failure, is no
@@ -515,13 +518,9 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     Slack.  The counts run on (T - sigma_k)/s and the head's bisection on
     T'/s', so neither shares the floating-point Sturm sequence of _lowest's
     bisection on T over its own scale; each is exact for a nearby chain
-    instead.  In units of s: the shift rounds each diagonal entry once,
-    below 2^-52 since |T - sigma_k|/s < 2; the Sturm recurrence is exact for
-    hops changed by 2.5 units of roundoff relative, below 2^-51 in norm since
-    2 max|hop|/s < 1; dstebz splits off a hop below 2^-52 sqrt|d_j d_(j+1)|
-    < 2^-51, at most 2^-50 in norm.  So the count's error is below 2^-49,
-    and those of the two bisections, which shift nothing and see |d| below
-    their scale, below 2^-50 each.  Their sum stays below slack = 2^-48 s.
+    instead.  The count's error is below 2^-49 s (_count), and the two
+    bisections, which shift nothing and see |d| below their scale, err by
+    below 2^-50 s each (the same argument): slack = 2^-48 s covers the sum.
 
     Radius.  So lambda_k(T) lies in (sigma_k - 2^-49 s, mu_k + r + 2^-50 s],
     and _lowest's tolerance-0 value within _radius(0) s + 2^-50 s of it:
@@ -550,12 +549,7 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
         if np.any(sigma[:, 1:] <= mu[:, :-1] + below):
             return None
         n = 2 * low * (p.n_tr + 1)
-        try:
-            count = _count(scan.diag[:n], g * scan.unit[:n - 1], scale,
-                           np.repeat(sigma.T.ravel(), p.n_tr + 1))
-        except NumericFailureError:
-            return None
-        if count != low * (low - 1):
+        if _count(scan.diag[:n], g * scan.unit[:n - 1], scale, sigma.T.ravel()) != low * (low - 1):
             return None
     return values, below + (_radius(0.0) + 3.0 * _SLACK) * scale, span_hi
 
@@ -644,6 +638,14 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     the absolute threshold, and sigma could split a degenerate pair
     differently from eigensystem), an overflowing grown chain (_coupled), a
     LAPACK failure.
+
+    Error.  One count of both grown chains at their larger scale S (_count
+    on _stack) is exact within 2^-49 S, and sigma lies floor/2 from
+    eigensystem's levels L-1 and L: where the grown chains keep those, the
+    floor covers the count once 2^-49 S <= floor/2.  The GAP_ROUNDING term
+    alone does not always: with extra = 40 at n_tr <= 6 the grown scale is
+    far above max|E|, and 2^-49 S reached 3.1 GAP_ROUNDING max|E| / 2 on
+    random draws with g <= 1e3, where the closure term covered it.
     """
     e, L = eigs.energies, eigs.n_levels
     if extra < 1 or L >= p.dim:
@@ -655,9 +657,9 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     grown = p.with_n_tr(p.n_tr + extra)
     try:
         chains, _ = _coupled(grown, _parts(grown), p.g)
-        return sum(_count(*chain, sigma) for chain in chains) == L
-    except (InvalidParameterError, NumericFailureError):
+    except InvalidParameterError:
         return False
+    return _count(*_stack(chains, 1), max(chains[0][2], chains[1][2]), sigma) == L
 
 
 def gc_analytic(p: ModelParams) -> Optional[float]:
@@ -753,16 +755,13 @@ def find_crossings(
     full chains' (_bracket).  m' starts at CUT_SITES and doubles at g_max
     until the certificate passes there (_heads, eigensystem's rule); once m'
     would pass half of n_tr + 1, and at r = 0, the scan bisects the whole
-    chains as _lowest does, with no count.  The plain energy order gives
-    the labels when every even/odd pair lies farther apart than both radii
-    and the level-order shift at the full chains' span bound, and a gap is
-    decided when it lies farther than the radii from the closure threshold;
-    such labels and decisions are those of the tolerance-0 solve of the
-    full chains.  Elsewhere (near a crossing or a degeneracy, where the
-    certificate fails, or where dstebz fails) the coupling is solved on the
-    full chains at tolerance 0 (_lowest).  Grid labels are not kept for the
-    refinement.  A window whose chains overflow at g_max is rejected before
-    any solve.
+    chains as _lowest does, with no count.  Where their radii settle them,
+    labels and gap decisions come from those values and equal those of the
+    full chains' tolerance-0 solve; elsewhere (near a crossing or a
+    degeneracy, where the certificate fails, or where dstebz fails) they
+    come from that solve (_scan_levels, _lowest).  Grid labels are not kept
+    for the refinement.  A window whose chains overflow at g_max is rejected
+    before any solve.
     """
     _check_scan(g_min, g_max, steps, levels)
     max_level = max(hi for _, hi in levels)

@@ -289,8 +289,10 @@ def test_find_crossings_validation():
     with pytest.raises(rs.InvalidParameterError):
         rs.find_crossings(p, 0.1, 1.0, steps=16, levels=((21, 22),))  # 22 levels at n_tr=10
     # A repeated pair would report its crossings again; no pair, no scan; a
-    # fractional step count is not rounded for the caller.
-    for levels in (((0, 1), (0, 1)), ((0, 1), (1, 2), (0, 1)), (), ((0.5, 1.5),)):
+    # fractional step count is not rounded for the caller, and a bool is not
+    # an integer.
+    for levels in (((0, 1), (0, 1)), ((0, 1), (1, 2), (0, 1)), (), ((0.5, 1.5),),
+                   ((False, True),)):
         with pytest.raises(rs.InvalidParameterError):
             rs.find_crossings(p, 0.1, 1.0, steps=16, levels=levels)
     for steps in (10.7, 16.0, True):
@@ -631,6 +633,44 @@ def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, e
     assert keeps_lowest_levels(p, cut_levels(eigs, n_levels), extra) == same
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n_tr=st.integers(2, 250),
+    r=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    u=st.floats(-0.999, 0.999),
+    reach=st.one_of(st.just(None), st.floats(0.0, 1.0)),
+    copies=st.integers(1, 8),
+    data=st.data(),
+)
+def test_stacked_count_equals_the_per_chain_counts(n_tr, r, u, reach, copies, data):
+    # One count of copies copies of both chains, each block at its own sigma
+    # and all at the larger scale, is the sum of the blocks' counts, each
+    # taken alone at its chain's own scale by dstebz.  Couplings run from 0
+    # up to 1/2 of the _coupled overflow edge, log-uniform from 2^-40; at
+    # g = 0 a sigma may sit exactly on an eigenvalue (a diagonal entry).
+    p = rs.ModelParams(delta=1.0, r=r, u=u, n_tr=n_tr)
+    parts = rs.spectrum._parts(p)
+    edge = min(np.finfo(float).max / (4.0 * umax) for *_, umax in parts)
+    g = 0.0 if reach is None else 2.0 ** (-40.0 + reach * (math.log2(edge) + 39.0))
+    chains, _ = rs.spectrum._coupled(p, parts, g)
+    sigmas, want = [], 0
+    for _ in range(copies):
+        for diag, off, scale in chains:
+            if g == 0.0 and data.draw(st.booleans(), label="on a level"):
+                sigma = float(diag[data.draw(st.integers(0, n_tr), label="level")])
+            else:
+                sigma = data.draw(st.floats(-1.0, 1.0), label="where") * 0.5 * scale
+            sigmas.append(sigma)
+            want += rs.spectrum.dstebz((diag - sigma) / scale, off / scale, 1, -4.0, 0.0,
+                                       0, 0, 4.0, "E")[0]
+    diag, off = rs.spectrum._stack(chains, copies)
+    scale = max(chains[0][2], chains[1][2])
+    assert rs.spectrum._count(diag, off, scale, np.array(sigmas)) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rs.spectrum, "dstebz", lambda *args: (want, np.empty(0), None, None, 4))
+        assert rs.spectrum._count(diag, off, scale, np.array(sigmas)) is None
+
+
 def test_find_crossings_bisects_the_whole_chains_where_a_head_does_not_pay(monkeypatch):
     # A head of more than half the chain, or chains that fall apart into
     # blocks of one or two sites (r = 0), gain nothing from the cut: those
@@ -674,7 +714,7 @@ def test_lowest_levels_rejects_a_bad_count_before_lapack(monkeypatch):
 
     monkeypatch.setattr(rs.spectrum, "dstebz", no_lapack)
     p = rs.ModelParams(delta=1.0, g=0.5, r=0.2, u=0.2, n_tr=10)
-    for k in (0, -1, 2.5, 4.0, math.nan, None):
+    for k in (0, -1, 2.5, 4.0, math.nan, None, True):
         with pytest.raises(rs.InvalidParameterError):
             rs.spectrum.lowest_levels(p, k)
 
@@ -928,7 +968,7 @@ def test_everything_built_from_a_spectrum_spans_its_levels(n_tr, g, r, u, kt, da
 
 def test_eigensystem_rejects_a_bad_level_count():
     p = rs.ModelParams(delta=1.0, g=0.7, r=0.4, u=0.2, n_tr=10)
-    for n_levels in (0, -1, 2.5, 4.0, math.nan, "4"):
+    for n_levels in (0, -1, 2.5, 4.0, math.nan, "4", True):
         with pytest.raises(rs.InvalidParameterError):
             rs.eigensystem(p, n_levels)
     [pt] = rs.evaluate_group(p, [rs.BathParams()], n_levels=4.0)
