@@ -75,6 +75,13 @@ CASES = {
         _sweep({"r": 0.0, "u": 0.3, "n_tr": 20}, _axis("g", 0.0, 1.5, 6),
                n_levels=12, observables=["g2", "g3", "xi_b2", "n_photon"]),
     ),
+    # Across the r = 1 ground crossing at n_tr = 200, every point on a certified
+    # 80-site head: at g = 1.5491904, 1.5491914 and 1.5491924 the level-order
+    # rule puts the odd level first although it lies higher.
+    "g_ground_crossing_n200": (
+        ["sweep"],
+        _sweep({"r": 1.0, "u": 0.2, "n_tr": 200}, _axis("g", 1.5491784, 1.5491944, 17)),
+    ),
     # Crossings over the default scan (g 0.05..2, 81 steps, pairs (0,1),
     # (1,2), (2,3)).
     "critical_r02_u02": (["critical"], {"model": {"delta": 1.0, "r": 0.2, "u": 0.2, "n_tr": 30}}),
