@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -79,7 +79,7 @@ dstebz, dstevd = _flapack.dstebz, _flapack.dstevd
 
 DEGENERACY_FRACTION = 1e-10    # level-order threshold, fraction of spectral span
 GAP_CLOSURE_FRACTION = 1e-3    # crossing accepted when gap < this * omega0
-GAP_ROUNDING = 2.0**-44        # a gap below this * max|E| is rounding (keeps_lowest_levels)
+GAP_ROUNDING = 2.0**-44        # gap of rounding, in units of the grown scale (keeps_lowest_levels)
 BISECTION_DEPTH = 14
 GRID_TOL = 2.0**-24            # dstebz tolerance of the scan's grid labels, in units of scale
 HEAD_SITES = 64                # leading sites per chain eigensystem first solves (at least 2L)
@@ -164,14 +164,12 @@ class EigenSystem:
               follow energies up to the level-order rule
     parities  +1/-1 label of the parity sector of each level in energies
     dim       number of levels of the model, 2(n_tr+1)
-    top       its highest eigenvalue
     """
 
     energies: np.ndarray
     states: np.ndarray
     parities: np.ndarray
     dim: int
-    top: float
 
     @property
     def n_levels(self) -> int:
@@ -281,17 +279,30 @@ def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
     return chains, span_hi
 
 
-def _level_order(energies: np.ndarray, parities: np.ndarray, span: float) -> np.ndarray:
-    """Permutation into the level order of the former dense solver.
+def _level_order(energies: np.ndarray, count: int, span_hi: float, tops: Iterable) -> np.ndarray:
+    """The leading count entries of the permutation of energies (both
+    chains' lowest eigenvalues, as many of each, ascending, even chain
+    first) into the former dense solver's level order: levels closer than
+    DEGENERACY_FRACTION * span, span = max(tops) - min(E) with tops each full
+    chain's highest eigenvalue, odd parity first.  The critical-scan
+    references depend on it, though it swaps a ground crossing's labels
+    slightly before it (fixing that moves the r=1 crossings past their gate).
 
-    Kept because the critical-scan references depend on it: levels closer
-    than DEGENERACY_FRACTION * span (span = max(E) - min(E) over the whole
-    spectrum) are ordered odd parity first, not by energy.  This swaps the
-    labels of a ground crossing slightly before the crossing (a known
-    defect; fixing it moves the r=1 crossings past the critical-scan gate).
+    The rule puts odd level i before even level j iff fl(E_i - shift) < E_j,
+    monotone in the shift, and never reorders one parity: where no shift and
+    the shift at span_hi >= span (_coupled) give the same leading entries,
+    so does the shift at span, and tops, a generator, is not read.
     """
-    shift = DEGENERACY_FRACTION * max(span, 1.0)
-    return np.argsort(energies - shift * (parities < 0), kind="stable")
+    odd = np.arange(energies.size) >= energies.size // 2
+
+    def ordered(span: float) -> np.ndarray:
+        shift = DEGENERACY_FRACTION * max(span, 1.0)
+        return np.argsort(energies - shift * odd, kind="stable")[:count]
+
+    plain = np.argsort(energies, kind="stable")[:count]
+    if np.array_equal(plain, ordered(span_hi)):
+        return plain
+    return ordered(float(max(tops) - energies.min()))
 
 
 def _head(parts: list, sites: int) -> list:
@@ -322,50 +333,55 @@ def _solve(chains: list) -> list:
     return [(w, v) for w, v, _ in solved]
 
 
+def _edge_hop(p: ModelParams, sites: int) -> float:
+    """The hop past site sites-1 of either chain at p.g, at most g sqrt(sites) max(1, r)."""
+    return p.g * math.sqrt(sites) * max(1.0, p.r)
+
+
 def _certified_head(p: ModelParams, chains: list, head: list, levels: int):
-    """eigensystem's solve of the head of each chain, (solved, top), where a
+    """eigensystem's solve of the head of each chain (_solve), where a
     certificate proves that its lowest levels = L+1 levels are the full
-    chains' lowest; else None.  chains are the full chains at p.g
-    (_coupled), and top is their highest eigenvalue, bisected (_bisect).
+    chains' lowest (chains, at p.g: _coupled); else None.
 
     Notation: T is a full chain, T' its head of m' sites, s the larger scale
     of the two full chains, (theta_k, v_k) the eigenpairs dstevd returns on
     T', and sigma the midpoint of the gap above level L of both heads.
 
-    Certificate.  [v_k; 0] leaves one residual entry in T, the hop past
-    site m'-1 times v_k[m'-1], below h |v_k[m'-1]| (edge_residuals' h).
-    Each level at or below sigma must have h |v_k[m'-1]| <= HEAD_RESIDUAL
-    times its chain's scale.  By the residual bound for an orthonormal set
-    (Kahan; Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 11), the j
-    such levels of T' then have j eigenvalues of T within sqrt(j) times that
-    plus dstevd's own backward error, a few m' ulps of s.  sigma lies
-    farther than HEAD_GAP s = 2^-32 s from every theta_k, which covers both
-    and the count's error, below 2^-49 s (_count), so those j eigenvalues
-    lie below sigma.  One Sturm count of both full chains at sigma (_count
-    on _stack) finds at least their sum, and finds exactly levels only when
-    each chain holds no further eigenvalue at or below sigma: then the
-    heads' lowest levels are the full chains'.  sigma also lies farther than
-    the level-order shift from both neighbours, so the rule never moves a
-    level across it.  A LAPACK failure certifies nothing.  The residual test
-    runs first, on the head's solve alone, so a head it refuses costs no top
-    bisection and no count.
+    Certificate.  [v_k; 0] leaves one residual entry in T, below
+    h |v_k[m'-1]| (h = _edge_hop), which must be <= HEAD_RESIDUAL times its
+    chain's scale for each level at or below sigma.  By the residual bound
+    for an orthonormal set (Kahan; Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4 and 11), the j such levels of T' then have j eigenvalues
+    of T within sqrt(j) times that plus dstevd's own backward error, a few
+    m' ulps of s.  sigma lies farther than margin = max(DEGENERACY_FRACTION,
+    HEAD_GAP s) from every theta_k, and 2^-32 s covers both and the count's
+    error, below 2^-49 s (_count): those j eigenvalues lie below sigma.  One
+    Sturm count of both full chains at sigma (_count on _stack) finds at
+    least their sum, and exactly levels only when neither chain holds a
+    further eigenvalue at or below sigma: then the heads' lowest levels are
+    the full chains'.  A LAPACK failure certifies nothing; a head the
+    residual test refuses costs no count.
+
+    Level order.  margin is max(shift, HEAD_GAP s), shift =
+    DEGENERACY_FRACTION max(span, 1) (_level_order), with no top eigenvalue
+    found: span <= 2s and s is a power of two, so for s >= 1/2 the shift is
+    at most 2e-10 s < 2^-32 s, and for s <= 1/4 it is DEGENERACY_FRACTION >
+    2^-32 s.  So the rule never moves a level across sigma.
     """
     try:
         solved = _solve(_coupled(p, head, p.g)[0])
-        energies = np.sort(np.concatenate([w for w, _ in solved]))
-        sigma = 0.5 * (energies[levels - 1] + energies[levels])
-        h = p.g * math.sqrt(head[0][0].size) * max(1.0, p.r)
-        for (w, v), (_, _, s) in zip(solved, chains):
-            if np.any(h * np.abs(v[-1, :np.searchsorted(w, sigma)]) > HEAD_RESIDUAL * s):
-                return None
-        top = max(_bisect(*chain, p.n_tr, p.n_tr)[0] for chain in chains)
     except NumericFailureError:
         return None
+    energies = np.sort(np.concatenate([w for w, _ in solved]))
+    sigma = 0.5 * (energies[levels - 1] + energies[levels])
+    h = _edge_hop(p, head[0][0].size)
+    for (w, v), (_, _, s) in zip(solved, chains):
+        if np.any(h * np.abs(v[-1, :np.searchsorted(w, sigma)]) > HEAD_RESIDUAL * s):
+            return None
     scale = max(chains[0][2], chains[1][2])
-    margin = max(DEGENERACY_FRACTION * max(top - energies[0], 1.0), HEAD_GAP * scale)
-    if energies[levels] - energies[levels - 1] <= 2.0 * margin:
+    if energies[levels] - energies[levels - 1] <= 2.0 * max(DEGENERACY_FRACTION, HEAD_GAP * scale):
         return None
-    return (solved, top) if _count(*_stack(chains, 1), scale, sigma) == levels else None
+    return solved if _count(*_stack(chains, 1), scale, sigma) == levels else None
 
 
 def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
@@ -379,23 +395,22 @@ def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
     m' starts at max(HEAD_SITES, 2L) and doubles (_heads), and past half the
     chain the whole chains are solved.  Each eigenvector stays on its own
     chain, so its parity label is exact; its largest component is made
-    positive.
+    positive.  The top eigenvalue is found only where the level-order rule acts.
     """
     if not (n_levels is None or _is_int(n_levels) and n_levels >= 1):
         raise InvalidParameterError(f"n_levels must be an integer >= 1 or None, got {n_levels}")
     L = p.dim if n_levels is None else min(n_levels, p.dim)
     parts = _parts(p)
-    chains, _ = _coupled(p, parts, p.g)
-    found = next(filter(None, (_certified_head(p, chains, head, L + 1)
-                               for head in _heads(parts, max(HEAD_SITES, 2 * L)))), None)
-    if found is None:
+    chains, span_hi = _coupled(p, parts, p.g)
+    solved = next(filter(None, (_certified_head(p, chains, head, L + 1)
+                                for head in _heads(parts, max(HEAD_SITES, 2 * L)))), None)
+    tops = (_bisect(*chain, p.n_tr, p.n_tr)[0] for chain in chains)
+    if solved is None:
         solved = _solve(chains)
-        found = solved, max(w[-1] for w, _ in solved)
-    solved, top = found
+        tops = (w[-1] for w, _ in solved)
     rows = solved[0][0].size
     energies = np.concatenate([w for w, _ in solved])
-    parities = np.repeat([1.0, -1.0], rows)
-    order = _level_order(energies, parities, float(top - energies.min()))
+    order = _level_order(energies, L + 1, span_hi, tops)
     kept = order[:L]
     # Each chain's kept vectors go straight to their levels' columns: one
     # column-major array, the layout LAPACK returns, written once.
@@ -405,8 +420,7 @@ def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
         v = v[:, kept[at] - k * rows]
         v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(at.size)])
         states[:, at] = v
-    return EigenSystem(np.sort(energies)[:L + 1], states, parities[order][:L + 1],
-                       p.dim, float(top))
+    return EigenSystem(np.sort(energies)[:L + 1], states, np.where(order < rows, 1.0, -1.0), p.dim)
 
 
 def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -414,9 +428,9 @@ def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
     without vectors.
 
     Bisection by LAPACK dstebz, called directly (_bisect), gives each chain's
-    lowest min(k, n_tr+1) eigenvalues, and its top one when the span of the
-    level-order rule can change the labels.  Energies agree with eigensystem
-    to ~1e-14 relative; labels follow the same rule.
+    lowest min(k, n_tr+1) eigenvalues, and its top one only where the
+    level-order rule can act (_level_order).  Energies agree with
+    eigensystem to ~1e-14 relative; labels follow the same rule.
     """
     if not _is_int(k) or k < 1:
         raise InvalidParameterError(f"need an integer level count k >= 1, got {k}")
@@ -425,20 +439,12 @@ def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _lowest(p: ModelParams, parts: list, g: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """lowest_levels at coupling g, on the g = 1 chains parts = _parts(p)."""
-    m = p.n_tr + 1
-    low = min(k, m)
+    low = min(k, p.n_tr + 1)
     chains, span_hi = _coupled(p, parts, g)
     energies = np.concatenate([_bisect(*chain, 0, low - 1) for chain in chains])
-    parities = np.repeat([1.0, -1.0], low)
-    order = np.argsort(energies, kind="stable")
-    # The rule puts odd level i before even level j iff fl(E_i - shift) < E_j,
-    # monotone in shift, and never reorders levels of one parity.  So if no
-    # shift and the shift of span_hi >= span give one order, so does the
-    # shift of the true span, and the top eigenvalues are not needed.
-    if not np.array_equal(order, _level_order(energies, parities, span_hi)):
-        top = max(_bisect(*chain, m - 1, m - 1)[0] for chain in chains)
-        order = _level_order(energies, parities, float(top - min(energies[0], energies[low])))
-    return np.sort(energies)[:k], parities[order][:k]
+    order = _level_order(energies, k, span_hi,
+                         (_bisect(*chain, p.n_tr, p.n_tr)[0] for chain in chains))
+    return np.sort(energies)[:k], np.where(order < low, 1.0, -1.0)
 
 
 def _radius(tol: float) -> float:
@@ -615,14 +621,12 @@ def edge_residuals(p: ModelParams, eigs: EigenSystem) -> np.ndarray:
     """|h v_k[m'-1]| for the eigs.n_levels levels of eigs = eigensystem(p, L),
     m' the rows of its states (n_tr+1, or a certified head).
 
-    Extending a chain past site m'-1 adds the hop h = g sqrt(m') (times r on
-    one chain, so max(1, r) bounds both), and (E_k, [v_k; 0])
-    keeps one nonzero residual entry, h v_k[m'-1], in any longer chain.  The
-    longer chain thus has an eigenvalue within that residual of E_k
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    Extending a chain past site m'-1 adds a hop of at most h = _edge_hop(p,
+    m'), and (E_k, [v_k; 0]) keeps one nonzero residual entry, below h
+    |v_k[m'-1]|, in any longer chain, which thus has an eigenvalue within
+    that residual of E_k (Parlett, The Symmetric Eigenvalue Problem, ch. 4).
     """
-    h = p.g * math.sqrt(eigs.states.shape[0]) * max(1.0, p.r)
-    return h * np.abs(eigs.states[-1])
+    return _edge_hop(p, eigs.states.shape[0]) * np.abs(eigs.states[-1])
 
 
 def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
@@ -632,34 +636,29 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     the sites past n_tr are levels of their own).  The grown count is not read
     from the pivots past n_tr: sigma must split the levels as eigensystem did.
 
-    Not cleared: extra < 1, no level above L-1, a gap below the closure
-    threshold or below GAP_ROUNDING max|E| (256 ulps of the spectrum's scale,
-    max|E| from E_0 and eigs.top: at large g a gap of pure rounding passes
-    the absolute threshold, and sigma could split a degenerate pair
-    differently from eigensystem), an overflowing grown chain (_coupled), a
-    LAPACK failure.
+    Not cleared: extra < 1, no level above L-1, an overflowing grown chain
+    (_coupled), a gap below the closure threshold or below GAP_ROUNDING S
+    (256 ulps of the grown chains' larger scale S: at large g a gap of pure
+    rounding passes the absolute threshold, and sigma could split a
+    degenerate pair differently from eigensystem), a LAPACK failure.
 
-    Error.  One count of both grown chains at their larger scale S (_count
-    on _stack) is exact within 2^-49 S, and sigma lies floor/2 from
-    eigensystem's levels L-1 and L: where the grown chains keep those, the
-    floor covers the count once 2^-49 S <= floor/2.  The GAP_ROUNDING term
-    alone does not always: with extra = 40 at n_tr <= 6 the grown scale is
-    far above max|E|, and 2^-49 S reached 3.1 GAP_ROUNDING max|E| / 2 on
-    random draws with g <= 1e3, where the closure term covered it.
+    Error.  One count of both grown chains at S (_count on _stack) is exact
+    within 2^-49 S, and sigma lies at least 2^-45 S from eigensystem's levels
+    L-1 and L.  S bounds max|E| (Gershgorin, and interlacing with the
+    shorter chains), so the floor is never below 2^-44 max|E|.
     """
     e, L = eigs.energies, eigs.n_levels
     if extra < 1 or L >= p.dim:
         return False
-    floor = max(GAP_CLOSURE_FRACTION * p.omega0, GAP_ROUNDING * max(-e[0], eigs.top))
-    if e[L] - e[L - 1] < floor:
-        return False
-    sigma = 0.5 * (e[L - 1] + e[L])
     grown = p.with_n_tr(p.n_tr + extra)
     try:
         chains, _ = _coupled(grown, _parts(grown), p.g)
     except InvalidParameterError:
         return False
-    return _count(*_stack(chains, 1), max(chains[0][2], chains[1][2]), sigma) == L
+    scale = max(chains[0][2], chains[1][2])
+    if e[L] - e[L - 1] < max(GAP_CLOSURE_FRACTION * p.omega0, GAP_ROUNDING * scale):
+        return False
+    return _count(*_stack(chains, 1), scale, 0.5 * (e[L - 1] + e[L])) == L
 
 
 def gc_analytic(p: ModelParams) -> Optional[float]:

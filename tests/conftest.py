@@ -104,12 +104,15 @@ def full_chain_eigensystem(p, n_levels=None):
               for diag, unit in (rs.spectrum._parity_chain(p, odd) for odd in (0, 1))]
     energies = np.concatenate([w for w, _ in solved])
     parities = np.repeat([1.0, -1.0], m)
-    order = rs.spectrum._level_order(energies, parities, float(energies.max() - energies.min()))
+    # The level-order rule at the whole spectrum's span (spectrum._level_order).
+    span = float(energies.max() - energies.min())
+    shift = rs.spectrum.DEGENERACY_FRACTION * max(span, 1.0)
+    order = np.argsort(energies - shift * (parities < 0), kind="stable")
     states = np.empty((m, order[:n_levels].size))
     for col, level in enumerate(order[:n_levels]):
         v = solved[level // m][1][:, level % m]
         states[:, col] = v * np.sign(v[np.argmax(np.abs(v))])
-    return rs.EigenSystem(np.sort(energies), states, parities[order], 2 * m, float(energies.max()))
+    return rs.EigenSystem(np.sort(energies), states, parities[order], 2 * m)
 
 
 def eigensystem_levels(p, k):

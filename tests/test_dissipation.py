@@ -263,7 +263,7 @@ def test_gibbs_stationarity_residual():
 def test_gibbs_state_values():
     eigs = rs.EigenSystem(
         energies=np.array([0.0, 0.07, 0.5, 1.1]), states=np.eye(4), parities=np.ones(4),
-        dim=4, top=1.1,
+        dim=4,
     )
     cold = gibbs_state(eigs, 0.0)
     assert np.array_equal(cold.populations, [1.0, 0.0, 0.0, 0.0])

@@ -554,7 +554,8 @@ def test_grid_labels_fall_back_on_a_bisection_failure(monkeypatch):
 def test_top_bisection_runs_only_where_the_level_order_rule_acts(monkeypatch):
     # At g = 1.5491904 the ground gap (2.45e-8) is below the rule's threshold,
     # so the span is needed and the odd level comes first; a generic point
-    # reads its labels off the energies alone.
+    # reads its labels off the energies alone.  eigensystem solves both on
+    # certified 80-site heads and bisects the top of the full chains.
     tops = []
     bisect = rs.spectrum._bisect
 
@@ -563,13 +564,21 @@ def test_top_bisection_runs_only_where_the_level_order_rule_acts(monkeypatch):
             tops.append(diag.size)
         return bisect(diag, off, scale, lo, hi)
 
+    def head_labels(p):
+        eigs = rs.eigensystem(p, 40)
+        assert eigs.states.shape[0] == 80
+        return eigs.parities
+
     monkeypatch.setattr(rs.spectrum, "_bisect", recorded)
     model = rs.ModelParams(delta=1.0, g=1.5491904, r=1.0, u=0.2, n_tr=200)
-    assert list(rs.spectrum.lowest_levels(model, 4)[1][:2]) == [-1.0, 1.0]
-    assert tops == [201, 201]
-    tops.clear()
-    rs.spectrum.lowest_levels(replace(model, g=0.7), 4)
-    assert tops == []
+    for labels in (lambda p: rs.spectrum.lowest_levels(p, 4)[1], head_labels):
+        tops.clear()
+        assert list(labels(model)[:2]) == [-1.0, 1.0]
+        assert tops == [201, 201]
+        for g in (0.7, 0.9):
+            tops.clear()
+            labels(replace(model, g=g))
+            assert tops == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -603,34 +612,51 @@ def test_scaled_chain_is_the_chain_at_g(g, r, n_tr):
         assert np.max(np.abs(g * unit)) == g * np.max(np.abs(unit))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    g=st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 2.0)),
+    model=st.one_of(
+        st.tuples(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 2.0)),
+                  st.integers(2, 60)),
+        # Short chains at couplings up to 1e150, where the grown chains' scale
+        # lies far above the short chains' max|E|.
+        st.tuples(st.floats(-3.0, 150.0).map(lambda x: 10.0**x), st.integers(2, 6)),
+    ),
     r=st.floats(0.0, 2.0),
     u=st.floats(-0.9, 0.9),
-    n_tr=st.integers(2, 60),
     n_levels=st.integers(1, 12),
     extra=st.one_of(st.integers(1, 3), st.just(40)),
 )
-@example(g=0.0, r=1.547, u=-0.766, n_tr=16, n_levels=12, extra=40)
-@example(g=1.23, r=1.57, u=-0.04, n_tr=7, n_levels=8, extra=1)   # last old pivot < 0, cleared
+@example(model=(0.0, 16), r=1.547, u=-0.766, n_levels=12, extra=40)
+@example(model=(1.23, 7), r=1.57, u=-0.04, n_levels=8, extra=1)   # last old pivot < 0, cleared
 # A gap of pure rounding passes the closure test, and sigma splits a
 # degenerate pair: one even level is added, though no pivot past n_tr is < 0.
-@example(g=9.65e56, r=1.0, u=0.3, n_tr=12, n_levels=5, extra=1)
-def test_keeps_lowest_levels_counts_the_longer_chains(g, r, u, n_tr, n_levels, extra):
+@example(model=(9.65e56, 12), r=1.0, u=0.3, n_levels=5, extra=1)
+# The gap above level 2 (3.83) lies above 2^-44 max|E| (3.63), the floor's
+# rounding term before it took the grown chains' scale S, and below 2^-48 S
+# (4.0), within the count's error of sigma: refused by the floor.
+@example(model=(4.5e13, 2), r=0.1, u=0.45, n_levels=3, extra=40)
+def test_keeps_lowest_levels_counts_the_longer_chains(model, r, u, n_levels, extra):
     # The Sturm count against a count on the longer spectrum, per parity,
     # down to one added site (a 1x1 Schur complement), and at g = 0, where
-    # the added sites are levels of their own.
+    # the added sites are levels of their own.  A cleared cutoff gap is at
+    # least 2^-48 of the grown chains' larger scale S, so sigma lies farther
+    # than the count's error, 2^-49 S (spectrum._count), from both levels.
+    g, n_tr = model
     p = rs.ModelParams(delta=1.0, g=g, r=r, u=u, n_tr=n_tr)
     eigs = rs.eigensystem(p)
     e = eigs.energies
     assume(n_levels < eigs.dim and e[n_levels] - e[n_levels - 1] >= GAP_CLOSURE_FRACTION)
     sigma = 0.5 * (e[n_levels - 1] + e[n_levels])
-    longer = rs.eigensystem(p.with_n_tr(n_tr + extra))
-    assume(np.min(np.abs(longer.energies - sigma)) > 1e-9)
+    grown = p.with_n_tr(n_tr + extra)
+    chains, _ = rs.spectrum._coupled(grown, rs.spectrum._parts(grown), g)
+    scale = max(chains[0][2], chains[1][2])
+    longer = rs.eigensystem(grown)
+    assume(np.min(np.abs(longer.energies - sigma)) > max(1e-9, 2.0**-40 * scale))
     same = all(np.sum((longer.energies < sigma) & (longer.parities == label))
                == np.sum((e < sigma) & (eigs.parities == label)) for label in (1.0, -1.0))
-    assert keeps_lowest_levels(p, cut_levels(eigs, n_levels), extra) == same
+    cleared = keeps_lowest_levels(p, cut_levels(eigs, n_levels), extra)
+    assert cleared == same
+    assert not cleared or e[n_levels] - e[n_levels - 1] >= 2.0**-48 * scale
 
 
 @settings(max_examples=200, deadline=None)
@@ -707,6 +733,26 @@ def test_keeps_lowest_levels_refuses_a_gap_of_rounding(monkeypatch):
     assert keeps_lowest_levels(p, eigs, 1) is False
 
 
+def test_keeps_lowest_levels_refuses_a_gap_within_the_counts_error(monkeypatch):
+    # At g = 4.5e13, n_tr = 2, the gap above level 2 (3.83) clears the
+    # closure threshold and 2^-44 max|E| (3.63), but lies below 2^-48 of the
+    # chains' scale grown by 40 sites (4.0): sigma lies within the count's
+    # error of the levels beside it, so the point is refused with no count.
+    p = rs.ModelParams(delta=1.0, g=4.5e13, r=0.1, u=0.45, n_tr=2)
+    eigs = rs.eigensystem(p, 3)
+    e = eigs.energies
+    grown = p.with_n_tr(42)
+    chains, _ = rs.spectrum._coupled(grown, rs.spectrum._parts(grown), p.g)
+    scale = max(chains[0][2], chains[1][2])
+    assert 2.0**-44 * max(-e[0], rs.eigensystem(p).energies[-1]) < e[3] - e[2] < 2.0**-48 * scale
+
+    def no_count(*args):
+        raise AssertionError("_count was called")
+
+    monkeypatch.setattr(rs.spectrum, "_count", no_count)
+    assert keeps_lowest_levels(p, eigs, 40) is False
+
+
 def test_lowest_levels_rejects_a_bad_count_before_lapack(monkeypatch):
     # k = 0 would reach dstebz as il=1, iu=0, which LAPACK rejects on stderr.
     def no_lapack(*args):
@@ -734,7 +780,7 @@ def test_keeps_lowest_levels_guards_an_exact_zero_pivot():
     # chain, a zero first pivot; the decision is the count on the spectra.
     p = replace(p, g=0.3, u=0.2)
     made = rs.spectrum.EigenSystem(np.array([-1.0, 0.0, 1.0]), np.zeros((31, 1)), np.ones(3),
-                                   p.dim, 1.0)
+                                   p.dim)
     assert rs.spectrum._parity_chain(p, 0)[0][0] == -0.5
 
     def below(spectrum, label):
@@ -766,7 +812,7 @@ def test_eigensystem_keeps_the_lowest_columns(n_levels):
     full, kept = rs.eigensystem(p), rs.eigensystem(p, n_levels)
     assert np.array_equal(kept.energies, full.energies[:n_levels + 1])
     assert np.array_equal(kept.parities, full.parities[:n_levels + 1])
-    assert (kept.dim, kept.top) == (full.dim, full.top) == (82, full.energies[-1])
+    assert kept.dim == full.dim == 82
     assert kept.states.shape == (41, n_levels)
     assert np.array_equal(kept.states, full.states[:, :n_levels])
 
@@ -822,7 +868,6 @@ def test_head_solve_matches_the_full_chains(n_tr, g, r, u, n_levels):
     assert np.array_equal(eigs.parities, want.parities[:L + 1])
     e = want.energies[:L + 1]
     assert np.all(np.abs(eigs.energies - e) <= 1e-12 * np.maximum(1.0, np.abs(e)))
-    assert abs(eigs.top - want.top) <= 1e-12 * max(1.0, abs(want.top))
     edge = edge_residuals(p, eigs)
     chains = {label: rs.spectrum._parity_chain(p, odd) for label, odd in ((1.0, 0), (-1.0, 1))}
     spectra = {label: np.sort(want.energies[want.parities == label]) for label in chains}
@@ -854,14 +899,14 @@ def test_head_too_short_for_its_levels_is_refused(monkeypatch):
     assert tried == [(80, False), (160, False)]
     assert np.array_equal(got.energies, want.energies[:41])
     assert np.array_equal(got.parities, want.parities[:41])
-    assert np.array_equal(got.states, want.states) and got.top == want.top
+    assert np.array_equal(got.states, want.states)
 
 
 @pytest.mark.parametrize("sites", [80, 160])
 def test_head_refused_on_its_residuals_bisects_and_counts_nothing(monkeypatch, sites):
     # The same model: on heads of 80 and 160 sites some level below sigma
     # leaves an edge residual far above HEAD_RESIDUAL of its chain's scale,
-    # so the head is refused before the top bisection and the stacked count.
+    # so the head is refused before the stacked count, and nothing is bisected.
     p = rs.ModelParams(delta=1.0, g=2.5, r=2.0, u=-0.8, n_tr=400)
     parts = rs.spectrum._parts(p)
     chains, _ = rs.spectrum._coupled(p, parts, p.g)
