@@ -648,7 +648,7 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     shorter chains), so the floor is never below 2^-44 max|E|.
     """
     e, L = eigs.energies, eigs.n_levels
-    if extra < 1 or L >= p.dim:
+    if extra < 1 or L >= p.dim or e[L] - e[L - 1] < GAP_CLOSURE_FRACTION * p.omega0:
         return False
     grown = p.with_n_tr(p.n_tr + extra)
     try:
@@ -656,7 +656,7 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     except InvalidParameterError:
         return False
     scale = max(chains[0][2], chains[1][2])
-    if e[L] - e[L - 1] < max(GAP_CLOSURE_FRACTION * p.omega0, GAP_ROUNDING * scale):
+    if e[L] - e[L - 1] < GAP_ROUNDING * scale:
         return False
     return _count(*_stack(chains, 1), scale, 0.5 * (e[L - 1] + e[L])) == L
 
