@@ -4,11 +4,11 @@ The Hamiltonian conserves parity exp(i pi (a^dag a + (sigma_z + 1)/2)), and
 within each parity sector it is a tridiagonal chain (Braak, PRL 107, 100401
 (2011)), so the spectrum is solved chain by chain and every eigenvector
 carries an exact label +/-1.  Eigenvectors stay in chain form, and every
-matrix element the pipeline needs is taken on the chains.  The levels
-read occupy a short head of each chain, so eigensystem and the crossing
-scan solve the leading sites only (or the whole chains where a head does
-not pay).  Three certificates rest on one Sturm count of the full chains
-at a shift, with one error bound (_count): the head solve
+matrix element the pipeline needs is taken on the chains.  The levels read
+occupy a short head of each chain, a view of the coupled chain at its scale,
+so eigensystem and the crossing scan solve the heads alone (the whole chains
+where a head does not pay).  Three certificates rest on one Sturm count of
+the full chains at a shift, with one error bound (_count): the head solve
 (_certified_head), the scan's values (_bracket) and the truncation check
 (keeps_lowest_levels).  Crossings of adjacent levels are located by
 tracking the swap of the energy-sorted parity labels along a coupling scan
@@ -305,21 +305,18 @@ def _level_order(energies: np.ndarray, count: int, span_hi: float, tops: Iterabl
     return ordered(float(max(tops) - energies.min()))
 
 
-def _head(parts: list, sites: int) -> list:
-    """_parts of the leading sites of each chain of parts, or parts itself
-    when that is the whole chain."""
-    if sites >= parts[0][0].size:
-        return parts
-    return [(d[:sites], u[:sites - 1], float(np.max(np.abs(d[:sites]))),
-             float(np.max(np.abs(u[:sites - 1])))) for d, u, _, _ in parts]
+def _head(chains: list, sites: int) -> list:
+    """The leading sites of each chain of chains (_coupled), as views, each at
+    its full chain's scale: that bounds the head's Gershgorin interval too."""
+    return [(diag[:sites], off[:sites - 1], scale) for diag, off, scale in chains]
 
 
-def _heads(parts: list, sites: int):
-    """The heads eigensystem and find_crossings try, shortest first: _head of
-    sites * 2^j sites of each chain of parts while that is at most half the
-    chain.  Past that a head no longer pays, and the whole chains are solved."""
-    while 2 * sites <= parts[0][0].size:
-        yield _head(parts, sites)
+def _heads(n: int, sites: int):
+    """The head lengths eigensystem and find_crossings try, shortest first:
+    sites * 2^j while that is at most half of chains of n sites.  Past that a
+    head no longer pays, and the whole chains are solved."""
+    while 2 * sites <= n:
+        yield sites
         sites *= 2
 
 
@@ -338,10 +335,10 @@ def _edge_hop(p: ModelParams, sites: int) -> float:
     return p.g * math.sqrt(sites) * max(1.0, p.r)
 
 
-def _certified_head(p: ModelParams, chains: list, head: list, levels: int):
-    """eigensystem's solve of the head of each chain (_solve), where a
-    certificate proves that its lowest levels = L+1 levels are the full
-    chains' lowest (chains, at p.g: _coupled); else None.
+def _certified_head(p: ModelParams, chains: list, sites: int, levels: int):
+    """eigensystem's solve of the leading sites of each chain (_head, _solve),
+    where a certificate proves that its lowest levels = L+1 levels are the
+    full chains' lowest (chains, at p.g: _coupled); else None.
 
     Notation: T is a full chain, T' its head of m' sites, s the larger scale
     of the two full chains, (theta_k, v_k) the eigenpairs dstevd returns on
@@ -369,12 +366,12 @@ def _certified_head(p: ModelParams, chains: list, head: list, levels: int):
     2^-32 s.  So the rule never moves a level across sigma.
     """
     try:
-        solved = _solve(_coupled(p, head, p.g)[0])
+        solved = _solve(_head(chains, sites))
     except NumericFailureError:
         return None
     energies = np.sort(np.concatenate([w for w, _ in solved]))
     sigma = 0.5 * (energies[levels - 1] + energies[levels])
-    h = _edge_hop(p, head[0][0].size)
+    h = _edge_hop(p, sites)
     for (w, v), (_, _, s) in zip(solved, chains):
         if np.any(h * np.abs(v[-1, :np.searchsorted(w, sigma)]) > HEAD_RESIDUAL * s):
             return None
@@ -400,10 +397,9 @@ def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
     if not (n_levels is None or _is_int(n_levels) and n_levels >= 1):
         raise InvalidParameterError(f"n_levels must be an integer >= 1 or None, got {n_levels}")
     L = p.dim if n_levels is None else min(n_levels, p.dim)
-    parts = _parts(p)
-    chains, span_hi = _coupled(p, parts, p.g)
-    solved = next(filter(None, (_certified_head(p, chains, head, L + 1)
-                                for head in _heads(parts, max(HEAD_SITES, 2 * L)))), None)
+    chains, span_hi = _coupled(p, _parts(p), p.g)
+    solved = next(filter(None, (_certified_head(p, chains, sites, L + 1)
+                                for sites in _heads(p.n_tr + 1, max(HEAD_SITES, 2 * L)))), None)
     tops = (_bisect(*chain, p.n_tr, p.n_tr)[0] for chain in chains)
     if solved is None:
         solved = _solve(chains)
@@ -477,27 +473,27 @@ class _Scan:
 
     p      the model
     parts  _parts(p), the g = 1 chains
-    head   _parts of the leading sites of each chain that are bisected, or
-           parts itself when the scan bisects the whole chains (_head)
+    sites  the leading sites of each chain that are bisected (_head); the
+           whole chains when sites > n_tr
     diag   the g = 1 chains stacked (_stack), one copy of both per level
     unit   the scan reads, for the certificate's count (_bracket)
     """
 
     p: ModelParams
     parts: list
-    head: list
+    sites: int
     diag: np.ndarray
     unit: np.ndarray
 
     @property
     def cut(self) -> bool:
-        return self.head is not self.parts
+        return self.sites <= self.p.n_tr
 
 
 def _scan(p: ModelParams, parts: list, sites: int, levels: int) -> _Scan:
     """The scan of p that bisects the leading sites of each chain of parts =
     _parts(p) and reads up to levels levels per coupling."""
-    return _Scan(p, parts, _head(parts, sites), *_stack(parts, min(levels, p.n_tr + 1)))
+    return _Scan(p, parts, sites, *_stack(parts, min(levels, p.n_tr + 1)))
 
 
 def _bracket(scan: _Scan, g: float, k: int, tol: float):
@@ -506,10 +502,9 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     _lowest returns lies of its own; and the span bound of the full chains.
     None where the head does not certify them.
 
-    Notation: T is a full chain at g, T' its head of m' sites, s and s' the
-    larger scale (_coupled) of the two full chains and of the two heads
-    (s' <= s), mu_k the value _bisect returns on T' for index k, and r =
-    _radius(tol) s'.
+    Notation: T is a full chain at g, T' its head of m' sites (_head), s the
+    larger scale (_coupled) of the two full chains, mu_k the value _bisect
+    returns on T' for index k, and r = _radius(tol) s.
 
     Certificate.  By Cauchy interlacing lambda_k(T) <= mu_k(T').  Let
     sigma_k = mu_k - r - slack, slack = _SLACK s.  If a Sturm count of T at
@@ -521,10 +516,10 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     when each count finds k - 1; any other sum, or a LAPACK failure, is no
     certificate.
 
-    Slack.  The counts run on (T - sigma_k)/s and the head's bisection on
-    T'/s', so neither shares the floating-point Sturm sequence of _lowest's
-    bisection on T over its own scale; each is exact for a nearby chain
-    instead.  The count's error is below 2^-49 s (_count), and the two
+    Slack.  The counts run on (T - sigma_k)/s and the head's bisection on T'
+    over T's scale, which bounds T' too, so neither shares the floating-point
+    Sturm sequence of _lowest's bisection on T; each is exact for a nearby
+    chain instead.  The count's error is below 2^-49 s (_count), and the two
     bisections, which shift nothing and see |d| below their scale, err by
     below 2^-50 s each (the same argument): slack = 2^-48 s covers the sum.
 
@@ -538,7 +533,7 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     p = scan.p
     low = min(k, p.n_tr + 1)
     chains, span_hi = _coupled(p, scan.parts, g)
-    heads = _coupled(p, scan.head, g)[0] if scan.cut else chains
+    heads = _head(chains, scan.sites)
     if heads[0][0].size < low:
         return None
     try:
@@ -548,7 +543,7 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     if values[0].size < low or values[1].size < low:
         return None
     scale = max(chains[0][2], chains[1][2])
-    below = _radius(tol) * max(heads[0][2], heads[1][2]) + _SLACK * scale
+    below = (_radius(tol) + _SLACK) * scale
     if scan.cut:
         mu = np.array(values)
         sigma = mu - below
@@ -708,15 +703,17 @@ def _check_window(p: ModelParams, g_max: float) -> None:
 
 def _check_scan(g_min: float, g_max: float, steps: int, levels: Sequence) -> None:
     """The scan rules of find_crossings and config.ScanConfig: finite bounds
-    with 0 <= g_min < g_max, an integer step count >= 8, and one or more
-    distinct adjacent integer pairs (k, k+1) with k >= 0."""
+    with 0 <= g_min < g_max, an integer step count >= 8, and a list or tuple
+    of one or more distinct adjacent integer pairs, tuples (k, k+1), k >= 0."""
     if not (_is_finite(g_min) and _is_finite(g_max) and 0 <= g_min < g_max):
         raise InvalidParameterError(f"need finite 0 <= g_min < g_max, got [{g_min}, {g_max}]")
     if not _is_int(steps) or steps < 8:
         raise InvalidParameterError(f"need an integer step count >= 8, got {steps}")
-    if (not levels or len(set(levels)) != len(levels)
-            or any(not (_is_int(lo) and _is_int(hi)) or lo < 0 or hi != lo + 1
-                   for lo, hi in levels)):
+    # Each pair's shape is checked before the pairs are hashed.
+    if (not isinstance(levels, (list, tuple)) or not levels
+            or not all(isinstance(pair, tuple) and len(pair) == 2 and all(map(_is_int, pair))
+                       and 0 <= pair[0] == pair[1] - 1 for pair in levels)
+            or len(set(levels)) != len(levels)):
         raise InvalidParameterError(
             f"tracked pairs must be one or more distinct level pairs (k, k+1), k >= 0, "
             f"got {levels}")
@@ -778,9 +775,9 @@ def find_crossings(
     # apart into 2 x 2 blocks that dstebz bisects whole at little cost.
     sites = CUT_SITES if p.r > 0 else p.n_tr + 1
     scan = _scan(p, parts, sites, max_level + 1)
-    scan = next((cut for cut in (replace(scan, head=head) for head in _heads(parts, sites))
+    scan = next((cut for cut in (replace(scan, sites=m) for m in _heads(p.n_tr + 1, sites))
                  if _bracket(cut, g_max, max_level + 1, GRID_TOL) is not None),
-                replace(scan, head=parts))
+                replace(scan, sites=p.n_tr + 1))
     solved: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def solve(g: float, k: int):

@@ -78,7 +78,6 @@ _ERROR_CODES = {
     InvalidParameterError: ERR_INVALID_PARAMS,
     NumericFailureError: ERR_NUMERIC,
     InvalidInputError: ERR_NUMERIC,
-    np.linalg.LinAlgError: ERR_NUMERIC,
 }
 
 

@@ -290,9 +290,12 @@ def test_find_crossings_validation():
         rs.find_crossings(p, 0.1, 1.0, steps=16, levels=((21, 22),))  # 22 levels at n_tr=10
     # A repeated pair would report its crossings again; no pair, no scan; a
     # fractional step count is not rounded for the caller, and a bool is not
-    # an integer.
+    # an integer.  Pairs of another shape or kind, and a container that is no
+    # list or tuple, are invalid parameters too, not raw errors.
+    malformed = ([(0, 1, 2)], [(0,)], np.array([[0, 1]]), [0], [[0, 1]],
+                 ((k, k + 1) for k in range(2)))
     for levels in (((0, 1), (0, 1)), ((0, 1), (1, 2), (0, 1)), (), ((0.5, 1.5),),
-                   ((False, True),)):
+                   ((False, True),)) + malformed:
         with pytest.raises(rs.InvalidParameterError):
             rs.find_crossings(p, 0.1, 1.0, steps=16, levels=levels)
     for steps in (10.7, 16.0, True):
@@ -307,7 +310,7 @@ def test_find_crossings_validation():
     bad_scans = [dict(g_min=1.0, g_max=0.5), dict(g_min=0.5, g_max=0.5), dict(count=4),
                  dict(count=10.5), dict(count=16.0), dict(pairs=((0, 2),)),
                  dict(pairs=((-1, 0),)), dict(pairs=((0, 1), (0, 1))), dict(pairs=()),
-                 dict(pairs=((0.5, 1.5),)),
+                 dict(pairs=((0.5, 1.5),)), *(dict(pairs=pairs) for pairs in malformed),
                  dict(n_levels=1), dict(n_levels=8.5), dict(g_min=-0.1), dict(g_max=math.inf)]
     for bad in bad_scans:
         with pytest.raises(rs.InvalidParameterError):
@@ -452,19 +455,29 @@ def test_grid_labels_fall_back_where_the_order_is_in_doubt(model, g, k, doubt):
     assert fallbacks == ([(g, k)] if doubt else [])
 
 
+@st.composite
+def _scan_heads(draw):
+    """(n_tr, m'): a chain of n_tr + 1 sites and a head the scan may pick,
+    m' in {32, 64, 128} with 2 m' <= n_tr + 1 (spectrum._heads)."""
+    n_tr = draw(st.integers(63, 400))
+    return n_tr, draw(st.sampled_from([m for m in (32, 64, 128) if 2 * m <= n_tr + 1]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     where=st.sampled_from(["zero", "window", "crossing", "wide"]),
     x=st.floats(0.0, 1.0),
     r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
     u=st.one_of(st.sampled_from([-0.999, -0.99, 0.99, 0.999]), st.floats(-0.95, 0.95)),
-    n_tr=st.integers(40, 250),
+    head=_scan_heads(),
     k=st.integers(1, 6),
 )
-@example(where="crossing", x=0.5, r=1.0, u=0.2, n_tr=200, k=4)
-@example(where="wide", x=1.0, r=1.0, u=0.2, n_tr=200, k=4)
-def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, n_tr, k):
-    # On a head of 32 sites, wherever _bracket certifies the lowest levels,
+@example(where="crossing", x=0.5, r=1.0, u=0.2, head=(200, 32), k=4)
+@example(where="wide", x=1.0, r=1.0, u=0.2, head=(200, 32), k=4)
+# The head the golden critical_r1_u02_n200_g3 scan picks, at its g_max = 3.
+@example(where="wide", x=0.75, r=1.0, u=0.2, head=(200, 64), k=4)
+def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, head, k):
+    # On a head of m' sites, wherever _bracket certifies the lowest levels,
     # the tolerance-0 values of the whole chains lie within its radius of the
     # head's, at both tolerances; the labels and the gap decisions the scan
     # takes from them (_scan_levels) are _lowest's, at both.  Couplings:
@@ -474,9 +487,10 @@ def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, n_tr, k):
     assume(where != "crossing" or gc is not None)
     g = {"zero": 0.0, "window": 2.0 * x, "wide": 4.0 * x,
          "crossing": gc + (2.0 * x - 1.0) * 1e-5 if gc else 0.0}[where]
+    n_tr, sites = head
     p = rs.ModelParams(delta=1.0, r=r, u=u, n_tr=n_tr)
     parts = rs.spectrum._parts(p)
-    scan = rs.spectrum._scan(p, parts, 32, k + 1)
+    scan = rs.spectrum._scan(p, parts, sites, k + 1)
     assert scan.cut
     low = min(k, p.n_tr + 1)
     chains, _ = rs.spectrum._coupled(p, parts, g)
@@ -821,9 +835,9 @@ def _heads_tried(mp):
     """Log (m', certified) for each head eigensystem tries, via mp."""
     tried, real = [], rs.spectrum._certified_head
 
-    def logged(p, chains, head, levels):
-        found = real(p, chains, head, levels)
-        tried.append((head[0][0].size, found is not None))
+    def logged(p, chains, sites, levels):
+        found = real(p, chains, sites, levels)
+        tried.append((sites, found is not None))
         return found
 
     mp.setattr(rs.spectrum, "_certified_head", logged)
@@ -908,10 +922,8 @@ def test_head_refused_on_its_residuals_bisects_and_counts_nothing(monkeypatch, s
     # leaves an edge residual far above HEAD_RESIDUAL of its chain's scale,
     # so the head is refused before the stacked count, and nothing is bisected.
     p = rs.ModelParams(delta=1.0, g=2.5, r=2.0, u=-0.8, n_tr=400)
-    parts = rs.spectrum._parts(p)
-    chains, _ = rs.spectrum._coupled(p, parts, p.g)
-    head = rs.spectrum._head(parts, sites)
-    solved = rs.spectrum._solve(rs.spectrum._coupled(p, head, p.g)[0])
+    chains, _ = rs.spectrum._coupled(p, rs.spectrum._parts(p), p.g)
+    solved = rs.spectrum._solve(rs.spectrum._head(chains, sites))
     e = np.sort(np.concatenate([w for w, _ in solved]))
     sigma = 0.5 * (e[40] + e[41])
     h = p.g * math.sqrt(sites) * p.r
@@ -923,7 +935,7 @@ def test_head_refused_on_its_residuals_bisects_and_counts_nothing(monkeypatch, s
 
     monkeypatch.setattr(rs.spectrum, "_bisect", forbidden)
     monkeypatch.setattr(rs.spectrum, "_count", forbidden)
-    assert rs.spectrum._certified_head(p, chains, head, 41) is None
+    assert rs.spectrum._certified_head(p, chains, sites, 41) is None
 
 
 def test_level_past_the_head_is_found_by_the_count(monkeypatch):
