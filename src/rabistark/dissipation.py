@@ -22,7 +22,7 @@ from .errors import (
     MultipleSteadyStateError,
     NumericFailureError,
 )
-from .spectrum import EigenSystem, ModelParams, _is_finite, parity_odd_elements
+from .spectrum import EigenSystem, ModelParams, _is_finite
 
 GAP_EPSILON_FRACTION = 1e-9   # |gap| below this * omega0 uses the degenerate limit
 WEIGHT_FLOOR = 1e-300         # connectivity cutoff for the transition graph
@@ -133,7 +133,7 @@ def transition_rates(
         raise InvalidParameterError("need baths and a spectrum of 2 or more levels, got "
                                     f"{'' if baths else 'no baths, '}n_levels={L}")
     energies = eigs.energies[:L]
-    m_q, m_c = parity_odd_elements(eigs)
+    m_q, m_c = eigs.parity_odd_elements
     # The opposite-parity pairs (k, j), k > j, the only ones with a rate: their
     # gaps, and squared qubit and cavity elements <j|.|k>^2 as (2, 1, pairs).
     lower = np.tril(eigs.parities[:L, None] != eigs.parities[None, :L], k=-1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ZeroFluxError
 from .dissipation import SteadyState
-from .spectrum import EigenSystem, field_diagonals, parity_odd_elements
+from .spectrum import EigenSystem, field_diagonals
 
 ZERO_FLUX_THRESHOLD = 1e-30
 P1_FLOOR = 1e-300
@@ -33,7 +33,8 @@ class DetectionOperator:
     The physical operator carries a global factor -i, dropped here: every
     observable takes |.|^2 of its elements, so xplus stays real.
     norms[n-1][k] = sum_j |((X^+)^n)[j, k]|^2 = <k|X^-n X^+n|k>, n = 1, 2, 3,
-    is computed once here for flux_proxy and correlation_g_n.
+    is computed once here for flux_proxy and correlation_g_n, from two
+    products, X^+2 = X^+ X^+ and X^+3 = X^+2 X^+: matrix_power's bits.
     """
 
     xplus: np.ndarray
@@ -42,9 +43,10 @@ class DetectionOperator:
 
     def __post_init__(self):
         # A power that overflows only feeds a ratio that is then inf or NaN.
+        x = self.xplus
         with np.errstate(over="ignore", invalid="ignore"):
-            self.norms = tuple(np.sum(np.abs(np.linalg.matrix_power(self.xplus, n)) ** 2, axis=0)
-                               for n in (1, 2, 3))
+            x2 = x @ x
+            self.norms = tuple(np.sum(np.abs(power) ** 2, axis=0) for power in (x, x2, x2 @ x))
 
     @property
     def n_levels(self) -> int:
@@ -57,7 +59,7 @@ def detection_operator(eigs: EigenSystem) -> DetectionOperator:
     The result is strictly upper triangular in the energy-sorted basis and
     annihilates the ground state.
     """
-    _, xmat = parity_odd_elements(eigs)
+    _, xmat = eigs.parity_odd_elements
     e = eigs.energies[:eigs.n_levels]
     gap = e[None, :] - e[:, None]  # gap[j,k] = E_k - E_j
     xplus = np.triu(gap * xmat, k=1)

@@ -3,25 +3,19 @@
 The Hamiltonian conserves parity exp(i pi (a^dag a + (sigma_z + 1)/2)), and
 within each parity sector it is a tridiagonal chain (Braak, PRL 107, 100401
 (2011)), so the spectrum is solved chain by chain and every eigenvector
-carries an exact label +/-1.  Eigenvectors stay in chain form, and every
-matrix element the pipeline needs is taken on the chains.  The levels read
-occupy a short head of each chain, a view of the coupled chain at its scale,
-so eigensystem and the crossing scan solve the heads alone (the whole chains
-where a head does not pay).  Three certificates rest on one Sturm count of
-the full chains at a shift, with one error bound (_count): the head solve
+carries an exact label +/-1.  A model's chains are built once (_parts) and
+kept on its spectrum, which the truncation check grows by the added sites
+alone.  Eigenvectors stay in chain form, and the parity-odd matrix elements
+are taken on the chains once per spectrum.  The levels read occupy a short
+head of each chain, a view of the coupled chain at its scale, so eigensystem
+and the crossing scan solve the heads alone (the whole chains where a head
+does not pay).  Three certificates rest on one Sturm count of the full
+chains at a shift, with one error bound (_count): the head solve
 (_certified_head), the scan's values (_bracket) and the truncation check
-(keeps_lowest_levels).  Crossings of adjacent levels are located by
-tracking the swap of the energy-sorted parity labels along a coupling scan
-and refining with bisection; the scan reads only the lowest chain
-eigenvalues, never eigenvectors, solves each coupling once for the levels
-its tests read there, and bisects them with LAPACK dstebz called directly.
-It builds each chain once and scales its off-diagonal per coupling.  Every
-coupling goes through one hook, _scan_levels: grid couplings bisect to the
-absolute tolerance GRID_TOL, bisection midpoints and bracket centres to
-tolerance 0.  Labels and gap decisions are taken from the certified values
-where their radii settle them, else from the full chains (_lowest), so
-every label is the full chains' label.  Its result is one list of
-crossings, ascending in the coupling.
+(keeps_lowest_levels).  Crossings of adjacent levels are located by tracking
+the swap of the energy-sorted parity labels along a coupling scan, each
+coupling solved once through one hook (_scan_levels), and refined by
+bisection (find_crossings).
 
 Units: omega0 is the base energy unit and hbar = k_B = 1, so couplings and
 temperatures are quoted in units of omega0.
@@ -32,7 +26,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
 from typing import Iterable, Optional, Sequence
@@ -160,42 +155,59 @@ class EigenSystem:
     states    (m', L) real chain amplitudes of the lowest L = n_levels
               levels on the m' sites solved (n_tr+1, or a certified head):
               column k is level k's eigenvector on the chain of its parity,
-              entry n the amplitude of |n, q(n)> (_parity_chain); columns
+              entry n the amplitude of |n, q(n)> (_parts); columns
               follow energies up to the level-order rule
     parities  +1/-1 label of the parity sector of each level in energies
     dim       number of levels of the model, 2(n_tr+1)
+    parts     _parts of the model, kept by eigensystem; None if made by hand
     """
 
     energies: np.ndarray
     states: np.ndarray
     parities: np.ndarray
     dim: int
+    parts: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_levels(self) -> int:
         return self.states.shape[1]
 
+    @cached_property
+    def parity_odd_elements(self) -> tuple[np.ndarray, np.ndarray]:
+        """<j|sigma_x|k> and <j|a + a^dag|k> over the n_levels levels, once per spectrum.
 
-def _parity_chain(p: ModelParams, odd: int):
-    """H on one parity chain at g = 1: diagonal and off-diagonal.
+        Both operators flip parity, so elements between equal labels are
+        zero.  sigma_x maps |n, q> to |n, 1-q>, the same chain index on the
+        other chain, so its elements are chain overlaps C^T C.  a maps |n, q>
+        to sqrt(n) |n-1, q>, index n-1 on the other chain, so a + a^dag acts
+        as the symmetric shift S + S^T with S[n-1, n] = sqrt(n).
+        """
+        c, L = self.states, self.n_levels
+        root = np.sqrt(np.arange(1.0, c.shape[0]))[:, None]
+        shifted = np.zeros_like(c)
+        shifted[:-1] = root * c[1:]
+        shifted[1:] += root * c[:-1]
+        flips = self.parities[:L, None] != self.parities[None, :L]
+        return np.where(flips, c.T @ c, 0.0), np.where(flips, c.T @ shifted, 0.0)
 
-    The chain basis is |n, q(n)>, n = 0..n_tr, with qubit q (1 = excited)
-    fixed by the parity: q = (n + odd) mod 2, so odd=0 is P=+1 and odd=1 is
-    P=-1.  The rotating hop |n, e> -> |n+1, g> has weight g*sqrt(n+1), the
-    counter-rotating hop |n, g> -> |n+1, e> carries the extra factor r.  Only
-    the hops depend on g, so the chain at coupling g is (diag, g * off).
+
+def _parts(p: ModelParams, first: int = 0) -> list:
+    """The g = 1 chains of p on sites first..n_tr, (diag, unit, max|diag|,
+    max|unit|) per parity, even (P=+1) first: the chain at g is (diag, g * unit).
+
+    Site n is |n, q(n)>, q = (n + odd) mod 2 (1 = excited), at +/-(delta/2 +
+    u n) + omega0 n, + where q = 1.  unit holds the hop into each site n > 0
+    from n - 1: sqrt(n) rotating (|n-1, e> -> |n, g>), r sqrt(n) counter-rotating.
     """
-    n = np.arange(p.n_tr + 1)
-    q = (n + odd) % 2
+    n = np.arange(first, p.n_tr + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = (0.5 * p.delta + p.u * n) * (2 * q - 1) + p.omega0 * n
-    return diag, np.sqrt(n[1:]) * np.where(q[:-1] == 1, 1.0, p.r)
-
-
-def _parts(p: ModelParams) -> list:
-    """The g = 1 chains of p, (diag, unit, max|diag|, max|unit|) per parity."""
-    return [(diag, unit, float(np.max(np.abs(diag))), float(np.max(np.abs(unit))))
-            for diag, unit in (_parity_chain(p, odd) for odd in (0, 1))]
+        stark, photons = 0.5 * p.delta + p.u * n, p.omega0 * n
+        low, high = photons - stark, photons + stark
+    into, odd = n[n > 0], np.array([[0], [1]])          # one row per chain
+    diag = np.where((n + odd) % 2 == 1, high, low)
+    unit = np.sqrt(into) * np.where((into + odd) % 2 == 0, 1.0, p.r)
+    dmax, umax = np.max(np.abs(diag), axis=1).tolist(), np.max(np.abs(unit), axis=1).tolist()
+    return [(diag[k], unit[k], dmax[k], umax[k]) for k in (0, 1)]
 
 
 def _bisect(diag: np.ndarray, off: np.ndarray, scale: float, lo: int, hi: int,
@@ -397,7 +409,8 @@ def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
     if not (n_levels is None or _is_int(n_levels) and n_levels >= 1):
         raise InvalidParameterError(f"n_levels must be an integer >= 1 or None, got {n_levels}")
     L = p.dim if n_levels is None else min(n_levels, p.dim)
-    chains, span_hi = _coupled(p, _parts(p), p.g)
+    parts = _parts(p)
+    chains, span_hi = _coupled(p, parts, p.g)
     solved = next(filter(None, (_certified_head(p, chains, sites, L + 1)
                                 for sites in _heads(p.n_tr + 1, max(HEAD_SITES, 2 * L)))), None)
     tops = (_bisect(*chain, p.n_tr, p.n_tr)[0] for chain in chains)
@@ -416,7 +429,9 @@ def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
         v = v[:, kept[at] - k * rows]
         v *= np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(at.size)])
         states[:, at] = v
-    return EigenSystem(np.sort(energies)[:L + 1], states, np.where(order < rows, 1.0, -1.0), p.dim)
+    eigs = EigenSystem(np.sort(energies)[:L + 1], states, np.where(order < rows, 1.0, -1.0), p.dim)
+    eigs.parts = parts
+    return eigs
 
 
 def lowest_levels(p: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -488,12 +503,6 @@ class _Scan:
     @property
     def cut(self) -> bool:
         return self.sites <= self.p.n_tr
-
-
-def _scan(p: ModelParams, parts: list, sites: int, levels: int) -> _Scan:
-    """The scan of p that bisects the leading sites of each chain of parts =
-    _parts(p) and reads up to levels levels per coupling."""
-    return _Scan(p, parts, sites, *_stack(parts, min(levels, p.n_tr + 1)))
 
 
 def _bracket(scan: _Scan, g: float, k: int, tol: float):
@@ -582,24 +591,6 @@ def _scan_levels(scan: _Scan, g: float, k: int, tol: float) -> tuple[np.ndarray,
     return _lowest(scan.p, scan.parts, g, k)
 
 
-def parity_odd_elements(eigs: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
-    """<j|sigma_x|k> and <j|a + a^dag|k> over the eigs.n_levels levels eigs holds.
-
-    Both operators flip parity, so elements between equal labels are zero.
-    sigma_x maps |n, q> to |n, 1-q>, the same chain index on the other
-    chain, so its elements are chain overlaps C^T C.  a maps |n, q> to
-    sqrt(n) |n-1, q>, index n-1 on the other chain, so a + a^dag acts as the
-    symmetric shift S + S^T with S[n-1, n] = sqrt(n).
-    """
-    c, L = eigs.states, eigs.n_levels
-    root = np.sqrt(np.arange(1.0, c.shape[0]))[:, None]
-    shifted = np.zeros_like(c)
-    shifted[:-1] = root * c[1:]
-    shifted[1:] += root * c[:-1]
-    flips = eigs.parities[:L, None] != eigs.parities[None, :L]
-    return np.where(flips, c.T @ c, 0.0), np.where(flips, c.T @ shifted, 0.0)
-
-
 def field_diagonals(eigs: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
     """<k|a^dag a|k> and <k|a^2|k> over the eigs.n_levels levels eigs holds.
 
@@ -631,6 +622,9 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     the sites past n_tr are levels of their own).  The grown count is not read
     from the pivots past n_tr: sigma must split the levels as eigensystem did.
 
+    The grown chains are eigs.parts (or _parts(p)) with the extra sites
+    appended.  An extra that is not an integer raises InvalidParameterError.
+
     Not cleared: extra < 1, no level above L-1, an overflowing grown chain
     (_coupled), a gap below the closure threshold or below GAP_ROUNDING S
     (256 ulps of the grown chains' larger scale S: at large g a gap of pure
@@ -642,12 +636,19 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     L-1 and L.  S bounds max|E| (Gershgorin, and interlacing with the
     shorter chains), so the floor is never below 2^-44 max|E|.
     """
+    if not _is_int(extra):
+        raise InvalidParameterError(f"extra must be an integer number of sites, got {extra!r}")
     e, L = eigs.energies, eigs.n_levels
     if extra < 1 or L >= p.dim or e[L] - e[L - 1] < GAP_CLOSURE_FRACTION * p.omega0:
         return False
     grown = p.with_n_tr(p.n_tr + extra)
+    # Past an overflow every site overflows: max(), tail first, keeps either non-finite.
+    parts = [(np.concatenate((diag, tail)), np.concatenate((unit, hops)),
+              max(tail_dmax, dmax), max(hops_max, umax))
+             for (diag, unit, dmax, umax), (tail, hops, tail_dmax, hops_max)
+             in zip(eigs.parts or _parts(p), _parts(grown, p.n_tr + 1))]
     try:
-        chains, _ = _coupled(grown, _parts(grown), p.g)
+        chains, _ = _coupled(grown, parts, p.g)
     except InvalidParameterError:
         return False
     scale = max(chains[0][2], chains[1][2])
@@ -774,7 +775,7 @@ def find_crossings(
     # most half the chains (_heads), and not at r = 0, where the chains fall
     # apart into 2 x 2 blocks that dstebz bisects whole at little cost.
     sites = CUT_SITES if p.r > 0 else p.n_tr + 1
-    scan = _scan(p, parts, sites, max_level + 1)
+    scan = _Scan(p, parts, sites, *_stack(parts, min(max_level + 1, p.n_tr + 1)))
     scan = next((cut for cut in (replace(scan, sites=m) for m in _heads(p.n_tr + 1, sites))
                  if _bracket(cut, g_max, max_level + 1, GRID_TOL) is not None),
                 replace(scan, sites=p.n_tr + 1))

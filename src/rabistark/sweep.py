@@ -146,7 +146,12 @@ class SweepSpec:
         return (self.axis1.count, self.axis2.count if self.axis2 else 1)
 
     def point_params(self, i: int, j: int) -> tuple[ModelParams, BathParams]:
-        """Model/bath parameters at grid slot (i, j), overriding the base."""
+        """Model/bath parameters at grid slot (i, j), overriding the base.
+        The slot must be integers within shape (j = 0 on a 1-D grid), else
+        InvalidParameterError."""
+        if not (_is_int(i) and _is_int(j) and 0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
+            raise InvalidParameterError(f"grid slot must be integers within {self.shape}, "
+                                        f"got ({i!r}, {j!r})")
         return self._params(self.axis1.values()[i],
                             self.axis2.values()[j] if self.axis2 else None, {})
 

@@ -101,7 +101,7 @@ def full_chain_eigensystem(p, n_levels=None):
     n_tr+1 sites.  The oracle for the head solve of rs.eigensystem."""
     m = p.n_tr + 1
     solved = [eigh_tridiagonal(diag, p.g * unit)
-              for diag, unit in (rs.spectrum._parity_chain(p, odd) for odd in (0, 1))]
+              for diag, unit, _, _ in rs.spectrum._parts(p)]
     energies = np.concatenate([w for w, _ in solved])
     parities = np.repeat([1.0, -1.0], m)
     # The level-order rule at the whole spectrum's span (spectrum._level_order).

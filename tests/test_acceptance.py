@@ -11,7 +11,6 @@ import numpy as np
 
 import rabistark as rs
 from rabistark.cli import main
-from rabistark.spectrum import parity_odd_elements
 from rabistark.sweep import AxisSpec, SweepSpec, run_sweep
 
 from conftest import (
@@ -117,7 +116,7 @@ def test_criterion_4_parity_selection():
         same = np.equal.outer(eigs.parities[:16], eigs.parities[:16])
         off = ~np.eye(16, dtype=bool)
         mask = same & off
-        m_q, m_c = parity_odd_elements(eigs)
+        m_q, m_c = eigs.parity_odd_elements
         worst_elem = max(worst_elem,
                          float(np.max(np.abs(m_q[mask]))),
                          float(np.max(np.abs(m_c[mask]))))

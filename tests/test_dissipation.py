@@ -12,7 +12,6 @@ from rabistark import dissipation
 from rabistark.dissipation import (
     WEIGHT_FLOOR, TransitionTable, _graph_components, _pair_weights, balance_residual,
 )
-from rabistark.spectrum import parity_odd_elements
 
 from conftest import (
     StepSizeError, build_eigs, cut_levels, evolve_density, gibbs_state, random_model,
@@ -92,7 +91,7 @@ def test_parity_selection_rules_zero_weights():
         p = random_model(rng, n_tr=30)
         eigs = build_eigs(p, 14)
         table = rs.transition_rates(eigs, p, [BATH])
-        m_q, m_c = parity_odd_elements(eigs)
+        m_q, m_c = eigs.parity_odd_elements
         for k in range(1, table.n_levels):
             for j in range(k):
                 if eigs.parities[k] == eigs.parities[j]:
@@ -126,7 +125,7 @@ def test_cavity_rate_matches_decoupled_hand_value():
     p = rs.ModelParams(delta=1.3, g=1e-6, r=0.2, u=0.0, n_tr=20)
     eigs = build_eigs(p, 6)
     table = rs.transition_rates(eigs, p, [BATH])
-    assert parity_odd_elements(eigs)[0][0, 1] ** 2 < 1e-10
+    assert eigs.parity_odd_elements[0][0, 1] ** 2 < 1e-10
     n_th = rs.bose_occupation(1.0, 0.07)
     gamma_c = table.rate[0, 1, 0] / (1.0 + n_th)
     assert gamma_c == pytest.approx(1e-3 * math.exp(-0.1), rel=1e-6)
@@ -208,7 +207,7 @@ def test_transition_tables_match_scalar_formula():
         eigs = build_eigs(p, 16)
         table = rs.transition_rates(eigs, p, baths)
         assert table.rate.shape == (len(baths), 16, 16)
-        m_q, m_c = parity_odd_elements(eigs)
+        m_q, m_c = eigs.parity_odd_elements
         eps = 1e-9 * p.omega0
         for b, bath in enumerate(baths):
             for k in range(1, table.n_levels):
@@ -452,7 +451,7 @@ def _all_pairs_rates(eigs, model, baths):
     """The rate table from every pair (k, j), k > j, equal parities included:
     the pair weights of their matrix elements, zero or not."""
     L = eigs.n_levels
-    m_q, m_c = parity_odd_elements(eigs)
+    m_q, m_c = eigs.parity_odd_elements
     lower = np.tril(np.ones((L, L), dtype=bool), k=-1)
     gap = (eigs.energies[:L, None] - eigs.energies[None, :L])[lower]
     melem_sq = np.stack([m_q.T[lower] ** 2, m_c.T[lower] ** 2])[:, None]

@@ -40,6 +40,34 @@ def test_detection_operator_structure():
                     assert abs(x.xplus[j, k]) < 1e-10
 
 
+class _Products(np.ndarray):
+    """An array that counts the matrix products taken with it on the left."""
+
+    taken = 0
+
+    def __matmul__(self, other):
+        _Products.taken += 1
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 13, 40])
+def test_detection_operator_norms_are_matrix_powers(size):
+    # Two products, X+2 = X+ X+ and X+3 = X+2 X+, give matrix_power's bits
+    # for n = 1, 2, 3, overflow included (inf and NaN where a power
+    # overflows); numpy forms n = 3 as (x @ x) @ x.
+    rng = np.random.default_rng(size)
+    for scale in (1.0, 1e100, 1e160):
+        xplus = np.triu(rng.normal(size=(size, size)) * scale, k=1)
+        x = rs.DetectionOperator(xplus=xplus, xmat=xplus)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [np.sum(np.abs(np.linalg.matrix_power(xplus, n)) ** 2, axis=0)
+                    for n in (1, 2, 3)]
+        assert all(np.array_equal(got, ref, equal_nan=True) for got, ref in zip(x.norms, want))
+    _Products.taken = 0
+    rs.DetectionOperator(xplus=xplus.view(_Products), xmat=xplus)
+    assert _Products.taken == 2
+
+
 def test_detection_operator_spans_the_levels_of_its_spectrum():
     # The spectrum fixes the level count; eigensystem validates it.
     p = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=10)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabistark as rs
-from rabistark.spectrum import _parity_chain, field_diagonals, parity_odd_elements
+from rabistark.spectrum import _parts, field_diagonals
 
 from conftest import (
     SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, chain_index, composite_annihilation,
@@ -17,7 +17,7 @@ def chain_matrix(p):
     h = np.zeros((p.dim, p.dim))
     for odd in (0, 1):
         index = chain_index(p.n_tr, 1 - 2 * odd)
-        diag, unit = _parity_chain(p, odd)
+        diag, unit, _, _ = _parts(p)[odd]
         off = p.g * unit
         h[index, index] = diag
         h[index[:-1], index[1:]] = off
@@ -138,7 +138,7 @@ def test_chain_elements_match_dense_products(g, r, u, n_tr):
     def dense(op):
         return states.T @ (op @ states)
 
-    sigma_x, position = parity_odd_elements(eigs)
+    sigma_x, position = eigs.parity_odd_elements
     number, a_sq = field_diagonals(eigs)
     scale = max(1.0, n_tr)
     assert np.max(np.abs(sigma_x - dense(composite_sigma_x(n_tr)))) <= 1e-13

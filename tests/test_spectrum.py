@@ -10,7 +10,7 @@ import rabistark as rs
 from rabistark.config import ScanConfig
 from rabistark.spectrum import (
     DEGENERACY_FRACTION, GAP_CLOSURE_FRACTION, edge_residuals, field_diagonals,
-    keeps_lowest_levels, parity_odd_elements,
+    keeps_lowest_levels,
 )
 
 from conftest import (
@@ -131,7 +131,7 @@ def test_phase_fixing_largest_component_real_positive():
 def test_pipeline_arrays_are_real():
     p = rs.ModelParams(delta=1.0, g=0.6, r=0.5, u=0.2, n_tr=10)
     eigs, table, ss, x = observables_pipeline(p, rs.BathParams(), n_levels=12)
-    arrays = (eigs.states, *parity_odd_elements(eigs), table.rate,
+    arrays = (eigs.states, *eigs.parity_odd_elements, table.rate,
               ss.populations, x.xplus, x.xmat)
     assert all(arr.dtype == np.float64 for arr in arrays)
     assert all(isinstance(m, float) for m in rs.field_moments(ss, eigs))
@@ -341,19 +341,19 @@ def test_find_crossings_equals_the_scan_at_max_level(monkeypatch, r, u):
 def test_find_crossings_solves_each_coupling_once(monkeypatch):
     # At the ground crossing level 1 swaps in the same grid interval as
     # level 0, so the (1, 2) refinement meets the (0, 1) one's couplings;
-    # each is solved once, on the two parity chains built once per scan: no
-    # model per coupling.  Every solve goes through _scan_levels: a grid
-    # coupling for the labels up to level 2 (the highest lower level of the
-    # pairs) to GRID_TOL, then the refinement at tolerance 0 for the levels
-    # read there: the ground interval's midpoints up to level 1, a (2, 3)
-    # interval's up to level 2, and each bracket centre one level more, for
-    # its gap.  On a head (n_tr = 120) and on the whole chains (n_tr = 30)
+    # each is solved once, on the two parity chains one _parts call builds
+    # per scan: no model per coupling.  Every solve goes through
+    # _scan_levels: a grid coupling for the labels up to level 2 (the highest
+    # lower level of the pairs) to GRID_TOL, then the refinement at tolerance
+    # 0 for the levels read there: the ground interval's midpoints up to
+    # level 1, a (2, 3) interval's up to level 2, and each bracket centre one
+    # level more, for its gap.  On a head (n_tr = 120) and on the whole chains (n_tr = 30)
     # alike, it hands a coupling to _lowest only where its values leave it in
     # doubt.
     for n_tr in (30, 120):
         calls, cuts, fallbacks, builds, models = [], set(), [], [], []
         levels, solve = rs.spectrum._scan_levels, rs.spectrum._lowest
-        chain, check = rs.spectrum._parity_chain, rs.ModelParams.__post_init__
+        build, check = rs.spectrum._parts, rs.ModelParams.__post_init__
 
         def hooked(scan, g, k, tol):
             calls.append((g, k, tol))
@@ -365,15 +365,15 @@ def test_find_crossings_solves_each_coupling_once(monkeypatch):
             assert (g, k) == calls[-1][:2]
             return solve(p, parts, g, k)
 
-        def built(p, odd):
-            builds.append(odd)
-            return chain(p, odd)
+        def built(p):
+            builds.append(p)
+            return build(p)
 
         p = rs.ModelParams(delta=1.0, g=0.0, r=0.2, u=0.2, n_tr=n_tr)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rs.spectrum, "_scan_levels", hooked)
             patch.setattr(rs.spectrum, "_lowest", fallback)
-            patch.setattr(rs.spectrum, "_parity_chain", built)
+            patch.setattr(rs.spectrum, "_parts", built)
             patch.setattr(rs.ModelParams, "__post_init__",
                           lambda model: models.append(model) or check(model))
             cp = rs.find_crossings(p, 0.05, 2.0, steps=41)
@@ -387,7 +387,7 @@ def test_find_crossings_solves_each_coupling_once(monkeypatch):
         assert [k for _, k, _ in refined] == [3] * 14 + [4] + [2] * 14 + [3] + [3] * 14 + [4]
         assert {tol for _, _, tol in refined} == {0.0}
         assert len(fallbacks) < len(calls) // 10
-        assert builds == [0, 1]
+        assert builds == [p]
         assert models == []
 
 
@@ -397,7 +397,8 @@ def _labels_and_fallbacks(p, g, k, sites=None):
     None), the (g, k) it handed to _lowest, and the labels of _lowest itself."""
     fallbacks, solve = [], rs.spectrum._lowest
     parts = rs.spectrum._parts(p)
-    scan = rs.spectrum._scan(p, parts, sites or p.n_tr + 1, k)
+    stack = rs.spectrum._stack(parts, min(k, p.n_tr + 1))
+    scan = rs.spectrum._Scan(p, parts, sites or p.n_tr + 1, *stack)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rs.spectrum, "_lowest",
                       lambda *args: fallbacks.append(args[2:]) or solve(*args))
@@ -490,7 +491,7 @@ def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, head, k):
     n_tr, sites = head
     p = rs.ModelParams(delta=1.0, r=r, u=u, n_tr=n_tr)
     parts = rs.spectrum._parts(p)
-    scan = rs.spectrum._scan(p, parts, sites, k + 1)
+    scan = rs.spectrum._Scan(p, parts, sites, *rs.spectrum._stack(parts, min(k + 1, n_tr + 1)))
     assert scan.cut
     low = min(k, p.n_tr + 1)
     chains, _ = rs.spectrum._coupled(p, parts, g)
@@ -535,8 +536,8 @@ def test_failed_head_certificate_falls_back_to_the_whole_chains(monkeypatch, fau
 
     monkeypatch.setattr(rs.spectrum, "dstebz", faulty)
     monkeypatch.setattr(rs.spectrum, "_lowest", counted)
-    scan = rs.spectrum._scan
-    monkeypatch.setattr(rs.spectrum, "_scan", lambda *args: heads.append(args[2]) or scan(*args))
+    scan = rs.spectrum._Scan
+    monkeypatch.setattr(rs.spectrum, "_Scan", lambda *args: heads.append(args[2]) or scan(*args))
     for passing in (1, 0):
         counts.clear(), fallbacks.clear(), heads.clear()
         assert rs.find_crossings(p, 0.05, 2.0, 41) == want
@@ -621,7 +622,7 @@ def test_scaled_chain_is_the_chain_at_g(g, r, n_tr):
     n = np.arange(n_tr + 1)
     for odd in (0, 1):
         q = (n + odd) % 2
-        _, unit = rs.spectrum._parity_chain(p, odd)
+        _, unit, _, _ = rs.spectrum._parts(p)[odd]
         assert np.array_equal(g * unit, g * (np.sqrt(n[1:]) * np.where(q[:-1] == 1, 1.0, r)))
         assert np.max(np.abs(g * unit)) == g * np.max(np.abs(unit))
 
@@ -788,14 +789,14 @@ def test_keeps_lowest_levels_guards_an_exact_zero_pivot():
     p = rs.ModelParams(delta=1.0, g=0.0, r=0.5, u=-0.625, n_tr=30)
     eigs = rs.eigensystem(p)
     assert eigs.energies[38:40].tolist() == [11.75, 12.5]
-    assert rs.spectrum._parity_chain(p.with_n_tr(70), 0)[0][31] == 12.125
+    assert rs.spectrum._parts(p.with_n_tr(70))[0][0][31] == 12.125
     assert keeps_lowest_levels(p, cut_levels(eigs, 39), 40) is False
     # With hops, sigma = -1/2 between two made-up levels is a_0 of the even
     # chain, a zero first pivot; the decision is the count on the spectra.
     p = replace(p, g=0.3, u=0.2)
     made = rs.spectrum.EigenSystem(np.array([-1.0, 0.0, 1.0]), np.zeros((31, 1)), np.ones(3),
                                    p.dim)
-    assert rs.spectrum._parity_chain(p, 0)[0][0] == -0.5
+    assert rs.spectrum._parts(p)[0][0][0] == -0.5
 
     def below(spectrum, label):
         return np.sum((spectrum.energies < -0.5) & (spectrum.parities == label))
@@ -805,13 +806,53 @@ def test_keeps_lowest_levels_guards_an_exact_zero_pivot():
     assert keeps_lowest_levels(p, made, 40) == same
 
 
+@pytest.mark.parametrize("extra", [2.5, True, math.nan, math.inf, "3"])
+def test_keeps_lowest_levels_rejects_a_non_integer_extra(extra):
+    # A site count that is not an integer is refused, not rounded, run as 1
+    # or left to fail inside numpy; extra < 1 still clears nothing.
+    p = rs.ModelParams(delta=1.0, g=0.5, r=0.5, u=0.1, n_tr=60)
+    eigs = rs.eigensystem(p, 12)
+    assert keeps_lowest_levels(p, eigs, 2) and not keeps_lowest_levels(p, eigs, 0)
+    with pytest.raises(rs.InvalidParameterError, match="extra"):
+        keeps_lowest_levels(p, eigs, extra)
+
+
+def test_grown_chains_extend_the_spectrums_chains():
+    # eigensystem keeps the chains it built; keeps_lowest_levels builds only
+    # the extra sites and appends them, and its decision equals the one on a
+    # spectrum made by hand (no chains kept, so both pieces are built) and
+    # the count on the grown chains built whole.
+    p = rs.ModelParams(delta=1.0, g=0.7, r=0.4, u=-0.3, n_tr=60)
+    eigs = rs.eigensystem(p, 12)
+    built = rs.spectrum._parts(p)
+    for kept, fresh in zip(eigs.parts, built):
+        assert all(np.array_equal(a, b) for a, b in zip(kept, fresh))
+    grown, sites = rs.spectrum._parts(p.with_n_tr(100)), []
+    build = rs.spectrum._parts
+
+    def counted(model, first=0):
+        sites.append(model.n_tr + 1 - first)
+        return build(model, first)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rs.spectrum, "_parts", counted)
+        cleared = keeps_lowest_levels(p, eigs, 40)
+        assert sites == [40]
+        assert keeps_lowest_levels(p, cut_levels(eigs, 12), 40) == cleared
+        assert sites == [40, 61, 40]
+    coupled, _ = rs.spectrum._coupled(p.with_n_tr(100), grown, p.g)
+    assert cleared == (rs.spectrum._count(*rs.spectrum._stack(coupled, 1),
+                                          max(coupled[0][2], coupled[1][2]),
+                                          0.5 * (eigs.energies[11] + eigs.energies[12])) == 12)
+
+
 def test_keeps_lowest_levels_does_not_clear_non_finite_squared_hops():
     # g sqrt(n) passes ~1.34e154, where its square overflows, only on the
     # grown sites: the old chains square finite, the grown ones do not, and
     # the point is not cleared, with no overflow warning.
     p = rs.ModelParams(delta=1.0, g=1.8e153, r=0.2, u=0.2, n_tr=30)
     for odd in (0, 1):
-        _, off = rs.spectrum._parity_chain(p.with_n_tr(70), odd)
+        _, off, _, _ = rs.spectrum._parts(p.with_n_tr(70))[odd]
         with np.errstate(over="ignore"):
             hops = (p.g * off) * (p.g * off)
         assert np.isfinite(hops[:30]).all() and not np.isfinite(hops).all()
@@ -883,7 +924,7 @@ def test_head_solve_matches_the_full_chains(n_tr, g, r, u, n_levels):
     e = want.energies[:L + 1]
     assert np.all(np.abs(eigs.energies - e) <= 1e-12 * np.maximum(1.0, np.abs(e)))
     edge = edge_residuals(p, eigs)
-    chains = {label: rs.spectrum._parity_chain(p, odd) for label, odd in ((1.0, 0), (-1.0, 1))}
+    chains = {label: part[:2] for label, part in zip((1.0, -1.0), rs.spectrum._parts(p))}
     spectra = {label: np.sort(want.energies[want.parities == label]) for label in chains}
     for k in range(L):
         diag, unit = chains[eigs.parities[k]]
@@ -943,16 +984,15 @@ def test_level_past_the_head_is_found_by_the_count(monkeypatch):
     # every level: at g = 0 the head's residuals are all 0, so only the count
     # of the whole chains sees that level.  The head is refused, and the
     # spectrum is the whole chains'.
-    chain = rs.spectrum._parity_chain
+    build = rs.spectrum._parts
 
-    def deep(p, odd):
-        diag, unit = chain(p, odd)
-        if odd == 0:
-            diag = diag.copy()
-            diag[300] = -100.0
-        return diag, unit
+    def deep(p):
+        (diag, unit, dmax, umax), odd = build(p)
+        diag = diag.copy()
+        diag[300] = -100.0
+        return [(diag, unit, max(dmax, 100.0), umax), odd]
 
-    monkeypatch.setattr(rs.spectrum, "_parity_chain", deep)
+    monkeypatch.setattr(rs.spectrum, "_parts", deep)
     p = rs.ModelParams(delta=1.0, g=0.0, r=1.0, u=0.2, n_tr=400)
     tried = _heads_tried(monkeypatch)
     got, want = rs.eigensystem(p, 40), full_chain_eigensystem(p, 40)

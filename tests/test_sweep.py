@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -490,6 +491,20 @@ def test_kt_axis_sets_both_bath_temperatures():
     assert model == BASE_MODEL
 
 
+@pytest.mark.parametrize("axes, slot", [(2, (-1, 0)), (2, (4, 0)), (2, (0, 3)), (2, (1.5, 0)),
+                                        (2, (True, 0)), (2, (0, -1)), (2, (np.int64(1), 2.0)),
+                                        (1, (0, 1)), (1, (0, -1))])
+def test_point_params_rejects_a_slot_off_the_grid(axes, slot):
+    # Only integers 0 <= i < axis1.count and 0 <= j < axis2.count (j = 0 on
+    # a 1-D grid) name a slot: no negative index wraps round, and no raw
+    # IndexError or TypeError.
+    spec = small_spec(axis1=AxisSpec("g", 0.2, 1.0, 4), **({} if axes == 2 else {"axis2": None}))
+    assert spec.point_params(3, spec.shape[1] - 1)[0].g == 1.0
+    assert spec.point_params(np.int64(1), 0)[0].g == spec.axis1.values()[1]
+    with pytest.raises(rs.InvalidParameterError, match="grid slot"):
+        spec.point_params(*slot)
+
+
 @pytest.mark.parametrize("check", [True, False])
 def test_grouped_slots_equal_standalone_points(check):
     # A random u x kt grid with |u| >= 1 rows and a kT=0 column: every slot of
@@ -570,15 +585,20 @@ def test_one_dimensional_kt_sweep_is_worker_independent():
 @pytest.mark.parametrize("n_tr, n_levels, resolves", [(40, 20, False), (6, 14, True)])
 def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_levels, resolves):
     # A u x kT grid: |u| >= 1 rows, and per model a kT=0 bath and three warm ones.
-    # Per spectrum, not per slot: the rate table and X+ take the matrix
-    # elements once each (an n_tr+40 spectrum builds no X+), the truncation
-    # check runs at most once per group, and X+^n (n = 1, 2, 3) once per
-    # solved spectrum.  At n_tr=6 every warm slot misses the certificate;
-    # the task re-solves all nine together, in one call.
-    rates = counting(monkeypatch, "parity_odd_elements", dissipation)
-    detection = counting(monkeypatch, "parity_odd_elements", observables)
+    # Per spectrum, not per slot: the matrix elements are derived once, for
+    # the rate table, and X+ reads them again from the spectrum (an n_tr+40
+    # spectrum builds no X+), the truncation check runs at most once per
+    # group, and X+ with its norms is built once per solved spectrum.  At
+    # n_tr=6 every warm slot misses the certificate; the task re-solves all
+    # nine together, in one call.
+    derived, derive = [], rs.EigenSystem.parity_odd_elements.func
+    elements = cached_property(lambda eigs: derived.append(eigs) or derive(eigs))
+    elements.__set_name__(rs.EigenSystem, "parity_odd_elements")
+    monkeypatch.setattr(rs.EigenSystem, "parity_odd_elements", elements)
+    rates = counting(monkeypatch, "transition_rates")
+    detection = counting(monkeypatch, "detection_operator")
+    operators = counting(monkeypatch, "__post_init__", observables.DetectionOperator)
     checked = counting(monkeypatch, "keeps_lowest_levels")
-    powers = counting(monkeypatch, "matrix_power", np.linalg)
     resolved = counting(monkeypatch, "_n_photon_at")
     spec = SweepSpec(model=replace(BASE_MODEL, n_tr=n_tr), bath=BASE_BATH,
                      axis1=AxisSpec("u", -1.2, 1.2, 5), axis2=AxisSpec("kt", 0.0, 0.2, 4),
@@ -589,12 +609,13 @@ def test_bath_independent_work_runs_once_per_spectrum(monkeypatch, n_tr, n_level
     assert len(models) == 3
     assert [len(groups) for groups in resolved] == ([len(models)] if resolves else [])
     spectra = len(models) * (2 if resolves else 1)
-    assert len(rates) == len({id(e) for e in rates}) == spectra
+    assert len(derived) == len({id(e) for e in derived}) == len(rates) == spectra
+    assert {id(e) for e in derived} == {id(e) for e in rates}
     assert len(detection) == len({id(e) for e in detection}) == len(models)
-    assert {id(e) for e in detection} <= {id(e) for e in rates}
+    assert {id(e) for e in detection} <= {id(e) for e in derived}
     # A re-solved slot fails the edge certificate before the level check.
     assert len(checked) == len(set(checked)) and set(checked) == (set() if resolves else models)
-    assert len(powers) == 3 * len(models) and len({id(x) for x in powers}) == len(models)
+    assert len(operators) == len({id(x) for x in operators}) == len(models)
 
 
 @pytest.mark.parametrize("n_tr, n_levels, resolves", [(40, 20, False), (6, 14, True)])
