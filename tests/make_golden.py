@@ -95,6 +95,11 @@ CASES = {
     "critical_r1_u02_n200_g3": (["critical"],
                                 {"model": {"delta": 1.0, "r": 1.0, "u": 0.2, "n_tr": 200},
                                  "scan": {"g_max": 3.0}}),
+    # Strong anisotropy and a negative Stark term on a long chain to g = 3:
+    # the scan certifies a 64-site head, and its levels reach far past it.
+    "critical_r15_um06_n250_g3": (["critical"],
+                                  {"model": {"delta": 1.0, "r": 1.5, "u": -0.6, "n_tr": 250},
+                                   "scan": {"g_max": 3.0}}),
     # Jaynes-Cummings limit: at r = 0 the scan bisects the whole chains at
     # every coupling, however long they are.
     "critical_r0_u02": (["critical"], {"model": {"delta": 1.0, "r": 0.0, "u": 0.2, "n_tr": 120}}),
