@@ -34,6 +34,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+# How numpy words its refusal of an array size past intp, raised as a
+# ValueError before it allocates: the one ValueError main reads as exit 3.
+_SIZE_REFUSALS = ("Maximum allowed size exceeded", "Maximum allowed dimension exceeded",
+                  "array is too big")
 
 # The observable CSV columns in order, each with the observable that fills it.
 OBSERVABLE_COLUMNS = {
@@ -266,7 +270,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:    # numpy's refusal of a size past intp
+    except ValueError as exc:
+        if not str(exc).startswith(_SIZE_REFUSALS):
+            raise                  # a programming error, not a numeric failure
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -9,10 +9,11 @@ alone.  Eigenvectors stay in chain form, and the parity-odd matrix elements
 are taken on the chains once per spectrum.  The levels read occupy a short
 head of each chain, a view of the coupled chain at its scale, so eigensystem
 and the crossing scan solve the heads alone (the whole chains where a head
-does not pay).  Three certificates rest on one Sturm count of the full
-chains at a shift, with one error bound (_count): the head solve
-(_certified_head), the scan's values (_bracket) and the truncation check
-(keeps_lowest_levels).  Crossings of adjacent levels are located by tracking
+does not pay).  Three certificates rest on one Sturm count at a shift,
+with one error bound (_count): of the full chains for the head solve
+(_certified_head) and the truncation check (keeps_lowest_levels), and of
+each chain's shortest diagonally dominant prefix for the scan's values
+(_bracket).  Crossings of adjacent levels are located by tracking
 the swap of the energy-sorted parity labels along a coupling scan, each
 coupling solved once through one hook (_scan_levels), and refined by
 bisection (find_crossings).
@@ -224,58 +225,65 @@ def _bisect(diag: np.ndarray, off: np.ndarray, scale: float, lo: int, hi: int,
     back: both steps are exact.  The callers check that diag and off are
     finite first; a LAPACK failure is a NumericFailureError.
     """
-    m, w, _, _, info = dstebz(diag / scale, off / scale, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "E")
+    return _bisect_scaled(diag / scale, off / scale, scale, lo, hi, tol)
+
+
+def _bisect_scaled(diag: np.ndarray, off: np.ndarray, scale: float, lo: int, hi: int,
+                   tol: float) -> np.ndarray:
+    """_bisect of the matrix whose diagonal and off-diagonal, divided by
+    scale, are diag and off: for a reader that keeps them divided (_Scan)."""
+    m, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, lo + 1, hi + 1, tol, "E")
     if info != 0:
         raise NumericFailureError(f"eigensolver failed: dstebz failed (LAPACK info={info})")
     return w[:m] * scale
 
 
-def _stack(chains: list, copies: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of copies copies of chains (each a tuple
-    that starts with its diagonal and off-diagonal: _parts, _coupled) laid
-    one after another and joined by zero hops, where dstebz splits the
-    matrix: block c len(chains) + j is chain j of copy c."""
-    hops = [piece for chain in chains for piece in (chain[1], [0.0])] * copies
-    return np.concatenate([chain[0] for chain in chains] * copies), np.concatenate(hops[:-1])
+def _stack(chains: list) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of chains (each a tuple that starts with its
+    diagonal and off-diagonal: _parts, _coupled) laid one after another and
+    joined by zero hops, where dstebz splits the matrix: block j is chain j."""
+    hops = [piece for chain in chains for piece in (chain[1], [0.0])]
+    return np.concatenate([chain[0] for chain in chains]), np.concatenate(hops[:-1])
 
 
-def _count(diag: np.ndarray, off: np.ndarray, scale: float, sigma) -> Optional[int]:
-    """Number of eigenvalues at or below sigma of the chains stacked in
-    (diag, off) (_stack), by one dstebz Sturm count (Sylvester's law of
-    inertia); None where dstebz fails (info != 0).  sigma is one shift, or
-    one per block where the blocks have equal length, and the count is the
-    sum of block j's count at sigma_j.  scale is a power of two at or above
-    every block's Gershgorin bound (_coupled): each block reaches dstebz
-    shifted and divided by scale, its eigenvalues in (-2, 2) once |sigma| <
-    scale, and the count runs over (-4, 0]; the tolerance 4 stops the
-    bisection before it starts.  The pivmin guard counts an eigenvalue at
-    sigma, reliably in IEEE arithmetic (Kahan 1966; Demmel, Dhillon and
-    Ren, ETNA 3, 1995).
+def _count(shifted: np.ndarray, off: np.ndarray, scale: float) -> Optional[int]:
+    """Number of eigenvalues at or below 0 of the blocks stacked in
+    (shifted, off), each already shifted by its sigma: so the sum of each
+    block's count at its sigma.  The blocks are chains (_stack) or lowered
+    chain prefixes (_bracket), joined by zero hops; dstebz counts them in
+    one Sturm pass (Sylvester's law of inertia), and None means it failed
+    (info != 0).  scale is a power of two at or above every block's
+    Gershgorin bound (_scales), up to 2^-49 scale (a lowered prefix), and
+    every |sigma| < scale: each block reaches dstebz divided by scale, its
+    eigenvalues in about (-2, 2), and the count runs over (-4, 0]; the
+    tolerance 4 stops the bisection before it starts.  The pivmin guard
+    counts an eigenvalue at sigma, reliably in IEEE arithmetic (Kahan 1966;
+    Demmel, Dhillon and Ren, ETNA 3, 1995).
 
     Error.  The count is exact for a stack within 2^-49 scale of the shifted
     one in norm, so an eigenvalue farther than that from its block's sigma
-    is counted as in exact arithmetic (Weyl): the shift rounds each diagonal
-    entry once, below 2^-52 since |T - sigma|/scale < 2; the Sturm
-    recurrence is exact for hops changed by 2.5 units of roundoff relative,
-    below 2^-51 in norm since 2 max|hop|/scale < 1; dstebz splits off a hop
-    below 2^-52 sqrt|d_j d_(j+1)| < 2^-51, at most 2^-50 in norm.  The
-    margins of _bracket, _certified_head and keeps_lowest_levels cite this."""
-    shift = np.repeat(sigma, diag.size // sigma.size) if np.ndim(sigma) else sigma
-    m, _, _, _, info = dstebz((diag - shift) / scale, off / scale, 1, -4.0, 0.0, 0, 0, 4.0, "E")
+    is counted as in exact arithmetic (Weyl): the shift, which the caller
+    takes once per diagonal entry, rounds by at most 2^-52 since
+    |T - sigma|/scale < 2 + 2^-49; the Sturm recurrence is exact for hops
+    changed by 2.5 units of roundoff relative, below 2^-51 in norm since
+    2 max|hop|/scale < 1; dstebz splits off a hop below
+    2^-52 sqrt|d_j d_(j+1)| < 2^-51, at most 2^-50 in norm.  The margins of
+    _bracket, _certified_head and keeps_lowest_levels cite this."""
+    m, _, _, _, info = dstebz(shifted / scale, off / scale, 1, -4.0, 0.0, 0, 0, 4.0, "E")
     return m if info == 0 else None
 
 
-def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
-    """Both chains (diag, g * unit, scale) at coupling g from parts =
-    _parts(p), each with the power of two at or above its Gershgorin bound
-    that _bisect divides it by, and an upper bound of the spectral span of
-    the two.
+def _scales(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
+    """Each chain's power of two at or above its Gershgorin bound at coupling
+    g, from the maxima of parts = _parts(p), and an upper bound of the
+    spectral span of the two: what _coupled attaches to the chains, for a
+    reader that builds no full chain (_bracket).
 
     Coefficients whose Gershgorin bound overflows are rejected as invalid
     parameters before LAPACK sees them.
     """
-    chains, span_hi = [], 0.0
-    for diag, unit, dmax, umax in parts:
+    scales, span_hi = [], 0.0
+    for *_, dmax, umax in parts:
         # Gershgorin: every eigenvalue lies within +/- bound, so a finite
         # 2*bound keeps the coefficients and the spectral span finite, and
         # 4*bound, kept finite, bounds the span with room for rounding.
@@ -287,8 +295,16 @@ def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
                 f"g={g}, omega0={p.omega0}"
             )
         span_hi = max(span_hi, min(4.0 * bound, _FLOAT_MAX))
-        chains.append((diag, g * unit, math.ldexp(1.0, math.frexp(bound)[1])))
-    return chains, span_hi
+        scales.append(math.ldexp(1.0, math.frexp(bound)[1]))
+    return scales, span_hi
+
+
+def _coupled(p: ModelParams, parts: list, g: float) -> tuple[list, float]:
+    """Both chains (diag, g * unit, scale) at coupling g from parts =
+    _parts(p), each with the scale _bisect divides it by, and the span bound
+    of the two (_scales)."""
+    scales, span_hi = _scales(p, parts, g)
+    return [(diag, g * unit, s) for (diag, unit, *_), s in zip(parts, scales)], span_hi
 
 
 def _level_order(energies: np.ndarray, count: int, span_hi: float, tops: Iterable) -> np.ndarray:
@@ -390,7 +406,8 @@ def _certified_head(p: ModelParams, chains: list, sites: int, levels: int):
     scale = max(chains[0][2], chains[1][2])
     if energies[levels] - energies[levels - 1] <= 2.0 * max(DEGENERACY_FRACTION, HEAD_GAP * scale):
         return None
-    return solved if _count(*_stack(chains, 1), scale, sigma) == levels else None
+    diag, off = _stack(chains)
+    return solved if _count(diag - sigma, off, scale) == levels else None
 
 
 def eigensystem(p: ModelParams, n_levels: Optional[int] = None) -> EigenSystem:
@@ -480,57 +497,138 @@ def _radius(tol: float) -> float:
 
 CUT_SITES = 32                 # leading sites per chain the crossing scan first bisects
 _SLACK = 2.0**-48              # backward-error budget of the scan's counts, in units of scale
+_LOWERED = 2.0**-50            # rounding margin of a prefix's lowered entry, in units of scale
+_DOMINANT = 2.0**-49           # rounding margin of the tail's dominance test, in units of scale
 
 
 @dataclass(frozen=True)
 class _Scan:
-    """What find_crossings builds once per scan.
+    """What find_crossings builds once per scan: the g = 1 arrays that each
+    coupling slices and scales (_bracket), derived on first use.
 
-    p      the model
-    parts  _parts(p), the g = 1 chains
-    sites  the leading sites of each chain that are bisected (_head); the
-           whole chains when sites > n_tr
-    diag   the g = 1 chains stacked (_stack), one copy of both per level
-    unit   the scan reads, for the certificate's count (_bracket)
+    p       the model
+    parts   _parts(p), the g = 1 chains
+    sites   m', the leading sites of each chain that are bisected; the whole
+            chains when m' > n_tr
+    copies  the most levels per chain a coupling asks for: the copies of
+            both chains the certificate's count stacks
     """
 
     p: ModelParams
     parts: list
     sites: int
-    diag: np.ndarray
-    unit: np.ndarray
+    copies: int
 
     @property
     def cut(self) -> bool:
         return self.sites <= self.p.n_tr
 
+    @cached_property
+    def _scaled(self) -> dict:
+        return {}
+
+    def heads(self, scales: list) -> list:
+        """The leading m' sites of each chain, diagonal and g = 1 hops,
+        divided by its scale in scales, kept per scale: a scan's couplings
+        share one or a few."""
+        key = tuple(scales)
+        if key not in self._scaled:
+            self._scaled[key] = [(diag[:self.sites] / s, unit[:self.sites - 1] / s)
+                                 for (diag, unit, *_), s in zip(self.parts, scales)]
+        return self._scaled[key]
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The count's blocks over the whole chains: row 2c + j holds chain
+        j's diagonal and, one column longer, the hop into each site (0 into
+        site 0, and past the last one), for copy c."""
+        hops = [np.concatenate(([0.0], unit, [0.0])) for _, unit, *_ in self.parts]
+        return (np.stack([diag for diag, *_ in self.parts] * self.copies),
+                np.stack(hops * self.copies))
+
+    @cached_property
+    def tails(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both chains' diagonals and hop sums |b_j| + |b_(j+1)| at g = 1 on
+        sites m'-1..n_tr, interleaved: entry 2i + j is chain j's site
+        m'-1+i.  Site m'-1 lies in every prefix, so its entries are set to
+        fail the dominance test (-inf)."""
+        start = self.sites - 1
+        diag = np.stack([diag[start:] for diag, *_ in self.parts], axis=1)
+        diag[0] = -np.inf
+        hops = self.blocks[1][:2].T
+        return diag.ravel(), (hops[start:-1] + hops[start + 1:]).ravel()
+
 
 def _bracket(scan: _Scan, g: float, k: int, tol: float):
     """Each chain's lowest low = min(k, n_tr+1) eigenvalues at coupling g,
-    bisected to tol on the scan's head; a radius within which every value
-    _lowest returns lies of its own; and the span bound of the full chains.
-    None where the head does not certify them.
+    bisected to tol on the scan's head, as lists; a radius within which
+    every value _lowest returns lies of its own; and the span bound of the
+    full chains (_scales).  None where the head does not certify them.
 
-    Notation: T is a full chain at g, T' its head of m' sites (_head), s the
-    larger scale (_coupled) of the two full chains, mu_k the value _bisect
-    returns on T' for index k, and r = _radius(tol) s.
+    Notation: T is a full chain at g, of n = n_tr+1 sites, with diagonal a_j
+    and hop b_j into site j (b_0 = b_n = 0); T' its head of m' sites; s the
+    larger scale (_scales) of the two full chains; mu_k the value _bisect
+    returns on T' for index k (0-based); and r = _radius(tol) s.
 
-    Certificate.  By Cauchy interlacing lambda_k(T) <= mu_k(T').  Let
-    sigma_k = mu_k - r - slack, slack = _SLACK s.  If a Sturm count of T at
-    sigma_k finds k - 1 eigenvalues, then lambda_k(T) > sigma_k, up to the
-    count's backward error (Sylvester's law of inertia).  All sigma_k of both
-    chains are counted at once (_count, on the scan's stacked chains).
-    When sigma_k lies above mu_(k-1) + r + slack for every k > 1 of a chain,
-    every count finds at least k - 1, so the sum finds low (low - 1) only
-    when each count finds k - 1; any other sum, or a LAPACK failure, is no
-    certificate.
+    Certificate.  Let sigma_k = mu_k - r - slack, slack = _SLACK s.  If a
+    count finds k eigenvalues of T at or below sigma_k, then lambda_k(T) >
+    sigma_k, up to the count's backward error (Sylvester's law of inertia).
+    The count runs on a prefix of T, its leading p >= m' sites T_p, where
+    every row j >= p of T is diagonally dominant past the chain's largest
+    shift sigma_top: a_j - sigma_top > |b_j| + |b_(j+1)|.  Splitting the hop
+    b_p with 2 |b_p x_(p-1) x_p| <= |b_p| (t x_(p-1)^2 + x_p^2 / t), t > 0,
+    gives, in the Loewner order, for every sigma <= sigma_top,
 
-    Slack.  The counts run on (T - sigma_k)/s and the head's bisection on T'
-    over T's scale, which bounds T' too, so neither shares the floating-point
-    Sturm sequence of _lowest's bisection on T; each is exact for a nearby
-    chain instead.  The count's error is below 2^-49 s (_count), and the two
-    bisections, which shift nothing and see |d| below their scale, err by
-    below 2^-50 s each (the same argument): slack = 2^-48 s covers the sum.
+        T - sigma >= (T_p - t |b_p| e e^T - sigma) (+) (R - (|b_p| / t) e_0 e_0^T - sigma),
+
+    R the rows past p - 1.  The second term is positive definite by
+    Gershgorin while its first row keeps a_p - sigma_top - |b_p| / t >
+    |b_(p+1)|, so by Weyl's monotonicity T has at most as many eigenvalues
+    at or below sigma as T_p with its last diagonal entry lowered by t |b_p|.
+    Row p's dominance admits t = 1.  The least lowering puts all of row p's
+    room, room = a_p - sigma_top - |b_(p+1)| > |b_p|, on the tail: t =
+    |b_p| / room < 1 lowers the prefix by |b_p|^2 / room, the Schur
+    complement's leading term, where t = 1 would turn a slowly rising site
+    p - 1 beside a large hop into a spurious level below sigma.  One
+    vectorised test of both chains' rows past m' - 1 (_Scan.tails), against
+    the larger sigma_top of the two, finds the shortest p for both, so the
+    blocks have one length; at p = n the prefix is T, b_n = 0, and no entry
+    is lowered.  All sigma_k of both chains are counted at once (_count on
+    _Scan.blocks, each copy shifted by its sigma_k).
+
+    Interlacing.  The lowered prefix's leading m' sites are T', lowered at
+    its last entry where p = m', so its eigenvalue k is at most
+    lambda_k(T') (Cauchy, then Weyl), at most mu_k + r + 2^-50 s (Slack).
+    When sigma_k lies above mu_(k-1) + r + slack for every k >= 1 of a chain,
+    each count finds at least k, within its backward error, so the sum finds
+    low (low - 1) only when each finds exactly k; any other sum, or a LAPACK
+    failure, is no certificate.
+
+    Rounding.  |b_j| is the float hop of T, fl(g u_j), u the g = 1 hops,
+    and |a_j| + |b_j| + |b_(j+1)| <= s.  The dominance test compares
+    fl(a_j - fl(g fl(u_j + u_(j+1)))) with fl(sigma_top + 2^-49 s), at the
+    larger sigma_top: the hop sum and T's hops round within 3 2^-53 s of
+    each other, the difference within 2^-52 s and the threshold within
+    2^-53 s, so a row that passes has a_j - sigma_top - |b_j| - |b_(j+1)| >
+    10 2^-53 s > 0 for either chain's sigma_top.  room is
+    taken as fl(fl(fl(a_p - sigma_top) - |b_(p+1)|) - 2^-49 s), below the
+    exact room by more than its three roundings (2^-50 s), so t = |b_p| /
+    room keeps the tail's first row dominant; where it is not above |b_p|,
+    t = 1.  The lowered entry is
+    fl(fl(a_(p-1) - fl(|b_p| fl(|b_p| / room))) - 2^-50 s), with |b_p| in
+    place of the product at t = 1: the lowering rounds within 2^-52 s,
+    since t |b_p| <= |b_p| <= s, and each subtraction within
+    2^-53 s (1 + 2^-49), so the entry lies below a_(p-1) - t |b_p| and the
+    prefix counted lies below the exact lowered prefix in the Loewner order.
+    Its Gershgorin interval lies within (1 + 2^-49) s: _count's bound holds.
+
+    Slack.  The counts run on (T_p - sigma_k)/s and the head's bisection on
+    T' over T's scale, which bounds T' too, so neither shares the
+    floating-point Sturm sequence of _lowest's bisection on T; each is exact
+    for a nearby chain instead.  The count's error is below 2^-49 s (_count),
+    and the two bisections, which shift nothing and see |d| below their
+    scale, err by below 2^-50 s each (the same argument): slack = 2^-48 s
+    covers the sum.
 
     Radius.  So lambda_k(T) lies in (sigma_k - 2^-49 s, mu_k + r + 2^-50 s],
     and _lowest's tolerance-0 value within _radius(0) s + 2^-50 s of it:
@@ -539,27 +637,43 @@ def _bracket(scan: _Scan, g: float, k: int, tol: float):
     (_scan_levels).  On the whole chains (no head) no count is needed, and
     the same radius holds; at tolerance 0 the values are _lowest's own.
     """
-    p = scan.p
-    low = min(k, p.n_tr + 1)
-    chains, span_hi = _coupled(p, scan.parts, g)
-    heads = _head(chains, scan.sites)
-    if heads[0][0].size < low:
+    low = min(k, scan.p.n_tr + 1)
+    scales, span_hi = _scales(scan.p, scan.parts, g)
+    m = scan.sites
+    if m < low:
         return None
     try:
-        values = [_bisect(*head, 0, low - 1, tol) for head in heads]
+        values = [_bisect_scaled(diag, g * unit, s, 0, low - 1, tol).tolist()
+                  for (diag, unit), s in zip(scan.heads(scales), scales)]
     except NumericFailureError:
         return None
-    if values[0].size < low or values[1].size < low:
+    if len(values[0]) < low or len(values[1]) < low:
         return None
-    scale = max(chains[0][2], chains[1][2])
+    scale = max(scales)
     below = (_radius(tol) + _SLACK) * scale
     if scan.cut:
-        mu = np.array(values)
-        sigma = mu - below
-        if np.any(sigma[:, 1:] <= mu[:, :-1] + below):
+        sigma = [[x - below for x in mu] for mu in values]
+        if any(s <= x + below for mu, shifts in zip(values, sigma)
+               for x, s in zip(mu, shifts[1:])):
             return None
-        n = 2 * low * (p.n_tr + 1)
-        if _count(scan.diag[:n], g * scan.unit[:n - 1], scale, sigma.T.ravel()) != low * (low - 1):
+        tops = [shifts[-1] for shifts in sigma]
+        diag, sums = scan.tails
+        failing = np.flatnonzero(diag - g * sums <= max(tops) + _DOMINANT * scale)
+        sites = m + int(failing[-1]) // 2
+        blocks, hops = scan.blocks
+        ends = []
+        for j, top in enumerate(tops):
+            last, hop = blocks.item(j, sites - 1), g * hops.item(j, sites)
+            if hop:
+                room = (blocks.item(j, sites) - top - g * hops.item(j, sites + 1)
+                        - _DOMINANT * scale)
+                last = last - (hop if room <= hop else hop * (hop / room)) - _LOWERED * scale
+            ends.append(last)
+        shifts = [(s, end) for pair in zip(*sigma) for s, end in zip(pair, ends)]
+        prefix = blocks[:2 * low, :sites] - np.array([[s] for s, _ in shifts])
+        prefix[:, -1] = [end - s for s, end in shifts]
+        off = (g * hops[:2 * low, :sites]).ravel()[1:]
+        if _count(prefix.ravel(), off, scale) != low * (low - 1):
             return None
     return values, below + (_radius(0.0) + 3.0 * _SLACK) * scale, span_hi
 
@@ -576,18 +690,18 @@ def _scan_levels(scan: _Scan, g: float, k: int, tol: float) -> tuple[np.ndarray,
     _lowest's does (an order statistic of values each within a radius moves
     by at most that radius).  Elsewhere (near a crossing or a degeneracy, or
     where a count or dstebz fails; _lowest raises its own errors), _lowest's.
+    The tests run on Python floats, in the arithmetic of numpy's.
     """
     found = _bracket(scan, g, k, tol)
     if found is not None:
         (even, odd), radius, span_hi = found
         shift = DEGENERACY_FRACTION * max(span_hi, 1.0)
-        if np.abs(np.subtract.outer(even, odd)).min() > 2.0 * radius + shift * (1.0 + 2.0**-48):
-            values = np.concatenate((even, odd))
-            order = np.argsort(values, kind="stable")[:k]
-            energies = values[order]
-            e, closure = energies.tolist(), GAP_CLOSURE_FRACTION * scan.p.omega0
+        if min(abs(a - b) for a in even for b in odd) > 2.0 * radius + shift * (1.0 + 2.0**-48):
+            values = even + odd
+            order = sorted(range(len(values)), key=values.__getitem__)[:k]
+            e, closure = [values[i] for i in order], GAP_CLOSURE_FRACTION * scan.p.omega0
             if all(abs(b - a - closure) > 2.0 * radius for a, b in zip(e, e[1:])):
-                return energies, np.where(order < even.size, 1.0, -1.0)
+                return np.array(e), np.array([1.0 if i < len(even) else -1.0 for i in order])
     return _lowest(scan.p, scan.parts, g, k)
 
 
@@ -654,7 +768,8 @@ def keeps_lowest_levels(p: ModelParams, eigs: EigenSystem, extra: int) -> bool:
     scale = max(chains[0][2], chains[1][2])
     if e[L] - e[L - 1] < GAP_ROUNDING * scale:
         return False
-    return _count(*_stack(chains, 1), scale, 0.5 * (e[L - 1] + e[L])) == L
+    diag, off = _stack(chains)
+    return _count(diag - 0.5 * (e[L - 1] + e[L]), off, scale) == L
 
 
 def gc_analytic(p: ModelParams) -> Optional[float]:
@@ -747,12 +862,15 @@ def find_crossings(
 
     Each coupling bisects the lowest levels on the leading m' sites of each
     chain, grid couplings to GRID_TOL (2^-24 of the chain's power-of-two
-    scale) and the refinement to tolerance 0, and one Sturm count of the
-    full chains certifies that every value lies within a radius of the
-    full chains' (_bracket).  m' starts at CUT_SITES and doubles at g_max
-    until the certificate passes there (_heads, eigensystem's rule); once m'
-    would pass half of n_tr + 1, and at r = 0, the scan bisects the whole
-    chains as _lowest does, with no count.  Where their radii settle them,
+    scale) and the refinement to tolerance 0, and one Sturm count
+    certifies that every value lies within a radius of the full chains'.
+    It counts each chain on its shortest prefix whose remaining rows are
+    diagonally dominant, the prefix's last entry lowered for the hop it
+    drops (_bracket), from the g = 1 arrays of the scan (_Scan).  m' starts
+    at CUT_SITES and doubles at g_max until the certificate passes there
+    (_heads, eigensystem's rule); once m' would pass half of n_tr + 1, and
+    at r = 0, the scan bisects the whole chains as _lowest does, with no
+    count.  Where their radii settle them,
     labels and gap decisions come from those values and equal those of the
     full chains' tolerance-0 solve; elsewhere (near a crossing or a
     degeneracy, where the certificate fails, or where dstebz fails) they
@@ -775,7 +893,7 @@ def find_crossings(
     # most half the chains (_heads), and not at r = 0, where the chains fall
     # apart into 2 x 2 blocks that dstebz bisects whole at little cost.
     sites = CUT_SITES if p.r > 0 else p.n_tr + 1
-    scan = _Scan(p, parts, sites, *_stack(parts, min(max_level + 1, p.n_tr + 1)))
+    scan = _Scan(p, parts, sites, min(max_level + 1, p.n_tr + 1))
     scan = next((cut for cut in (replace(scan, sites=m) for m in _heads(p.n_tr + 1, sites))
                  if _bracket(cut, g_max, max_level + 1, GRID_TOL) is not None),
                 replace(scan, sites=p.n_tr + 1))

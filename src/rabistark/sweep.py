@@ -145,13 +145,17 @@ class SweepSpec:
     def shape(self) -> tuple:
         return (self.axis1.count, self.axis2.count if self.axis2 else 1)
 
-    def point_params(self, i: int, j: int) -> tuple[ModelParams, BathParams]:
-        """Model/bath parameters at grid slot (i, j), overriding the base.
-        The slot must be integers within shape (j = 0 on a 1-D grid), else
-        InvalidParameterError."""
+    def slot(self, i: int, j: int) -> int:
+        """The row-major index of grid slot (i, j).  The slot must be integers
+        within shape (j = 0 on a 1-D grid), else InvalidParameterError."""
         if not (_is_int(i) and _is_int(j) and 0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
             raise InvalidParameterError(f"grid slot must be integers within {self.shape}, "
                                         f"got ({i!r}, {j!r})")
+        return int(i) * self.shape[1] + int(j)
+
+    def point_params(self, i: int, j: int) -> tuple[ModelParams, BathParams]:
+        """Model/bath parameters at grid slot (i, j) (slot), overriding the base."""
+        self.slot(i, j)
         return self._params(self.axis1.values()[i],
                             self.axis2.values()[j] if self.axis2 else None, {})
 
@@ -198,7 +202,10 @@ class SweepResult:
     points: list = field(default_factory=list)
 
     def __getitem__(self, idx: tuple[int, int]) -> PointResult:
-        return self.points[np.ravel_multi_index(idx, self.spec.shape)]
+        """The result at grid slot idx = (i, j), checked as SweepSpec.slot does."""
+        if not (isinstance(idx, tuple) and len(idx) == 2):
+            raise InvalidParameterError(f"grid slot must be a pair (i, j), got {idx!r}")
+        return self.points[self.spec.slot(*idx)]
 
     @property
     def is_2d(self) -> bool:

@@ -736,6 +736,25 @@ def test_cli_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_cli_other_value_errors_are_not_numeric_failures(tmp_path, capsys, monkeypatch):
+    # Only numpy's size refusal reads as exit 3: any other ValueError is a
+    # programming error and propagates, so a property over the commands can
+    # catch it.
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(rs.cli, "run_sweep", broken)
+    config = write_config(tmp_path, {
+        "model": {"n_tr": 20},
+        "sweep": {"axis1": {"name": "g", "min": 0.1, "max": 0.5, "count": 3}},
+    })
+    out = tmp_path / "sweep"
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["sweep", "--config", config, "--out", str(out)])
+    assert "numeric failure" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_non_finite_config(tmp_path, capsys):
     axis = {"name": "g", "min": 0.1, "max": 0.5, "count": 3}
     configs = (

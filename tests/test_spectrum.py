@@ -397,8 +397,7 @@ def _labels_and_fallbacks(p, g, k, sites=None):
     None), the (g, k) it handed to _lowest, and the labels of _lowest itself."""
     fallbacks, solve = [], rs.spectrum._lowest
     parts = rs.spectrum._parts(p)
-    stack = rs.spectrum._stack(parts, min(k, p.n_tr + 1))
-    scan = rs.spectrum._Scan(p, parts, sites or p.n_tr + 1, *stack)
+    scan = rs.spectrum._Scan(p, parts, sites or p.n_tr + 1, min(k, p.n_tr + 1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rs.spectrum, "_lowest",
                       lambda *args: fallbacks.append(args[2:]) or solve(*args))
@@ -491,7 +490,7 @@ def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, head, k):
     n_tr, sites = head
     p = rs.ModelParams(delta=1.0, r=r, u=u, n_tr=n_tr)
     parts = rs.spectrum._parts(p)
-    scan = rs.spectrum._Scan(p, parts, sites, *rs.spectrum._stack(parts, min(k + 1, n_tr + 1)))
+    scan = rs.spectrum._Scan(p, parts, sites, min(k + 1, n_tr + 1))
     assert scan.cut
     low = min(k, p.n_tr + 1)
     chains, _ = rs.spectrum._coupled(p, parts, g)
@@ -507,6 +506,73 @@ def test_head_certificate_gives_the_full_chain_levels(where, x, r, u, head, k):
         got_e, got_labels = rs.spectrum._scan_levels(scan, g, k, tol)
         assert np.array_equal(got_labels, labels)
         assert np.array_equal(np.diff(got_e) < closure, np.diff(energies) < closure)
+
+
+def _full_chain_count(p, parts, g, sigma):
+    """The scan certificate's count on both whole chains at g, one copy per
+    shift: sigma holds one list of shifts per chain, the copies follow one
+    another as in _bracket's stack, and all run at the larger scale."""
+    chains, _ = rs.spectrum._coupled(p, parts, g)
+    diag, off = rs.spectrum._stack(chains * len(sigma[0]))
+    shifts = np.repeat([s for pair in zip(*sigma) for s in pair], p.n_tr + 1)
+    return rs.spectrum._count(diag - shifts, off, max(chains[0][2], chains[1][2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.5)),
+    u=st.one_of(st.sampled_from([-0.95, 0.95]), st.floats(-0.95, 0.95)),
+    n_tr=st.integers(2, 250),
+    head=st.integers(8, 64),
+    g=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    k=st.integers(1, 6),
+    tol=st.sampled_from([0.0, rs.spectrum.GRID_TOL]),
+)
+# A slowly rising site beside a large hop ends the shortest dominant prefix
+# (130 of 131 sites): lowered by the whole hop, it would be a level below sigma.
+@example(r=1.0420609596127015, u=-0.8479023180314862, n_tr=130, head=64, g=1.930625, k=3,
+         tol=rs.spectrum.GRID_TOL)
+# One site past the head, slowly rising: its row is dominant only with the
+# hop the split charges to it.
+@example(r=0.375, u=0.95, n_tr=8, head=8, g=0.4375, k=1, tol=rs.spectrum.GRID_TOL)
+# Alternating hops (r = 1.5): the room of the first tail row, which sizes the
+# split, must leave its own outward hop dominated.
+@example(r=1.5, u=0.0, n_tr=84, head=16, g=1.59375, k=1, tol=rs.spectrum.GRID_TOL)
+def test_prefix_certificate_holds_on_the_whole_chains(r, u, n_tr, head, g, k, tol):
+    # Wherever _bracket certifies a head by counting the lowered prefixes,
+    # the count of the whole chains at the same shifts finds low (low - 1)
+    # too: each chain has exactly k eigenvalues at or below sigma_k.
+    assume(head <= n_tr)
+    p = rs.ModelParams(delta=1.0, r=r, u=u, n_tr=n_tr)
+    parts = rs.spectrum._parts(p)
+    found = rs.spectrum._bracket(rs.spectrum._Scan(p, parts, head, min(k, n_tr + 1)), g, k, tol)
+    event("certified" if found else "refused")
+    if found is not None:
+        values, _, _ = found
+        scales, _ = rs.spectrum._scales(p, parts, g)
+        below = (rs.spectrum._radius(tol) + rs.spectrum._SLACK) * max(scales)
+        low = len(values[0])
+        sigma = [[x - below for x in mu] for mu in values]
+        assert _full_chain_count(p, parts, g, sigma) == low * (low - 1)
+
+
+def test_prefix_count_runs_on_the_shortest_dominant_prefix(monkeypatch):
+    # On a benchmark coupling every row past the 32-site head is dominant:
+    # the count stacks 2 * 3 blocks of 32 sites, not of the 121-site chains.
+    # Past g_max = 3 at u = -0.85 the slowly rising sites keep 130 of 131.
+    sizes, count = [], rs.spectrum._count
+    monkeypatch.setattr(rs.spectrum, "_count",
+                        lambda shifted, off, scale: sizes.append(shifted.size)
+                        or count(shifted, off, scale))
+    for model, head, g, k, want in (
+            (dict(r=1.0, u=0.2, n_tr=120), 32, 1.2, 3, 6 * 32),
+            (dict(r=1.0420609596127015, u=-0.8479023180314862, n_tr=130), 64, 1.930625, 3,
+             6 * 130)):
+        p = rs.ModelParams(delta=1.0, **model)
+        sizes.clear()
+        scan = rs.spectrum._Scan(p, rs.spectrum._parts(p), head, k)
+        assert rs.spectrum._bracket(scan, g, k, rs.spectrum.GRID_TOL) is not None
+        assert sizes == [want]
 
 
 @pytest.mark.parametrize("fault", ["count", "info"])
@@ -704,12 +770,13 @@ def test_stacked_count_equals_the_per_chain_counts(n_tr, r, u, reach, copies, da
             sigmas.append(sigma)
             want += rs.spectrum.dstebz((diag - sigma) / scale, off / scale, 1, -4.0, 0.0,
                                        0, 0, 4.0, "E")[0]
-    diag, off = rs.spectrum._stack(chains, copies)
+    diag, off = rs.spectrum._stack(chains * copies)
     scale = max(chains[0][2], chains[1][2])
-    assert rs.spectrum._count(diag, off, scale, np.array(sigmas)) == want
+    shifted = diag - np.repeat(sigmas, n_tr + 1)
+    assert rs.spectrum._count(shifted, off, scale) == want
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rs.spectrum, "dstebz", lambda *args: (want, np.empty(0), None, None, 4))
-        assert rs.spectrum._count(diag, off, scale, np.array(sigmas)) is None
+        assert rs.spectrum._count(shifted, off, scale) is None
 
 
 def test_find_crossings_bisects_the_whole_chains_where_a_head_does_not_pay(monkeypatch):
@@ -841,9 +908,10 @@ def test_grown_chains_extend_the_spectrums_chains():
         assert keeps_lowest_levels(p, cut_levels(eigs, 12), 40) == cleared
         assert sites == [40, 61, 40]
     coupled, _ = rs.spectrum._coupled(p.with_n_tr(100), grown, p.g)
-    assert cleared == (rs.spectrum._count(*rs.spectrum._stack(coupled, 1),
-                                          max(coupled[0][2], coupled[1][2]),
-                                          0.5 * (eigs.energies[11] + eigs.energies[12])) == 12)
+    diag, off = rs.spectrum._stack(coupled)
+    sigma = 0.5 * (eigs.energies[11] + eigs.energies[12])
+    assert cleared == (rs.spectrum._count(diag - sigma, off,
+                                          max(coupled[0][2], coupled[1][2])) == 12)
 
 
 def test_keeps_lowest_levels_does_not_clear_non_finite_squared_hops():

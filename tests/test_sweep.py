@@ -21,6 +21,7 @@ from rabistark.sweep import (
     ERR_OK,
     ERR_ZERO_FLUX,
     AxisSpec,
+    SweepResult,
     SweepSpec,
     evaluate_group,
     evaluate_point,
@@ -503,6 +504,18 @@ def test_point_params_rejects_a_slot_off_the_grid(axes, slot):
     assert spec.point_params(np.int64(1), 0)[0].g == spec.axis1.values()[1]
     with pytest.raises(rs.InvalidParameterError, match="grid slot"):
         spec.point_params(*slot)
+
+
+@pytest.mark.parametrize("slot", [(4, 0), (-1, 0), (1.5, 0), (True, 0), (0, 3), 5, (1,)])
+def test_sweep_result_rejects_a_slot_off_the_grid(slot):
+    # A result is indexed by the slots point_params accepts: no negative index
+    # wraps round, no raw ValueError or TypeError, and (True, 0) is not slot
+    # (1, 0).
+    spec = small_spec(axis1=AxisSpec("g", 0.2, 1.0, 4))
+    result = SweepResult(spec, spec.axis1.values(), spec.axis2.values(), list(range(12)))
+    assert result[(1, 2)] == 5 and result[(np.int64(3), 0)] == 9
+    with pytest.raises(rs.InvalidParameterError, match="grid slot"):
+        result[slot]
 
 
 @pytest.mark.parametrize("check", [True, False])
